@@ -209,8 +209,8 @@ func scrapeMetrics(t *testing.T, m *member) {
 			t.Errorf("member %d: %s = %v, want > 0\nscrape:\n%s", m.id, name, values[name], tailLines(body, 40))
 		}
 	}
-	// Every member either dials or accepts (the tree root only accepts:
-	// children dial their parents).
+	// Every member either dials or accepts (the lower-indexed end of each
+	// edge dials, so the last member only accepts and member 0 only dials).
 	if values["transport_dials_total"]+values["transport_accepts_total"] <= 0 {
 		t.Errorf("member %d: no dials and no accepts in scrape\n%s", m.id, tailLines(body, 40))
 	}

@@ -1,7 +1,9 @@
 // Command barrierd hosts one member of a distributed fault-tolerant
-// barrier: each member runs as its own OS process, connected to its
-// neighbors over TCP (internal/transport). Together the processes realize
-// the same protocol instance the in-process runtime runs over channels.
+// barrier: each member runs as its own OS process, sharing one TCP
+// connection with each of its neighbors (internal/transport; the
+// lower-indexed process of a pair dials, so -peers must list every
+// member's listen address). Together the processes realize the same
+// protocol instance the in-process runtime runs over channels.
 //
 // -topology selects the refinement: "ring" (default) is the MB token ring,
 // "tree" the double-tree broadcast/convergecast over a binary heap of the
@@ -44,8 +46,9 @@
 //
 // -groups FILE switches the daemon to multi-tenant mode: instead of one
 // barrier it hosts one member of every group declared in FILE, all
-// multiplexed over a single shared TCP connection per peer pair
-// (internal/groups). Each line of FILE declares one group:
+// multiplexed over the same single TCP connection per peer pair — the
+// transport is the one the single-group mode uses, declaring many groups
+// instead of one (internal/groups). Each line of FILE declares one group:
 //
 //	name [topology [nphases]] [key=value...]
 //	# e.g. "g00 ring 4", "batch tree", "ml hybrid hosts=0,1|2,3",

@@ -108,7 +108,7 @@ type MetricsRegistry = obsv.Registry
 // TCPConfig.Registry.
 func NewMetricsRegistry() *MetricsRegistry { return obsv.NewRegistry() }
 
-// --- Layer 1, distributed: pluggable ring transports ---
+// --- Layer 1, distributed: pluggable transports ---
 
 // Transport supplies the barrier's ring links (Config.Transport); Link is
 // one member's attachment to its neighbors, and Message is the MB wire
@@ -136,15 +136,17 @@ func NewChanTransport(n int) Transport { return runtime.NewChanTransport(n) }
 // shape the barrier derives from Config.TreeArity.
 func NewChanTreeTransport(parent []int) Transport { return runtime.NewChanTreeTransport(parent) }
 
-// TCPConfig parameterizes a TCP ring transport; TCPTransport implements
-// Transport over per-edge TCP connections with automatic reconnect
-// (capped exponential backoff with jitter). Every socket failure is
-// mapped onto a fault class the protocol already masks — see
-// internal/transport for the policy.
+// TCPConfig parameterizes a TCP transport; TCPTransport implements
+// Transport for a ring over it. Underneath is the one multiplexed TCP
+// transport (internal/transport): every pair of neighboring members
+// shares one connection, dialed by the lower-indexed member, with
+// automatic reconnect (capped exponential backoff with jitter). Every
+// socket failure is mapped onto a fault class the protocol already masks
+// — see internal/transport for the policy.
 type (
-	// TCPConfig configures a TCP ring transport.
+	// TCPConfig configures a TCP ring or tree transport.
 	TCPConfig = transport.TCPConfig
-	// TCPTransport is the TCP implementation of Transport.
+	// TCPTransport is the TCP implementation of Transport for a ring.
 	TCPTransport = transport.TCP
 )
 
@@ -159,8 +161,9 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) { return transport.Ne
 func NewLoopbackRing(n int) (*TCPTransport, error) { return transport.NewLoopbackRing(n) }
 
 // TCPTreeTransport is the TCP implementation of the tree topology's
-// transport: one connection per tree edge, dialed child → parent, carrying
-// convergecast reports up and state broadcasts down.
+// transport, over the same connections as TCPTransport: one per tree
+// edge, dialed by its lower-indexed end (the parent, in a heap-ordered
+// tree), carrying convergecast reports up and state broadcasts down.
 type TCPTreeTransport = transport.TCPTree
 
 // NewTCPTreeTransport creates a TCP transport for the tree described by

@@ -214,7 +214,7 @@ func TestPipelinedResetRedo(t *testing.T) {
 	for id := 0; id < n; id++ {
 		for passes[id].Load() < base[id]+5 {
 			if time.Now().After(deadline) {
-				t.Fatalf("worker %d made no progress after resets stopped", id)
+				StuckFatalf(t, []*Barrier{b}, "worker %d made no progress after resets stopped", id)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -455,7 +455,7 @@ func TestCancelDuringRecoveryWastedAccounting(t *testing.T) {
 				for id := 0; id < n; id++ {
 					for passes[id].Load() < base[id]+3 {
 						if time.Now().After(deadline) {
-							t.Fatalf("member %d made no progress after the storm", id)
+							StuckFatalf(t, []*Barrier{b}, "member %d made no progress after the storm", id)
 						}
 						time.Sleep(time.Millisecond)
 					}

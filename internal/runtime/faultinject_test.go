@@ -261,7 +261,7 @@ func TestCombinedFaultChaosAgainstSpec(t *testing.T) {
 	for id := 0; id < n; id++ {
 		for passes[id].Load() < base[id]+5 {
 			if time.Now().After(deadline) {
-				t.Fatalf("worker %d made no progress after chaos stopped", id)
+				StuckFatalf(t, []*Barrier{b}, "worker %d made no progress after chaos stopped", id)
 			}
 			time.Sleep(time.Millisecond)
 		}

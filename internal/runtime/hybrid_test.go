@@ -228,7 +228,7 @@ func TestHybridDistributedResetMasked(t *testing.T) {
 	for id := 0; id < n; id++ {
 		for passes[id].Load() < base[id]+5 {
 			if time.Now().After(deadline) {
-				t.Fatalf("member %d made no progress after resets stopped", id)
+				StuckFatalf(t, bs, "member %d made no progress after resets stopped", id)
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -306,7 +306,7 @@ func TestScrambleStabilizes(t *testing.T) {
 			select {
 			case <-passed[id]:
 			case <-deadline:
-				t.Fatalf("worker %d made no progress after scramble", id)
+				StuckFatalf(t, []*Barrier{b}, "worker %d made no progress after scramble", id)
 			}
 		}
 	}

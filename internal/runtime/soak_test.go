@@ -123,7 +123,7 @@ func soakOne(t *testing.T, chaosFor time.Duration, tr runtime.Transport, extraFa
 	for id := 0; id < n; id++ {
 		for passes[id].Load() < base[id]+5 {
 			if time.Now().After(deadline) {
-				t.Fatalf("participant %d made no progress after soak chaos stopped (passes=%d)", id, passes[id].Load())
+				runtime.StuckFatalf(t, []*runtime.Barrier{b}, "participant %d made no progress after soak chaos stopped (passes=%d)", id, passes[id].Load())
 			}
 			time.Sleep(time.Millisecond)
 		}

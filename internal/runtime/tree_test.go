@@ -325,7 +325,7 @@ func TestTreeScrambleStabilizes(t *testing.T) {
 			select {
 			case <-passed[id]:
 			case <-deadline:
-				t.Fatalf("worker %d made no progress after scramble", id)
+				StuckFatalf(t, []*Barrier{b}, "worker %d made no progress after scramble", id)
 			}
 		}
 	}

@@ -208,26 +208,6 @@ func (fr *FrameReader) Read() (typ byte, payload []byte, err error) {
 	return typ, body[:n:n], nil
 }
 
-// FrameBuffered reports whether a complete frame is already buffered, so a
-// read loop can drain a burst — keeping only the newest state, which is
-// all the protocol wants — without risking a block. A buffered frame whose
-// advertised length is invalid also reports true: the next Read will
-// surface the violation.
-func (fr *FrameReader) FrameBuffered() bool {
-	if fr.br.Buffered() < headerLen {
-		return false
-	}
-	hdr, err := fr.br.Peek(headerLen)
-	if err != nil {
-		return false
-	}
-	n := int(hdr[2])<<8 | int(hdr[3])
-	if n > MaxPayload {
-		return true
-	}
-	return fr.br.Buffered() >= headerLen+n+trailerLen
-}
-
 // AppendState appends a FrameState carrying m for the given group.
 func AppendState(dst []byte, group uint32, m runtime.Message) []byte {
 	var p [statePayloadLen]byte

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/runtime"
 	"repro/internal/tokenring"
+	"repro/internal/topo"
 )
 
 func readOne(t *testing.T, b []byte) (byte, []byte, error) {
@@ -161,36 +162,6 @@ func TestFrameReaderDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// FrameBuffered lets a reader drain a burst without blocking: it is true
-// exactly while complete frames remain buffered.
-func TestFrameBuffered(t *testing.T) {
-	m := runtime.Message{SN: 1, CP: core.Execute, PH: 0}
-	m.Sum = m.Checksum()
-	var stream []byte
-	for i := 0; i < 3; i++ {
-		stream = AppendState(stream, 0, m)
-	}
-	fr := NewFrameReader(bytes.NewReader(stream), 256)
-	for i := 0; i < 3; i++ {
-		if _, _, err := fr.Read(); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if want := i < 2; fr.FrameBuffered() != want {
-			t.Errorf("after frame %d: FrameBuffered = %v, want %v", i, !want, want)
-		}
-	}
-	// An oversized buffered header also reports true so the next Read can
-	// surface the violation.
-	fr = NewFrameReader(bytes.NewReader(oversizeFrame()), 256)
-	fr.br.Peek(headerLen + 1) // force the header into the buffer
-	if !fr.FrameBuffered() {
-		t.Error("oversized buffered frame: FrameBuffered = false, want true")
-	}
-	if _, _, err := fr.Read(); err != errOversizedPayload {
-		t.Errorf("err = %v, want errOversizedPayload", err)
-	}
-}
-
 func TestHelloRoundTrip(t *testing.T) {
 	digests := []uint64{0, 1, 0xdeadbeefcafef00d, 1<<64 - 1}
 	for i, id := range []int{0, 1, 3, 1 << 20} {
@@ -248,18 +219,38 @@ func TestConfigDigest(t *testing.T) {
 	if ConfigDigest() != ConfigDigest() {
 		t.Error("digest not deterministic")
 	}
-	base := TCPConfig{Peers: []string{"a:1", "b:2", "c:3"}}
-	other := base
-	other.Group = 1
-	if ringDigest(base) == ringDigest(other) {
-		t.Error("ring digest ignores the group id")
+	peers := []string{"a:1", "b:2", "c:3"}
+	ring := func(id uint32) MuxConfig {
+		return MuxConfig{Peers: peers, Groups: []GroupSpec{{ID: id, Topology: GroupRing}}}
 	}
-	reordered := TCPConfig{Peers: []string{"b:2", "a:1", "c:3"}}
-	if ringDigest(base) == ringDigest(reordered) {
-		t.Error("ring digest ignores peer order")
+	tree := MuxConfig{Peers: peers, Groups: []GroupSpec{{ID: 0, Topology: GroupTree}}}
+	if muxDigest(ring(0), nil) == muxDigest(ring(1), nil) {
+		t.Error("digest ignores the group id")
 	}
-	if ringDigest(base) == treeDigest(base, []int{-1, 0, 0}) {
+	reordered := ring(0)
+	reordered.Peers = []string{"b:2", "a:1", "c:3"}
+	if muxDigest(ring(0), nil) == muxDigest(reordered, nil) {
+		t.Error("digest ignores peer order")
+	}
+	if muxDigest(ring(0), nil) == muxDigest(tree, nil) {
 		t.Error("ring and tree digests collide")
+	}
+	// Identical deployments spelled differently must agree: the defaults
+	// (ring, arity 2) are filled in before hashing.
+	implicit := MuxConfig{Peers: peers, Groups: []GroupSpec{{ID: 0}}}
+	if muxDigest(implicit, nil) != muxDigest(ring(0), nil) {
+		t.Error(`Topology "" and "ring" hash differently`)
+	}
+	arity := tree
+	arity.Groups = []GroupSpec{{ID: 0, Topology: GroupTree, TreeArity: 2}}
+	if muxDigest(tree, nil) != muxDigest(arity, nil) {
+		t.Error("TreeArity 0 and 2 hash differently")
+	}
+	// A TCPTree's explicit shape is part of the configuration.
+	heap, _ := topo.NewTree([]int{-1, 0, 0})
+	chain, _ := topo.NewTree([]int{-1, 0, 1})
+	if muxDigest(tree, heap) == muxDigest(tree, chain) {
+		t.Error("digest ignores the parent vector")
 	}
 }
 

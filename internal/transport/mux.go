@@ -1,26 +1,24 @@
-// Multi-group connection multiplexer: one TCP connection per peer-process
-// pair carries every barrier group crossing that edge. The single-group
-// transports (TCP, TCPTree) open one connection per protocol edge, which
-// is the right shape for one group — and the wrong one for a daemon
-// hosting thousands: the connection count would scale with groups, and a
-// reconnect storm would multiply by the group count. The Mux collapses
-// that to O(peers) connections, with wire-format v2's per-frame group id
-// providing the demultiplexing key.
+// The Mux: one TCP connection per peer-process pair carries every barrier
+// group crossing that edge. It is the package's only socket machinery — a
+// daemon hosting thousands of groups and a lone ring member run the same
+// accept, handshake, dial, reader and writer loops; the single-group
+// transports (transport.go) are one-group muxes. Connections scale with
+// peers, not groups, and a reconnect storm does not multiply by the group
+// count; wire-format v2's per-frame group id is the demultiplexing key.
 //
 // Model: len(Peers) OS processes, each hosting member j of every group
 // (a group's member ids are process indices). Each group is a ring over
-// all processes or a k-ary heap tree over all processes; the set of
-// groups is declared up front and fingerprinted into the hello digest, so
-// both ends of every connection provably agree on the multiplexing map.
+// all processes, a tree over all processes or a hybrid host tree; the set
+// of groups is declared up front and fingerprinted into the hello digest,
+// so both ends of every connection provably agree on the multiplexing map.
 //
 // Connections are symmetric (both ends read and write protocol frames),
 // so one connection per unordered pair suffices; the lower process index
 // dials, the higher accepts. Outgoing frames go through per-(group, kind,
-// edge) latest-state-wins slots — exactly the mailbox discipline of the
-// single-group transports, so a slow connection never blocks a protocol
-// goroutine and superseded states coalesce. One writer per connection
-// drains every dirty slot bound for that peer into a single Write,
-// batching frames of many groups into one syscall.
+// edge) latest-state-wins slots, so a slow connection never blocks a
+// protocol goroutine and superseded states coalesce. One writer per
+// connection drains every dirty slot bound for that peer into a single
+// Write, batching frames of many groups into one syscall.
 //
 // Lifecycle isolation: a group's link can be closed (its barrier halted,
 // stopped, or restarted for rejoin) without touching the shared
@@ -107,27 +105,44 @@ type MuxConfig struct {
 // MuxOption mutates a MuxConfig (used by NewLoopbackMuxes).
 type MuxOption func(*MuxConfig)
 
+// normalized fills in the defaults a spec may leave out (ring topology,
+// arity 2), so that two processes spelling the same deployment differently
+// build the same routes and hash to the same digest.
+func (g GroupSpec) normalized() GroupSpec {
+	if g.Topology == "" {
+		g.Topology = GroupRing
+	}
+	if g.TreeArity == 0 {
+		g.TreeArity = 2
+	}
+	return g
+}
+
 // muxDigest fingerprints a mux configuration: peer list plus the full
-// group set (ids, names, topologies, tree shapes).
-func muxDigest(cfg MuxConfig) uint64 {
+// group set (ids, names, topologies, tree shapes), and the explicit tree
+// of a TCPTree (nil otherwise).
+func muxDigest(cfg MuxConfig, shape *topo.Tree) uint64 {
 	parts := make([]string, 0, len(cfg.Peers)+4*len(cfg.Groups)+2)
 	parts = append(parts, "mux", strconv.Itoa(len(cfg.Peers)))
 	parts = append(parts, cfg.Peers...)
 	for _, g := range cfg.Groups {
-		arity := g.TreeArity
-		if arity == 0 {
-			arity = 2
-		}
+		g = g.normalized()
 		parts = append(parts,
 			strconv.FormatUint(uint64(g.ID), 10),
 			g.Name,
 			g.Topology,
-			strconv.Itoa(arity))
+			strconv.Itoa(g.TreeArity))
 		for _, roster := range g.Hosts {
 			parts = append(parts, "h"+strconv.Itoa(len(roster)))
 			for _, member := range roster {
 				parts = append(parts, strconv.Itoa(member))
 			}
+		}
+	}
+	if shape != nil {
+		parts = append(parts, "p"+strconv.Itoa(len(shape.Parent)))
+		for _, p := range shape.Parent {
+			parts = append(parts, strconv.Itoa(p))
 		}
 	}
 	return ConfigDigest(parts...)
@@ -167,15 +182,18 @@ type Mux struct {
 	wg         sync.WaitGroup
 	mu         sync.Mutex // guards peer conn registration against Close
 
-	stats tcpStats
+	stats *tcpStats
 }
 
 // muxGroup is one group's demux endpoint: exactly one of ring/tree is
 // non-nil, matching the declared topology.
 type muxGroup struct {
-	spec muxGroupShape
+	spec GroupSpec
 	ring *muxRingLink
 	tree *muxTreeLink
+	// owner is set on the one group of a TCP/TCPTree member's mux, where
+	// the group's link owns the mux (see release); nil on a shared mux.
+	owner *Mux
 
 	sent, recv atomic.Int64 // per-group frame counters
 	// dropped counts frames that arrived for this group after its links
@@ -184,12 +202,6 @@ type muxGroup struct {
 	// must not be silent: a rejoin that keeps receiving old-incarnation
 	// traffic, or a tenant wedged at teardown, shows up here first.
 	dropped atomic.Int64
-}
-
-type muxGroupShape struct {
-	GroupSpec
-	parent   []int // tree parent vector (nil for ring)
-	children []int // this process's children (tree)
 }
 
 type routeKey struct {
@@ -215,7 +227,7 @@ type route struct {
 // any peer dials it) and starts the dialers for the peers it is
 // responsible for. Per-group transports are obtained with Ring/Tree.
 func NewMux(cfg MuxConfig) (*Mux, error) {
-	m, err := newMux(cfg, nil)
+	m, err := newMux(cfg, muxWiring{})
 	if err != nil {
 		return nil, err
 	}
@@ -226,9 +238,19 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 	return m, nil
 }
 
-// newMux builds the mux without touching the network; ln pre-binds the
-// listener (loopback tests) or is nil.
-func newMux(cfg MuxConfig, ln net.Listener) (*Mux, error) {
+// muxWiring is what the in-package constructors hand newMux besides the
+// public configuration. The zero value is NewMux's.
+type muxWiring struct {
+	ln    net.Listener // pre-bound listener (loopback), else bound by start
+	stats *tcpStats    // counters shared with sibling member muxes, else the mux's own
+	shape *topo.Tree   // explicit shape of the tree groups (TCPTree), else the k-ary heap
+	// linkOwned makes each group's link own the mux: closing the link closes
+	// the mux (TCP/TCPTree members, which declare exactly one group).
+	linkOwned bool
+}
+
+// newMux builds the mux without touching the network.
+func newMux(cfg MuxConfig, w muxWiring) (*Mux, error) {
 	n := len(cfg.Peers)
 	if n < 2 {
 		return nil, errors.New("transport: need at least 2 peers")
@@ -257,17 +279,18 @@ func newMux(cfg MuxConfig, ln net.Listener) (*Mux, error) {
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = 64
 	}
-	dialCtx, dialCancel := context.WithCancel(context.Background())
+	if w.stats == nil {
+		w.stats = new(tcpStats)
+	}
 	m := &Mux{
-		cfg:        cfg,
-		digest:     muxDigest(cfg),
-		groups:     make(map[uint32]*muxGroup, len(cfg.Groups)),
-		peers:      make([]*muxPeer, n),
-		routes:     make(map[routeKey]route),
-		ln:         ln,
-		done:       make(chan struct{}),
-		dialCtx:    dialCtx,
-		dialCancel: dialCancel,
+		cfg:    cfg,
+		digest: muxDigest(cfg, w.shape),
+		groups: make(map[uint32]*muxGroup, len(cfg.Groups)),
+		peers:  make([]*muxPeer, n),
+		routes: make(map[routeKey]route),
+		ln:     w.ln,
+		done:   make(chan struct{}),
+		stats:  w.stats,
 	}
 	peerOf := func(j int) *muxPeer {
 		if p := m.peers[j]; p != nil {
@@ -285,21 +308,22 @@ func newMux(cfg MuxConfig, ln net.Listener) (*Mux, error) {
 	}
 	self := cfg.Self
 	for _, spec := range cfg.Groups {
+		spec = spec.normalized()
 		if _, dup := m.groups[spec.ID]; dup {
-			dialCancel()
 			return nil, fmt.Errorf("transport: duplicate group id %d", spec.ID)
 		}
 		if spec.Name != "" && !validGroupName(spec.Name) {
-			dialCancel()
 			return nil, fmt.Errorf("transport: invalid group name %q", spec.Name)
 		}
-		g := &muxGroup{spec: muxGroupShape{GroupSpec: spec}}
+		g := &muxGroup{spec: spec}
+		if w.linkOwned {
+			g.owner = m
+		}
 		if spec.Topology != GroupHybrid && spec.Hosts != nil {
-			dialCancel()
 			return nil, fmt.Errorf("transport: group %d: Hosts is only for hybrid groups", spec.ID)
 		}
 		switch spec.Topology {
-		case GroupRing, "":
+		case GroupRing:
 			pred, succ := (self-1+n)%n, (self+1)%n
 			g.ring = &muxRingLink{
 				g:     g,
@@ -311,53 +335,44 @@ func newMux(cfg MuxConfig, ln net.Listener) (*Mux, error) {
 			m.routes[routeKey{spec.ID, FrameState, pred}] = route{rState, g}
 			m.routes[routeKey{spec.ID, FrameTop, succ}] = route{rTop, g}
 		case GroupTree, GroupHybrid:
-			arity := spec.TreeArity
-			if arity == 0 {
-				arity = 2
-			}
-			var shape *topo.Tree
+			shape := w.shape
 			if spec.Topology == GroupHybrid {
 				// One process per host; the mux carries the host tree.
-				hy, err := topo.NewHybridTree(spec.Hosts, arity)
+				hy, err := topo.NewHybridTree(spec.Hosts, spec.TreeArity)
 				if err != nil {
-					dialCancel()
 					return nil, fmt.Errorf("transport: group %d: %w", spec.ID, err)
 				}
 				if len(hy.Hosts) != n {
-					dialCancel()
 					return nil, fmt.Errorf("transport: group %d: %d hosts for %d processes", spec.ID, len(hy.Hosts), n)
 				}
 				shape = hy.HostTree
-			} else {
-				s, err := topo.NewKAryTree(n, arity)
+			} else if shape == nil {
+				s, err := topo.NewKAryTree(n, spec.TreeArity)
 				if err != nil {
-					dialCancel()
 					return nil, fmt.Errorf("transport: group %d: %w", spec.ID, err)
 				}
 				shape = s
 			}
-			g.spec.parent = shape.Parent
-			g.spec.children = shape.Children[self]
+			kids := shape.Children[self]
 			tl := &muxTreeLink{
 				g:      g,
 				parent: shape.Parent[self],
-				kidIdx: make(map[int]int, len(g.spec.children)),
+				kidIdx: make(map[int]int, len(kids)),
 				down:   make(chan runtime.Message, 1),
-				up:     make(chan runtime.UpMessage, 2*len(g.spec.children)+2),
+				up:     make(chan runtime.UpMessage, 2*len(kids)+2),
 			}
 			if tl.parent >= 0 {
 				tl.upSlot = slot(tl.parent, g, FrameUp)
 				m.routes[routeKey{spec.ID, FrameState, tl.parent}] = route{rDown, g}
 			}
-			tl.downSlots = make([]*muxSlot, len(g.spec.children))
-			for i, kid := range g.spec.children {
+			tl.downSlots = make([]*muxSlot, len(kids))
+			for i, kid := range kids {
 				tl.kidIdx[kid] = i
 				tl.downSlots[i] = slot(kid, g, FrameState)
 				m.routes[routeKey{spec.ID, FrameUp, kid}] = route{rUp, g}
 			}
 			g.tree = tl
 		default:
-			dialCancel()
 			return nil, fmt.Errorf("transport: group %d: unknown topology %q", spec.ID, spec.Topology)
 		}
 		m.groups[spec.ID] = g
@@ -365,7 +380,6 @@ func newMux(cfg MuxConfig, ln net.Listener) (*Mux, error) {
 	}
 	if cfg.Registry != nil {
 		if err := m.stats.register(cfg.Registry); err != nil {
-			dialCancel()
 			return nil, err
 		}
 		for _, g := range m.order {
@@ -383,11 +397,11 @@ func newMux(cfg MuxConfig, ln net.Listener) (*Mux, error) {
 			if err != nil {
 				// registerAll already rolled back every series the mux had
 				// registered so far.
-				dialCancel()
 				return nil, err
 			}
 		}
 	}
+	m.dialCtx, m.dialCancel = context.WithCancel(context.Background())
 	return m, nil
 }
 
@@ -437,7 +451,9 @@ func (m *Mux) Close() error {
 			}
 		}
 		m.mu.Unlock()
-		m.stats.unregister()
+		if m.cfg.Registry != nil {
+			m.stats.unregister() // only the series this mux registered itself
+		}
 	})
 	m.wg.Wait()
 	return nil
@@ -516,72 +532,52 @@ func (m *Mux) closedNow() bool {
 // the link (Barrier.Stop does) detaches the group so it can be reopened —
 // the rejoin path. The view's Close is a no-op: connections are shared,
 // the mux owns them.
-func (m *Mux) Ring(id uint32) runtime.Transport { return &muxRingView{m: m, id: id} }
+func (m *Mux) Ring(id uint32) runtime.Transport { return &TCP{m.view(id)} }
 
 // Tree returns the runtime.TreeTransport view of one tree or hybrid
 // group (see Ring for the lifecycle contract). For hybrid groups the
 // view's node space is host (= process) indices: OpenTree(Self) yields
 // the edge set a TopologyHybrid barrier plugs in as its Transport.
-func (m *Mux) Tree(id uint32) runtime.Transport { return &muxTreeView{m: m, id: id} }
+func (m *Mux) Tree(id uint32) runtime.Transport { return &TCPTree{m.view(id)} }
 
-type muxRingView struct {
-	m  *Mux
-	id uint32
+func (m *Mux) view(id uint32) *memberMuxes {
+	hosted := make([]*Mux, len(m.cfg.Peers))
+	hosted[m.cfg.Self] = m
+	return borrowedMuxes(id, m.digest, hosted)
 }
 
-func (v *muxRingView) Open(j int) (runtime.Link, error) {
-	g := v.m.groups[v.id]
-	if g == nil {
-		return nil, fmt.Errorf("transport: unknown group %d", v.id)
-	}
-	if g.ring == nil {
-		return nil, fmt.Errorf("transport: group %d is not a ring group", v.id)
-	}
-	if j != v.m.cfg.Self {
-		return nil, fmt.Errorf("transport: member %d is not this process (%d)", j, v.m.cfg.Self)
-	}
-	if !g.ring.open.CompareAndSwap(false, true) {
-		return nil, fmt.Errorf("transport: group %d already open", v.id)
+func (m *Mux) openRing(id uint32) (runtime.Link, error) {
+	g := m.groups[id]
+	switch {
+	case g == nil:
+		return nil, fmt.Errorf("transport: unknown group %d", id)
+	case g.ring == nil:
+		return nil, fmt.Errorf("transport: group %d is not a ring group", id)
+	case !g.ring.open.CompareAndSwap(false, true):
+		return nil, fmt.Errorf("transport: group %d already open", id)
 	}
 	return g.ring, nil
 }
 
-func (v *muxRingView) Close() error { return nil }
-
-type muxTreeView struct {
-	m  *Mux
-	id uint32
-}
-
-func (v *muxTreeView) Open(j int) (runtime.Link, error) {
-	return nil, errors.New("transport: tree group requires Config.Topology == TopologyTree")
-}
-
-func (v *muxTreeView) OpenTree(j int) (runtime.TreeLink, error) {
-	g := v.m.groups[v.id]
-	if g == nil {
-		return nil, fmt.Errorf("transport: unknown group %d", v.id)
-	}
-	if g.tree == nil {
-		return nil, fmt.Errorf("transport: group %d is not a tree group", v.id)
-	}
-	if j != v.m.cfg.Self {
-		return nil, fmt.Errorf("transport: member %d is not this process (%d)", j, v.m.cfg.Self)
-	}
-	if !g.tree.open.CompareAndSwap(false, true) {
-		return nil, fmt.Errorf("transport: group %d already open", v.id)
+func (m *Mux) openTree(id uint32) (runtime.TreeLink, error) {
+	g := m.groups[id]
+	switch {
+	case g == nil:
+		return nil, fmt.Errorf("transport: unknown group %d", id)
+	case g.tree == nil:
+		return nil, fmt.Errorf("transport: group %d is not a tree group", id)
+	case !g.tree.open.CompareAndSwap(false, true):
+		return nil, fmt.Errorf("transport: group %d already open", id)
 	}
 	return g.tree, nil
 }
-
-func (v *muxTreeView) Close() error { return nil }
 
 // --- outgoing: per-peer slots and writers ---
 
 // muxSlot is one latest-state-wins outgoing mailbox: a protocol send
 // overwrites the slot and kicks the peer's writer; the writer takes the
-// newest value. Superseded states coalesce exactly as in the single-group
-// transports' channel mailboxes.
+// newest value, so superseded states coalesce — to the protocol that is
+// indistinguishable from loss.
 type muxSlot struct {
 	p   *muxPeer
 	g   *muxGroup
@@ -745,8 +741,10 @@ func (p *muxPeer) writeLoop(c net.Conn, dead chan struct{}) {
 
 // dialLoop maintains the connection to a higher-indexed peer: dial,
 // hello, serve until it dies, redial with capped exponential backoff plus
-// jitter (the single-group transports' discipline; the jitter source is
-// a goroutine-owned splitmix64 PRNG, so single ownership is structural).
+// jitter: sleep in [backoff/2, backoff], then double up to the cap; the
+// backoff resets after every successful dial. The jitter source is a
+// goroutine-owned splitmix64 PRNG (single ownership is structural), and
+// the per-edge seed keeps restarting members from reconnecting in lockstep.
 func (p *muxPeer) dialLoop() {
 	defer p.m.wg.Done()
 	rng := prng.New(int64(p.m.cfg.Self)*1315423911 + int64(p.id)*2654435761 + 41)
@@ -847,7 +845,7 @@ func (m *Mux) acceptLoop() {
 func (m *Mux) handleIn(c net.Conn) {
 	defer m.wg.Done()
 	fr := NewFrameReader(c, 4096)
-	from, err := readHello(fr, c, m.cfg.HandshakeTimeout, m.digest, &m.stats)
+	from, err := readHello(fr, c, m.cfg.HandshakeTimeout, m.digest, m.stats)
 	m.stats.releasePending()
 	var p *muxPeer
 	if err == nil {
@@ -895,42 +893,29 @@ func (m *Mux) serveConn(p *muxPeer, c net.Conn, fr *FrameReader) {
 			c.Close()
 			return
 		}
+		var id uint32
 		switch typ {
 		case FrameHello:
 			// Redundant hello: harmless, ignore.
-			continue
 		case FrameState:
-			g, msg, err := DecodeState(payload)
-			if err == nil {
-				err = m.deliverState(p, g, msg)
-			}
-			if err != nil {
-				m.connFailed(p, "decode state", err)
-				c.Close()
-				return
+			var msg runtime.Message
+			if id, msg, err = DecodeState(payload); err == nil {
+				err = m.deliverState(p, id, msg)
 			}
 		case FrameTop:
-			g, err := DecodeTop(payload)
-			if err == nil {
-				err = m.deliverTop(p, g)
-			}
-			if err != nil {
-				m.connFailed(p, "decode ⊤", err)
-				c.Close()
-				return
+			if id, err = DecodeTop(payload); err == nil {
+				err = m.deliverTop(p, id)
 			}
 		case FrameUp:
-			g, msg, err := DecodeUp(payload)
-			if err == nil {
-				err = m.deliverUp(p, g, msg)
-			}
-			if err != nil {
-				m.connFailed(p, "decode up", err)
-				c.Close()
-				return
+			var msg runtime.UpMessage
+			if id, msg, err = DecodeUp(payload); err == nil {
+				err = m.deliverUp(p, id, msg)
 			}
 		default:
-			m.connFailed(p, "unexpected frame", fmt.Errorf("%w: type %d from peer %d", ErrCodec, typ, p.id))
+			err = fmt.Errorf("%w: unexpected frame type %d", ErrCodec, typ)
+		}
+		if err != nil {
+			m.connFailed(p, "frame", err)
 			c.Close()
 			return
 		}
@@ -1002,7 +987,7 @@ func (m *Mux) deliverUp(p *muxPeer, id uint32, msg runtime.UpMessage) error {
 	}
 	if msg.Child != p.id {
 		// The in-band child id must match the connection's verified peer —
-		// a mismatch is detected corruption, as in the tree transport.
+		// a mismatch is detected corruption, not a protocol message.
 		return fmt.Errorf("%w: in-band child %d on connection from %d", ErrCodec, msg.Child, p.id)
 	}
 	m.stats.framesRecv.Add(1)
@@ -1030,7 +1015,9 @@ func (m *Mux) deliverUp(p *muxPeer, id uint32, msg runtime.UpMessage) error {
 	return nil
 }
 
-// connFailed accounts one connection failure (see tcpLink.connFailed).
+// connFailed accounts one connection failure. Decode errors are counted
+// separately from plain connection drops, but both end the connection:
+// the reconnect plus the barrier's retransmission are the only recovery.
 func (m *Mux) connFailed(p *muxPeer, what string, err error) {
 	if m.closedNow() {
 		return
@@ -1043,6 +1030,17 @@ func (m *Mux) connFailed(p *muxPeer, what string, err error) {
 }
 
 // --- per-group links ---
+
+// release ends a group link's Close. On a shared mux the link only
+// detached; on a TCP/TCPTree member's mux the link owns the mux, so the
+// member's listener, connections and goroutines go with it — to its
+// neighbors, the process died.
+func (g *muxGroup) release() error {
+	if g.owner != nil {
+		return g.owner.Close()
+	}
+	return nil
+}
 
 // muxRingLink is one group's ring attachment for this process. Closing it
 // detaches the group from the shared connections without touching them;
@@ -1085,7 +1083,7 @@ func (l *muxRingLink) Close() error {
 	l.open.Store(false)
 	l.stateSlot.clear()
 	l.topSlot.clear()
-	return nil
+	return l.g.release()
 }
 
 // muxTreeLink is one group's tree attachment for this process (see
@@ -1147,7 +1145,7 @@ func (l *muxTreeLink) Close() error {
 	for _, s := range l.downSlots {
 		s.clear()
 	}
-	return nil
+	return l.g.release()
 }
 
 // --- loopback set: every process in one test binary ---
@@ -1197,7 +1195,7 @@ func NewLoopbackMuxes(n int, groups []GroupSpec, opts ...MuxOption) (*MuxSet, er
 			opt(&cfg)
 		}
 		cfg.Self, cfg.Peers = j, peers
-		m, err := newMux(cfg, listeners[j])
+		m, err := newMux(cfg, muxWiring{ln: listeners[j]})
 		if err != nil {
 			closeAll(set.Muxes)
 			return nil, err
@@ -1241,41 +1239,12 @@ func (s *MuxSet) Close() error {
 
 // Ring returns a runtime.Transport for one ring group whose Open accepts
 // any process index, routing to that process's mux.
-func (s *MuxSet) Ring(id uint32) runtime.Transport { return &muxSetRing{s: s, id: id} }
-
-// Tree returns a runtime transport for one tree group (implements
-// runtime.TreeTransport).
-func (s *MuxSet) Tree(id uint32) runtime.Transport { return &muxSetTree{s: s, id: id} }
-
-type muxSetRing struct {
-	s  *MuxSet
-	id uint32
+func (s *MuxSet) Ring(id uint32) runtime.Transport {
+	return &TCP{borrowedMuxes(id, s.Muxes[0].digest, s.Muxes)}
 }
 
-func (v *muxSetRing) Open(j int) (runtime.Link, error) {
-	if j < 0 || j >= len(v.s.Muxes) {
-		return nil, fmt.Errorf("transport: member %d out of range [0,%d)", j, len(v.s.Muxes))
-	}
-	return v.s.Muxes[j].Ring(v.id).Open(j)
+// Tree returns a runtime transport for one tree or hybrid group
+// (implements runtime.TreeTransport), routing like Ring.
+func (s *MuxSet) Tree(id uint32) runtime.Transport {
+	return &TCPTree{borrowedMuxes(id, s.Muxes[0].digest, s.Muxes)}
 }
-
-func (v *muxSetRing) Close() error { return nil }
-
-type muxSetTree struct {
-	s  *MuxSet
-	id uint32
-}
-
-func (v *muxSetTree) Open(j int) (runtime.Link, error) {
-	return nil, errors.New("transport: tree group requires Config.Topology == TopologyTree")
-}
-
-func (v *muxSetTree) OpenTree(j int) (runtime.TreeLink, error) {
-	if j < 0 || j >= len(v.s.Muxes) {
-		return nil, fmt.Errorf("transport: member %d out of range [0,%d)", j, len(v.s.Muxes))
-	}
-	t := v.s.Muxes[j].Tree(v.id).(*muxTreeView)
-	return t.OpenTree(j)
-}
-
-func (v *muxSetTree) Close() error { return nil }

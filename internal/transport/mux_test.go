@@ -229,9 +229,12 @@ func TestMuxGroupTeardownIsolation(t *testing.T) {
 	}
 	// The swallowed frames are correct behaviour (the peer's resends are
 	// loss), but they must be counted, not silent.
-	_, _, dropped := set.Muxes[0].GroupStats(0)
-	if dropped == 0 {
-		t.Error("closed group discarded frames without counting them")
+	// (Beta's passes can outrun the peer's next alpha resend: wait for one.)
+	var dropped int64
+	for deadline := time.Now().Add(5 * time.Second); dropped == 0; time.Sleep(time.Millisecond) {
+		if _, _, dropped = set.Muxes[0].GroupStats(0); dropped == 0 && time.Now().After(deadline) {
+			t.Fatal("closed group discarded frames without counting them")
+		}
 	}
 	if _, _, betaDropped := set.Muxes[0].GroupStats(1); betaDropped != 0 {
 		t.Errorf("live group beta counted %d dropped frames", betaDropped)
@@ -292,7 +295,7 @@ func TestMuxValidation(t *testing.T) {
 	if _, err := m.Ring(1).Open(0); err == nil {
 		t.Error("ring view opened a tree group")
 	}
-	if _, err := m.Tree(0).(*muxTreeView).OpenTree(0); err == nil {
+	if _, err := m.openTree(0); err == nil {
 		t.Error("tree view opened a ring group")
 	}
 	if _, err := m.Ring(0).Open(1); err == nil {
@@ -311,6 +314,45 @@ func TestMuxValidation(t *testing.T) {
 	l.Close()
 	if _, err := m.Ring(0).Open(0); err != nil {
 		t.Errorf("reopen after close failed: %v", err)
+	}
+
+	// Identical deployments spelled differently — Topology "" on one
+	// process, "ring" on the other — must accept each other at hello.
+	listeners, peers, err := bindLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var links [2]runtime.Link
+	for j, topology := range []string{"", GroupRing} {
+		pm, err := newMux(MuxConfig{Self: j, Peers: peers, BaseBackoff: time.Millisecond,
+			Groups: []GroupSpec{{ID: 0, Name: "a", Topology: topology}}}, muxWiring{ln: listeners[j]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pm.Close()
+		if err := pm.start(); err != nil {
+			t.Fatal(err)
+		}
+		if links[j], err = pm.Ring(0).Open(j); err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if st := pm.Stats(); st.DigestRejects != 0 {
+				t.Errorf("process %d rejected its peer's digest", pm.cfg.Self)
+			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for delivered := false; !delivered; {
+		links[0].SendState(stateMsg(1))
+		select {
+		case <-links[1].State():
+			delivered = true
+		case <-time.After(2 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal(`a Topology "" process and a "ring" process never connected`)
+			}
+		}
 	}
 }
 

@@ -1,16 +1,17 @@
-// Package transport provides network ring links for the runtime barrier:
-// an implementation of runtime.Transport over TCP connections, so a
-// fault-tolerant barrier can span OS processes and machines.
+// Package transport carries the runtime barrier's protocol frames over TCP,
+// so a fault-tolerant barrier can span OS processes and machines.
 //
-// Topology: ring edge (j, j+1) is one TCP connection, dialed by j to
-// j+1's listener and opened with a hello frame naming the dialer. On that
-// connection j writes state frames (the MB (sn, cp, ph) wire triple) and
-// j+1 writes ⊤ restart markers back, matching the protocol's two message
-// flows. Each member therefore maintains one outgoing connection (to its
-// successor, re-dialed forever with capped exponential backoff plus
-// jitter) and accepts one incoming connection (from its predecessor; a
-// newly accepted connection replaces the old one, which is how a
-// restarted predecessor reattaches).
+// There is one transport: the Mux (mux.go has the connection, slot, writer
+// and demux design). Every pair of processes that share a protocol edge
+// keeps one symmetric connection — the lower process index dials, the
+// higher accepts — opened by a hello frame carrying the wire version, the
+// dialer's index and a digest of the whole configuration.
+//
+// The single-group transports in this file — TCP for a ring, TCPTree for a
+// tree given by its parent vector — are thin constructors over that
+// machinery: each opened member gets its own one-group Mux, and the link
+// it returns owns that mux, so closing the link frees the member's
+// listener and connections exactly as a process death would.
 //
 // Fault mapping: the transport adds no recovery logic of its own. Every
 // socket failure is translated into a fault class the barrier protocol
@@ -20,32 +21,31 @@
 //     damaged connection is dropped and redialed; the barrier's periodic
 //     retransmission re-delivers current state;
 //   - frame decode error (bad magic, truncated frame, CRC mismatch,
-//     oversized length) → detected corruption, which the paper reduces to
-//     loss: the frame is discarded and the connection dropped rather than
+//     oversized length), or a frame the route table does not expect from
+//     that peer → detected corruption, which the paper reduces to loss:
+//     the frame is discarded and the connection dropped rather than
 //     attempting to resynchronize the byte stream;
-//   - a slow or dead peer → delay: sends are latest-state-wins mailboxes
-//     and never block a protocol goroutine.
+//   - a slow or dead peer → delay: sends are slot overwrites and never
+//     block a protocol goroutine.
 package transport
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obsv"
-	"repro/internal/prng"
 	"repro/internal/runtime"
+	"repro/internal/topo"
 )
 
-// TCPConfig parameterizes a TCP transport.
+// TCPConfig parameterizes a single-group TCP transport.
 type TCPConfig struct {
-	// Peers[j] is member j's listen address (host:port); the ring size is
-	// len(Peers).
+	// Peers[j] is member j's listen address (host:port); the group has
+	// len(Peers) members.
 	Peers []string
 	// BaseBackoff and MaxBackoff bound the reconnect backoff (defaults
 	// 10ms and 1s). Each failed dial doubles the delay up to MaxBackoff,
@@ -59,8 +59,8 @@ type TCPConfig struct {
 	// (default 5s).
 	HandshakeTimeout time.Duration
 	// Group tags every frame this transport sends and is verified on every
-	// frame it receives. A single-group deployment leaves it 0; the Mux
-	// speaks for many groups on one connection and bypasses this field.
+	// frame it receives; it becomes the ID of the one GroupSpec the
+	// members' muxes declare. A lone deployment leaves it 0.
 	Group uint32
 	// MaxPending bounds concurrent un-handshaken incoming connections
 	// (default 64). Each pre-handshake connection holds a goroutine and a
@@ -77,7 +77,7 @@ type TCPConfig struct {
 	Registry *obsv.Registry
 }
 
-// Option mutates a TCPConfig (used by NewLoopbackRing).
+// Option mutates a TCPConfig (used by the loopback constructors).
 type Option func(*TCPConfig)
 
 // TCPStats is a snapshot of a transport's counters.
@@ -97,8 +97,8 @@ type TCPStats struct {
 	PendingHandshakes int64 // accepted connections awaiting their hello (gauge)
 }
 
-// tcpStats holds the counters shared by the ring, tree and mux TCP
-// transports.
+// tcpStats holds a transport's counters: a Mux's own, or one instance
+// shared by every member mux of a TCP/TCPTree.
 type tcpStats struct {
 	dials, failedDials, accepts, handshakeRejects atomic.Int64
 	digestRejects, acceptOverflows                atomic.Int64
@@ -200,98 +200,8 @@ func (s *tcpStats) standardMetrics() []obsv.Metric {
 	}
 }
 
-// TCP implements runtime.Transport over TCP ring links.
-type TCP struct {
-	cfg    TCPConfig
-	digest uint64
-
-	mu        sync.Mutex
-	links     []*tcpLink
-	listeners []net.Listener // pre-bound by NewLoopbackRing, else nil
-	closed    bool
-
-	stats tcpStats
-}
-
-// ringDigest fingerprints a ring configuration: topology kind, ring size,
-// peer addresses and the group id. Members with any difference — a missing
-// peer, a reordered list, a different group — reject each other at hello.
-func ringDigest(cfg TCPConfig) uint64 {
-	parts := make([]string, 0, len(cfg.Peers)+3)
-	parts = append(parts, "ring", strconv.Itoa(len(cfg.Peers)))
-	parts = append(parts, cfg.Peers...)
-	parts = append(parts, strconv.FormatUint(uint64(cfg.Group), 10))
-	return ConfigDigest(parts...)
-}
-
-// NewTCP creates a TCP transport for the given ring. Nothing is bound or
-// dialed until Open.
-func NewTCP(cfg TCPConfig) (*TCP, error) {
-	if len(cfg.Peers) < 2 {
-		return nil, errors.New("transport: need at least 2 peers")
-	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = 10 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = time.Second
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 5 * time.Second
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 64
-	}
-	t := &TCP{
-		cfg:       cfg,
-		digest:    ringDigest(cfg),
-		links:     make([]*tcpLink, len(cfg.Peers)),
-		listeners: make([]net.Listener, len(cfg.Peers)),
-	}
-	if cfg.Registry != nil {
-		if err := t.stats.register(cfg.Registry); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// NewLoopbackRing binds n ephemeral loopback listeners and returns a TCP
-// transport for an all-local ring — the test, benchmark and conformance
-// configuration. The backoff defaults are lowered (2ms base, 100ms cap) so
-// in-process reconnect tests converge quickly; opts may override any
-// field.
-func NewLoopbackRing(n int, opts ...Option) (*TCP, error) {
-	if n < 2 {
-		return nil, errors.New("transport: need at least 2 members")
-	}
-	listeners, peers, err := bindLoopback(n)
-	if err != nil {
-		return nil, err
-	}
-	cfg := TCPConfig{Peers: peers, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 100 * time.Millisecond}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	t, err := NewTCP(cfg)
-	if err != nil {
-		for _, l := range listeners {
-			l.Close()
-		}
-		return nil, err
-	}
-	t.listeners = listeners
-	return t, nil
-}
-
 // bindLoopback binds n ephemeral loopback listeners and returns them with
-// their addresses (shared by NewLoopbackRing and NewLoopbackTree).
+// their addresses.
 func bindLoopback(n int) ([]net.Listener, []string, error) {
 	listeners := make([]net.Listener, n)
 	peers := make([]string, n)
@@ -309,189 +219,7 @@ func bindLoopback(n int) ([]net.Listener, []string, error) {
 	return listeners, peers, nil
 }
 
-// Open binds member id's listener (unless pre-bound), starts its accept
-// loop and its dialer to the ring successor, and returns the link.
-func (t *TCP) Open(id int) (runtime.Link, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil, errors.New("transport: closed")
-	}
-	if id < 0 || id >= len(t.cfg.Peers) {
-		return nil, fmt.Errorf("transport: member %d out of range [0,%d)", id, len(t.cfg.Peers))
-	}
-	if t.links[id] != nil {
-		return nil, fmt.Errorf("transport: member %d already open", id)
-	}
-	ln := t.listeners[id]
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", t.cfg.Peers[id])
-		if err != nil {
-			return nil, fmt.Errorf("transport: listen %s: %w", t.cfg.Peers[id], err)
-		}
-		t.listeners[id] = ln
-	}
-	dialCtx, dialCancel := context.WithCancel(context.Background())
-	l := &tcpLink{
-		t:          t,
-		id:         id,
-		ln:         ln,
-		state:      make(chan runtime.Message, 1),
-		top:        make(chan struct{}, 1),
-		outState:   make(chan runtime.Message, 1),
-		outTop:     make(chan struct{}, 1),
-		done:       make(chan struct{}),
-		dialCtx:    dialCtx,
-		dialCancel: dialCancel,
-	}
-	t.links[id] = l
-	l.wg.Add(2)
-	go l.acceptLoop()
-	go l.dialLoop()
-	return l, nil
-}
-
-// Close tears down every link, listener and connection.
-func (t *TCP) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	links := append([]*tcpLink(nil), t.links...)
-	listeners := append([]net.Listener(nil), t.listeners...)
-	t.mu.Unlock()
-	for _, l := range links {
-		if l != nil {
-			l.Close()
-		}
-	}
-	for _, ln := range listeners {
-		if ln != nil {
-			ln.Close() // pre-bound listeners of never-opened members
-		}
-	}
-	t.stats.unregister()
-	return nil
-}
-
-// Stats returns a snapshot of the transport's counters.
-func (t *TCP) Stats() TCPStats { return t.stats.snapshot() }
-
-// Digest returns the configuration digest this transport sends (and
-// expects) in hello frames.
-func (t *TCP) Digest() uint64 { return t.digest }
-
-// BreakLinks force-closes member id's current connections (incoming and
-// outgoing), simulating a network blip. The dialer redials with backoff;
-// in-flight frames are lost and masked by retransmission. Test hook.
-func (t *TCP) BreakLinks(id int) {
-	t.mu.Lock()
-	var l *tcpLink
-	if id >= 0 && id < len(t.links) {
-		l = t.links[id]
-	}
-	t.mu.Unlock()
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	if l.inConn != nil {
-		l.inConn.Close()
-	}
-	if l.outConn != nil {
-		l.outConn.Close()
-	}
-	l.mu.Unlock()
-}
-
-// tcpLink is one member's attachment to the ring over sockets.
-type tcpLink struct {
-	t  *TCP
-	id int
-	ln net.Listener
-
-	state    chan runtime.Message // from predecessor, latest wins
-	top      chan struct{}        // from successor
-	outState chan runtime.Message // to successor, latest wins
-	outTop   chan struct{}        // to predecessor, pending-⊤ flag
-
-	mu      sync.Mutex
-	inConn  net.Conn // accepted, from predecessor
-	outConn net.Conn // dialed, to successor
-
-	done       chan struct{}
-	dialCtx    context.Context
-	dialCancel context.CancelFunc
-	closeOnce  sync.Once
-	wg         sync.WaitGroup
-}
-
-func (l *tcpLink) SendState(m runtime.Message) {
-	// Latest-state-wins mailbox: the writer goroutine picks up whatever is
-	// newest once the connection is up; anything superseded in between is
-	// indistinguishable from loss.
-	select {
-	case <-l.outState:
-	default:
-	}
-	select {
-	case l.outState <- m:
-	default:
-	}
-}
-
-func (l *tcpLink) SendTop() {
-	select {
-	case l.outTop <- struct{}{}:
-	default: // a ⊤ is already pending; it is idempotent
-	}
-}
-
-func (l *tcpLink) State() <-chan runtime.Message { return l.state }
-func (l *tcpLink) Top() <-chan struct{}          { return l.top }
-
-func (l *tcpLink) InjectState(m runtime.Message) bool {
-	select {
-	case l.state <- m:
-		return true
-	default:
-		return false
-	}
-}
-
-func (l *tcpLink) Close() error {
-	l.closeOnce.Do(func() {
-		close(l.done)
-		l.dialCancel()
-		l.ln.Close()
-		l.mu.Lock()
-		if l.inConn != nil {
-			l.inConn.Close()
-		}
-		if l.outConn != nil {
-			l.outConn.Close()
-		}
-		l.mu.Unlock()
-	})
-	l.wg.Wait()
-	return nil
-}
-
-func (l *tcpLink) closedNow() bool {
-	select {
-	case <-l.done:
-		return true
-	default:
-		return false
-	}
-}
-
-func (l *tcpLink) ringSize() int { return len(l.t.cfg.Peers) }
-
-// --- shared handshake machinery (ring, tree and mux accept sides) ---
+// --- handshake machinery of the accept side ---
 
 // admitPending reserves a pre-handshake slot; it reports false (counting
 // an accept overflow) when max un-handshaken connections already exist, in
@@ -544,300 +272,283 @@ func keepAlive(c net.Conn) {
 	}
 }
 
-// --- incoming side: the predecessor's connection ---
+// --- single-group transports: one Mux per member ---
 
-// acceptLoop owns the listener: every accepted connection is handled in
-// its own goroutine so the hello handshake can reject strangers (and admit
-// a restarted predecessor's replacement connection) even while an older
-// connection still looks alive. Un-handshaken connections are bounded by
-// MaxPending.
-func (l *tcpLink) acceptLoop() {
-	defer l.wg.Done()
-	for {
-		c, err := l.ln.Accept()
-		if err != nil {
-			if l.closedNow() {
-				return
-			}
-			// Transient accept failure (e.g. EMFILE): brief pause, retry.
-			select {
-			case <-l.done:
-				return
-			case <-time.After(10 * time.Millisecond):
-			}
-			continue
+// memberMuxes is the state behind TCP and TCPTree: member j's mux and the
+// group the transport speaks for. Built by NewTCP/NewTCPTree (and the
+// loopback constructors) it creates a member's one-group mux at Open, and
+// the link Open returns owns that mux. Built by the Ring/Tree views of a
+// Mux or MuxSet it borrows running muxes that declare many groups: Open
+// only attaches to the group, Close is a no-op, and the counters live on
+// the muxes (Mux.Stats), not here.
+type memberMuxes struct {
+	group    uint32
+	digest   uint64
+	borrowed bool
+
+	cfg   MuxConfig  // per-member template; Open fills in Self
+	shape *topo.Tree // TCPTree's tree; nil for a ring
+	stats *tcpStats  // shared by every member mux, so Stats is their sum
+
+	mu        sync.Mutex
+	muxes     []*Mux         // member j's mux once opened
+	listeners []net.Listener // pre-bound by the loopback constructors, else nil
+	closed    bool
+}
+
+func newMemberMuxes(cfg TCPConfig, topology string, shape *topo.Tree) (*memberMuxes, error) {
+	if len(cfg.Peers) < 2 {
+		return nil, errors.New("transport: need at least 2 peers")
+	}
+	s := &memberMuxes{
+		group: cfg.Group,
+		cfg: MuxConfig{
+			Peers:            cfg.Peers,
+			Groups:           []GroupSpec{{ID: cfg.Group, Topology: topology}},
+			BaseBackoff:      cfg.BaseBackoff,
+			MaxBackoff:       cfg.MaxBackoff,
+			DialTimeout:      cfg.DialTimeout,
+			HandshakeTimeout: cfg.HandshakeTimeout,
+			MaxPending:       cfg.MaxPending,
+			Logf:             cfg.Logf,
+		},
+		shape:     shape,
+		stats:     new(tcpStats),
+		muxes:     make([]*Mux, len(cfg.Peers)),
+		listeners: make([]net.Listener, len(cfg.Peers)),
+	}
+	s.digest = muxDigest(s.cfg, shape)
+	if cfg.Registry != nil {
+		// Registered here, once, rather than by the member muxes: several
+		// local members would collide on the series names.
+		if err := s.stats.register(cfg.Registry); err != nil {
+			return nil, err
 		}
-		if !l.t.stats.admitPending(l.t.cfg.MaxPending) {
-			c.Close()
-			continue
+	}
+	return s, nil
+}
+
+// borrowedMuxes is the view of group id over muxes owned by someone else;
+// hosted[j] is nil where member j lives in another process.
+func borrowedMuxes(id uint32, digest uint64, hosted []*Mux) *memberMuxes {
+	return &memberMuxes{group: id, digest: digest, borrowed: true, muxes: hosted, stats: new(tcpStats)}
+}
+
+// loopbackMembers binds n ephemeral loopback listeners for an all-local
+// deployment — the test, benchmark and conformance configuration. The
+// backoff defaults are lowered (2ms base, 100ms cap) so in-process
+// reconnect tests converge quickly; opts may override any field but Peers.
+func loopbackMembers(n int, topology string, shape *topo.Tree, opts []Option) (*memberMuxes, error) {
+	if n < 2 {
+		return nil, errors.New("transport: need at least 2 members")
+	}
+	listeners, peers, err := bindLoopback(n)
+	if err != nil {
+		return nil, err
+	}
+	cfg := TCPConfig{BaseBackoff: 2 * time.Millisecond, MaxBackoff: 100 * time.Millisecond}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	cfg.Peers = peers
+	s, err := newMemberMuxes(cfg, topology, shape)
+	if err != nil {
+		for _, l := range listeners {
+			l.Close()
 		}
-		l.wg.Add(1)
-		go l.handleIn(c)
+		return nil, err
+	}
+	s.listeners = listeners
+	return s, nil
+}
+
+// member returns member id's mux, building and starting it first unless
+// the muxes are borrowed.
+func (s *memberMuxes) member(id int) (*Mux, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, errors.New("transport: closed")
+	}
+	if id < 0 || id >= len(s.muxes) {
+		return nil, fmt.Errorf("transport: member %d out of range [0,%d)", id, len(s.muxes))
+	}
+	if s.borrowed {
+		if s.muxes[id] == nil {
+			return nil, fmt.Errorf("transport: member %d is not hosted by this process", id)
+		}
+		return s.muxes[id], nil
+	}
+	if s.muxes[id] != nil {
+		return nil, fmt.Errorf("transport: member %d already open", id)
+	}
+	cfg := s.cfg
+	cfg.Self = id
+	m, err := newMux(cfg, muxWiring{ln: s.listeners[id], stats: s.stats, shape: s.shape, linkOwned: true})
+	if err != nil {
+		return nil, err
+	}
+	s.listeners[id] = nil // owned by the mux now
+	if err := m.start(); err != nil {
+		m.Close()
+		return nil, err
+	}
+	s.muxes[id] = m
+	return m, nil
+}
+
+// Close tears down every member's mux and listener.
+func (s *memberMuxes) Close() error {
+	if s.borrowed {
+		return nil
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil
+	}
+	s.closed = true // member adds no mux and takes no listener from here on
+	s.mu.Unlock()
+	for _, m := range s.muxes {
+		if m != nil {
+			m.Close()
+		}
+	}
+	for _, ln := range s.listeners {
+		if ln != nil {
+			ln.Close() // pre-bound listeners of never-opened members
+		}
+	}
+	s.stats.unregister()
+	return nil
+}
+
+// Stats returns a snapshot of the transport's counters, summed over the
+// members opened here.
+func (s *memberMuxes) Stats() TCPStats { return s.stats.snapshot() }
+
+// Digest returns the configuration digest every member sends (and
+// expects) in hello frames.
+func (s *memberMuxes) Digest() uint64 { return s.digest }
+
+// BreakLinks force-closes every connection of member id, simulating a
+// network blip. The dialing ends redial with backoff; in-flight frames are
+// lost and masked by retransmission. Test hook.
+func (s *memberMuxes) BreakLinks(id int) {
+	s.mu.Lock()
+	var m *Mux
+	if id >= 0 && id < len(s.muxes) {
+		m = s.muxes[id]
+	}
+	s.mu.Unlock()
+	if m != nil {
+		m.BreakConns()
 	}
 }
 
-// handleIn verifies the hello handshake, then serves state frames from the
-// predecessor until the connection dies. A successfully verified connection
-// replaces (closes) the previous one, which is how a restarted predecessor
-// reattaches without waiting for the stale connection to time out.
-func (l *tcpLink) handleIn(c net.Conn) {
-	defer l.wg.Done()
-	expectPred := (l.id - 1 + l.ringSize()) % l.ringSize()
-	fr := NewFrameReader(c, 256)
-	from, err := readHello(fr, c, l.t.cfg.HandshakeTimeout, l.t.digest, &l.t.stats)
-	l.t.stats.releasePending()
-	if err != nil || from != expectPred {
-		l.t.stats.handshakeRejects.Add(1)
-		l.t.cfg.Logf("transport: member %d rejected connection from %v: from=%d err=%v", l.id, c.RemoteAddr(), from, err)
-		c.Close()
-		return
+// TCP implements runtime.Transport for a ring over cfg.Peers.
+type TCP struct{ *memberMuxes }
+
+// NewTCP creates a TCP transport for the given ring. Nothing is bound or
+// dialed until Open.
+func NewTCP(cfg TCPConfig) (*TCP, error) {
+	s, err := newMemberMuxes(cfg, GroupRing, nil)
+	if err != nil {
+		return nil, err
 	}
-	keepAlive(c)
-	l.t.stats.accepts.Add(1)
-	l.setInConn(c)
-	dead := make(chan struct{})
-	l.wg.Add(1)
-	go l.inWriter(c, dead)
-	l.serveIn(c, fr, dead) // returns when the connection dies
+	return &TCP{s}, nil
 }
 
-func (l *tcpLink) setInConn(c net.Conn) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closedNow() {
-		// Close already swept the registered connections; registering now
-		// would leave this connection open and serveIn blocked forever
-		// (Close's sweep runs under this mutex after done is closed, so
-		// the check cannot be stale).
-		c.Close()
-		return
+// NewLoopbackRing returns a TCP transport for an all-local ring of n
+// members on pre-bound ephemeral loopback listeners.
+func NewLoopbackRing(n int, opts ...Option) (*TCP, error) {
+	s, err := loopbackMembers(n, GroupRing, nil, opts)
+	if err != nil {
+		return nil, err
 	}
-	if l.inConn != nil {
-		l.inConn.Close() // replaced by the newer connection
-	}
-	l.inConn = c
+	return &TCP{s}, nil
 }
 
-// serveIn reads state frames from the predecessor until the connection
-// errors, then closes it (dead tells the ⊤ writer to stop). Frames that
-// arrived back-to-back (a retransmission burst, or the peer outpacing us)
-// are decoded in one pass and only the newest state is delivered — the
-// protocol mailbox is latest-state-wins anyway, so the superseded frames
-// would be discarded there at the cost of extra channel operations.
-func (l *tcpLink) serveIn(c net.Conn, fr *FrameReader, dead chan struct{}) {
-	defer close(dead)
-	defer c.Close()
-	for {
-		typ, payload, err := fr.Read()
-		if err != nil {
-			l.connFailed("read from predecessor", err)
-			return
-		}
-		var m runtime.Message
-		have := false
-		for {
-			switch typ {
-			case FrameState:
-				g, mm, err := DecodeState(payload)
-				if err == nil && g != l.t.cfg.Group {
-					err = fmt.Errorf("%w: state frame for group %d on a group-%d link", ErrCodec, g, l.t.cfg.Group)
-				}
-				if err != nil {
-					l.connFailed("decode state", err)
-					return
-				}
-				l.t.stats.framesRecv.Add(1)
-				m, have = mm, true
-			case FrameHello:
-				// Redundant hello: harmless, ignore.
-			default:
-				l.connFailed("unexpected frame", fmt.Errorf("%w: type %d from predecessor", ErrCodec, typ))
-				return
-			}
-			if !fr.FrameBuffered() {
-				break
-			}
-			if typ, payload, err = fr.Read(); err != nil {
-				l.connFailed("read from predecessor", err)
-				return
-			}
-		}
-		if !have {
-			continue
-		}
-		// Latest-state-wins delivery into the protocol mailbox.
-		select {
-		case <-l.state:
-		default:
-		}
-		select {
-		case l.state <- m:
-		default:
-		}
+// Open starts member id's mux — binding its listener when a lower-indexed
+// ring neighbor dials it, dialing the higher-indexed ones — and returns
+// the ring link. Closing the link closes that mux.
+func (t *TCP) Open(id int) (runtime.Link, error) {
+	m, err := t.member(id)
+	if err != nil {
+		return nil, err
 	}
+	return m.openRing(t.group)
 }
 
-// inWriter writes pending ⊤ markers back to the predecessor.
-func (l *tcpLink) inWriter(c net.Conn, dead chan struct{}) {
-	defer l.wg.Done()
-	var buf []byte
-	for {
-		select {
-		case <-l.done:
-			return
-		case <-dead:
-			return
-		case <-l.outTop:
-			buf = AppendTop(buf[:0], l.t.cfg.Group)
-			if _, err := c.Write(buf); err != nil {
-				l.connFailed("write ⊤ to predecessor", err)
-				c.Close()
-				return
-			}
-			l.t.stats.framesSent.Add(1)
-		}
+// TCPTree implements runtime.TreeTransport for a tree over cfg.Peers. It
+// also satisfies the ring runtime.Transport interface so it can be placed
+// in Config.Transport, but its Open always fails: a tree transport serves
+// only TopologyTree and TopologyHybrid.
+type TCPTree struct{ *memberMuxes }
+
+// NewTCPTree creates a TCP tree transport for the tree described by the
+// parent vector (parent[i] is member i's parent; the root, member 0, has
+// -1). cfg.Peers[i] is member i's listen address. Nothing is bound or
+// dialed until OpenTree.
+func NewTCPTree(cfg TCPConfig, parent []int) (*TCPTree, error) {
+	if len(cfg.Peers) != len(parent) {
+		return nil, fmt.Errorf("transport: %d peers for a %d-member tree", len(cfg.Peers), len(parent))
 	}
+	shape, err := topo.NewTree(parent)
+	if err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
+	}
+	s, err := newMemberMuxes(cfg, GroupTree, shape)
+	if err != nil {
+		return nil, err
+	}
+	return &TCPTree{s}, nil
 }
 
-// --- outgoing side: the connection to the successor ---
-
-// dialLoop maintains the connection to the ring successor: dial, hello,
-// serve until it dies, then redial with capped exponential backoff plus
-// jitter. The backoff resets after every successful dial.
-//
-// The jitter source is a goroutine-owned splitmix64 PRNG (internal/prng):
-// single ownership is structural, not a comment — there is no shared
-// generator to race on — and the per-link seed keeps restarting members
-// from reconnecting in lockstep.
-func (l *tcpLink) dialLoop() {
-	defer l.wg.Done()
-	succ := l.t.cfg.Peers[(l.id+1)%l.ringSize()]
-	rng := prng.New(int64(l.id)*1315423911 + 17)
-	backoff := l.t.cfg.BaseBackoff
-	for {
-		if l.closedNow() {
-			return
-		}
-		d := net.Dialer{Timeout: l.t.cfg.DialTimeout}
-		c, err := d.DialContext(l.dialCtx, "tcp", succ)
-		if err != nil {
-			if l.closedNow() {
-				return
-			}
-			l.t.stats.failedDials.Add(1)
-			// Full jitter on the upper half of the window: sleep in
-			// [backoff/2, backoff), then double up to the cap.
-			sleep := backoff/2 + time.Duration(rng.Int63n(int64(backoff/2)+1))
-			l.t.stats.backingOff.Add(1)
-			select {
-			case <-l.done:
-				l.t.stats.backingOff.Add(-1)
-				return
-			case <-time.After(sleep):
-			}
-			l.t.stats.backingOff.Add(-1)
-			if backoff *= 2; backoff > l.t.cfg.MaxBackoff {
-				backoff = l.t.cfg.MaxBackoff
-			}
-			continue
-		}
-		if tc, ok := c.(*net.TCPConn); ok {
-			tc.SetKeepAlive(true)
-			tc.SetKeepAlivePeriod(15 * time.Second)
-		}
-		if _, err := c.Write(AppendHello(nil, l.id, l.t.digest)); err != nil {
-			l.connFailed("write hello", err)
-			c.Close()
-			continue
-		}
-		l.t.stats.dials.Add(1)
-		l.t.stats.connectedOut.Add(1)
-		backoff = l.t.cfg.BaseBackoff
-		l.mu.Lock()
-		l.outConn = c
-		l.mu.Unlock()
-		dead := make(chan struct{})
-		l.wg.Add(1)
-		go l.outReader(c, dead)
-		l.outWriter(c, dead) // returns when the connection dies or the link closes
-		c.Close()
-		l.t.stats.connectedOut.Add(-1)
+// NewLoopbackTree returns a TCP tree transport for an all-local
+// binary-heap tree of n members — the shape a TopologyTree barrier builds
+// by default (topo.NewKAryTree(n, 2)) — on pre-bound loopback listeners.
+func NewLoopbackTree(n int, opts ...Option) (*TCPTree, error) {
+	shape, err := topo.NewKAryTree(n, 2)
+	if err != nil {
+		return nil, err
 	}
+	return newLoopbackTree(shape, opts)
 }
 
-// outWriter streams the latest pending state to the successor, encoding
-// into one reused buffer. If a newer state was mailed while this goroutine
-// was between receives, it supersedes the one just taken — coalescing the
-// pair into a single encode and a single Write.
-func (l *tcpLink) outWriter(c net.Conn, dead chan struct{}) {
-	var buf []byte
-	for {
-		select {
-		case <-l.done:
-			return
-		case <-dead:
-			return
-		case m := <-l.outState:
-			select {
-			case m = <-l.outState:
-			default:
-			}
-			buf = AppendState(buf[:0], l.t.cfg.Group, m)
-			if _, err := c.Write(buf); err != nil {
-				l.connFailed("write state to successor", err)
-				return
-			}
-			l.t.stats.framesSent.Add(1)
-		}
+// NewLoopbackTreeParent is NewLoopbackTree for an arbitrary tree shape:
+// parent[i] is node i's parent, the root (node 0) has -1. The hybrid
+// topology uses it to run a cross-HOST tree on loopback — the transport's
+// node space there is host indices (topo.Hybrid.HostTree.Parent), not
+// member ids.
+func NewLoopbackTreeParent(parent []int, opts ...Option) (*TCPTree, error) {
+	shape, err := topo.NewTree(parent)
+	if err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
 	}
+	return newLoopbackTree(shape, opts)
 }
 
-// outReader receives ⊤ markers from the successor; its exit (on any read
-// error) marks the connection dead.
-func (l *tcpLink) outReader(c net.Conn, dead chan struct{}) {
-	defer l.wg.Done()
-	defer close(dead)
-	fr := NewFrameReader(c, 64)
-	for {
-		typ, payload, err := fr.Read()
-		if err != nil {
-			l.connFailed("read from successor", err)
-			return
-		}
-		switch typ {
-		case FrameTop:
-			g, err := DecodeTop(payload)
-			if err == nil && g != l.t.cfg.Group {
-				err = fmt.Errorf("%w: ⊤ frame for group %d on a group-%d link", ErrCodec, g, l.t.cfg.Group)
-			}
-			if err != nil {
-				l.connFailed("decode ⊤", err)
-				return
-			}
-			l.t.stats.framesRecv.Add(1)
-			select {
-			case l.top <- struct{}{}:
-			default:
-			}
-		case FrameHello:
-			// Harmless, ignore.
-		default:
-			l.connFailed("unexpected frame", fmt.Errorf("%w: type %d from successor", ErrCodec, typ))
-			return
-		}
+func newLoopbackTree(shape *topo.Tree, opts []Option) (*TCPTree, error) {
+	s, err := loopbackMembers(shape.Size(), GroupTree, shape, opts)
+	if err != nil {
+		return nil, err
 	}
+	return &TCPTree{s}, nil
 }
 
-// connFailed accounts one connection failure. Decode errors are counted
-// separately from plain connection drops, but both end the connection:
-// the reconnect plus the barrier's retransmission are the only recovery.
-func (l *tcpLink) connFailed(what string, err error) {
-	if l.closedNow() {
-		return
+// Open rejects ring use.
+func (t *TCPTree) Open(id int) (runtime.Link, error) {
+	return nil, errors.New("transport: tree transport requires Config.Topology == TopologyTree")
+}
+
+// OpenTree starts member id's mux — binding its listener when a
+// lower-indexed tree neighbor dials it, dialing the higher-indexed ones —
+// and returns the tree link. Closing the link closes that mux.
+func (t *TCPTree) OpenTree(id int) (runtime.TreeLink, error) {
+	m, err := t.member(id)
+	if err != nil {
+		return nil, err
 	}
-	if errors.Is(err, ErrCodec) {
-		l.t.stats.decodeErrors.Add(1)
-	}
-	l.t.stats.connDrops.Add(1)
-	l.t.cfg.Logf("transport: member %d: %s: %v", l.id, what, err)
+	return m.openTree(t.group)
 }
