@@ -1,9 +1,10 @@
 # Developer entry points. CI runs the same commands; keep them in sync
-# with .github/workflows/ci.yml.
+# with .github/workflows/ci.yml (bench is the exception: CI's bench-smoke
+# job runs single workloads of it for 2 s, not the whole thing).
 
 GO ?= go
 
-.PHONY: build test race vet barriervet fuzz-smoke barrierbench-smoke
+.PHONY: build test race vet barriervet fuzz-smoke barrierbench-smoke bench
 
 build:
 	$(GO) build ./...
@@ -30,3 +31,8 @@ fuzz-smoke:
 # non-zero unless the SLO verdict is PASS.
 barrierbench-smoke:
 	$(GO) run ./cmd/barrierbench -profile smoke
+
+# The repo benchmark (BENCHMARK.json): probes plus the six workloads,
+# results in benchmarks/out/. Builds into .bench_build/.
+bench:
+	bash benchmarks/run.sh

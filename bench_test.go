@@ -212,12 +212,15 @@ func BenchmarkTable1ToleranceCost(b *testing.B) {
 	})
 }
 
-// --- Transport comparison: a full barrier pass over the in-process
-// channel transport vs the loopback TCP transport, for both the ring and
-// the tree topology. The channel/TCP delta is the cost of real sockets —
-// framing, checksums, kernel round trips — for the identical protocol;
-// the ring/tree delta is the O(N) vs O(log N) token path. BENCH_runtime.json
-// and EXPERIMENTS.md record representative numbers. ---
+// --- Placement comparison: a full barrier pass with every member on one
+// scheduler (no transport; BenchmarkAwaitChannel keeps its name from when
+// that meant a goroutine per member over channel links) vs a scheduler
+// per member over the loopback TCP transport, for both the ring and the
+// tree topology. The in-process/TCP delta is the cost of real links —
+// a wakeup per hop, framing, checksums, kernel round trips — for the
+// identical protocol; the ring/tree delta is 3N hops against O(log N)
+// hops carrying about twice the messages. BENCH_runtime.json and
+// EXPERIMENTS.md record representative numbers. ---
 
 func BenchmarkAwaitChannel(b *testing.B) {
 	for _, n := range []int{2, 4, 8, 16, 32} {
@@ -417,7 +420,10 @@ func BenchmarkAwaitPipelined(b *testing.B) {
 	}
 }
 
-// --- Ablation: ring (O(N)) vs tree (O(h)) synchronization rounds. ---
+// --- Ablation: ring (O(N)) vs tree (O(h)) synchronization rounds under
+// maximal parallelism (a processor per process: rounds are latency). The
+// live runtime's one-scheduler placement pays per message instead, and
+// there the ring is no slower than the tree (BenchmarkAwaitChannel/Tree). ---
 
 func BenchmarkAblationRingVsTree(b *testing.B) {
 	roundsPerBarrier := func(parent []int) float64 {

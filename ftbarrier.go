@@ -4,9 +4,10 @@
 //
 // The package offers three layers:
 //
-//  1. A practical runtime barrier for Go programs (New/Barrier.Await): a
-//     goroutine-and-channel implementation of the paper's message-passing
-//     program MB. Detectable faults — message loss, duplication, detected
+//  1. A practical runtime barrier for Go programs (New/Barrier.Await): the
+//     paper's message-passing program MB and its tree refinement, run by
+//     one scheduler per lane in-process or one per link over a transport.
+//     Detectable faults — message loss, duplication, detected
 //     corruption, process reset — are masked (every barrier executes
 //     correctly); undetectable faults — state corruption — are stabilized;
 //     uncorrectable faults are handled fail-safe (Halt).
@@ -77,7 +78,7 @@ const (
 	TopologyHybrid = runtime.TopologyHybrid
 )
 
-// HybridTopology is the derived shape of a hybrid deployment: the fused
+// HybridTopology is the derived shape of a hybrid deployment: the
 // member tree, the normalized host rosters, and the cross-host tree
 // whose node space (host indices) is what a hybrid deployment's network
 // transport runs over.

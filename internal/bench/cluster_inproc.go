@@ -12,7 +12,7 @@ import (
 )
 
 // inprocCluster hosts every group as a plain runtime.Barrier with all
-// members local (channel transport — rings, fused trees): the protocol
+// members local (no transport: every member on one scheduler): the protocol
 // under load with the network subtracted, the baseline the loopback and
 // daemon modes are compared against. Having no processes or sockets, it
 // approximates a kill as a simultaneous detectable reset of the victim

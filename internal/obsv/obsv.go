@@ -3,7 +3,7 @@
 // with an allocation-free hot path, rendered in the Prometheus text
 // exposition format.
 //
-// The design constraint comes from the fused tree scheduler, which
+// The design constraint comes from the runtime's member scheduler, which
 // completes a 32-member barrier pass in ~58µs with 0 allocs/op: every
 // Add/Set/Observe must be a handful of atomic operations on memory that
 // was allocated at registration time. Anything that needs to allocate

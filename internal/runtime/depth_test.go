@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obsv"
-	"repro/internal/topo"
 )
 
 func TestDepthValidation(t *testing.T) {
@@ -37,25 +36,13 @@ func TestDepthValidation(t *testing.T) {
 	}
 }
 
-// depthTopologies enumerates the scheduler shapes under a Depth-4 window.
-func depthTopologies(t *testing.T, n int) map[string]Config {
-	t.Helper()
-	return map[string]Config{
-		"ring":  {Participants: n, Depth: 4, Seed: 11},
-		"fused": {Participants: n, Depth: 4, Topology: TopologyTree, Seed: 11},
-		"hybrid": {Participants: n, Depth: 4, Topology: TopologyHybrid, Seed: 11,
-			Hosts: [][]int{{0, 1}, {2, 3}}},
-	}
-}
-
 // Fault-free pipelined rounds: every worker sees the synthesized phase
-// counter advance by exactly one per pass, in every topology.
+// counter advance by exactly one per pass, in every placement.
 func TestPipelinedFaultFree(t *testing.T) {
 	const n, rounds = 4, 100
-	for name, cfg := range depthTopologies(t, n) {
-		cfg := cfg
-		t.Run(name, func(t *testing.T) {
-			b, err := New(cfg)
+	for _, pl := range placements(t, n, 4, 11) {
+		t.Run(pl.name, func(t *testing.T) {
+			b, err := New(pl.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,32 +233,13 @@ func TestPipelinedResetRedo(t *testing.T) {
 }
 
 // The cancel-mid-phase sweep of PR 4, under a Depth-4 window and across
-// all four topologies: a context canceled in the instant a wave
-// completes must not lose the wave, deliver it twice, or reorder the
-// window.
+// every placement: a context canceled in the instant a wave completes
+// must not lose the wave, deliver it twice, or reorder the window.
 func TestAwaitCancelMidWindow(t *testing.T) {
 	const n, rounds, depth = 4, 150, 4
-	shape, err := topo.NewKAryTree(n, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lanes := make([]Transport, depth)
-	for i := range lanes {
-		lanes[i] = NewChanTreeTransport(shape.Parent)
-	}
-	configs := map[string]Config{
-		"ring":  {Participants: n, Depth: depth, Seed: 11},
-		"fused": {Participants: n, Depth: depth, Topology: TopologyTree, Seed: 11},
-		"tree": {Participants: n, Depth: depth, Topology: TopologyTree, Seed: 11,
-			LaneTransports: lanes,
-			Members:        []int{0, 1, 2, 3}},
-		"hybrid": {Participants: n, Depth: depth, Topology: TopologyHybrid, Seed: 11,
-			Hosts: [][]int{{0, 1}, {2, 3}}},
-	}
-	for _, name := range []string{"ring", "fused", "tree", "hybrid"} {
-		cfg := configs[name]
-		t.Run(name, func(t *testing.T) {
-			b, err := New(cfg)
+	for _, pl := range placements(t, n, depth, 11) {
+		t.Run(pl.name, func(t *testing.T) {
+			b, err := New(pl.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -351,6 +319,54 @@ func TestAwaitCancelMidWindow(t *testing.T) {
 	}
 }
 
+// A reset voids an arrival only on the participant's head lane — the one
+// place it is waiting and can re-arrive at once. Off the head lane the
+// arrival stands: voided there, it could be redone only after every older
+// wave was reaped, and two members one wave apart would each wait for the
+// other's redo (the cycle behind ROADMAP item 0's hang, reproduced
+// statistically by the chan placements of the sweep below).
+func TestResetVoidsArrivalOnlyAtWindowHead(t *testing.T) {
+	b, err := New(Config{Participants: 2, Depth: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Stop()
+	b.Halt() // freeze the schedulers: the test drives member 0's gates itself
+	waitQuiesced(t, b)
+	head, ahead := b.lanes[0].gates[0], b.lanes[1].gates[0] // window [0,0): wave 0 is lane 0's
+
+	for _, g := range []*gate{head, ahead} {
+		g.onArrive(ctrlMsg{kind: ctrlArrive, ticket: 1})
+		g.failPending(ErrReset)
+	}
+	if !ahead.arrived || !ahead.appWaiting || len(ahead.wake) != 0 {
+		t.Errorf("off the head lane: arrived=%v appWaiting=%v results=%d, want the arrival standing and nothing delivered",
+			ahead.arrived, ahead.appWaiting, len(ahead.wake))
+	}
+	if head.arrived || head.appWaiting || len(head.wake) != 1 {
+		t.Fatalf("on the head lane: arrived=%v appWaiting=%v results=%d, want the arrival voided and ErrReset delivered",
+			head.arrived, head.appWaiting, len(head.wake))
+	}
+	if r := <-head.wake; !errors.Is(r.err, ErrReset) || r.ticket != 1 {
+		t.Errorf("head lane delivered %+v, want ErrReset for ticket 1", r)
+	}
+	if got := b.Stats().Resets; got != 1 {
+		t.Errorf("Stats.Resets = %d, want 1 (only the head lane's ErrReset is a delivered reset)", got)
+	}
+
+	// A stored error (reset while the participant was working) is likewise
+	// delivered only if its lane is still the head when the arrival comes.
+	head.failPending(ErrReset)
+	if head.pendingErr == nil {
+		t.Fatal("reset at the head lane with no arrival outstanding stored no error")
+	}
+	b.windows[0].rmirror.Store(1) // the participant reaped wave 0: lane 1 is the head now
+	head.onArrive(ctrlMsg{kind: ctrlArrive, ticket: 2})
+	if !head.arrived || head.pendingErr != nil || len(head.wake) != 0 {
+		t.Errorf("arrival for a later wave: arrived=%v pendingErr=%v results=%d, want it standing", head.arrived, head.pendingErr, len(head.wake))
+	}
+}
+
 // A context canceled while the pipeline window drains during fault
 // recovery must not double-count barrier_wasted_instances_total. The
 // oracle is the begin/pass/wasted conservation law, counted from the
@@ -359,23 +375,18 @@ func TestAwaitCancelMidWindow(t *testing.T) {
 // outstanding waves. A cancel that books the same voided instance twice
 // inflates the wasted counter past what the begins can cover; a storm of
 // cancellations makes any systematic over-count blow through the bounded
-// slack. Swept across topologies and window depths.
+// slack. Swept across placements and window depths; ring-chan is the
+// interleaving — a scheduler goroutine per ring member over channel
+// lanes — on which ring/depth=2 once hung (ROADMAP item 0).
 func TestCancelDuringRecoveryWastedAccounting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock paced")
 	}
 	const n = 4
 	for _, depth := range []int{1, 2, 4} {
-		for _, name := range []string{"ring", "tree", "hybrid"} {
-			cfg := Config{Participants: n, Depth: depth, Seed: 17}
-			switch name {
-			case "tree":
-				cfg.Topology = TopologyTree
-			case "hybrid":
-				cfg.Topology = TopologyHybrid
-				cfg.Hosts = [][]int{{0, 1}, {2, 3}}
-			}
-			t.Run(fmt.Sprintf("%s/depth=%d", name, depth), func(t *testing.T) {
+		for _, pl := range placements(t, n, depth, 17) {
+			cfg := pl.cfg
+			t.Run(fmt.Sprintf("%s/depth=%d", pl.name, depth), func(t *testing.T) {
 				reg := obsv.NewRegistry()
 				var begins atomic.Int64
 				cfg.Metrics = reg

@@ -11,8 +11,8 @@ import (
 	"repro/internal/core"
 )
 
-// waitQuiesced waits for every protocol goroutine to exit, so white-box
-// tests may touch proc channels without racing the ring.
+// waitQuiesced waits for every scheduler (and the resend sweeper) to exit,
+// so white-box tests may touch proc state and channels without racing them.
 func waitQuiesced(t *testing.T, b *Barrier) {
 	t.Helper()
 	done := make(chan struct{})
@@ -24,7 +24,7 @@ func waitQuiesced(t *testing.T, b *Barrier) {
 	}
 }
 
-// Halt quiesces the ring: the protocol goroutines exit instead of
+// Halt quiesces the ring: the scheduler and the sweeper exit instead of
 // retransmitting state forever into a barrier that can never complete.
 func TestHaltQuiescesRing(t *testing.T) {
 	b, err := New(Config{Participants: 3, Resend: 50 * time.Microsecond, Seed: 31})
@@ -54,8 +54,10 @@ func TestHaltQuiescesRing(t *testing.T) {
 
 // A spurious message must not displace a genuine in-flight announcement:
 // the mailbox keeps the real message and the spurious one is dropped.
+// Genuine traffic sits in a receive mailbox only on a channel link, so
+// the ring is placed over an explicit channel transport.
 func TestSpuriousDoesNotDisplaceGenuine(t *testing.T) {
-	b, err := New(Config{Participants: 3, Seed: 32})
+	b, err := New(Config{Participants: 3, Seed: 32, Transport: NewChanTransport(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +97,36 @@ func TestSpuriousDoesNotDisplaceGenuine(t *testing.T) {
 		}
 	default:
 		t.Error("mailbox empty: genuine announcement was discarded")
+	}
+}
+
+// The one-scheduler ring's counterpart: members exchange no messages a
+// forgery could displace, and a direct-copy link's mailbox holds at most
+// one injection the scheduler has not drained yet. A second injection in
+// that window loses the race and is accounted as a drop; both count as
+// spurious.
+func TestSpuriousMailboxOnDirectCopyLink(t *testing.T) {
+	b, err := New(Config{Participants: 3, Seed: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Stop()
+	// Freeze the scheduler so nothing drains the mailbox.
+	b.Halt()
+	waitQuiesced(t, b)
+
+	before := b.Stats()
+	b.InjectSpurious(1, 12345)
+	b.InjectSpurious(1, 67890)
+	after := b.Stats()
+	if got := after.Spurious - before.Spurious; got != 2 {
+		t.Errorf("Spurious rose by %d, want 2", got)
+	}
+	if got := after.Drops - before.Drops; got != 1 {
+		t.Errorf("Drops rose by %d, want 1 (the second injection found the mailbox occupied)", got)
+	}
+	if got := len(b.lanes[0].procs[1].state); got != 1 {
+		t.Errorf("mailbox holds %d messages, want the first injection", got)
 	}
 }
 

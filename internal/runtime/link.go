@@ -1,10 +1,11 @@
-// Ring-link abstraction: the runtime barrier's protocol goroutines talk to
-// their neighbors through a Link, and a Transport supplies one Link per
-// ring member. The in-process default (NewChanTransport) realizes links as
+// Ring-link abstraction: a ring member talks to its neighbors through a
+// Link, and a Transport supplies one Link per ring member, each driven by
+// its own scheduler. NewChanTransport realizes links in-process as
 // latest-state-wins buffered channels — exactly the semantics the protocol
 // was originally built on — while internal/transport realizes the same
 // contract over TCP sockets, so a barrier can span OS processes and
-// machines without any change to the protocol itself.
+// machines without any change to the protocol itself. (Without a
+// Transport there are no channels between members at all: see sched.go.)
 //
 // The contract every Transport must honor is deliberately weak, because
 // the protocol already masks the weakness (the paper's Section 5):
@@ -13,7 +14,7 @@
 //     latest-state-wins, or duplicate messages; the periodic
 //     retransmission of current state makes all of that equivalent to
 //     delay.
-//   - Sends never block. A protocol goroutine must not be wedged by a slow
+//   - Sends never block. A scheduler must not be wedged by a slow
 //     or dead peer; undeliverable state is simply superseded by the next
 //     retransmission.
 //   - Corruption must be detectable. Messages carry an end-to-end
@@ -80,38 +81,36 @@ type Link interface {
 	// mailbox already holds a genuine in-flight message.
 	InjectState(Message) bool
 	// Close tears down any goroutines and connections serving this link.
-	// It must not close the State/Top channels (protocol goroutines may
-	// still be selecting on them).
+	// It must not close the State/Top channels (a scheduler may still be
+	// selecting on them).
 	Close() error
 }
 
 // Transport supplies the ring links for a barrier. A transport is built
 // for a fixed member count; Open is called once per member hosted by this
-// process (all of them for the in-process default, exactly one per OS
-// process in a distributed deployment).
+// process (exactly one per OS process in a distributed deployment).
 type Transport interface {
 	// Open returns member id's link.
 	Open(id int) (Link, error)
 	// Close tears the whole transport down. The Barrier closes the links
 	// it opened on Stop; the transport itself is closed by whoever created
-	// it (Stop closes the internally created default transport).
+	// it.
 	Close() error
 }
 
-// --- in-process channel transport (the default) ---
+// --- in-process channel transport ---
 
-// chanTransport is the in-process default: every link is a pair of
-// single-slot latest-state-wins mailboxes wired directly between the
-// members' goroutines.
+// chanTransport wires every link as a pair of single-slot
+// latest-state-wins mailboxes directly between the members' schedulers.
 type chanTransport struct {
 	links []*chanLink
 }
 
 // NewChanTransport returns the in-process channel transport for an
-// all-local ring of n members. It is the default a Barrier creates when
-// Config.Transport is nil; it is exported so a channel-backed barrier can
-// be configured explicitly alongside network transports in tests and
-// benchmarks.
+// all-local ring of n members: the one-scheduler-per-link placement
+// without sockets, for tests and benchmarks to set beside the network
+// transports. (A nil Config.Transport is not this: it runs the whole ring
+// on one scheduler with no channels between members.)
 func NewChanTransport(n int) Transport {
 	t := &chanTransport{links: make([]*chanLink, n)}
 	for j := range t.links {
@@ -167,9 +166,12 @@ func (l *chanLink) SendTop() {
 func (l *chanLink) State() <-chan Message { return l.state }
 func (l *chanLink) Top() <-chan struct{}  { return l.top }
 
-func (l *chanLink) InjectState(m Message) bool {
+func (l *chanLink) InjectState(m Message) bool { return offer(l.state, m) }
+
+// offer is a non-blocking send: it reports false when ch is full.
+func offer[M any](ch chan M, m M) bool {
 	select {
-	case l.state <- m:
+	case ch <- m:
 		return true
 	default:
 		return false

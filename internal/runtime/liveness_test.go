@@ -6,9 +6,11 @@ import (
 )
 
 // StuckFatalf fails a test whose barrier stopped making progress, after
-// logging what a diagnosis needs: every involved barrier's counters and
-// all goroutine stacks (which proc is parked where, which Await is still
-// outstanding). Exported so the external soak test shares it.
+// logging what a diagnosis needs: every involved barrier's counters, all
+// goroutine stacks (which scheduler is parked where, which Await is still
+// outstanding), and — once the barrier is halted, so the schedulers have
+// exited and their state is safe to read — every member's gate and
+// protocol state per lane. Exported so the external soak test shares it.
 func StuckFatalf(t testing.TB, bs []*Barrier, format string, args ...any) {
 	t.Helper()
 	for i, b := range bs {
@@ -16,5 +18,27 @@ func StuckFatalf(t testing.TB, bs []*Barrier, format string, args ...any) {
 	}
 	buf := make([]byte, 1<<20)
 	t.Logf("goroutines at the liveness timeout:\n%s", buf[:goruntime.Stack(buf, true)])
+	for i, b := range bs {
+		b.Halt()
+		b.wg.Wait()
+		for li, ln := range b.lanes {
+			for id, g := range ln.gates {
+				if g == nil {
+					continue
+				}
+				t.Logf("barrier %d lane %d member %d: arrived=%v appWaiting=%v curTicket=%d lastDonePh=%d pendingErr=%v | tickets=%d entered=%v window=[%d,%d)",
+					i, li, id, g.arrived, g.appWaiting, g.curTicket, g.lastDonePh, g.pendingErr,
+					g.tickets, g.entered, b.windows[id].rcur, b.windows[id].pcur)
+				if p := ln.procs[id]; p != nil {
+					t.Logf("    ring sn=%v cp=%v ph=%d | snL=%v cpL=%v phL=%d snR=%v crashed=%v pending=%v", p.sn, p.cp, p.ph, p.snL, p.cpL, p.phL, p.snR, p.crashed, p.havePending)
+				}
+				if tp := ln.tprocs[id]; tp != nil {
+					t.Logf("    tree sn=%v cp=%v ph=%d ack=(%v %v %d) parent=(%v %v %d) kids sn=%v cp=%v ph=%v ack sn=%v cp=%v ph=%v crashed=%v",
+						tp.sn, tp.cp, tp.ph, tp.ackSN, tp.ackCP, tp.ackPH, tp.pSN, tp.pCP, tp.pPH,
+						tp.kidSN, tp.kidCP, tp.kidPH, tp.kidAckSN, tp.kidAckCP, tp.kidAckPH, tp.crashed)
+				}
+			}
+		}
+	}
 	t.Fatalf(format, args...)
 }

@@ -7,12 +7,12 @@ import (
 )
 
 // This file is the barrier's observability surface: the live versions of
-// the paper's Section 6 measurements, recorded on the protocol goroutines
+// the paper's Section 6 measurements, recorded on the scheduler goroutines
 // without allocating and exported through an obsv.Registry.
 //
-// The budget is set by the fused tree scheduler — 0 allocs/op at ~58µs
+// The budget is set by the one-scheduler tree — 0 allocs/op at ~58µs
 // per 32-member pass — so recording is restricted to plain field updates
-// on state the protocol goroutine already owns, plus a histogram Observe
+// on state the scheduler already owns, plus a histogram Observe
 // (a short bounded scan and two atomic adds) on sampled or rare events:
 //
 //   - barrier_instances_per_pass (Fig 3/5): re-executed instances are
@@ -131,8 +131,8 @@ func (b *Barrier) UnregisterMetrics() {
 	b.metricNames = nil
 }
 
-// observePass records the per-pass measurements. Called by the owning
-// protocol goroutine at the pass commit point, immediately before the
+// observePass records the per-pass measurements. Called by the hosting
+// scheduler at the pass commit point, immediately before the
 // pass is counted and delivered.
 func (g *gate) observePass() {
 	n := g.beginsSince
@@ -163,7 +163,7 @@ func (g *gate) observePass() {
 }
 
 // noteFault timestamps an injected reset/scramble for the recovery
-// histogram. Called by the owning protocol goroutine from its control
+// histogram. Called by the hosting scheduler from the member's control
 // handler (cold path: faults are rare by assumption — the paper's
 // Section 4 failure model).
 func (g *gate) noteFault() {

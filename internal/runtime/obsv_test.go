@@ -14,26 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obsv"
-	"repro/internal/topo"
 )
-
-// cancelTopologies enumerates the three scheduler shapes: the MB ring
-// (one goroutine per proc), the fused tree (every member on one
-// scheduler goroutine), and the channel tree (one goroutine per
-// treeProc over channel edges).
-func cancelTopologies(t *testing.T, n int) map[string]Config {
-	t.Helper()
-	shape, err := topo.NewKAryTree(n, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]Config{
-		"ring":  {Participants: n, Seed: 11},
-		"fused": {Participants: n, Topology: TopologyTree, Seed: 11},
-		"tree": {Participants: n, Topology: TopologyTree, Seed: 11,
-			Transport: NewChanTreeTransport(shape.Parent)},
-	}
-}
 
 // A context canceled in the same instant a pass completes must not lose
 // the pass, deliver it twice, or double-count it: the entered barrier
@@ -43,10 +24,9 @@ func cancelTopologies(t *testing.T, n int) map[string]Config {
 // pass, and its pass count must match the uncancelled participants'.
 func TestAwaitCancelMidPhase(t *testing.T) {
 	const n, rounds = 4, 150
-	for name, cfg := range cancelTopologies(t, n) {
-		cfg := cfg
-		t.Run(name, func(t *testing.T) {
-			b, err := New(cfg)
+	for _, pl := range placements(t, n, 1, 11) {
+		t.Run(pl.name, func(t *testing.T) {
+			b, err := New(pl.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,15 +191,17 @@ func TestStatsSnapshotInvariants(t *testing.T) {
 // keep passing barriers and a scraper renders the registry.
 func TestConcurrentInjectHammer(t *testing.T) {
 	const n = 4
+	for _, pl := range placements(t, n, 1, 13) {
+		t.Run(pl.name, func(t *testing.T) { injectHammer(t, n, pl.cfg) })
+	}
+}
+
+func injectHammer(t *testing.T, n int, cfg Config) {
 	reg := obsv.NewRegistry()
-	b, err := New(Config{
-		Participants: n,
-		Seed:         13,
-		LossRate:     0.05,
-		CorruptRate:  0.05,
-		Resend:       100 * time.Microsecond,
-		Metrics:      reg,
-	})
+	cfg.LossRate, cfg.CorruptRate = 0.05, 0.05
+	cfg.Resend = 100 * time.Microsecond
+	cfg.Metrics = reg
+	b, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

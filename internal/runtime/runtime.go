@@ -1,8 +1,11 @@
 // Package runtime is a working fault-tolerant barrier for Go programs: a
 // message-passing implementation of program MB (Section 5 of the paper)
-// in which every protocol process is a goroutine and every ring link is a
-// channel. It is the library a systems programmer would embed — the
-// paper's "third alternative" to MPI's abort-or-error-code fault handling.
+// and its tree refinement. The protocol processes are guarded-command
+// state machines stepped by scheduler goroutines (sched.go): co-located
+// members share one scheduler and read each other's announcements as
+// registers, members reached over a Transport get a scheduler per link.
+// It is the library a systems programmer would embed — the paper's
+// "third alternative" to MPI's abort-or-error-code fault handling.
 //
 // Each participant goroutine calls Await after finishing its phase work.
 // Await returns when the barrier has been passed and the next phase may
@@ -23,9 +26,9 @@
 // The protocol state per process is exactly MB's: own (sn, cp, ph), local
 // copies (snL, cpL, phL) of the predecessor's variables, and a local copy
 // snR of the successor's sequence number for the whole-ring-corruption
-// restart wave. Messages carry the sender's (sn, cp, ph); channels are
-// FIFO, and the periodic retransmission of the current state makes loss,
-// duplication and detected corruption equivalent to delay.
+// restart wave. Messages carry the sender's (sn, cp, ph); links are
+// latest-state-wins, and the periodic retransmission of the current state
+// makes loss, duplication and detected corruption equivalent to delay.
 package runtime
 
 import (
@@ -67,13 +70,13 @@ const (
 	// up it, so a pass costs O(h) = O(log N) sequential hops.
 	TopologyTree
 	// TopologyHybrid is the two-level hierarchy: members co-located on
-	// one host (Config.Hosts) fuse onto a single local scheduler that
+	// one host (Config.Hosts) share a single local scheduler that
 	// presents as one node in a cross-host tree, so network hops cost
 	// O(log #hosts) and local siblings exchange no network traffic at
 	// all. With a nil Transport every host is local and the whole
-	// member tree runs fused in-process; with a TreeTransport over the
-	// host indices, each OS process runs one host's members fused and
-	// only host-root edges cross the network.
+	// member tree runs on one scheduler; with a TreeTransport over the
+	// host indices, each OS process runs one host's members on one
+	// scheduler and only host-root edges cross the network.
 	TopologyHybrid
 )
 
@@ -116,8 +119,9 @@ type Config struct {
 	// are closed on Stop but the transports themselves belong to the
 	// caller.
 	LaneTransports []Transport
-	// Transport supplies the ring links (nil: the in-process channel
-	// transport). A network transport (internal/transport) lets the ring
+	// Transport supplies the ring links (nil: every member is local and
+	// neighbours deliver by direct copy, no links at all). A network
+	// transport (internal/transport) lets the ring
 	// span OS processes; the Barrier closes the links it opens on Stop,
 	// but an explicitly supplied Transport is closed by its creator.
 	// With Topology == TopologyTree the transport must additionally
@@ -177,7 +181,7 @@ const (
 	ctrlArrive ctrlKind = iota
 	ctrlReset
 	ctrlScramble
-	// ctrlTick is the resend sweeper poking a ring proc whose edge was
+	// ctrlTick is the resend sweeper poking a member whose edges were
 	// quiet for a full resend period: retransmit the current state.
 	ctrlTick
 	// ctrlCrash/ctrlRestart are the crash fault class: a crashed member
@@ -186,7 +190,7 @@ const (
 	ctrlCrash
 	ctrlRestart
 	// ctrlByz* deliver a Byzantine adversary's forgery to the victim's
-	// protocol goroutine, which crafts the frame from its own current
+	// scheduler, which crafts the frame from the victim's own current
 	// view (the strongest forgery an adversary on that edge can build)
 	// and feeds it through the genuine receive path — so the validation
 	// windows see exactly what a wire-level forger could send.
@@ -213,6 +217,8 @@ type closer interface{ Close() error }
 // legal because the sequence-number superposition already tolerates
 // K > N coexisting instances (the lanes are disjoint instances of it).
 type lane struct {
+	// idx is the lane's index: wave k executes on lane k%Depth.
+	idx int
 	// procs is indexed by member id; entries for members hosted by other
 	// processes (distributed deployments) — or running the tree protocol —
 	// are nil.
@@ -222,11 +228,10 @@ type lane struct {
 	// gates is the topology-independent participant interface, indexed by
 	// member id (nil for members hosted elsewhere).
 	gates []*gate
-	// links are the transport links this lane opened, closed on Stop.
+	// links are the links this lane's members speak over, closed on Stop.
 	links []closer
-	// ownTransport is the internally created default transport, if any;
-	// Stop closes it too.
-	ownTransport closer
+	// scheds are the schedulers hosting this lane's local members.
+	scheds []*sched
 }
 
 // window is one participant's pipeline window: waves [rcur, pcur) are
@@ -240,7 +245,7 @@ type window struct {
 }
 
 // Barrier is a fault-tolerant barrier over a ring or tree of protocol
-// goroutines.
+// processes.
 type Barrier struct {
 	n       int
 	nPhases int
@@ -304,11 +309,12 @@ type Barrier struct {
 // gate is the participant-facing half of a protocol process, shared by the
 // ring and tree topologies: the work gate (has the participant arrived at
 // the barrier?), the outstanding-Await bookkeeping, and the wake channel.
-// Only the owning protocol goroutine touches the mutable fields; the
+// Only the scheduler hosting the process touches the mutable fields; the
 // participant goroutine interacts through ctrl/wake/tickets.
 type gate struct {
-	b  *Barrier
-	id int
+	b    *Barrier
+	id   int
+	lane int
 
 	arrived    bool   // an unconsumed participant arrival (the work gate)
 	appWaiting bool   // an Await is outstanding
@@ -316,8 +322,8 @@ type gate struct {
 	lastDonePh int    // phase of the last completion that consumed an arrival
 	pendingErr error  // delivered on the next Await (e.g. ErrReset)
 
-	// Live-measurement bookkeeping, owned by the protocol goroutine
-	// like the fields above. beginsSince counts protocol instance
+	// Live-measurement bookkeeping, owned by the scheduler like the
+	// fields above. beginsSince counts protocol instance
 	// begins since the last delivered pass — fault-free it is exactly 1
 	// at delivery time, and every extra count is a re-executed instance
 	// (Fig 3/5). passSeq drives 1-in-8 sampling of the pass-to-pass
@@ -329,6 +335,14 @@ type gate struct {
 	sampleStartNs int64
 	faultAtNs     int64
 
+	// sentSinceTick records that the process announced since the last
+	// resend sweep: noteSent sets it, the barrier's sweeper clears it
+	// (CAS true→false) each period and pokes only processes whose flag
+	// was already false — a quiet edge that may be masking a lost message.
+	sentSinceTick atomic.Bool
+
+	// ctrl is the hosting scheduler's control channel, shared by every
+	// member it hosts.
 	ctrl chan ctrlMsg
 	// signal to a waiting Await: the phase that just began, or an error.
 	wake chan awaitResult
@@ -339,17 +353,27 @@ type gate struct {
 	entered bool
 }
 
-func newGate(b *Barrier, id int) *gate {
+func newGate(b *Barrier, id, lane int, ctrl chan ctrlMsg) *gate {
 	return &gate{
 		b:          b,
 		id:         id,
+		lane:       lane,
 		lastDonePh: -1,
-		ctrl:       make(chan ctrlMsg, b.n+4),
+		ctrl:       ctrl,
 		wake:       make(chan awaitResult, 1),
 	}
 }
 
-// proc is one MB process: a goroutine owning its protocol state.
+// noteSent marks the process hot for the resend sweeper; on the hot path
+// that is a load, not a store.
+func (g *gate) noteSent() {
+	if !g.sentSinceTick.Load() {
+		g.sentSinceTick.Store(true)
+	}
+}
+
+// proc is one MB process: the protocol state of a ring member, owned by
+// the scheduler that hosts it.
 type proc struct {
 	*gate
 
@@ -375,15 +399,9 @@ type proc struct {
 
 	lastSent Message
 	haveSent bool
-	// sentSinceTick records that a send happened since the last resend
-	// sweep. The proc stores true on every send; the barrier's sweeper
-	// goroutine clears it (CAS true→false) each period and pokes only
-	// procs whose flag was already false — a quiet edge that may be
-	// masking a lost message. Hot procs are never woken by the timer.
-	sentSinceTick atomic.Bool
 
-	// rng is owned by the protocol goroutine (seeded before it starts;
-	// the goroutine-start happens-before edge publishes it).
+	// rng is owned by the hosting scheduler (seeded before it starts; the
+	// goroutine-start happens-before edge publishes it).
 	rng prng.PRNG
 }
 
@@ -475,7 +493,7 @@ func New(cfg Config) (*Barrier, error) {
 	}
 	b.newHistograms(cfg.MetricLabel)
 	if cfg.Metrics != nil {
-		// Register before the protocol goroutines start, so a name
+		// Register before the schedulers start, so a name
 		// collision (two barriers on one registry) fails cleanly.
 		if err := b.registerMetrics(cfg.Metrics, cfg.Topology, cfg.MetricLabel); err != nil {
 			return nil, err
@@ -485,6 +503,7 @@ func New(cfg Config) (*Barrier, error) {
 	b.lanes = make([]*lane, b.depth)
 	for li := range b.lanes {
 		b.lanes[li] = &lane{
+			idx:    li,
 			procs:  make([]*proc, b.n),
 			tprocs: make([]*treeProc, b.n),
 			gates:  make([]*gate, b.n),
@@ -516,48 +535,32 @@ func New(cfg Config) (*Barrier, error) {
 		}
 	}
 	if err != nil {
-		// Earlier lanes may already be running: quiesce them before
-		// closing the links out from under their goroutines.
-		b.stopOnce.Do(func() { close(b.stopped) })
-		b.wg.Wait()
-		for _, ln := range b.lanes {
-			for _, l := range ln.links {
-				l.Close()
-			}
-			if ln.ownTransport != nil {
-				ln.ownTransport.Close()
-			}
-		}
+		// Nothing is running yet; release what the lanes opened.
+		b.closeLinks()
 		b.UnregisterMetrics()
 		return nil, err
 	}
-	// One retransmission sweeper serves every ring proc in every lane:
-	// a single timer wakes once per resend period and pokes only the
-	// procs whose edge went quiet, instead of one ticker per proc waking
-	// it unconditionally. On the fault-free hot path no proc takes a
-	// timer wakeup at all — at Depth > 1 (Depth×N procs in one process)
-	// the per-proc tickers this replaces were the dominant scheduler
-	// load. Tree and hybrid lanes pace their own schedulers.
-	ringProcs := false
 	for _, ln := range b.lanes {
-		for _, p := range ln.procs {
-			if p != nil {
-				ringProcs = true
-			}
+		for _, s := range ln.scheds {
+			b.wg.Add(1)
+			go s.run()
 		}
 	}
-	if ringProcs {
-		b.wg.Add(1)
-		go b.sweepRingTicks(cfg.Resend)
-	}
+	b.wg.Add(1)
+	go b.sweepResends(cfg.Resend)
 	return b, nil
 }
 
-// sweepRingTicks is the barrier's shared retransmission pacer (see New).
-// A proc that announced since the previous sweep has its flag cleared and
-// is left alone; a quiet proc is poked with ctrlTick so it retransmits
-// its state, masking a potentially lost message on its edge.
-func (b *Barrier) sweepRingTicks(resend time.Duration) {
+// sweepResends is the barrier's one retransmission pacer, for every
+// member of every scheduler in every lane (DESIGN.md §12). A member that
+// announced since the previous sweep has its flag cleared and is left
+// alone — the recent send stands in for the retransmission — so hot
+// schedulers take no timer wakeup at all. A quiet member is poked with
+// ctrlTick: it forgets its last announcement and retransmits, masking a
+// potentially lost message. Quietness is judged per member, so a message
+// lost right after a sweep is retransmitted by the sweep after the next:
+// the masking delay is at most two periods.
+func (b *Barrier) sweepResends(resend time.Duration) {
 	defer b.wg.Done()
 	ticker := time.NewTicker(resend)
 	defer ticker.Stop()
@@ -570,53 +573,41 @@ func (b *Barrier) sweepRingTicks(resend time.Duration) {
 		case <-ticker.C:
 		}
 		for _, ln := range b.lanes {
-			for j, p := range ln.procs {
-				if p == nil || p.sentSinceTick.CompareAndSwap(true, false) {
-					continue // absent, or hot: the recent send stands in for the retransmission
+			for _, g := range ln.gates {
+				if g == nil || g.sentSinceTick.CompareAndSwap(true, false) {
+					continue // hosted elsewhere, or hot
 				}
 				select {
-				case ln.gates[j].ctrl <- ctrlMsg{id: j, kind: ctrlTick}:
+				case g.ctrl <- ctrlMsg{id: g.id, kind: ctrlTick}:
 				default:
-					// Control buffer full: the proc is busy draining work
-					// and will announce on its own; the next sweep retries.
+					// Control buffer full: the scheduler is busy draining
+					// work and will announce on its own; the next sweep
+					// retries.
 				}
 			}
 		}
 	}
 }
 
-// startRing wires the MB ring: one proc per hosted member, links from the
-// ring transport.
+// startRing wires the MB ring: with no transport one scheduler hosts the
+// whole ring over direct-copy links, otherwise each hosted member gets a
+// scheduler attached to the link the transport opens for it.
 func (b *Barrier) startRing(cfg Config, members []int, ln *lane) error {
-	tr := cfg.Transport
-	if tr == nil {
-		tr = NewChanTransport(b.n)
-		ln.ownTransport = tr
-	}
-	for _, j := range members {
-		link, err := tr.Open(j)
-		if err != nil {
-			return fmt.Errorf("ftbarrier: open link for member %d: %w", j, err)
+	if cfg.Transport == nil {
+		// Every member is local (Members requires an explicit Transport).
+		s := newSched(b, cfg, ln, true)
+		for id := 0; id < b.n; id++ {
+			s.addRing(cfg, ln, id, newFusedRingLink(s, ln, id))
 		}
-		ln.links = append(ln.links, link)
-		p := &proc{
-			gate:  newGate(b, j),
-			cp:    core.Execute, // everyone starts executing phase 0
-			cpL:   core.Execute,
-			link:  link,
-			state: link.State(),
-			top:   link.Top(),
-			rng:   prng.New(cfg.Seed + int64(j)*7919),
+	} else {
+		for _, j := range members {
+			link, err := cfg.Transport.Open(j)
+			if err != nil {
+				return fmt.Errorf("ftbarrier: open link for member %d: %w", j, err)
+			}
+			s := newSched(b, cfg, ln, false)
+			s.ringIn = s.addRing(cfg, ln, j, link)
 		}
-		if cfg.Rejoin {
-			// The Section 7 restart state: identical to the aftermath of a
-			// detectable reset, so the ring masks the (re)join.
-			p.sn, p.cp, p.ph = tokenring.Bot, core.Error, p.rng.Intn(b.nPhases)
-			p.snL, p.cpL, p.phL = tokenring.Bot, core.Error, p.rng.Intn(b.nPhases)
-			p.snR = tokenring.Bot
-		}
-		ln.procs[j] = p
-		ln.gates[j] = p.gate
 	}
 	if !cfg.Rejoin {
 		// Every local process starts out executing phase 0: record the
@@ -625,19 +616,31 @@ func (b *Barrier) startRing(cfg Config, members []int, ln *lane) error {
 			b.emit(core.Event{Kind: core.EvBegin, Proc: j, Phase: 0})
 		}
 	}
-	lossRate, corruptRate := cfg.LossRate, cfg.CorruptRate
-	for _, p := range ln.procs {
-		if p == nil {
-			continue
-		}
-		p := p
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			p.run(lossRate, corruptRate)
-		}()
-	}
 	return nil
+}
+
+// addRing creates ring member id on this scheduler, speaking over link.
+func (s *sched) addRing(cfg Config, ln *lane, id int, link Link) *proc {
+	ln.links = append(ln.links, link)
+	p := &proc{
+		gate:  newGate(s.b, id, ln.idx, s.ctrl),
+		cp:    core.Execute, // everyone starts executing phase 0
+		cpL:   core.Execute,
+		link:  link,
+		state: link.State(),
+		top:   link.Top(),
+		rng:   prng.New(cfg.Seed + int64(id)*7919),
+	}
+	if cfg.Rejoin {
+		// The Section 7 restart state: identical to the aftermath of a
+		// detectable reset, so the ring masks the (re)join.
+		p.sn, p.cp, p.ph = tokenring.Bot, core.Error, p.rng.Intn(s.b.nPhases)
+		p.snL, p.cpL, p.phL = tokenring.Bot, core.Error, p.rng.Intn(s.b.nPhases)
+		p.snR = tokenring.Bot
+	}
+	s.members[id] = p
+	ln.procs[id], ln.gates[id] = p, p.gate
+	return p
 }
 
 // Stats is a snapshot of the barrier's internal counters.
@@ -760,10 +763,11 @@ func (b *Barrier) InjectSpurious(id int, seed int64) {
 	m.Sum = m.Checksum()
 	b.statSpurious.Add(1)
 	if !ln.procs[id].link.InjectState(m) {
-		// The mailbox holds a genuine in-flight announcement. Displacing
-		// it would silently void a message already counted as sent; the
-		// spurious message loses the race instead, and the discard is
-		// accounted as a drop.
+		// The receive mailbox is occupied: on a channel link by a genuine
+		// in-flight announcement — displacing it would silently void a
+		// message already counted as sent — on a direct-copy link by an
+		// injection not drained yet. The spurious message loses the race
+		// instead, and the discard is accounted as a drop.
 		b.statDrops.Add(1)
 	}
 }
@@ -1063,10 +1067,11 @@ func (b *Barrier) byzRoute(ln *lane, id int, rng *prng.PRNG) (victim int, kind c
 //
 // With a pipeline window a process reset/scramble hits every lane — the
 // faulted process hosts all Depth instances, so a masked fault in wave k
-// voids the in-flight waves k..k+Depth-1 too (their re-executions are
-// what barrier_wasted_instances_total counts at depth). The injection is
-// tallied once, from the primary lane's acceptance, so accepted+dropped
-// still equals the calls made.
+// forces the in-flight waves k..k+Depth-1 to re-execute too (what
+// barrier_wasted_instances_total counts at depth); only the head wave can
+// surface ErrReset (see failPending). The injection is tallied once, from
+// the primary lane's acceptance, so accepted+dropped still equals the
+// calls made.
 func (b *Barrier) inject(id int, m ctrlMsg) {
 	if id < 0 || id >= b.n || b.lanes[0].gates[id] == nil {
 		return
@@ -1106,9 +1111,9 @@ func (b *Barrier) inject(id int, m ctrlMsg) {
 
 // Halt puts the barrier into fail-safe mode (Table 1, uncorrectable +
 // detectable): no barrier completion will ever be reported again;
-// outstanding and future Awaits return ErrHalted. The protocol goroutines
-// quiesce — the ring stops circulating and retransmitting — so a halted
-// barrier consumes no CPU while it waits to be Stopped.
+// outstanding and future Awaits return ErrHalted. The schedulers and the
+// resend sweeper quiesce — waves stop circulating and retransmitting — so
+// a halted barrier consumes no CPU while it waits to be Stopped.
 func (b *Barrier) Halt() {
 	b.haltOnce.Do(func() { close(b.halted) })
 }
@@ -1123,28 +1128,27 @@ func (b *Barrier) Halted() bool {
 	}
 }
 
-// Stop shuts the barrier down: the protocol goroutines exit, then the
-// transport links they used (dialer and connection goroutines included)
-// are closed. Outstanding Awaits and Awaits racing Stop return ErrStopped.
+// Stop shuts the barrier down: the schedulers exit, then the transport
+// links they used (dialer and connection goroutines included) are
+// closed. Outstanding Awaits and Awaits racing Stop return ErrStopped.
 //
 // Stop is idempotent and safe to call concurrently — with itself, with
 // Halt, and with outstanding Awaits. Every call blocks until the shutdown
 // is complete; a second Stop returns once the first finishes, without
-// re-closing anything. An internally created default transport is closed
-// too; an explicitly supplied Config.Transport is left for its creator.
+// re-closing anything. An explicitly supplied Config.Transport is left
+// for its creator.
 func (b *Barrier) Stop() {
 	b.stopOnce.Do(func() { close(b.stopped) })
 	b.wg.Wait()
-	b.closeOnce.Do(func() {
-		for _, ln := range b.lanes {
-			for _, l := range ln.links {
-				l.Close()
-			}
-			if ln.ownTransport != nil {
-				ln.ownTransport.Close()
-			}
+	b.closeOnce.Do(b.closeLinks)
+}
+
+func (b *Barrier) closeLinks() {
+	for _, ln := range b.lanes {
+		for _, l := range ln.links {
+			l.Close()
 		}
-	})
+	}
 }
 
 // --- the participant gate (topology-independent) ---
@@ -1155,15 +1159,25 @@ func (g *gate) onArrive(c ctrlMsg) {
 	g.appWaiting = true
 	g.curTicket = c.ticket
 	g.arrived = true
-	if g.pendingErr != nil {
+	if err := g.pendingErr; err != nil {
+		g.pendingErr = nil
+		if !g.atHead() {
+			// The participant reaped this lane's pass while the reset that
+			// stored the error was being applied, so this arrival is for a
+			// later wave: it stands (see failPending).
+			return
+		}
 		// The process was reset while the participant was working: the
 		// work belongs to an aborted instance and must be redone.
-		g.deliver(awaitResult{err: g.pendingErr, ticket: g.curTicket})
-		g.pendingErr = nil
+		g.deliver(awaitResult{err: err, ticket: g.curTicket})
 		g.arrived = false
 		g.appWaiting = false
 	}
 }
+
+// atHead reports whether this lane carries the participant's oldest
+// outstanding wave — the one wave whose Leave it can be blocked in.
+func (g *gate) atHead() bool { return g.b.primaryLane(g.id) == g.lane }
 
 // completionBlocked implements the work gate for the completion transition:
 // it reports whether the transition must wait for the participant's
@@ -1181,7 +1195,7 @@ func (g *gate) completionBlocked() bool {
 	if g.appWaiting {
 		g.failPending(ErrReset)
 	}
-	return true
+	return !g.arrived // failPending re-arms the gate off the head lane
 }
 
 // applyOutcome performs the begin/complete/abandon bookkeeping after a
@@ -1224,8 +1238,15 @@ func (g *gate) applyOutcome(out core.Outcome, oldPH, newPH int) {
 }
 
 // failPending wakes a waiting participant with err, or stores it for the
-// next Await.
+// next Await — on the participant's head lane. Off it the arrival stands:
+// the participant could redo it only after reaping every older wave, and
+// two members one wave apart would each wait on the other's redo — a
+// deadlock across lanes (DESIGN.md §12).
 func (g *gate) failPending(err error) {
+	if !g.atHead() {
+		g.arrived = g.appWaiting
+		return
+	}
 	g.b.statResets.Add(1)
 	if g.appWaiting {
 		g.appWaiting = false
@@ -1250,78 +1271,26 @@ func (g *gate) deliver(r awaitResult) {
 	}
 }
 
-// --- protocol goroutine (ring) ---
+// --- the ring process ---
 
-func (p *proc) run(lossRate, corruptRate float64) {
-	p.announce(lossRate, corruptRate) // prime the ring
-	for {
-		// Fast path: drain everything already queued with non-blocking
-		// single-channel polls before stepping. Polling an empty channel is
-		// a lock-free check, where the blocking select below locks every
-		// case's channel on entry and exit — with the token hot that
-		// difference dominates the cost of a hop.
-		busy := false
-		for {
-			progressed := false
-			select {
-			case msg := <-p.state:
-				p.onPredState(msg)
-				progressed = true
-			default:
-			}
-			select {
-			case <-p.top:
-				p.onTop()
-				progressed = true
-			default:
-			}
-			select {
-			case c := <-p.ctrl:
-				p.onCtrl(c)
-				progressed = true
-			default:
-			}
-			if !progressed {
-				break
-			}
-			busy = true
-		}
-		if busy {
-			select {
-			case <-p.b.stopped:
-				return
-			case <-p.b.halted:
-				return
-			default:
-			}
-			p.step()
-			p.announce(lossRate, corruptRate)
-			continue
-		}
-
-		// Idle: park until something arrives. Retransmission pacing comes
-		// from the barrier's sweeper goroutine, which pokes the proc with
-		// ctrlTick only when its edge was quiet for a resend period —
-		// hot procs never take timer wakeups.
-		select {
-		case <-p.b.stopped:
-			return
-		case <-p.b.halted:
-			// Fail-safe halt: quiesce. No completion may ever be reported
-			// again, so circulating the token or retransmitting state is
-			// pure waste; the goroutine exits and the ring falls silent.
-			// Await/Enter/Leave keep returning ErrHalted via b.halted.
-			return
-		case msg := <-p.state:
-			p.onPredState(msg)
-		case <-p.top:
-			p.onTop()
-		case c := <-p.ctrl:
-			p.onCtrl(c)
-		}
-		p.step()
-		p.announce(lossRate, corruptRate)
+// poll consumes the link's queued receives: over a transport the
+// predecessor's announcement and the successor's ⊤ marker, on a
+// direct-copy link a spurious injection.
+func (p *proc) poll() bool {
+	progressed := false
+	select {
+	case msg := <-p.state:
+		p.onPredState(msg)
+		progressed = true
+	default:
 	}
+	select {
+	case <-p.top:
+		p.onTop()
+		progressed = true
+	default:
+	}
+	return progressed
 }
 
 // onPredState is action C.j: update the local copies of the predecessor's
@@ -1374,9 +1343,7 @@ func (p *proc) onCtrl(c ctrlMsg) {
 		// Quiet edge at the resend sweep: retransmit the current state —
 		// it masks lost, dropped and detectably corrupted messages.
 		// Forgetting the last announcement makes the post-ctrl announce
-		// resend it. A message lost right after a sweep is retransmitted
-		// by the sweep after the next, so the masking delay is at most
-		// doubled — the same bound the per-proc tickers gave.
+		// resend it.
 		p.haveSent = false
 	case ctrlReset:
 		if p.crashed {
@@ -1388,20 +1355,9 @@ func (p *proc) onCtrl(c ctrlMsg) {
 			return
 		}
 		rng := prng.New(c.seed)
-		randomSN := func() tokenring.SN {
-			v := rng.Intn(p.b.l + 2)
-			switch v {
-			case p.b.l:
-				return tokenring.Bot
-			case p.b.l + 1:
-				return tokenring.Top
-			default:
-				return tokenring.SN(v)
-			}
-		}
-		p.sn = randomSN()
-		p.snL = randomSN()
-		p.snR = randomSN()
+		p.sn = randomSN(&rng, p.b.l)
+		p.snL = randomSN(&rng, p.b.l)
+		p.snR = randomSN(&rng, p.b.l)
 		p.cp = core.CP(rng.Intn(core.NumCP))
 		p.cpL = core.CP(rng.Intn(core.NumCP))
 		p.ph = rng.Intn(p.b.nPhases)
@@ -1425,6 +1381,19 @@ func (p *proc) onCtrl(c ctrlMsg) {
 		// A forged ⊤ marker carries no payload; it exercises the same
 		// settled-receiver rejection the genuine marker path runs.
 		p.onByzTop()
+	}
+}
+
+// randomSN draws uniformly over [0,L) ∪ {⊥,⊤} — the domain a scramble or
+// a spurious message may leave in a sequence-number cell.
+func randomSN(rng *prng.PRNG, l int) tokenring.SN {
+	switch v := rng.Intn(l + 2); v {
+	case l:
+		return tokenring.Bot
+	case l + 1:
+		return tokenring.Top
+	default:
+		return tokenring.SN(v)
 	}
 }
 
@@ -1545,12 +1514,12 @@ func (p *proc) announce(lossRate, corruptRate float64) {
 	}
 	p.lastSent = m
 	p.haveSent = true
-	p.sentSinceTick.Store(true)
+	p.noteSent()
 
 	p.b.statSends.Add(1)
 	if lossRate > 0 && p.rng.Float64() < lossRate {
 		p.b.statDrops.Add(1)
-		return // the message is lost; the resend ticker will mask it
+		return // the message is lost; the resend sweep will mask it
 	}
 	if corruptRate > 0 && p.rng.Float64() < corruptRate {
 		// Bit-flip in flight: the receiver's integrity check will reject it.

@@ -23,7 +23,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/prng"
@@ -31,8 +30,10 @@ import (
 	"repro/internal/topo"
 )
 
-// startTree wires the double-tree topology: one treeProc per hosted
-// member, links from the tree transport.
+// startTree wires the double-tree topology: with no transport one
+// scheduler hosts the whole tree over direct-copy links, otherwise each
+// hosted member gets a scheduler attached to the link the transport opens
+// for it.
 func (b *Barrier) startTree(cfg Config, members []int, ln *lane) error {
 	arity := cfg.TreeArity
 	if arity == 0 {
@@ -43,10 +44,9 @@ func (b *Barrier) startTree(cfg Config, members []int, ln *lane) error {
 		return fmt.Errorf("ftbarrier: %w", err)
 	}
 	if cfg.Transport == nil {
-		// Every member is local (Members requires an explicit Transport):
-		// run the whole collective fused on one scheduler goroutine, with
-		// direct in-memory delivery instead of channel hops per edge.
-		return b.startFusedTree(cfg, tree, ln)
+		// Every member is local (Members requires an explicit Transport).
+		b.startFusedTree(cfg, tree, ln)
+		return nil
 	}
 	tt, ok := cfg.Transport.(TreeTransport)
 	if !ok {
@@ -57,31 +57,28 @@ func (b *Barrier) startTree(cfg Config, members []int, ln *lane) error {
 		if err != nil {
 			return fmt.Errorf("ftbarrier: open tree link for member %d: %w", j, err)
 		}
-		ln.links = append(ln.links, link)
-		tp := newTreeProc(b, j, tree.Parent[j], tree.Children[j], link, cfg)
-		ln.tprocs[j] = tp
-		ln.gates[j] = tp.gate
+		s := newSched(b, cfg, ln, false)
+		s.treeIn = s.addTree(cfg, ln, j, tree, link)
+		s.extDown, s.extUp = link.Down(), link.Up()
 	}
 	// Unlike the ring procs (which start mid-phase, in execute), tree procs
 	// start in DT's start state — wave 0 fully acknowledged, everyone ready
 	// in phase 0 — so the begins of phase 0 are emitted by the protocol
 	// itself when the first wave rolls; no implicit events are needed here.
-	lossRate, corruptRate := cfg.LossRate, cfg.CorruptRate
-	for _, tp := range ln.tprocs {
-		if tp == nil {
-			continue
-		}
-		tp := tp
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			tp.run(cfg.Resend, lossRate, corruptRate)
-		}()
-	}
 	return nil
 }
 
-// treeProc is one DT process: a goroutine owning its protocol state.
+// addTree creates tree member id on this scheduler, speaking over link.
+func (s *sched) addTree(cfg Config, ln *lane, id int, tree *topo.Tree, link TreeLink) *treeProc {
+	ln.links = append(ln.links, link)
+	tp := newTreeProc(newGate(s.b, id, ln.idx, s.ctrl), tree.Parent[id], tree.Children[id], link, cfg)
+	s.members[id] = tp
+	ln.tprocs[id], ln.gates[id] = tp, tp.gate
+	return tp
+}
+
+// treeProc is one DT process: the protocol state of a tree member, owned
+// by the scheduler that hosts it.
 type treeProc struct {
 	*gate
 
@@ -128,21 +125,19 @@ type treeProc struct {
 	down <-chan Message
 	up   <-chan UpMessage
 
-	lastDown      Message
-	haveSentDown  bool
-	lastUp        UpMessage
-	haveSentUp    bool
-	sentSinceTick bool
+	lastDown     Message
+	haveSentDown bool
+	lastUp       UpMessage
+	haveSentUp   bool
 
-	// rng is owned by the protocol goroutine (the fused scheduler counts
-	// as one owner for all its members); seeded before the goroutine
-	// starts, published by the goroutine-start happens-before edge.
+	// rng is owned by the hosting scheduler (seeded before it starts; the
+	// goroutine-start happens-before edge publishes it).
 	rng prng.PRNG
 }
 
-func newTreeProc(b *Barrier, id, parentID int, kids []int, link TreeLink, cfg Config) *treeProc {
+func newTreeProc(g *gate, parentID int, kids []int, link TreeLink, cfg Config) *treeProc {
 	tp := &treeProc{
-		gate:        newGate(b, id),
+		gate:        g,
 		parentID:    parentID,
 		kids:        append([]int(nil), kids...),
 		kidSN:       make([]tokenring.SN, len(kids)),
@@ -156,7 +151,7 @@ func newTreeProc(b *Barrier, id, parentID int, kids []int, link TreeLink, cfg Co
 		link:        link,
 		down:        link.Down(),
 		up:          link.Up(),
-		rng:         prng.New(cfg.Seed + int64(id)*7919),
+		rng:         prng.New(cfg.Seed + int64(g.id)*7919),
 	}
 	// DT's start state: wave 0 disseminated and acknowledged, everyone
 	// ready in phase 0 — the root's first increment begins phase 0.
@@ -185,85 +180,21 @@ func (tp *treeProc) resetState() {
 	}
 }
 
-func (tp *treeProc) run(resend time.Duration, lossRate, corruptRate float64) {
-	ticker := time.NewTicker(resend)
-	defer ticker.Stop()
-
-	tp.announce(lossRate, corruptRate) // prime the tree
+// poll consumes the link's queued receives — on a direct-copy link,
+// spurious injections (a cold path: the scheduler polls a transport
+// link's channels itself).
+func (tp *treeProc) poll() bool {
+	progressed := false
 	for {
-		// Fast path: drain everything already queued with non-blocking
-		// single-channel polls, then step once on the freshest copies. An
-		// empty-channel poll is a lock-free check, where entering the
-		// blocking select locks every case's channel — on the hot path
-		// (waves rippling with no idle time) that difference dominates the
-		// cost of a pass.
-		busy := false
-		for {
-			progressed := false
-			select {
-			case m := <-tp.down:
-				tp.onDown(m)
-				progressed = true
-			default:
-			}
-			for drained := false; !drained; {
-				select {
-				case m := <-tp.up:
-					tp.onUp(m)
-					progressed = true
-				default:
-					drained = true
-				}
-			}
-			select {
-			case c := <-tp.ctrl:
-				tp.onCtrl(c)
-				progressed = true
-			default:
-			}
-			if !progressed {
-				break
-			}
-			busy = true
-		}
-		if busy {
-			select {
-			case <-tp.b.stopped:
-				return
-			case <-tp.b.halted:
-				return
-			default:
-			}
-			tp.step()
-			tp.announce(lossRate, corruptRate)
-			continue
-		}
-
-		// Idle: park until something arrives or the resend period elapses.
 		select {
-		case <-tp.b.stopped:
-			return
-		case <-tp.b.halted:
-			return // fail-safe halt: quiesce (see the ring run loop)
 		case m := <-tp.down:
 			tp.onDown(m)
 		case m := <-tp.up:
 			tp.onUp(m)
-		case c := <-tp.ctrl:
-			tp.onCtrl(c)
-		case <-ticker.C:
-			// Per-edge retransmission with the quiet-edge optimization of
-			// the ring loop: only retransmit when nothing went out since
-			// the previous tick.
-			if tp.sentSinceTick {
-				tp.sentSinceTick = false
-			} else {
-				tp.haveSentDown = false
-				tp.haveSentUp = false
-			}
+		default:
+			return progressed
 		}
-		tp.step()
-		tp.announce(lossRate, corruptRate)
+		progressed = true
 	}
 }
 
@@ -354,6 +285,10 @@ func (tp *treeProc) onCtrl(c ctrlMsg) {
 	switch c.kind {
 	case ctrlArrive:
 		tp.onArrive(c)
+	case ctrlTick:
+		// Quiet edges at the resend sweep: forget the last announcements so
+		// the post-ctrl announce retransmits them (see proc.onCtrl).
+		tp.haveSentDown, tp.haveSentUp = false, false
 	case ctrlReset:
 		if tp.crashed {
 			return // a crashed node has no state left to lose
@@ -364,25 +299,15 @@ func (tp *treeProc) onCtrl(c ctrlMsg) {
 			return
 		}
 		rng := prng.New(c.seed)
-		randomSN := func() tokenring.SN {
-			v := rng.Intn(tp.b.l + 2)
-			switch v {
-			case tp.b.l:
-				return tokenring.Bot
-			case tp.b.l + 1:
-				return tokenring.Top
-			default:
-				return tokenring.SN(v)
-			}
-		}
+		drawSN := func() tokenring.SN { return randomSN(&rng, tp.b.l) }
 		randomCP := func() core.CP { return core.CP(rng.Intn(core.NumCP)) }
 		randomPH := func() int { return rng.Intn(tp.b.nPhases) }
-		tp.sn, tp.cp, tp.ph = randomSN(), randomCP(), randomPH()
-		tp.ackSN, tp.ackCP, tp.ackPH = randomSN(), randomCP(), randomPH()
-		tp.pSN, tp.pCP, tp.pPH = randomSN(), randomCP(), randomPH()
+		tp.sn, tp.cp, tp.ph = drawSN(), randomCP(), randomPH()
+		tp.ackSN, tp.ackCP, tp.ackPH = drawSN(), randomCP(), randomPH()
+		tp.pSN, tp.pCP, tp.pPH = drawSN(), randomCP(), randomPH()
 		for i := range tp.kids {
-			tp.kidSN[i], tp.kidCP[i], tp.kidPH[i] = randomSN(), randomCP(), randomPH()
-			tp.kidAckSN[i], tp.kidAckCP[i], tp.kidAckPH[i] = randomSN(), randomCP(), randomPH()
+			tp.kidSN[i], tp.kidCP[i], tp.kidPH[i] = drawSN(), randomCP(), randomPH()
+			tp.kidAckSN[i], tp.kidAckCP[i], tp.kidAckPH[i] = drawSN(), randomCP(), randomPH()
 			tp.kidHavePend[i] = false
 		}
 		tp.havePendDown = false
@@ -422,25 +347,15 @@ func (tp *treeProc) resetDT() {
 // a parent announcement for non-roots, a child announcement at the root.
 func (tp *treeProc) injectSpurious(seed int64) {
 	rng := prng.New(seed)
-	randomSN := func() tokenring.SN {
-		v := rng.Intn(tp.b.l + 2)
-		switch v {
-		case tp.b.l:
-			return tokenring.Bot
-		case tp.b.l + 1:
-			return tokenring.Top
-		default:
-			return tokenring.SN(v)
-		}
-	}
+	drawSN := func() tokenring.SN { return randomSN(&rng, tp.b.l) }
 	tp.b.statSpurious.Add(1)
 	if tp.parentID < 0 {
 		m := UpMessage{
 			Child: tp.kids[rng.Intn(len(tp.kids))],
-			SN:    randomSN(),
+			SN:    drawSN(),
 			CP:    core.CP(rng.Intn(core.NumCP)),
 			PH:    rng.Intn(tp.b.nPhases),
-			AckSN: randomSN(),
+			AckSN: drawSN(),
 			AckCP: core.CP(rng.Intn(core.NumCP)),
 			AckPH: rng.Intn(tp.b.nPhases),
 		}
@@ -451,7 +366,7 @@ func (tp *treeProc) injectSpurious(seed int64) {
 		return
 	}
 	m := Message{
-		SN: randomSN(),
+		SN: drawSN(),
 		CP: core.CP(rng.Intn(core.NumCP)),
 		PH: rng.Intn(tp.b.nPhases),
 	}
@@ -642,7 +557,7 @@ func (tp *treeProc) announce(lossRate, corruptRate float64) {
 		if !tp.haveSentDown || m != tp.lastDown {
 			tp.lastDown = m
 			tp.haveSentDown = true
-			tp.sentSinceTick = true
+			tp.noteSent()
 			for _, c := range tp.kids {
 				tp.b.statSends.Add(1)
 				if lossRate > 0 && tp.rng.Float64() < lossRate {
@@ -667,7 +582,7 @@ func (tp *treeProc) announce(lossRate, corruptRate float64) {
 		if !tp.haveSentUp || tp.upUrgent(u) {
 			tp.lastUp = u
 			tp.haveSentUp = true
-			tp.sentSinceTick = true
+			tp.noteSent()
 			tp.b.statSends.Add(1)
 			if lossRate > 0 && tp.rng.Float64() < lossRate {
 				tp.b.statDrops.Add(1)

@@ -95,10 +95,10 @@ func (treeOnly) Open(id int) (Link, error) {
 	return nil, errors.New("ftbarrier: tree transport requires Config.Topology == TopologyTree")
 }
 
-// --- in-process channel tree transport (the TopologyTree default) ---
+// --- in-process channel tree transport ---
 
 // chanTreeTransport wires every tree edge as a pair of latest-state-wins
-// mailboxes between the members' goroutines.
+// mailboxes between the members' schedulers.
 type chanTreeTransport struct {
 	treeOnly
 	parent []int
@@ -106,8 +106,8 @@ type chanTreeTransport struct {
 }
 
 // NewChanTreeTransport returns the in-process channel transport for an
-// all-local tree described by the parent vector (parent[0] == -1). It is
-// the default a TopologyTree Barrier creates when Config.Transport is nil.
+// all-local tree described by the parent vector (parent[0] == -1): the
+// tree twin of NewChanTransport.
 func NewChanTreeTransport(parent []int) Transport {
 	t := &chanTreeTransport{parent: append([]int(nil), parent...)}
 	kids := make([]int, len(parent))
@@ -189,22 +189,7 @@ func (l *chanTreeLink) SendUp(m UpMessage) {
 func (l *chanTreeLink) Down() <-chan Message { return l.down }
 func (l *chanTreeLink) Up() <-chan UpMessage { return l.up }
 
-func (l *chanTreeLink) InjectDown(m Message) bool {
-	select {
-	case l.down <- m:
-		return true
-	default:
-		return false
-	}
-}
-
-func (l *chanTreeLink) InjectUp(m UpMessage) bool {
-	select {
-	case l.up <- m:
-		return true
-	default:
-		return false
-	}
-}
+func (l *chanTreeLink) InjectDown(m Message) bool { return offer(l.down, m) }
+func (l *chanTreeLink) InjectUp(m UpMessage) bool { return offer(l.up, m) }
 
 func (l *chanTreeLink) Close() error { return nil }
