@@ -242,6 +242,19 @@ func BenchmarkAwaitTree(b *testing.B) {
 	}
 }
 
+// BenchmarkAwaitTreeLossy is AwaitTree/n=32 with 1% message loss, the
+// repo benchmark's faults-tree32-inproc without its resets and scrambles:
+// on one scheduler a dropped frame is masked at the next quiescence by
+// re-reading the sender's register (DESIGN.md section 12), so the cost of
+// loss is the pull round, not a resend period — and the pull round may
+// not allocate. Compare with AwaitTree/n=32 from the same run.
+func BenchmarkAwaitTreeLossy(b *testing.B) {
+	b.Run("n=32", func(b *testing.B) {
+		b.ReportAllocs()
+		benchRuntimePassesCfg(b, Config{Participants: 32, Seed: 1, Topology: TopologyTree, LossRate: 0.01}, nil)
+	})
+}
+
 func BenchmarkAwaitTCPLoopback(b *testing.B) {
 	for _, n := range []int{2, 4, 8} {
 		n := n

@@ -97,7 +97,7 @@ var (
 	hostsFlag    = flag.String("hosts", "", `hybrid member grouping: '|'-separated per-host rosters, e.g. "0,1|2,3" (host i's members; -peers then lists one address per host and -id is the host index)`)
 	passesFlag   = flag.Int("passes", 100, "print DONE after this many successful passes (0: unlimited)")
 	nPhasesFlag  = flag.Int("nphases", 4, "phase-counter modulus")
-	resendFlag   = flag.Duration("resend", 500*time.Microsecond, "state retransmission period")
+	resendFlag   = flag.Duration("resend", 500*time.Microsecond, "state retransmission period; loss on the wire is masked within 2 x max(resend, ~1ms idle-timer granularity), so a value below ~1ms buys nothing in an idle process and costs sweeps in a busy one")
 	lossFlag     = flag.Float64("loss", 0, "per-message send-loss probability (fault injection)")
 	corruptFlag  = flag.Float64("corrupt", 0, "per-message corruption probability (fault injection)")
 	seedFlag     = flag.Int64("seed", 1, "random seed for fault injection draws")

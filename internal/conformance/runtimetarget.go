@@ -413,7 +413,8 @@ type injected struct {
 // dropped). In a byz-ONLY schedule the accepted Byzantine injections must
 // reappear in the rejected-frames counters exactly: genuine frames are
 // never rejected in steady state, every delivered forgery is rejected
-// once, and the crafts never confirm a pending sighting. The recovery
+// once, the crafts never confirm a pending sighting, and no register is
+// pulled (a pull answers a lost frame, never a forged one). The recovery
 // histogram is bounded by the faults that can have armed it, and the
 // exported pass counter must cover every pass a participant observed (it
 // may exceed it: a pass delivered in the instant the run was cancelled
@@ -450,6 +451,11 @@ func crossCheckMetrics(st runtime.Stats, reg *obsv.Registry, s Schedule, inj inj
 		return fmt.Sprintf("byz-only schedule: %d frames rejected for %d accepted forgeries (seq=%d phase=%d top=%d sender=%d)",
 			rejected, st.ByzInjected, st.RejectedSeq, st.RejectedPhase, st.RejectedTop, st.RejectedSender)
 	}
+	// A forgery is rejected where it lands; it costs no genuine frame, so
+	// it must never send a scheduler re-reading its co-hosted registers.
+	if byzOnly && st.Pulls != 0 {
+		return fmt.Sprintf("byz-only schedule: %d registers pulled with no frame lost", st.Pulls)
+	}
 	if st.Passes < observedPasses {
 		return fmt.Sprintf("Passes = %d < %d passes observed by participants", st.Passes, observedPasses)
 	}
@@ -462,6 +468,9 @@ func crossCheckMetrics(st runtime.Stats, reg *obsv.Registry, s Schedule, inj inj
 	// histogram like a reset).
 	if got := scrapeValue(reg, "barrier_passes_total"); got != st.Passes {
 		return fmt.Sprintf("exported barrier_passes_total = %d, Stats.Passes = %d", got, st.Passes)
+	}
+	if got := scrapeValue(reg, "barrier_pulls_total"); got != st.Pulls {
+		return fmt.Sprintf("exported barrier_pulls_total = %d, Stats.Pulls = %d", got, st.Pulls)
 	}
 	var scrapedRej int64
 	for _, rc := range []struct {

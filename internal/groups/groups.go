@@ -51,7 +51,11 @@ type Config struct {
 	Depth int
 	// NPhases is the group's phase-counter modulus (default 8).
 	NPhases int
-	// Resend is the group's retransmission period (default 200µs).
+	// Resend is the group's retransmission period (default 200µs); see
+	// runtime.Config.Resend. Loss between processes is masked within
+	// 2 x max(Resend, ~1 ms of idle-timer granularity): a value below
+	// ~1 ms buys nothing in an idle process and costs sweeps in a busy
+	// one. (Loss inside a hybrid host's roster never waits for it.)
 	Resend time.Duration
 	// LossRate / CorruptRate inject detectable communication faults into
 	// this group only (tests, demos, soak runs).
@@ -292,13 +296,18 @@ func (g *Group) Members() []int {
 // Await synchronizes this process's sole member of the group; see
 // runtime.Barrier.Await. Returns runtime.ErrStopped while the group is
 // stopped. For a hybrid group hosting more than one member, use
-// AwaitMember.
+// AwaitMember. Await is on every caller's hot path and, like the barrier
+// beneath it, does not allocate.
 func (g *Group) Await(ctx context.Context) (int, error) {
-	m := g.Members()
-	if len(m) != 1 {
-		return 0, fmt.Errorf("groups: group %q hosts members %v; use AwaitMember", g.cfg.Name, m)
+	id := g.opts.Self
+	if g.cfg.Topology == transport.GroupHybrid {
+		roster := g.cfg.Hosts[g.opts.Self]
+		if len(roster) != 1 {
+			return 0, fmt.Errorf("groups: group %q hosts members %v; use AwaitMember", g.cfg.Name, roster)
+		}
+		id = roster[0]
 	}
-	return g.AwaitMember(ctx, m[0])
+	return g.AwaitMember(ctx, id)
 }
 
 // AwaitMember synchronizes one locally-hosted member of the group.

@@ -312,3 +312,64 @@ func TestRegistryHybridAndPipelined(t *testing.T) {
 		}
 	}
 }
+
+// Group.Await adds nothing to the barrier's allocation-free pass: the
+// sole member is resolved without building Members()' slice. Measured
+// live — the peer process's member loops beside the measured one over the
+// shared loopback connection, so the count covers the whole path a caller
+// pays for (AllocsPerRun counts every goroutine's allocations).
+func TestGroupAwaitDoesNotAllocate(t *testing.T) {
+	const n = 2
+	cfgs := []Config{
+		{Name: "ring"},
+		{Name: "tree", Topology: transport.GroupTree},
+		{Name: "hybrid", Topology: transport.GroupHybrid, Hosts: [][]int{{0}, {1}}},
+	}
+	specs, err := Specs(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := transport.NewLoopbackMuxes(n, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	regs := make([]*Registry, n)
+	for j := range regs {
+		regs[j], err = NewWithMux(Options{Self: j}, cfgs, set.Muxes[j])
+		if err != nil {
+			t.Fatalf("process %d: %v", j, err)
+		}
+		defer regs[j].Close()
+	}
+	for _, c := range cfgs {
+		t.Run(c.Name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			peer := regs[1].Group(c.Name)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					if _, err := peer.Await(ctx); err != nil {
+						return
+					}
+				}
+			}()
+			g := regs[0].Group(c.Name)
+			await := func() {
+				if _, err := g.Await(ctx); err != nil {
+					t.Error(err)
+				}
+			}
+			for i := 0; i < 50; i++ {
+				await() // connections up, buffers at their working size
+			}
+			if allocs := testing.AllocsPerRun(200, await); allocs != 0 {
+				t.Errorf("Group.Await: %v allocs per pass, want 0", allocs)
+			}
+			cancel()
+			<-done
+		})
+	}
+}

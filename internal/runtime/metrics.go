@@ -85,6 +85,8 @@ func (b *Barrier) registerMetrics(r *obsv.Registry, topology Topology, label str
 			"Frames rejected: claimed sender does not exist on the receiving edge.", b.statRejSender.Load),
 		obsv.NewCounterFunc(name("barrier_wasted_instances_total"),
 			"Protocol instances consumed beyond one per delivered pass (re-executions forced by faults; the wasted-work-per-fault numerator).", b.statWasted.Load),
+		obsv.NewCounterFunc(name("barrier_pulls_total"),
+			"Co-hosted neighbour registers re-read at scheduler quiescence to mask a lost or corrupted frame without waiting for the resend sweep (reads, not messages).", b.statPulls.Load),
 		obsv.NewGaugeFunc(name("barrier_participants"),
 			"Configured participant count.", func() int64 { return int64(b.n) }),
 		obsv.NewGaugeFunc(name(`barrier_topology{topology="`+topoName+`"}`),

@@ -7,6 +7,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/obsv"
+	"repro/internal/topo"
 )
 
 // A context canceled in the same instant a pass completes must not lose
@@ -318,6 +320,7 @@ func TestBarrierMetricsExposition(t *testing.T) {
 		"barrier_injected_scrambles_total 0",
 		"barrier_injections_dropped_total 0",
 		"barrier_wasted_instances_total ",
+		"barrier_pulls_total ",
 		"barrier_participants 2",
 		`barrier_topology{topology="ring"} 1`,
 		"barrier_halted 0",
@@ -365,5 +368,67 @@ func TestWastedInstancesCounter(t *testing.T) {
 	s := b.Stats()
 	if s.WastedInstances <= 0 || s.ResetsInjected == 0 {
 		t.Fatalf("inconsistent accounting after faults: %+v", s)
+	}
+}
+
+// Pulls counts exactly the reads a scheduler makes across its co-hosted
+// edges: none in a fault-free run, some under loss — and none at all, loss
+// or not, when every member has a scheduler of its own, because then no
+// edge has both ends in one place. The exported series follows the
+// snapshot, label and all, and leaves the registry with the others.
+func TestPullsCounter(t *testing.T) {
+	const n, rounds = 4, 200
+	shape, err := topo.NewKAryTree(n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		wantPulls bool
+	}{
+		{"ring/fault-free", Config{}, false},
+		{"tree/fault-free", Config{Topology: TopologyTree}, false},
+		{"ring/lossy", Config{LossRate: 0.05}, true},
+		{"tree/lossy", Config{Topology: TopologyTree, LossRate: 0.05}, true},
+		{"ring-chan/lossy", Config{LossRate: 0.05, Transport: NewChanTransport(n)}, false},
+		{"tree-chan/lossy", Config{Topology: TopologyTree, LossRate: 0.05, Transport: NewChanTreeTransport(shape.Parent)}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obsv.NewRegistry()
+			cfg := tc.cfg
+			cfg.Participants, cfg.Seed = n, 63
+			cfg.Metrics, cfg.MetricLabel = reg, `group="g"`
+			b, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Stop()
+			runWorkers(t, b, rounds, nil)
+			b.Stop()
+
+			st := b.Stats()
+			if tc.cfg.LossRate > 0 && st.Drops == 0 {
+				t.Fatalf("no frame was dropped in %d lossy passes: %+v", rounds, st)
+			}
+			if got := st.Pulls > 0; got != tc.wantPulls {
+				t.Errorf("Pulls = %d, want > 0: %v (%+v)", st.Pulls, tc.wantPulls, st)
+			}
+			var sb strings.Builder
+			if err := reg.WriteText(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("barrier_pulls_total{group=\"g\"} %d\n", st.Pulls); !strings.Contains(sb.String(), want) {
+				t.Errorf("scrape does not carry %q", strings.TrimSpace(want))
+			}
+			b.UnregisterMetrics()
+			sb.Reset()
+			if err := reg.WriteText(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(sb.String(), "barrier_pulls_total") {
+				t.Error("barrier_pulls_total still registered after UnregisterMetrics")
+			}
+		})
 	}
 }

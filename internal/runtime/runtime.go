@@ -144,8 +144,16 @@ type Config struct {
 	// L is the sequence-number modulus; the MB refinement requires
 	// L > 2N+1. Default 2*Participants + 2.
 	L int
-	// Resend is the retransmission period that masks message loss
-	// (default 200µs).
+	// Resend is the period of the barrier's retransmission sweep (default
+	// 200µs), which masks message loss on every edge that crosses a
+	// Transport within 2 x max(Resend, the host's idle-timer granularity).
+	// That granularity is about 1 ms on Linux: in a process whose
+	// goroutines are all blocked — a stalled wave — a shorter timer fires
+	// no sooner, so a value below ~1 ms buys nothing while the process is
+	// idle and costs sweeps while it is busy. Loss between two members on
+	// one scheduler (nil Transport, a hybrid host's roster) does not wait
+	// for the sweep at all; it is masked when the scheduler next runs out
+	// of work (DESIGN.md §12).
 	Resend time.Duration
 	// LossRate drops each protocol message with this probability — a
 	// built-in detectable communication fault for tests and demos.
@@ -285,6 +293,7 @@ type Barrier struct {
 	statInjRestarts  atomic.Int64 // Restart injections accepted for delivery
 	statInjByz       atomic.Int64 // Byzantine forgeries accepted for delivery
 	statWasted       atomic.Int64 // re-executed (wasted) protocol instances
+	statPulls        atomic.Int64 // neighbour registers re-read at quiescence (sched.pullRound)
 
 	// Frame rejections by the sequence-and-sender validation windows
 	// (see validate.go), exported as barrier_rejected_frames_total{reason}.
@@ -341,8 +350,9 @@ type gate struct {
 	// was already false — a quiet edge that may be masking a lost message.
 	sentSinceTick atomic.Bool
 
-	// ctrl is the hosting scheduler's control channel, shared by every
-	// member it hosts.
+	// s is the hosting scheduler; ctrl is its control channel, shared by
+	// every member it hosts (the one part of s other goroutines use).
+	s    *sched
 	ctrl chan ctrlMsg
 	// signal to a waiting Await: the phase that just began, or an error.
 	wake chan awaitResult
@@ -353,13 +363,14 @@ type gate struct {
 	entered bool
 }
 
-func newGate(b *Barrier, id, lane int, ctrl chan ctrlMsg) *gate {
+func newGate(s *sched, id, lane int) *gate {
 	return &gate{
-		b:          b,
+		b:          s.b,
 		id:         id,
 		lane:       lane,
 		lastDonePh: -1,
-		ctrl:       ctrl,
+		s:          s,
+		ctrl:       s.ctrl,
 		wake:       make(chan awaitResult, 1),
 	}
 }
@@ -559,7 +570,10 @@ func New(cfg Config) (*Barrier, error) {
 // ctrlTick: it forgets its last announcement and retransmits, masking a
 // potentially lost message. Quietness is judged per member, so a message
 // lost right after a sweep is retransmitted by the sweep after the next:
-// the masking delay is at most two periods.
+// the masking delay on an edge that crosses a Transport is at most two
+// periods (of at least the host's idle-timer granularity, see
+// Config.Resend). Between members of one scheduler the sweep is only the
+// eventual floor: sched.pullRound masks loss there without a timer.
 func (b *Barrier) sweepResends(resend time.Duration) {
 	defer b.wg.Done()
 	ticker := time.NewTicker(resend)
@@ -597,7 +611,7 @@ func (b *Barrier) startRing(cfg Config, members []int, ln *lane) error {
 		// Every member is local (Members requires an explicit Transport).
 		s := newSched(b, cfg, ln, true)
 		for id := 0; id < b.n; id++ {
-			s.addRing(cfg, ln, id, newFusedRingLink(s, ln, id))
+			s.addRing(cfg, ln, id, newFusedRingLink(s, id))
 		}
 	} else {
 		for _, j := range members {
@@ -623,7 +637,7 @@ func (b *Barrier) startRing(cfg Config, members []int, ln *lane) error {
 func (s *sched) addRing(cfg Config, ln *lane, id int, link Link) *proc {
 	ln.links = append(ln.links, link)
 	p := &proc{
-		gate:  newGate(s.b, id, ln.idx, s.ctrl),
+		gate:  newGate(s, id, ln.idx),
 		cp:    core.Execute, // everyone starts executing phase 0
 		cpL:   core.Execute,
 		link:  link,
@@ -688,6 +702,14 @@ type Stats struct {
 	// and the exact-sum counterpart of the barrier_instances_per_pass
 	// histogram: WastedInstances/Passes + 1 is the live Fig 3/5 mean.
 	WastedInstances int64
+	// Pulls counts neighbour registers re-read at quiescence: a scheduler
+	// hosting both ends of an edge masks a lost or corrupted frame on it
+	// by having the receiver read the sender's last announcement instead
+	// of waiting for the resend sweep (sched.pullRound). A pull is a read,
+	// not a message: it adds nothing to Sends or Drops. Zero in a
+	// fault-free run, and always zero when every member has a scheduler
+	// of its own (any Transport but a hybrid host's).
+	Pulls int64
 }
 
 // Stats returns a consistent snapshot of the barrier's counters.
@@ -724,6 +746,7 @@ func (b *Barrier) Stats() Stats {
 			RejectedTop:       b.statRejTop.Load(),
 			RejectedSender:    b.statRejSender.Load(),
 			WastedInstances:   b.statWasted.Load(),
+			Pulls:             b.statPulls.Load(),
 		}
 		if b.statPasses.Load() == s.Passes && b.statResets.Load() == s.Resets {
 			break
@@ -1301,8 +1324,10 @@ func (p *proc) onPredState(m Message) {
 		return
 	}
 	if m.Sum != m.Checksum() {
-		// Detected corruption: drop; the retransmission masks it.
+		// Detected corruption: drop; the retransmission masks it — at the
+		// next quiescence, if the sender is co-hosted (sched.pullRound).
 		p.b.statDrops.Add(1)
+		p.s.owed++
 		return
 	}
 	if !m.SN.Ordinary() || p.snL == m.SN {
@@ -1498,6 +1523,27 @@ func (p *proc) step() {
 	}
 }
 
+// pull is this member's share of a pull round (sched.pullRound): where a
+// co-hosted neighbour's output register — lastSent, as put on the edge
+// before the loss and corruption draws — differs from the copy held here,
+// take it through the ordinary receive function, exactly as if the frame
+// had arrived. The predecessor's register refreshes the state copy (whose
+// cp and ph evolve by the follower statement, so only sn is comparable), a
+// successor at ⊤ the restart marker. It reports the registers taken.
+func (p *proc) pull() (pulls int) {
+	n := p.b.n
+	if pred := p.s.ringPeer((p.id + n - 1) % n); pred != nil && pred.haveSent && pred.lastSent.SN != p.snL {
+		p.onPredState(pred.lastSent)
+		pulls++
+	}
+	if succ := p.s.ringPeer((p.id + 1) % n); succ != nil && succ.haveSent &&
+		succ.lastSent.SN == tokenring.Top && p.snR != tokenring.Top {
+		p.onTop()
+		pulls++
+	}
+	return pulls
+}
+
 // announce sends the current state to the successor (and the ⊤ marker to
 // the predecessor) if it changed since the last send, subject to the
 // configured loss and corruption rates. The fault injection sits above the
@@ -1517,9 +1563,12 @@ func (p *proc) announce(lossRate, corruptRate float64) {
 	p.noteSent()
 
 	p.b.statSends.Add(1)
+	if p.s.ringPeer((p.id+1)%p.b.n) != nil {
+		p.s.owed++ // until fusedRingLink delivers it
+	}
 	if lossRate > 0 && p.rng.Float64() < lossRate {
 		p.b.statDrops.Add(1)
-		return // the message is lost; the resend sweep will mask it
+		return // the message is lost; a pull or the resend sweep will mask it
 	}
 	if corruptRate > 0 && p.rng.Float64() < corruptRate {
 		// Bit-flip in flight: the receiver's integrity check will reject it.

@@ -641,6 +641,7 @@ func TestChaosSoak(t *testing.T) {
 
 	stop := make(chan struct{})
 	var injector sync.WaitGroup
+	var injections atomic.Int64
 	injector.Add(1)
 	go func() {
 		defer injector.Done()
@@ -650,6 +651,7 @@ func TestChaosSoak(t *testing.T) {
 				return
 			case <-time.After(2 * time.Millisecond):
 			}
+			injections.Add(1)
 			switch i % 7 {
 			case 0, 1, 2:
 				b.Reset(i % n)
@@ -665,12 +667,18 @@ func TestChaosSoak(t *testing.T) {
 
 	// Workers keep participating until everyone reached the target: under
 	// scrambles, pass counts may transiently skew, and a worker that left
-	// at its personal target could stall the rest.
-	const wantPasses = 40
+	// at its personal target could stall the rest. The target includes two
+	// full injector cycles: 40 lossy passes alone take less than one
+	// injector period now that loss between co-hosted members is masked
+	// without waiting for the sweeper.
+	const wantPasses, wantInjections = 40, 14
 	runCtx, runCancel := context.WithCancel(ctx)
 	defer runCancel()
 	var passes [n]int64
 	allDone := func() bool {
+		if injections.Load() < wantInjections {
+			return false
+		}
 		for i := range passes {
 			if atomic.LoadInt64(&passes[i]) < wantPasses {
 				return false

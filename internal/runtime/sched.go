@@ -26,6 +26,15 @@
 // the control channel the hosted members share, and spurious injections
 // into direct-copy links (per-link mailboxes plus a nudge). A scheduler
 // owns no timer: the barrier's one sweeper paces every retransmission.
+//
+// What a scheduler can do without a timer is notice, when it runs out of
+// work, that a frame between two members it hosts never arrived: both ends
+// of a direct-copy edge are its own state, so it keeps a ledger of those
+// edges (owed) and, if the ledger does not balance at the idle transition,
+// has every member re-read its co-hosted neighbours' output registers
+// (pullRound) before it parks. Loss on a direct-copy edge is thereby masked
+// at the next quiescence; loss on the external attachment still waits for
+// the sweeper (DESIGN.md §12).
 package runtime
 
 import (
@@ -43,6 +52,7 @@ type member interface {
 	announce(lossRate, corruptRate float64) // send what changed since the last announcement
 	onCtrl(c ctrlMsg)                       // arrival, fault injection, or the sweeper's resend poke
 	poll() bool                             // consume the link's queued receives; false if none
+	pull() int                              // re-read co-hosted neighbours' registers; how many were taken
 }
 
 // sched is the scheduler: a work queue of members with unprocessed input
@@ -51,6 +61,19 @@ type member interface {
 type sched struct {
 	b       *Barrier
 	members []member // indexed by member id; nil for members hosted elsewhere
+
+	// The hosted members by protocol, indexed by id, on a scheduler whose
+	// members deliver to each other by direct copy (the lane's slices); nil
+	// on a one-member scheduler, which has no co-hosted edge.
+	procs  []*proc
+	tprocs []*treeProc
+
+	// owed is the ledger of the direct-copy edges: frames announced to a
+	// co-hosted neighbour (counted before the loss draw) minus frames its
+	// receive function took with a good checksum, plus one for every fault
+	// that cost a hosted member its copies. Nonzero at the idle transition
+	// means some copy may trail its neighbour's register: see pullRound.
+	owed int
 
 	lossRate, corruptRate float64 // Config's, drawn against in announce
 
@@ -102,6 +125,7 @@ func newSched(b *Barrier, cfg Config, ln *lane, fused bool) *sched {
 	}
 	if fused {
 		s.nudge = make(chan struct{}, 1)
+		s.procs, s.tprocs = ln.procs, ln.tprocs
 	}
 	ln.scheds = append(ln.scheds, s)
 	return s
@@ -112,7 +136,7 @@ func newSched(b *Barrier, cfg Config, ln *lane, fused bool) *sched {
 func (b *Barrier) startFusedTree(cfg Config, tree *topo.Tree, ln *lane) {
 	s := newSched(b, cfg, ln, true)
 	for id := 0; id < b.n; id++ {
-		s.addTree(cfg, ln, id, tree, newFusedTreeLink(s, ln, id))
+		s.addTree(cfg, ln, id, tree, newFusedTreeLink(s, id))
 	}
 }
 
@@ -177,7 +201,7 @@ func (b *Barrier) startFusedHybrid(cfg Config, hy *topo.Hybrid, members []int, t
 	s.ext, s.extDown, s.extUp = ext, ext.Down(), ext.Up()
 	s.host, s.hy = host, hy
 	for _, id := range roster {
-		s.addTree(cfg, ln, id, hy.Tree, newFusedTreeLink(s, ln, id))
+		s.addTree(cfg, ln, id, hy.Tree, newFusedTreeLink(s, id))
 	}
 	s.treeIn = ln.tprocs[hy.HostRoot[host]]
 	return nil
@@ -222,12 +246,62 @@ func (s *sched) drain() {
 	s.head = 0
 }
 
+// ringPeer and treePeer return member id if this scheduler hosts it — the
+// far end of a direct-copy edge — and nil if it is reached over a link.
+func (s *sched) ringPeer(id int) *proc {
+	if id < len(s.procs) {
+		return s.procs[id]
+	}
+	return nil
+}
+
+func (s *sched) treePeer(id int) *treeProc {
+	if id < len(s.tprocs) {
+		return s.tprocs[id]
+	}
+	return nil
+}
+
+// pullRound is loss recovery at quiescence. The queue is drained and no
+// input is waiting, yet the ledger says a frame between two hosted members
+// was dropped, failed its checksum, or was delivered before a fault wiped
+// the copy it refreshed — so nothing short of the resend sweeper would move
+// the receiver. Every hosted member re-reads its co-hosted neighbours'
+// output registers (the last announcement put on each edge, whether or not
+// it was delivered) and takes those that differ from its copies through the
+// ordinary receive functions; a pull is a read, with no loss or corruption
+// draw. The ledger is rebalanced whatever the outcome: one round per
+// imbalance, so a register its receiver legitimately keeps ignoring (⊥/⊤
+// at a settled node, anything at a crashed one) cannot spin the scheduler —
+// that case is left to the sweeper. Reports whether any member was queued.
+func (s *sched) pullRound() bool {
+	s.owed = 0
+	pulls := 0
+	for id, m := range s.members {
+		if m == nil {
+			continue
+		}
+		if k := m.pull(); k > 0 {
+			pulls += k
+			s.mark(id)
+		}
+	}
+	s.b.statPulls.Add(int64(pulls))
+	return pulls > 0
+}
+
 // onCtrl dispatches a control message to its target member.
 func (s *sched) onCtrl(c ctrlMsg) {
 	if c.id < 0 || c.id >= len(s.members) || s.members[c.id] == nil {
 		return
 	}
 	s.members[c.id].onCtrl(c)
+	switch c.kind {
+	case ctrlReset, ctrlScramble, ctrlRestart:
+		// The member's copies are gone while its neighbours' registers are
+		// not: unbalance the ledger so the next quiescence re-reads them.
+		s.owed++
+	}
 	s.mark(c.id)
 }
 
@@ -343,9 +417,13 @@ func (s *sched) run() {
 			}
 			continue
 		}
-		// Idle: every hosted member is quiescent; park until something
-		// arrives. A quiet member is poked by the barrier's sweeper
-		// (ctrlTick); hot schedulers never take a timer wakeup.
+		// Idle: every hosted member is quiescent. An unbalanced ledger is
+		// settled first (one compare when it balances); then park until
+		// something arrives. A quiet member is poked by the barrier's
+		// sweeper (ctrlTick); hot schedulers never take a timer wakeup.
+		if s.owed != 0 && s.pullRound() {
+			continue
+		}
 		select {
 		case <-s.b.stopped:
 			return
@@ -385,26 +463,30 @@ func inject[M any](s *sched, mailbox chan M, m M) bool {
 // always the scheduler goroutine); the mailbox exists only for
 // spurious-message injection, whose senders are participant goroutines.
 type fusedRingLink struct {
-	s     *sched
-	procs []*proc // the lane's members, indexed by id
-	id    int
+	s  *sched // hosts the whole ring: s.procs is every member
+	id int
 
 	inj chan Message
 }
 
-func newFusedRingLink(s *sched, ln *lane, id int) *fusedRingLink {
-	return &fusedRingLink{s: s, procs: ln.procs, id: id, inj: make(chan Message, 1)}
+func newFusedRingLink(s *sched, id int) *fusedRingLink {
+	return &fusedRingLink{s: s, id: id, inj: make(chan Message, 1)}
 }
 
+// SendState delivers the announcement and credits the ledger with it (a
+// checksum failure at the receiver debits it again). The ⊤ marker rides on
+// the state frame — announce draws loss once for both — so SendTop leaves
+// the ledger alone.
 func (l *fusedRingLink) SendState(m Message) {
-	succ := (l.id + 1) % len(l.procs)
-	l.procs[succ].onPredState(m)
+	succ := (l.id + 1) % len(l.s.procs)
+	l.s.procs[succ].onPredState(m)
+	l.s.owed--
 	l.s.mark(succ)
 }
 
 func (l *fusedRingLink) SendTop() {
-	pred := (l.id - 1 + len(l.procs)) % len(l.procs)
-	l.procs[pred].onTop()
+	pred := (l.id - 1 + len(l.s.procs)) % len(l.s.procs)
+	l.s.procs[pred].onTop()
 	l.s.mark(pred)
 }
 
@@ -417,18 +499,16 @@ func (l *fusedRingLink) Close() error { return nil }
 
 // fusedTreeLink is the tree twin of fusedRingLink.
 type fusedTreeLink struct {
-	s     *sched
-	procs []*treeProc // the lane's members, indexed by id; nil for members of other hosts
-	id    int
+	s  *sched // s.tprocs is the lane's members; nil entries live on other hosts
+	id int
 
 	injDown chan Message
 	injUp   chan UpMessage
 }
 
-func newFusedTreeLink(s *sched, ln *lane, id int) *fusedTreeLink {
+func newFusedTreeLink(s *sched, id int) *fusedTreeLink {
 	return &fusedTreeLink{
 		s:       s,
-		procs:   ln.tprocs,
 		id:      id,
 		injDown: make(chan Message, 1),
 		injUp:   make(chan UpMessage, 2),
@@ -436,10 +516,10 @@ func newFusedTreeLink(s *sched, ln *lane, id int) *fusedTreeLink {
 }
 
 func (l *fusedTreeLink) SendDown(child int, m Message) {
-	if child < 0 || child >= len(l.procs) {
+	if child < 0 || child >= len(l.s.tprocs) {
 		return
 	}
-	tp := l.procs[child]
+	tp := l.s.tprocs[child]
 	if tp == nil {
 		// A remote child: in the hybrid, the host root's children of other
 		// hosts are reached over the external host-tree edge, addressed by
@@ -453,15 +533,16 @@ func (l *fusedTreeLink) SendDown(child int, m Message) {
 		return
 	}
 	tp.onDown(m)
+	l.s.owed--
 	l.s.mark(child)
 }
 
 func (l *fusedTreeLink) SendUp(m UpMessage) {
-	p := l.procs[l.id].parentID
+	p := l.s.tprocs[l.id].parentID
 	if p < 0 {
 		return
 	}
-	if p >= len(l.procs) || l.procs[p] == nil {
+	if l.s.treePeer(p) == nil {
 		// The host root's parent lives on another host: the up summary —
 		// the aggregate acknowledgment of this entire fused subtree — is
 		// the one message that crosses the network, with Child translated
@@ -471,7 +552,8 @@ func (l *fusedTreeLink) SendUp(m UpMessage) {
 		}
 		return
 	}
-	l.procs[p].onUp(m)
+	l.s.tprocs[p].onUp(m)
+	l.s.owed--
 	l.s.mark(p)
 }
 

@@ -71,7 +71,7 @@ func (b *Barrier) startTree(cfg Config, members []int, ln *lane) error {
 // addTree creates tree member id on this scheduler, speaking over link.
 func (s *sched) addTree(cfg Config, ln *lane, id int, tree *topo.Tree, link TreeLink) *treeProc {
 	ln.links = append(ln.links, link)
-	tp := newTreeProc(newGate(s.b, id, ln.idx, s.ctrl), tree.Parent[id], tree.Children[id], link, cfg)
+	tp := newTreeProc(newGate(s, id, ln.idx), tree.Parent[id], tree.Children[id], link, cfg)
 	s.members[id] = tp
 	ln.tprocs[id], ln.gates[id] = tp, tp.gate
 	return tp
@@ -207,7 +207,10 @@ func (tp *treeProc) onDown(m Message) {
 		return
 	}
 	if m.Sum != m.Checksum() {
-		tp.b.statDrops.Add(1) // detected corruption: drop; retransmission masks it
+		// Detected corruption: drop; the retransmission masks it — at the
+		// next quiescence, if the sender is co-hosted (sched.pullRound).
+		tp.b.statDrops.Add(1)
+		tp.s.owed++
 		return
 	}
 	if tp.settled() {
@@ -238,6 +241,7 @@ func (tp *treeProc) onUp(m UpMessage) {
 	}
 	if m.Sum != m.Checksum() {
 		tp.b.statDrops.Add(1)
+		tp.s.owed++ // as in onDown
 		return
 	}
 	for i, c := range tp.kids {
@@ -543,6 +547,34 @@ func (tp *treeProc) foldKidAcks() (core.CP, int) {
 	return cp, ph
 }
 
+// pull is the tree member's share of a pull round (see proc.pull): the
+// parent's lastDown against the parent copy, each child's lastUp against
+// that child's live and acknowledgment copies. While this node is settled
+// onDown and storeUp leave ⊥/⊤ unstored, so such a register keeps differing
+// and is re-read once per round — never more (sched.pullRound).
+func (tp *treeProc) pull() (pulls int) {
+	if tp.parentID >= 0 {
+		if par := tp.s.treePeer(tp.parentID); par != nil && par.haveSentDown {
+			if m := par.lastDown; m.SN != tp.pSN || m.CP != tp.pCP || m.PH != tp.pPH {
+				tp.onDown(m)
+				pulls++
+			}
+		}
+	}
+	for i, c := range tp.kids {
+		kid := tp.s.treePeer(c)
+		if kid == nil || !kid.haveSentUp {
+			continue
+		}
+		if u := kid.lastUp; u.SN != tp.kidSN[i] || u.CP != tp.kidCP[i] || u.PH != tp.kidPH[i] ||
+			u.AckSN != tp.kidAckSN[i] || u.AckCP != tp.kidAckCP[i] || u.AckPH != tp.kidAckPH[i] {
+			tp.onUp(u)
+			pulls++
+		}
+	}
+	return pulls
+}
+
 // announce sends the node's current state down every child edge and its
 // state+acknowledgment up the parent edge, if they changed since the last
 // send, subject to the configured loss and corruption rates (injected
@@ -560,6 +592,9 @@ func (tp *treeProc) announce(lossRate, corruptRate float64) {
 			tp.noteSent()
 			for _, c := range tp.kids {
 				tp.b.statSends.Add(1)
+				if tp.s.treePeer(c) != nil {
+					tp.s.owed++ // until fusedTreeLink delivers it
+				}
 				if lossRate > 0 && tp.rng.Float64() < lossRate {
 					tp.b.statDrops.Add(1)
 					continue
@@ -584,6 +619,9 @@ func (tp *treeProc) announce(lossRate, corruptRate float64) {
 			tp.haveSentUp = true
 			tp.noteSent()
 			tp.b.statSends.Add(1)
+			if tp.s.treePeer(tp.parentID) != nil {
+				tp.s.owed++
+			}
 			if lossRate > 0 && tp.rng.Float64() < lossRate {
 				tp.b.statDrops.Add(1)
 				return

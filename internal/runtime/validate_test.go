@@ -332,18 +332,23 @@ func TestCrashedMemberIgnoresStateFaults(t *testing.T) {
 // The live Byzantine adversary, end to end, on every topology: warmed-up
 // rings reject every delivered forgery — the rejected-frames counters
 // match the accepted injections exactly — and the specification stays
-// clean: no barrier completes at a wrong phase.
+// clean: no barrier completes at a wrong phase. The lossy row keeps the
+// schedulers pulling co-hosted registers between forgeries: a pull reads
+// only what a genuine neighbour announced, so it neither adopts a forgery
+// nor supplies the second sighting that would confirm one, and a genuine
+// register is never outside its window — the identity stays exact.
 func TestByzRejectedExactlyLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock paced")
 	}
 	const n = 4
 	configs := map[string]Config{
-		"ring":   {Participants: n, NPhases: 3, Seed: 49},
-		"tree":   {Participants: n, NPhases: 3, Topology: TopologyTree, Seed: 49},
-		"hybrid": {Participants: n, NPhases: 3, Topology: TopologyHybrid, Seed: 49, Hosts: [][]int{{0, 1}, {2, 3}}},
+		"ring":       {Participants: n, NPhases: 3, Seed: 49},
+		"tree":       {Participants: n, NPhases: 3, Topology: TopologyTree, Seed: 49},
+		"hybrid":     {Participants: n, NPhases: 3, Topology: TopologyHybrid, Seed: 49, Hosts: [][]int{{0, 1}, {2, 3}}},
+		"tree-lossy": {Participants: n, NPhases: 3, Topology: TopologyTree, Seed: 49, LossRate: 0.05},
 	}
-	for _, name := range []string{"ring", "tree", "hybrid"} {
+	for _, name := range []string{"ring", "tree", "hybrid", "tree-lossy"} {
 		cfg := configs[name]
 		t.Run(name, func(t *testing.T) {
 			var mu sync.Mutex
@@ -411,6 +416,9 @@ func TestByzRejectedExactlyLive(t *testing.T) {
 			st := b.Stats()
 			if st.ByzInjected == 0 {
 				t.Fatal("no Byzantine forgery was delivered; the adversary path was not exercised")
+			}
+			if cfg.LossRate > 0 && st.Pulls == 0 {
+				t.Error("lossy run pulled nothing; forgeries never met a pull")
 			}
 			rejected := st.RejectedSeq + st.RejectedPhase + st.RejectedTop + st.RejectedSender
 			if rejected != st.ByzInjected {
