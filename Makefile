@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet barriervet fuzz-smoke barrierbench-smoke bench
+.PHONY: build test race vet barriervet fuzz-smoke barrierd-e2e barrierbench-smoke bench
 
 build:
 	$(GO) build ./...
@@ -23,8 +23,21 @@ vet:
 barriervet:
 	$(GO) run ./cmd/barriervet ./...
 
+# The 13 targets of CI's fuzz-smoke matrix, 10 s each, one after another.
+FUZZ_CONFORMANCE = FuzzCB FuzzRB FuzzTB FuzzDT FuzzMB FuzzRuntime \
+	FuzzRuntimeTCP FuzzRuntimeTree FuzzRuntimeMux FuzzRuntimeHybrid \
+	FuzzRuntimeByz FuzzScheduleParse
+
 fuzz-smoke:
+	for target in $(FUZZ_CONFORMANCE); do \
+		$(GO) test ./internal/conformance -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s || exit 1; \
+	done
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzTransport$$' -fuzztime 10s
+
+# CI's barrierd job: the daemon's loopback e2e tests (startup validation,
+# the kill + rejoin table, flags/roster-file equivalence, halt -> 503).
+barrierd-e2e:
+	$(GO) test ./cmd/barrierd -count=1 -v -timeout 10m
 
 # The CI cluster-load gate: loopback TCP, 16 groups x 8 procs, 30s of
 # open-loop traffic under a seed-deterministic chaos schedule; exits

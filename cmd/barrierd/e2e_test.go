@@ -1,7 +1,8 @@
-// End-to-end test of the distributed deployment: a 4-process loopback TCP
-// ring of barrierd instances must complete at least 100 barrier phases
-// spec-clean — with 1% injected message corruption throughout, and with
-// one member SIGKILLed and restarted (-rejoin) mid-run.
+// End-to-end tests of the distributed deployment: loopback TCP clusters
+// of barrierd processes must complete their pass quotas spec-clean — with
+// 1% injected message corruption throughout, and with one process
+// SIGKILLed and restarted (-rejoin) mid-run. Flag-started and
+// -groups-started processes are one code path, so one harness drives both.
 package main
 
 import (
@@ -21,7 +22,6 @@ import (
 )
 
 const (
-	ringSize       = 4
 	survivorQuota  = 400 // passes each original member must complete (≥100)
 	restartQuota   = 100 // fresh passes the restarted member must complete
 	killAfterPass  = 50  // kill once member 0 has logged this many passes
@@ -67,19 +67,22 @@ func start(t *testing.T, bin, peers string, id, quota int, dir string, rejoin bo
 	return &member{id: id, cmd: cmd, logPath: logPath}
 }
 
-var passLine = regexp.MustCompile(`(?m)^pass (\d+) `)
+var passLine = regexp.MustCompile(`(?m)^\[([^\]]+)\] pass (\d+) `)
 
-// passCount returns the highest pass number the member has logged.
-func passCount(m *member) int {
+// passCount returns the highest pass number the member has logged under
+// the given "[label] " prefix — a group name, or "name mK" for one fused
+// member of a hybrid group.
+func passCount(m *member, label string) int {
 	data, err := os.ReadFile(m.logPath)
 	if err != nil {
 		return 0
 	}
-	matches := passLine.FindAllStringSubmatch(string(data), -1)
-	if len(matches) == 0 {
-		return 0
+	n := 0
+	for _, match := range passLine.FindAllStringSubmatch(string(data), -1) {
+		if match[1] == label {
+			n, _ = strconv.Atoi(match[2])
+		}
 	}
-	n, _ := strconv.Atoi(matches[len(matches)-1][1])
 	return n
 }
 
@@ -248,15 +251,9 @@ func reservePeers(t *testing.T, n int) string {
 	return strings.Join(addrs, ",")
 }
 
-func TestLoopbackRingKillRestart(t *testing.T) {
-	dir := t.TempDir()
-	bin := buildBarrierd(t, dir)
-	peers := reservePeers(t, ringSize)
-
-	members := make([]*member, ringSize)
-	for id := 0; id < ringSize; id++ {
-		members[id] = start(t, bin, peers, id, survivorQuota, dir, false)
-	}
+// stopOnCleanup kills whatever is still running when the test ends.
+// members is read at cleanup time, so restarted processes are covered.
+func stopOnCleanup(t *testing.T, members []*member) {
 	t.Cleanup(func() {
 		for _, m := range members {
 			if m.cmd.ProcessState == nil {
@@ -265,6 +262,106 @@ func TestLoopbackRingKillRestart(t *testing.T) {
 			}
 		}
 	})
+}
+
+// waitLogged blocks until the member logs marker, failing at once on a
+// spec violation.
+func waitLogged(t *testing.T, m *member, marker string, timeout time.Duration) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("member %d %q", m.id, marker), timeout, func() bool {
+		if logged(m, "VIOLATION") {
+			data, _ := os.ReadFile(m.logPath)
+			t.Fatalf("member %d spec violation: %s", m.id, tailLines(string(data), 1))
+		}
+		return logged(m, marker)
+	})
+}
+
+// shutdownClean SIGTERMs every member; all must exit 0 with a clean
+// summary and no violations anywhere in their logs.
+func shutdownClean(t *testing.T, members []*member) {
+	t.Helper()
+	for _, m := range members {
+		if err := m.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Errorf("signalling member %d: %v", m.id, err)
+		}
+	}
+	for _, m := range members {
+		if err := m.cmd.Wait(); err != nil {
+			data, _ := os.ReadFile(m.logPath)
+			t.Errorf("member %d exited uncleanly: %v\n%s", m.id, err, tailLines(string(data), 5))
+		}
+		if logged(m, "VIOLATION") {
+			t.Errorf("member %d logged a spec violation", m.id)
+		}
+		if !logged(m, "EXIT ") {
+			t.Errorf("member %d exited without a clean summary", m.id)
+		}
+	}
+}
+
+// requireHaltedAndPeerHealthy waits for halted's /healthz to turn 503
+// "halted" — the process parks the group and stays up to say so — and for
+// the group's HALTED log line, then checks that peer, which only sees a
+// stalled neighbour, still answers 200.
+func requireHaltedAndPeerHealthy(t *testing.T, halted *member, group string, peer *member) {
+	t.Helper()
+	var lastProbe string
+	waitFor(t, fmt.Sprintf("member %d /healthz 503 after group halt", halted.id), time.Minute, func() bool {
+		body, code, ok := httpBody("http://" + metricsAddr(halted) + "/healthz")
+		lastProbe = fmt.Sprintf("ok=%v code=%d body=%q", ok, code, body)
+		return ok && code == http.StatusServiceUnavailable && strings.Contains(body, `"status":"halted"`)
+	}, func() string { return lastProbe })
+	waitLogged(t, halted, "HALTED group "+group, time.Minute)
+	if body, code, ok := httpBody("http://" + metricsAddr(peer) + "/healthz"); !ok || code != http.StatusOK {
+		t.Errorf("member %d /healthz = code %d body %q (ok=%v), want 200", peer.id, code, body, ok)
+	}
+}
+
+// writeRoster writes a -groups file into dir and returns its path.
+func writeRoster(t *testing.T, dir, name, roster string) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, []byte(roster), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// deployment is one kill/rejoin scenario: procs barrierd processes, each
+// given its roster by args (flags or a -groups file), run until member
+// 0's progress label has logged killAfter passes; then the victim is
+// SIGKILLed and restarted with -rejoin, and every process must log done.
+type deployment struct {
+	name        string
+	procs       int
+	args        func(id int) []string // the roster, as process id is told it
+	victim      int
+	quota       int    // -passes of the original processes
+	rejoinQuota int    // -passes of the restarted victim
+	progress    string // member 0's "[label]" whose pass count gates the kill
+	killAfter   int
+	alsoSeen    string                                // a second line member 0 must have logged before the kill
+	done        string                                // the marker every process must reach
+	doneTimeout time.Duration                         // per process
+	minPasses   int                                   // survivors' floor on the progress label (0: quota is the bar)
+	live        func(t *testing.T, members []*member) // extra assertions with every quota met and the cluster still up
+}
+
+// runKillRestart drives one deployment end to end: healthy start, real
+// progress, SIGKILL + -rejoin of the victim, every quota met with no
+// VIOLATION, the exported metrics reflecting the run, and a clean
+// SIGTERM exit everywhere.
+func runKillRestart(t *testing.T, d deployment) {
+	dir := t.TempDir()
+	bin := buildBarrierd(t, dir)
+	peers := reservePeers(t, d.procs)
+
+	members := make([]*member, d.procs)
+	for id := range members {
+		members[id] = start(t, bin, peers, id, d.quota, dir, false, d.args(id)...)
+	}
+	stopOnCleanup(t, members)
 
 	// All members up and serving before the clock starts: readiness comes
 	// from /healthz, not from guessing startup latency.
@@ -272,200 +369,79 @@ func TestLoopbackRingKillRestart(t *testing.T) {
 		waitHealthy(t, m, time.Minute)
 	}
 
-	// Let the ring make real progress, then fail-stop member 2 mid-run.
-	waitFor(t, "initial ring progress", time.Minute, func() bool {
-		return passCount(members[0]) >= killAfterPass
+	// Let the deployment make real progress, then fail-stop the victim
+	// mid-run — every group member it hosts goes down at once.
+	waitFor(t, "initial progress", time.Minute, func() bool {
+		return passCount(members[0], d.progress) >= d.killAfter && logged(members[0], d.alsoSeen)
 	})
-	victim := members[2]
+	victim := members[d.victim]
 	if err := victim.cmd.Process.Kill(); err != nil { // SIGKILL: no cleanup, no goodbye
 		t.Fatal(err)
 	}
 	victim.cmd.Wait()
-	t.Logf("killed member 2 at member-0 pass %d", passCount(members[0]))
+	t.Logf("killed process %d at member-0 [%s] pass %d", d.victim, d.progress, passCount(members[0], d.progress))
 
-	// A full barrier cannot complete without it; restart it into the live
-	// ring in the reset state (Section 7: rejoin is masked like a
+	// No barrier can complete without it; restart it into the live
+	// deployment in the reset state (Section 7: rejoin is masked like a
 	// detectable fault). /healthz confirms the restarted process is up
 	// and un-halted before the test waits on its quota.
-	members[2] = start(t, bin, peers, 2, restartQuota, dir, true)
-	waitHealthy(t, members[2], time.Minute)
+	members[d.victim] = start(t, bin, peers, d.victim, d.rejoinQuota, dir, true, d.args(d.victim)...)
+	waitHealthy(t, members[d.victim], time.Minute)
 
-	// Every member — survivors and the rejoined process — must reach its
+	// Every process — survivors and the rejoined one — must reach its
 	// quota of spec-clean passes.
 	for _, m := range members {
-		m := m
-		waitFor(t, fmt.Sprintf("member %d DONE", m.id), 2*time.Minute, func() bool {
-			if logged(m, "VIOLATION") {
-				data, _ := os.ReadFile(m.logPath)
-				lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-				t.Fatalf("member %d spec violation: %s", m.id, lines[len(lines)-1])
-			}
-			return logged(m, "DONE ")
-		})
+		waitLogged(t, m, d.done, d.doneTimeout)
 	}
 
-	// With every quota met and the ring still live, the exported metrics
-	// must show the run: passes counted, transport frames moved.
+	// With every quota met and the deployment still live, the exported
+	// metrics must show the run: passes counted, transport frames moved.
 	for _, m := range members {
 		scrapeMetrics(t, m)
 	}
-
-	// Graceful shutdown: SIGTERM each member; all must exit 0 with a clean
-	// summary and no violations anywhere in their logs.
-	for _, m := range members {
-		if err := m.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Errorf("signalling member %d: %v", m.id, err)
-		}
-	}
-	for _, m := range members {
-		if err := m.cmd.Wait(); err != nil {
-			data, _ := os.ReadFile(m.logPath)
-			t.Errorf("member %d exited uncleanly: %v\n%s", m.id, err, tailLines(string(data), 5))
-		}
-		if logged(m, "VIOLATION") {
-			t.Errorf("member %d logged a spec violation", m.id)
-		}
-		if !logged(m, "EXIT ") {
-			t.Errorf("member %d exited without a clean summary", m.id)
-		}
+	if d.live != nil {
+		d.live(t, members)
 	}
 
-	// The acceptance bar: ≥100 phases completed spec-clean around the kill.
-	for _, m := range members[:2] {
-		if got := passCount(m); got < 100 {
-			t.Errorf("member %d completed %d passes, want ≥ 100", m.id, got)
+	shutdownClean(t, members)
+
+	// The acceptance bar: the survivors completed their phases spec-clean
+	// around the kill.
+	for _, m := range members {
+		if got := passCount(m, d.progress); m.id != d.victim && got < d.minPasses {
+			t.Errorf("member %d completed %d [%s] passes, want ≥ %d", m.id, got, d.progress, d.minPasses)
 		}
 	}
-	t.Logf("survivor passes: m0=%d m1=%d m3=%d; rejoined m2=%d",
-		passCount(members[0]), passCount(members[1]), passCount(members[3]), passCount(members[2]))
 }
 
-// The tree-topology deployment: a 7-process loopback binary-heap tree must
-// complete 100+ barrier phases spec-clean with 1% injected corruption,
-// with one leaf SIGKILLed mid-run and restarted with -rejoin.
-func TestLoopbackTreeKillRestart(t *testing.T) {
+// flagRoster gives every process the same roster flags.
+func flagRoster(flags ...string) func(int) []string {
+	return func(int) []string { return flags }
+}
+
+// The kill/rejoin deployments. The first three are flag-started — the
+// one-line roster "main TOPOLOGY 4 [hosts=…]" — the fourth reads a
+// 64-group roster from a -groups file:
+//
+//   - ring: a 4-process token ring, member 2 killed.
+//   - tree: a 7-process binary-heap tree, leaf 5 killed (leaves: 3,4,5,6)
+//     — the root's convergecast cannot complete without its subtree.
+//   - hybrid: 2 processes each fuse a 2-member host roster onto one local
+//     scheduler and bridge the hosts over a single tree edge; host 1 is
+//     killed, taking both of its fused members down and back at once.
+//   - multigroup: 4 processes host 64 groups (rings and trees) over one
+//     shared connection per process pair; the kill takes the victim's
+//     member of all 64 down at once, and /metrics must carry per-group
+//     labelled series.
+func TestLoopbackKillRestart(t *testing.T) {
 	const (
-		treeSize   = 7
-		treeVictim = 5 // a leaf of the 7-member binary heap (leaves: 3,4,5,6)
-	)
-	dir := t.TempDir()
-	bin := buildBarrierd(t, dir)
-	peers := reservePeers(t, treeSize)
-
-	members := make([]*member, treeSize)
-	for id := 0; id < treeSize; id++ {
-		members[id] = start(t, bin, peers, id, survivorQuota, dir, false, "-topology", "tree")
-	}
-	t.Cleanup(func() {
-		for _, m := range members {
-			if m.cmd.ProcessState == nil {
-				m.cmd.Process.Kill()
-				m.cmd.Wait()
-			}
-		}
-	})
-
-	// All members up and serving before the clock starts: readiness comes
-	// from /healthz, not from guessing startup latency.
-	for _, m := range members {
-		waitHealthy(t, m, time.Minute)
-	}
-
-	// Let the tree make real progress, then fail-stop a leaf mid-run.
-	waitFor(t, "initial tree progress", time.Minute, func() bool {
-		return passCount(members[0]) >= killAfterPass
-	})
-	victim := members[treeVictim]
-	if err := victim.cmd.Process.Kill(); err != nil { // SIGKILL: no cleanup, no goodbye
-		t.Fatal(err)
-	}
-	victim.cmd.Wait()
-	t.Logf("killed member %d at root pass %d", treeVictim, passCount(members[0]))
-
-	// The root's convergecast cannot complete without the leaf's subtree
-	// acknowledgment; restart it into the live tree in the reset state,
-	// probing /healthz for the restarted process's readiness.
-	members[treeVictim] = start(t, bin, peers, treeVictim, restartQuota, dir, true, "-topology", "tree")
-	waitHealthy(t, members[treeVictim], time.Minute)
-
-	for _, m := range members {
-		m := m
-		waitFor(t, fmt.Sprintf("member %d DONE", m.id), 2*time.Minute, func() bool {
-			if logged(m, "VIOLATION") {
-				data, _ := os.ReadFile(m.logPath)
-				lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-				t.Fatalf("member %d spec violation: %s", m.id, lines[len(lines)-1])
-			}
-			return logged(m, "DONE ")
-		})
-	}
-
-	// The tree transport's metrics must show the run too — on the root
-	// (the broadcast/convergecast hub) and the rejoined leaf alike.
-	scrapeMetrics(t, members[0])
-	scrapeMetrics(t, members[treeVictim])
-
-	// Graceful shutdown: SIGTERM each member; all must exit 0 with a clean
-	// summary and no violations anywhere in their logs.
-	for _, m := range members {
-		if err := m.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Errorf("signalling member %d: %v", m.id, err)
-		}
-	}
-	for _, m := range members {
-		if err := m.cmd.Wait(); err != nil {
-			data, _ := os.ReadFile(m.logPath)
-			t.Errorf("member %d exited uncleanly: %v\n%s", m.id, err, tailLines(string(data), 5))
-		}
-		if logged(m, "VIOLATION") {
-			t.Errorf("member %d logged a spec violation", m.id)
-		}
-		if !logged(m, "EXIT ") {
-			t.Errorf("member %d exited without a clean summary", m.id)
-		}
-	}
-
-	// The acceptance bar: ≥100 phases completed spec-clean around the kill.
-	for _, m := range members {
-		if m.id == treeVictim {
-			continue
-		}
-		if got := passCount(m); got < 100 {
-			t.Errorf("member %d completed %d passes, want ≥ 100", m.id, got)
-		}
-	}
-	t.Logf("root passes: %d; rejoined leaf m%d passes: %d",
-		passCount(members[0]), treeVictim, passCount(members[treeVictim]))
-}
-
-func tailLines(s string, n int) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) > n {
-		lines = lines[len(lines)-n:]
-	}
-	return strings.Join(lines, "\n")
-}
-
-// Multi-tenant deployment: 4 processes host 64 barrier groups (rings and
-// trees) over one shared TCP connection per process pair, with 1%
-// injected corruption throughout. One process is SIGKILLed mid-run and
-// restarted with -rejoin; every group in every process must still reach
-// its quota, and /metrics must carry per-group labelled series.
-func TestLoopbackMultiGroupKillRestart(t *testing.T) {
-	const (
-		procs      = 4
 		nGroups    = 64
 		groupQuota = 25
-		killAfter  = 8 // kill once member 0's g00 logged this many passes
 	)
-	dir := t.TempDir()
-	bin := buildBarrierd(t, dir)
-	peers := reservePeers(t, procs)
-
 	// The tenant roster: mostly rings, a handful of trees, exercising the
 	// comment/default syntax of the config file.
 	var sb strings.Builder
-	sb.WriteString("# barrierd multi-tenant e2e roster\n\n")
+	sb.WriteString("# barrierd multi-group e2e roster\n\n")
 	for i := 0; i < nGroups; i++ {
 		switch {
 		case i%16 == 15:
@@ -476,213 +452,149 @@ func TestLoopbackMultiGroupKillRestart(t *testing.T) {
 			fmt.Fprintf(&sb, "g%02d # ring, -nphases\n", i)
 		}
 	}
-	groupsFile := filepath.Join(dir, "groups.conf")
-	if err := os.WriteFile(groupsFile, []byte(sb.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	extra := []string{"-groups", groupsFile, "-resend", "1ms"}
+	groupsFile := writeRoster(t, t.TempDir(), "groups.conf", sb.String())
 
-	members := make([]*member, procs)
-	for id := 0; id < procs; id++ {
-		members[id] = start(t, bin, peers, id, groupQuota, dir, false, extra...)
+	cases := []deployment{
+		{
+			name: "ring", procs: 4, args: flagRoster(), victim: 2,
+			quota: survivorQuota, rejoinQuota: restartQuota,
+			progress: "main", killAfter: killAfterPass, minPasses: 100,
+			done: "[main] DONE ", doneTimeout: 2 * time.Minute,
+		},
+		{
+			name: "tree", procs: 7, args: flagRoster("-topology", "tree"), victim: 5,
+			quota: survivorQuota, rejoinQuota: restartQuota,
+			progress: "main", killAfter: killAfterPass, minPasses: 100,
+			done: "[main] DONE ", doneTimeout: 2 * time.Minute,
+		},
+		{
+			name: "hybrid", procs: 2, args: flagRoster("-topology", "hybrid", "-hosts", "0,1|2,3"), victim: 1,
+			quota: survivorQuota, rejoinQuota: restartQuota,
+			progress: "main m0", killAfter: killAfterPass,
+			done: "[main] DONE ", doneTimeout: 2 * time.Minute,
+			live: func(t *testing.T, members []*member) {
+				// Both fused members of the surviving root host logged passes
+				// of their own — the per-member labels keep the interleaved
+				// log attributable.
+				for _, label := range []string{"[main m0] pass ", "[main m1] pass "} {
+					if !logged(members[0], label) {
+						t.Errorf("host 0 log missing %q lines", label)
+					}
+				}
+			},
+		},
+		{
+			name: "multigroup", procs: 4, args: flagRoster("-groups", groupsFile, "-resend", "1ms"), victim: 2,
+			quota: groupQuota, rejoinQuota: groupQuota,
+			progress: "g00", killAfter: 8, alsoSeen: "[t15] pass ",
+			done: fmt.Sprintf("ALL-GROUPS DONE %d", nGroups), doneTimeout: 3 * time.Minute,
+			live: func(t *testing.T, members []*member) {
+				// The scrape must carry per-group labelled series — the tenant
+				// view of the paper's Section 6 counters — plus the shared
+				// transport's.
+				for _, m := range []*member{members[0], members[2]} {
+					body, err := scrapeBody(m, 5*time.Second)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, series := range []string{
+						`barrier_passes_total{group="g00"}`,
+						`barrier_passes_total{group="g62"}`,
+						`barrier_passes_total{group="t63"}`,
+						`barrier_passes_total{group="t15"}`,
+						`barrier_topology{topology="tree",group="t15"}`,
+						`transport_group_frames_total{group="g00",dir="sent"}`,
+						"transport_frames_total",
+					} {
+						if !strings.Contains(body, series) {
+							t.Errorf("member %d scrape missing %s\n%s", m.id, series, tailLines(body, 30))
+						}
+					}
+					passSeries := regexp.MustCompile(`(?m)^barrier_passes_total\{group="(g00|t15)"\} (\d+)$`)
+					for _, match := range passSeries.FindAllStringSubmatch(body, -1) {
+						if n, _ := strconv.Atoi(match[2]); n < groupQuota {
+							t.Errorf("member %d: %s passes = %d, want ≥ %d", m.id, match[1], n, groupQuota)
+						}
+					}
+				}
+			},
+		},
 	}
-	t.Cleanup(func() {
-		for _, m := range members {
-			if m.cmd.ProcessState == nil {
-				m.cmd.Process.Kill()
-				m.cmd.Wait()
-			}
-		}
-	})
-	for _, m := range members {
-		waitHealthy(t, m, time.Minute)
-	}
-
-	// Real progress on a ring group and a tree group, then fail-stop one
-	// process — taking its member of all 64 groups down at once.
-	g00Line := regexp.MustCompile(`(?m)^\[g00\] pass (\d+) `)
-	waitFor(t, "initial multi-group progress", time.Minute, func() bool {
-		data, err := os.ReadFile(members[0].logPath)
-		if err != nil {
-			return false
-		}
-		matches := g00Line.FindAllStringSubmatch(string(data), -1)
-		if len(matches) == 0 {
-			return false
-		}
-		n, _ := strconv.Atoi(matches[len(matches)-1][1])
-		return n >= killAfter && strings.Contains(string(data), "[t15] pass ")
-	})
-	victim := members[2]
-	if err := victim.cmd.Process.Kill(); err != nil { // SIGKILL: no cleanup, no goodbye
-		t.Fatal(err)
-	}
-	victim.cmd.Wait()
-	t.Log("killed member 2")
-
-	// No group can pass without it; the restarted process rejoins every
-	// group in the reset state over fresh shared connections.
-	members[2] = start(t, bin, peers, 2, groupQuota, dir, true, extra...)
-	waitHealthy(t, members[2], time.Minute)
-
-	// Every process must bring every one of its 64 groups to quota.
-	for _, m := range members {
-		m := m
-		waitFor(t, fmt.Sprintf("member %d ALL-GROUPS DONE", m.id), 3*time.Minute, func() bool {
-			if logged(m, "VIOLATION") {
-				data, _ := os.ReadFile(m.logPath)
-				lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-				t.Fatalf("member %d spec violation: %s", m.id, lines[len(lines)-1])
-			}
-			return logged(m, fmt.Sprintf("ALL-GROUPS DONE %d", nGroups))
-		})
-	}
-
-	// The scrape must carry per-group labelled series — the tenant view of
-	// the paper's Section 6 counters — plus the shared transport's.
-	for _, m := range []*member{members[0], members[2]} {
-		body, err := scrapeBody(m, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, series := range []string{
-			`barrier_passes_total{group="g00"}`,
-			`barrier_passes_total{group="g62"}`,
-			`barrier_passes_total{group="t63"}`,
-			`barrier_passes_total{group="t15"}`,
-			`barrier_topology{topology="tree",group="t15"}`,
-			`transport_group_frames_total{group="g00",dir="sent"}`,
-			"transport_frames_total",
-		} {
-			if !strings.Contains(body, series) {
-				t.Errorf("member %d scrape missing %s\n%s", m.id, series, tailLines(body, 30))
-			}
-		}
-		passSeries := regexp.MustCompile(`(?m)^barrier_passes_total\{group="(g00|t15)"\} (\d+)$`)
-		for _, match := range passSeries.FindAllStringSubmatch(body, -1) {
-			if n, _ := strconv.Atoi(match[2]); n < groupQuota {
-				t.Errorf("member %d: %s passes = %d, want ≥ %d", m.id, match[1], n, groupQuota)
-			}
-		}
-	}
-
-	// Graceful shutdown, spec-clean everywhere.
-	for _, m := range members {
-		if err := m.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Errorf("signalling member %d: %v", m.id, err)
-		}
-	}
-	for _, m := range members {
-		if err := m.cmd.Wait(); err != nil {
-			data, _ := os.ReadFile(m.logPath)
-			t.Errorf("member %d exited uncleanly: %v\n%s", m.id, err, tailLines(string(data), 5))
-		}
-		if logged(m, "VIOLATION") {
-			t.Errorf("member %d logged a spec violation", m.id)
-		}
-		if !logged(m, "EXIT ") {
-			t.Errorf("member %d exited without a clean summary", m.id)
-		}
+	for _, d := range cases {
+		t.Run(d.name, func(t *testing.T) { runKillRestart(t, d) })
 	}
 }
 
-// The hybrid deployment: 2 processes each fuse a 2-member host roster
-// onto one local scheduler and bridge the hosts over a single TCP tree
-// edge. All 4 members must complete their quota spec-clean with 1%
-// injected corruption, with one whole host SIGKILLed mid-run and
-// restarted with -rejoin (taking both of its fused members down and back
-// at once).
-func TestLoopbackHybridKillRestart(t *testing.T) {
-	const hybridHosts = 2
+// Equivalence: `-topology tree` IS the roster line "main tree 4". A
+// 4-process tree with members 0–1 started on flags and members 2–3 on a
+// -groups file holding that line must handshake (one digest), pass
+// together, survive a SIGKILL + -rejoin of a flag-started member, and
+// exit clean. This is the test that fails if a second daemon path — or a
+// second digest — ever reappears.
+func TestLoopbackFlagsRosterEquivalence(t *testing.T) {
+	groupsFile := writeRoster(t, t.TempDir(), "main.conf", "main tree 4\n")
+	runKillRestart(t, deployment{
+		procs: 4,
+		args: func(id int) []string {
+			if id < 2 {
+				return []string{"-topology", "tree"}
+			}
+			return []string{"-groups", groupsFile}
+		},
+		victim: 1,
+		quota:  survivorQuota, rejoinQuota: restartQuota,
+		progress: "main", killAfter: killAfterPass, minPasses: 100,
+		done: "[main] DONE ", doneTimeout: 2 * time.Minute,
+		live: func(t *testing.T, members []*member) {
+			rejects := regexp.MustCompile(`(?m)^transport_digest_rejects_total (\d+)$`)
+			for _, m := range members {
+				body, err := scrapeBody(m, 5*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if match := rejects.FindStringSubmatch(body); match == nil || match[1] != "0" {
+					t.Errorf("member %d: digest rejects = %v, want a transport_digest_rejects_total of 0", m.id, match)
+				}
+				if !strings.Contains(body, `barrier_passes_total{group="main"}`) {
+					t.Errorf("member %d scrape missing the {group=\"main\"} pass series\n%s", m.id, tailLines(body, 30))
+				}
+			}
+		},
+	})
+}
+
+// One halt behaviour: a one-group deployment whose barrier halts
+// fail-safe parks and answers /healthz 503 — it does not exit. Process 0
+// runs the roster line "main ring 4 haltafter=5" (haltafter= is
+// daemon-local, not part of the digest); process 1 is flag-started on the
+// same one-line roster and only ever sees a stalled peer.
+func TestLoopbackOneGroupHaltHealthz(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildBarrierd(t, dir)
-	peers := reservePeers(t, hybridHosts)
-	extra := []string{"-topology", "hybrid", "-hosts", "0,1|2,3"}
+	peers := reservePeers(t, 2)
+	groupsFile := writeRoster(t, dir, "main.conf", "main ring 4 haltafter=5\n")
 
-	members := make([]*member, hybridHosts)
-	for id := 0; id < hybridHosts; id++ {
-		members[id] = start(t, bin, peers, id, survivorQuota, dir, false, extra...)
+	members := []*member{
+		start(t, bin, peers, 0, survivorQuota, dir, false, "-groups", groupsFile),
+		start(t, bin, peers, 1, survivorQuota, dir, false),
 	}
-	t.Cleanup(func() {
-		for _, m := range members {
-			if m.cmd.ProcessState == nil {
-				m.cmd.Process.Kill()
-				m.cmd.Wait()
-			}
-		}
-	})
-	for _, m := range members {
-		waitHealthy(t, m, time.Minute)
-	}
-
-	// Real progress on a fused member of the root host, then fail-stop the
-	// other host — losing both of its members at once.
-	m0Line := regexp.MustCompile(`(?m)^\[m0\] pass (\d+) `)
-	waitFor(t, "initial hybrid progress", time.Minute, func() bool {
-		data, err := os.ReadFile(members[0].logPath)
-		if err != nil {
-			return false
-		}
-		matches := m0Line.FindAllStringSubmatch(string(data), -1)
-		if len(matches) == 0 {
-			return false
-		}
-		n, _ := strconv.Atoi(matches[len(matches)-1][1])
-		return n >= killAfterPass
-	})
-	victim := members[1]
-	if err := victim.cmd.Process.Kill(); err != nil { // SIGKILL: no cleanup, no goodbye
-		t.Fatal(err)
-	}
-	victim.cmd.Wait()
-	t.Log("killed host 1 (members 2,3)")
-
-	// No barrier can complete without the host's subtree contribution;
-	// restart it into the live tree in the reset state.
-	members[1] = start(t, bin, peers, 1, restartQuota, dir, true, extra...)
+	stopOnCleanup(t, members)
+	// No readiness wait on process 0: five passes can beat the first probe.
 	waitHealthy(t, members[1], time.Minute)
 
-	// Both hosts must bring both of their fused members to quota.
-	for _, m := range members {
-		m := m
-		waitFor(t, fmt.Sprintf("host %d DONE", m.id), 2*time.Minute, func() bool {
-			if logged(m, "VIOLATION") {
-				data, _ := os.ReadFile(m.logPath)
-				lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-				t.Fatalf("host %d spec violation: %s", m.id, lines[len(lines)-1])
-			}
-			return logged(m, "DONE ")
-		})
-	}
-	for _, m := range members {
-		scrapeMetrics(t, m)
-	}
+	requireHaltedAndPeerHealthy(t, members[0], "main", members[1])
 
-	// Graceful shutdown, spec-clean everywhere, every member loop counted.
-	for _, m := range members {
-		if err := m.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Errorf("signalling host %d: %v", m.id, err)
-		}
+	// Parked, not dead: SIGTERM still finds both processes and gets a
+	// clean exit out of them.
+	shutdownClean(t, members)
+}
+
+func tailLines(s string, n int) string {
+	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
+	if len(lines) > n {
+		lines = lines[len(lines)-n:]
 	}
-	for _, m := range members {
-		if err := m.cmd.Wait(); err != nil {
-			data, _ := os.ReadFile(m.logPath)
-			t.Errorf("host %d exited uncleanly: %v\n%s", m.id, err, tailLines(string(data), 5))
-		}
-		if logged(m, "VIOLATION") {
-			t.Errorf("host %d logged a spec violation", m.id)
-		}
-		if !logged(m, "EXIT ") {
-			t.Errorf("host %d exited without a clean summary", m.id)
-		}
-	}
-	// Both fused members of the surviving root host logged passes of their
-	// own — the per-member labels keep the interleaved log attributable.
-	for _, label := range []string{"[m0] pass ", "[m1] pass "} {
-		if !logged(members[0], label) {
-			t.Errorf("host 0 log missing %q lines", label)
-		}
-	}
+	return strings.Join(lines, "\n")
 }
 
 // Multi-tenant hybrid + pipelined groups: 2 processes host a hybrid
@@ -702,38 +614,19 @@ func TestLoopbackGroupsHybridDepth(t *testing.T) {
 		"hy hybrid 3 hosts=0,1|2,3\n" +
 		"deep ring 4 depth=4\n" +
 		"plain\n"
-	groupsFile := filepath.Join(dir, "groups.conf")
-	if err := os.WriteFile(groupsFile, []byte(roster), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	extra := []string{"-groups", groupsFile, "-resend", "1ms"}
+	extra := []string{"-groups", writeRoster(t, dir, "groups.conf", roster), "-resend", "1ms"}
 
 	members := make([]*member, procs)
 	for id := 0; id < procs; id++ {
 		members[id] = start(t, bin, peers, id, groupQuota, dir, false, extra...)
 	}
-	t.Cleanup(func() {
-		for _, m := range members {
-			if m.cmd.ProcessState == nil {
-				m.cmd.Process.Kill()
-				m.cmd.Wait()
-			}
-		}
-	})
+	stopOnCleanup(t, members)
 	for _, m := range members {
 		waitHealthy(t, m, time.Minute)
 	}
 
 	for _, m := range members {
-		m := m
-		waitFor(t, fmt.Sprintf("member %d ALL-GROUPS DONE", m.id), 2*time.Minute, func() bool {
-			if logged(m, "VIOLATION") {
-				data, _ := os.ReadFile(m.logPath)
-				lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-				t.Fatalf("member %d spec violation: %s", m.id, lines[len(lines)-1])
-			}
-			return logged(m, "ALL-GROUPS DONE 3")
-		})
+		waitLogged(t, m, "ALL-GROUPS DONE 3", 2*time.Minute)
 	}
 
 	// The hybrid group's log lines carry per-member labels; the scrape
@@ -763,20 +656,7 @@ func TestLoopbackGroupsHybridDepth(t *testing.T) {
 	}
 
 	// Graceful shutdown, spec-clean everywhere.
-	for _, m := range members {
-		if err := m.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Errorf("signalling member %d: %v", m.id, err)
-		}
-	}
-	for _, m := range members {
-		if err := m.cmd.Wait(); err != nil {
-			data, _ := os.ReadFile(m.logPath)
-			t.Errorf("member %d exited uncleanly: %v\n%s", m.id, err, tailLines(string(data), 5))
-		}
-		if logged(m, "VIOLATION") {
-			t.Errorf("member %d logged a spec violation", m.id)
-		}
-	}
+	shutdownClean(t, members)
 }
 
 // A fail-safe halt of one tenant group must flip the aggregate /healthz
@@ -806,21 +686,10 @@ func TestLoopbackGroupHaltHealthz(t *testing.T) {
 			roster += fmt.Sprintf(" haltafter=%d", haltAfter)
 		}
 		roster += "\n"
-		groupsFile := filepath.Join(dir, fmt.Sprintf("groups.%d.conf", id))
-		if err := os.WriteFile(groupsFile, []byte(roster), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		extra := []string{"-groups", groupsFile, "-resend", "1ms"}
-		members[id] = start(t, bin, peers, id, groupQuota, dir, false, extra...)
+		groupsFile := writeRoster(t, dir, fmt.Sprintf("groups.%d.conf", id), roster)
+		members[id] = start(t, bin, peers, id, groupQuota, dir, false, "-groups", groupsFile, "-resend", "1ms")
 	}
-	t.Cleanup(func() {
-		for _, m := range members {
-			if m.cmd.ProcessState == nil {
-				m.cmd.Process.Kill()
-				m.cmd.Wait()
-			}
-		}
-	})
+	stopOnCleanup(t, members)
 	for _, m := range members {
 		waitHealthy(t, m, time.Minute)
 	}
@@ -828,75 +697,35 @@ func TestLoopbackGroupHaltHealthz(t *testing.T) {
 	// The doomed group halts itself on process 0 after a few passes; the
 	// process must park that group's loop, log the halt, and turn its
 	// aggregate /healthz unhealthy — without exiting.
-	var lastProbe string
-	waitFor(t, "member 0 /healthz 503 after group halt", time.Minute, func() bool {
-		body, code, ok := httpBody("http://" + metricsAddr(members[0]) + "/healthz")
-		lastProbe = fmt.Sprintf("ok=%v code=%d body=%q", ok, code, body)
-		return ok && code == http.StatusServiceUnavailable && strings.Contains(body, `"status":"halted"`)
-	}, func() string { return lastProbe })
-	if !logged(members[0], "HALTED group doomed") {
-		t.Error("member 0 log missing the HALTED line")
-	}
 	// Process 1 hosts no halted member — only a stalled peer — so its own
 	// aggregate probe must stay healthy.
-	if body, code, ok := httpBody("http://" + metricsAddr(members[1]) + "/healthz"); !ok || code != http.StatusOK {
-		t.Errorf("member 1 /healthz = code %d body %q (ok=%v), want 200", code, body, ok)
-	}
+	requireHaltedAndPeerHealthy(t, members[0], "doomed", members[1])
 
 	// The sibling group is untouched by the halt: it must still reach its
 	// quota on every process.
 	for _, m := range members {
-		m := m
-		waitFor(t, fmt.Sprintf("member %d live-group quota", m.id), 2*time.Minute, func() bool {
-			if logged(m, "VIOLATION") {
-				data, _ := os.ReadFile(m.logPath)
-				lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-				t.Fatalf("member %d spec violation: %s", m.id, lines[len(lines)-1])
-			}
-			return logged(m, fmt.Sprintf("[live] DONE %d", groupQuota))
-		})
+		waitLogged(t, m, fmt.Sprintf("[live] DONE %d", groupQuota), 2*time.Minute)
 	}
 
 	// Graceful shutdown: the parked loop must not wedge SIGTERM handling.
-	for _, m := range members {
-		if err := m.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Errorf("signalling member %d: %v", m.id, err)
-		}
-	}
-	for _, m := range members {
-		if err := m.cmd.Wait(); err != nil {
-			data, _ := os.ReadFile(m.logPath)
-			t.Errorf("member %d exited uncleanly: %v\n%s", m.id, err, tailLines(string(data), 5))
-		}
-	}
+	shutdownClean(t, members)
 }
 
-// Startup validation: bad membership or group rosters must be rejected
-// with a clear error before any socket work.
+// Startup validation: bad membership, bad group rosters — from a file or
+// spelled by the flags, one parser either way — and flags that would be
+// silently ignored must be rejected with a clear error before any socket
+// work.
 func TestStartupValidation(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildBarrierd(t, dir)
 
-	badRoster := filepath.Join(dir, "bad.conf")
-	if err := os.WriteFile(badRoster, []byte("a ring 4\na ring 4\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	badPhases := filepath.Join(dir, "phases.conf")
-	if err := os.WriteFile(badPhases, []byte("a ring one\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	badDepth := filepath.Join(dir, "depth.conf")
-	if err := os.WriteFile(badDepth, []byte("a ring depth=0\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	badHosts := filepath.Join(dir, "hosts.conf")
-	if err := os.WriteFile(badHosts, []byte("a hybrid hosts=0,x|1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ringHosts := filepath.Join(dir, "ringhosts.conf")
-	if err := os.WriteFile(ringHosts, []byte("a ring hosts=0|1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	badRoster := writeRoster(t, dir, "bad.conf", "a ring 4\na ring 4\n")
+	badPhases := writeRoster(t, dir, "phases.conf", "a ring one\n")
+	badDepth := writeRoster(t, dir, "depth.conf", "a ring depth=0\n")
+	badHosts := writeRoster(t, dir, "hosts.conf", "a hybrid hosts=0,x|1\n")
+	ringHosts := writeRoster(t, dir, "ringhosts.conf", "a ring hosts=0|1\n")
+
+	okRoster := writeRoster(t, dir, "ok.conf", "a ring 4\n")
 
 	cases := []struct {
 		name string
@@ -914,10 +743,14 @@ func TestStartupValidation(t *testing.T) {
 		{"bad group depth", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-groups", badDepth}, "depth"},
 		{"bad group hosts", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-groups", badHosts}, "hosts"},
 		{"hosts on ring group", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-groups", ringHosts}, "only for hybrid"},
-		{"hybrid without hosts", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-topology", "hybrid"}, "host grouping"},
+		{"hybrid without hosts", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-topology", "hybrid"}, "needs a Hosts grouping"},
 		{"hosts without hybrid", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-hosts", "0|1"}, "hybrid"},
 		{"hosts/peers mismatch", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-topology", "hybrid", "-hosts", "0|1|2"}, "host"},
 		{"bad hosts member", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-topology", "hybrid", "-hosts", "0,x|1"}, "member"},
+		{"unknown topology", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-topology", "star"}, "unknown topology"},
+		{"topology with groups", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-groups", okRoster, "-topology", "tree"}, "-topology has no effect with -groups"},
+		{"hosts with groups", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-groups", okRoster, "-hosts", "0|1"}, "-hosts has no effect with -groups"},
+		{"pprof without metrics", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-pprof"}, "-pprof needs -metrics"},
 	}
 	for _, tc := range cases {
 		out, err := exec.Command(bin, tc.args...).CombinedOutput()

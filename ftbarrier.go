@@ -154,7 +154,7 @@ type (
 // NewTCPTransport creates a TCP transport for the ring described by
 // cfg.Peers. Each participating process calls Open for the member ids it
 // hosts (one per OS process in the usual deployment; cmd/barrierd is the
-// ready-made single-member host).
+// ready-made host process).
 func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) { return transport.NewTCP(cfg) }
 
 // NewLoopbackRing binds n ephemeral loopback listeners and returns a TCP
