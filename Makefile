@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet barriervet fuzz-smoke barrierd-e2e barrierbench-smoke bench
+.PHONY: build test race vet barriervet fuzz-smoke barrierd-e2e barrierbench-smoke bench bench-ab
 
 build:
 	$(GO) build ./...
@@ -49,3 +49,13 @@ barrierbench-smoke:
 # results in benchmarks/out/. Builds into .bench_build/.
 bench:
 	bash benchmarks/run.sh
+
+# Paired runs of one workload, the committed tree of REF against this
+# checkout, alternating which side goes first; prints per-side median
+# [q1, q3], pairs won and the verdict a performance claim needs (see
+# scripts/bench-ab.sh). The ref is exported under .bench_build/ab/.
+#	make bench-ab REF=HEAD~1 WORKLOAD=ring32-inproc
+PAIRS ?= 10
+SECONDS ?= 20
+bench-ab:
+	bash scripts/bench-ab.sh "$(REF)" "$(WORKLOAD)" $(PAIRS) $(SECONDS)

@@ -748,6 +748,8 @@ func TestStartupValidation(t *testing.T) {
 		{"hosts/peers mismatch", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-topology", "hybrid", "-hosts", "0|1|2"}, "host"},
 		{"bad hosts member", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-topology", "hybrid", "-hosts", "0,x|1"}, "member"},
 		{"unknown topology", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-topology", "star"}, "unknown topology"},
+		{"empty topology", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-topology", ""}, "-topology is set but empty"},
+		{"empty hosts", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-topology", "hybrid", "-hosts", " "}, "-hosts is set but empty"},
 		{"topology with groups", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-groups", okRoster, "-topology", "tree"}, "-topology has no effect with -groups"},
 		{"hosts with groups", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-groups", okRoster, "-hosts", "0|1"}, "-hosts has no effect with -groups"},
 		{"pprof without metrics", []string{"-id", "0", "-peers", "127.0.0.1:7001,127.0.0.1:7002", "-pprof"}, "-pprof needs -metrics"},

@@ -122,12 +122,16 @@ func main() {
 }
 
 func run() error {
-	// A flag that would be silently ignored is a misconfiguration.
+	// A flag that would be silently ignored is a misconfiguration — and so
+	// is one set to nothing: an empty field vanishes from the roster line
+	// the flags spell, and the parser would read its neighbour in its place.
 	var ignored error
 	flag.Visit(func(f *flag.Flag) {
 		switch {
 		case (f.Name == "topology" || f.Name == "hosts") && *groupsFlag != "":
 			ignored = fmt.Errorf("-%s has no effect with -groups: declare the topology on the roster line", f.Name)
+		case (f.Name == "topology" || f.Name == "hosts") && strings.TrimSpace(f.Value.String()) == "":
+			ignored = fmt.Errorf("-%s is set but empty", f.Name)
 		case f.Name == "pprof" && *metricsFlag == "":
 			ignored = errors.New("-pprof needs -metrics: /debug/pprof is served on the -metrics address")
 		}

@@ -334,6 +334,9 @@ func TestResetVoidsArrivalOnlyAtWindowHead(t *testing.T) {
 	b.Halt() // freeze the schedulers: the test drives member 0's gates itself
 	waitQuiesced(t, b)
 	head, ahead := b.lanes[0].gates[0], b.lanes[1].gates[0] // window [0,0): wave 0 is lane 0's
+	for _, g := range []*gate{head, ahead} {
+		<-g.wake // Halt's poke: the buffers below are read as result counts
+	}
 
 	for _, g := range []*gate{head, ahead} {
 		g.onArrive(ctrlMsg{kind: ctrlArrive, ticket: 1})

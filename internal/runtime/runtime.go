@@ -320,6 +320,17 @@ type Barrier struct {
 // the barrier?), the outstanding-Await bookkeeping, and the wake channel.
 // Only the scheduler hosting the process touches the mutable fields; the
 // participant goroutine interacts through ctrl/wake/tickets.
+//
+// wake is the one channel a parked Leave waits on beside its caller's
+// ctx.Done(). It has two kinds of sender. The hosting scheduler delivers
+// results (gate.deliver): a phase or an error for the ticket of the
+// outstanding arrival. Halt and Stop send a poke
+// (Barrier.wakeAll): a non-blocking offer of an awaitResult carrying
+// pokeTicket, which matches no arrival and says only "the barrier went
+// down, look again". A poke lands only in an empty buffer, so it never
+// displaces a result; deliver may drop a poke to make room for a result,
+// which is safe because every wake-up — result, stale result or poke —
+// sends Leave back through Barrier.down before it parks again.
 type gate struct {
 	b    *Barrier
 	id   int
@@ -354,7 +365,8 @@ type gate struct {
 	// every member it hosts (the one part of s other goroutines use).
 	s    *sched
 	ctrl chan ctrlMsg
-	// signal to a waiting Await: the phase that just began, or an error.
+	// signal to a waiting Await: the phase that just began, an error, or a
+	// Halt/Stop poke (see the type comment for who may send).
 	wake chan awaitResult
 	// Await ticket source and the entered flag (is an arrival
 	// registered whose pass has not been collected yet?) — accessed
@@ -421,6 +433,11 @@ type awaitResult struct {
 	err    error
 	ticket uint64
 }
+
+// pokeTicket marks an awaitResult that carries no result: Halt's and Stop's
+// wake-up call to a parked Leave. Tickets count up from 1, so it matches no
+// arrival and Leave handles it like any other stale wake.
+const pokeTicket = ^uint64(0)
 
 // New creates and starts a Barrier.
 func New(cfg Config) (*Barrier, error) {
@@ -818,11 +835,15 @@ func (b *Barrier) NumPhases() int { return b.nPhases }
 // Depth returns the pipeline window size (1 = no pipelining).
 func (b *Barrier) Depth() int { return b.depth }
 
+// emit hands e to the configured EventSink. The sink is set once in New
+// and never changes, so its absence is decided without the lock; the lock
+// serializes the sink's callers (Depth > 1 has a scheduler per lane).
 func (b *Barrier) emit(e core.Event) {
-	b.sinkMu.Lock()
-	if b.sink != nil {
-		b.sink(e)
+	if b.sink == nil {
+		return
 	}
+	b.sinkMu.Lock()
+	b.sink(e)
 	b.sinkMu.Unlock()
 }
 
@@ -858,7 +879,12 @@ func (b *Barrier) Await(ctx context.Context, id int) (int, error) {
 // Leave has collected the result yet — including a Leave that returned
 // ctx.Err), Enter is a no-op: the arrival already registered stands. A
 // canceled Enter registers nothing, so Enter/Leave pairs compose with
-// context cancellation without losing or double-counting a pass.
+// context cancellation without losing or double-counting a pass. Neither
+// does an Enter on a halted or stopped barrier or with a ctx that has
+// already ended: those are looked at first, without blocking, and the
+// arrival is then offered to the member's own scheduler — Enter touches
+// no channel other callers wait on unless that scheduler's control
+// channel is full.
 //
 // With Depth > 1, Enter tops the pipeline window up to Depth
 // outstanding waves: wave k+1's instance launches before wave k
@@ -897,24 +923,56 @@ func (b *Barrier) Enter(ctx context.Context, id int) error {
 	}
 }
 
+// down reports why the barrier can complete nothing any more: ErrHalted
+// after Halt, ErrStopped after Stop, nil while it is up. Both looks are
+// non-blocking receives on a channel that is open and empty until then,
+// which take no lock — the check every caller makes before it commits or
+// parks, where a blocking select would lock both channels for every caller.
+func (b *Barrier) down() error {
+	select {
+	case <-b.halted:
+		return ErrHalted
+	default:
+	}
+	select {
+	case <-b.stopped:
+		return ErrStopped
+	default:
+	}
+	return nil
+}
+
 // enterGate registers one arrival with gate g's protocol instance. The
 // ticket is committed only when the arrival is actually handed to the
 // protocol: a canceled Enter must leave no trace, or the next Leave
-// would wait on a ticket whose arrival never happened.
+// would wait on a ticket whose arrival never happened. A barrier that is
+// down or a ctx that has already ended is seen before the arrival is
+// offered, so such an Enter never registers one; the offer itself blocks
+// only on a full control channel.
 func (b *Barrier) enterGate(ctx context.Context, g *gate) error {
-	t := g.tickets + 1
+	if err := b.down(); err != nil {
+		return err
+	}
 	select {
-	case g.ctrl <- ctrlMsg{id: g.id, kind: ctrlArrive, ticket: t}:
-		g.tickets = t
-		g.entered = true
-		return nil
-	case <-b.halted:
-		return ErrHalted
-	case <-b.stopped:
-		return ErrStopped
 	case <-ctx.Done():
 		return ctx.Err()
+	default:
 	}
+	arrival := ctrlMsg{id: g.id, kind: ctrlArrive, ticket: g.tickets + 1}
+	if !offer(g.ctrl, arrival) {
+		select {
+		case g.ctrl <- arrival:
+		case <-b.halted:
+			return ErrHalted
+		case <-b.stopped:
+			return ErrStopped
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	g.tickets = arrival.ticket
+	g.entered = true
+	return nil
 }
 
 // Leave is the second half of a fuzzy barrier: it blocks until the barrier
@@ -929,6 +987,11 @@ func (b *Barrier) enterGate(ctx context.Context, g *gate) error {
 // once and held for the participant, and the next Leave (or Await, whose
 // Enter is then a no-op) collects it. A pass is never lost or delivered
 // twice around a cancellation.
+//
+// Leave parks on the member's own wake channel and ctx.Done(). It does
+// not wait on Halt or Stop: they poke the wake channel after the fact, and
+// Leave looks for them before it parks and after every wake-up that was
+// not its result. A result already in the buffer wins over all three.
 //
 // With Depth > 1, Leave reaps the oldest outstanding wave. On success
 // the window slides (the next Enter launches a new wave at its far
@@ -945,32 +1008,41 @@ func (b *Barrier) Leave(ctx context.Context, id int) (int, error) {
 	w := &b.windows[id]
 	g := b.laneGate(w.rcur, id)
 	ticket := g.tickets
+	done := ctx.Done()
 	for {
+		var r awaitResult
 		select {
-		case r := <-g.wake:
-			if r.ticket != ticket {
-				continue // stale wake from a superseded Await/Leave
+		case r = <-g.wake:
+			// Already buffered: the pass wins over Halt, Stop and ctx alike.
+		default:
+			// Nothing yet. Look for Halt/Stop before parking, and again after
+			// every wake-up that was not this ticket's result: they are not
+			// in the park below, their poke ends it.
+			if err := b.down(); err != nil {
+				return 0, err
 			}
-			return b.reap(w, g, r)
-		case <-b.halted:
-			return 0, ErrHalted
-		case <-b.stopped:
-			return 0, ErrStopped
-		case <-ctx.Done():
-			// Last-chance poll: if the result raced the cancellation into
-			// the wake buffer, deliver it — otherwise the caller would see
-			// ctx.Err() for a pass that was already counted, and a later
-			// Leave would see it again.
 			select {
-			case r := <-g.wake:
-				if r.ticket == ticket {
-					return b.reap(w, g, r)
+			case r = <-g.wake:
+			case <-done:
+				// Last-chance poll: if the result raced the cancellation
+				// into the wake buffer, deliver it — otherwise the caller
+				// would see ctx.Err() for a pass that was already counted,
+				// and a later Leave would see it again.
+				select {
+				case r := <-g.wake:
+					if r.ticket == ticket {
+						return b.reap(w, g, r)
+					}
+					// Stale wake or poke; drop it and report the cancellation.
+				default:
 				}
-				// Stale wake; drop it and report the cancellation.
-			default:
+				return 0, ctx.Err()
 			}
-			return 0, ctx.Err()
 		}
+		if r.ticket == ticket {
+			return b.reap(w, g, r)
+		}
+		// A stale wake from a superseded Await/Leave, or a poke: look again.
 	}
 }
 
@@ -1137,8 +1209,36 @@ func (b *Barrier) inject(id int, m ctrlMsg) {
 // outstanding and future Awaits return ErrHalted. The schedulers and the
 // resend sweeper quiesce — waves stop circulating and retransmitting — so
 // a halted barrier consumes no CPU while it waits to be Stopped.
+//
+// No parked Leave or idle scheduler watches the halted channel: Halt
+// closes it and then pokes each of them (wakeAll), and the one woken looks
+// (down) and returns. A pass already delivered to a participant's wake
+// buffer is not displaced: its Leave still returns the phase, and the
+// Await after it ErrHalted.
 func (b *Barrier) Halt() {
-	b.haltOnce.Do(func() { close(b.halted) })
+	b.haltOnce.Do(func() {
+		close(b.halted)
+		b.wakeAll()
+	})
+}
+
+// wakeAll is the delivery half of Halt and Stop, called once the halted or
+// stopped channel is closed: a poke into every local gate's wake buffer and
+// an offer on every scheduler's nudge, all non-blocking. A full buffer means
+// its reader has a wake-up coming anyway, and every wake-up leads through
+// down() before the reader parks again — so a waiter either sees the closed
+// channel on its own or is woken to see it, and none watches it while parked.
+func (b *Barrier) wakeAll() {
+	for _, ln := range b.lanes {
+		for _, g := range ln.gates {
+			if g != nil {
+				offer(g.wake, awaitResult{ticket: pokeTicket})
+			}
+		}
+		for _, s := range ln.scheds {
+			offer(s.nudge, struct{}{})
+		}
+	}
 }
 
 // Halted reports whether the barrier is fail-safe halted.
@@ -1153,7 +1253,10 @@ func (b *Barrier) Halted() bool {
 
 // Stop shuts the barrier down: the schedulers exit, then the transport
 // links they used (dialer and connection goroutines included) are
-// closed. Outstanding Awaits and Awaits racing Stop return ErrStopped.
+// closed. Outstanding Awaits and Awaits racing Stop return ErrStopped
+// (ErrHalted on a barrier that was halted first). Like Halt, Stop closes
+// its channel and pokes the waiters and schedulers (wakeAll); only the
+// resend sweeper watches the channel itself.
 //
 // Stop is idempotent and safe to call concurrently — with itself, with
 // Halt, and with outstanding Awaits. Every call blocks until the shutdown
@@ -1161,7 +1264,10 @@ func (b *Barrier) Halted() bool {
 // re-closing anything. An explicitly supplied Config.Transport is left
 // for its creator.
 func (b *Barrier) Stop() {
-	b.stopOnce.Do(func() { close(b.stopped) })
+	b.stopOnce.Do(func() {
+		close(b.stopped)
+		b.wakeAll()
+	})
 	b.wg.Wait()
 	b.closeOnce.Do(b.closeLinks)
 }
@@ -1280,17 +1386,17 @@ func (g *gate) failPending(err error) {
 	}
 }
 
+// deliver puts r in the wake buffer, displacing what an earlier wake-up
+// left there: a stale result (the participant abandoned its Await on a
+// context cancellation) or a poke. It never blocks the scheduler. Halt and
+// Stop send on wake too, so the slot freed by the drain may be taken again
+// before the retry — by one of their two pokes, which bounds the loop.
 func (g *gate) deliver(r awaitResult) {
-	select {
-	case g.wake <- r:
-	default:
-		// The participant abandoned its Await (context cancellation); the
-		// stale result is dropped when the buffer is reused.
+	for !offer(g.wake, r) {
 		select {
 		case <-g.wake:
 		default:
 		}
-		g.wake <- r
 	}
 }
 

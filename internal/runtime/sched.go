@@ -27,6 +27,15 @@
 // into direct-copy links (per-link mailboxes plus a nudge). A scheduler
 // owns no timer: the barrier's one sweeper paces every retransmission.
 //
+// The nudge is also how a scheduler learns of Halt and Stop. It does not
+// wait on their channels: it looks at them (Barrier.down) each time round
+// its loop, and Halt and Stop offer the nudge after closing theirs, which
+// ends an idle park. The nudge has capacity 1 and carries no payload — its
+// senders are injectors and Barrier.wakeAll, all non-blocking, and a full
+// buffer already guarantees the wake-up the sender wanted. The participants'
+// side of the same arrangement is the gate's wake channel, where the
+// scheduler is the sender of results and wakeAll of pokes (see gate).
+//
 // What a scheduler can do without a timer is notice, when it runs out of
 // work, that a frame between two members it hosts never arrived: both ends
 // of a direct-copy edge are its own state, so it keeps a ledger of those
@@ -78,7 +87,7 @@ type sched struct {
 	lossRate, corruptRate float64 // Config's, drawn against in announce
 
 	ctrl  chan ctrlMsg
-	nudge chan struct{} // nil unless the members' links deliver by direct copy
+	nudge chan struct{} // "look again": a spurious injection is in a mailbox, or Halt/Stop
 
 	dirty []bool
 	queue []int
@@ -120,11 +129,11 @@ func newSched(b *Barrier, cfg Config, ln *lane, fused bool) *sched {
 		lossRate:    cfg.LossRate,
 		corruptRate: cfg.CorruptRate,
 		ctrl:        make(chan ctrlMsg, ctrlCap),
+		nudge:       make(chan struct{}, 1),
 		dirty:       make([]bool, b.n),
 		queue:       make([]int, 0, b.n),
 	}
 	if fused {
-		s.nudge = make(chan struct{}, 1)
 		s.procs, s.tprocs = ln.procs, ln.tprocs
 	}
 	ln.scheds = append(ln.scheds, s)
@@ -387,7 +396,9 @@ func (s *sched) sweepInjections() {
 // run is the scheduler goroutine: started by New, it exits on Stop and —
 // fail-safe — on Halt: no completion may ever be reported again, so
 // circulating waves or retransmitting state is pure waste, and
-// Await/Enter/Leave keep returning ErrHalted via b.halted.
+// Await/Enter/Leave keep returning ErrHalted via b.halted. Both are looked
+// for once per turn of the loop, busy or about to park; the park itself
+// waits only on this scheduler's own inputs, and wakeAll's nudge ends it.
 func (s *sched) run() {
 	defer s.b.wg.Done()
 	// The ring attachment's channels; nil (never ready) when absent.
@@ -403,19 +414,11 @@ func (s *sched) run() {
 	}
 	for {
 		s.drain()
+		if s.b.down() != nil {
+			return
+		}
 		if s.poll() {
-			// Busy: look for Stop/Halt without entering the blocking select.
-			select {
-			case <-s.b.stopped:
-				return
-			default:
-			}
-			select {
-			case <-s.b.halted:
-				return
-			default:
-			}
-			continue
+			continue // busy: stay out of the blocking select
 		}
 		// Idle: every hosted member is quiescent. An unbalanced ledger is
 		// settled first (one compare when it balances); then park until
@@ -425,10 +428,6 @@ func (s *sched) run() {
 			continue
 		}
 		select {
-		case <-s.b.stopped:
-			return
-		case <-s.b.halted:
-			return
 		case c := <-s.ctrl:
 			s.onCtrl(c)
 		case <-s.nudge:
