@@ -2,35 +2,25 @@ package analyzers
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
-	"strings"
 )
 
-// seqCopyFields are the neighbor-copy cells of the runtime's receive
-// paths: the ring's predecessor copies, the tree child's parent copies
-// and the tree parent's per-kid copies. Adopting a frame means writing
-// one of these.
-var seqCopyFields = map[string]bool{
-	"snL": true, "cpL": true, "phL": true,
-	"pSN": true, "pCP": true, "pPH": true,
-	"kidSN": true, "kidCP": true, "kidPH": true,
-	"kidAckSN": true, "kidAckCP": true, "kidAckPH": true,
-}
-
 // SeqWindow enforces the frame-validation discipline that closed the
-// forged-frame hole (DESIGN.md §13): any function that receives a wire
-// frame (a Message or UpMessage parameter) and adopts it into a
-// neighbor-copy cell of a window-guarded struct (one that carries a
-// pending-sighting slot) must run a sequence/phase window check — a
-// check*/admit* call — in the same function. Adopting a frame without
-// consulting the window reopens the original vulnerability: one
-// well-formed forged frame steering a correct member's phase.
+// forged-frame hole (DESIGN.md §13) as one rule on one type: a
+// neighbour-copy cell — the struct type named cell — is written only
+// inside its own methods. Everything a member knows about a neighbour
+// lives in cells, and the cell's store sits behind its sequence and phase
+// windows, so a receive path that never writes a copy field cannot adopt a
+// frame unvalidated; writing one directly reopens the original
+// vulnerability: one well-formed forged frame steering a correct member's
+// phase.
 var SeqWindow = &Analyzer{
 	Name: "seqwindow",
-	Doc: "a receive path (Message/UpMessage parameter) that adopts the " +
-		"frame into a neighbor-copy field of a pending-slot struct must " +
-		"call its sequence-window validation (a check*/admit* method) in " +
-		"the same function, or a single forged frame can steer the phase",
+	Doc: "a neighbour-copy cell (the struct type named cell) is written " +
+		"only inside its own methods: a receive path never assigns a copy " +
+		"field, it calls the cell, whose store sits behind the sequence " +
+		"windows — or a single forged frame can steer the phase",
 	Run: runSeqWindow,
 }
 
@@ -38,102 +28,63 @@ func runSeqWindow(p *Pass) error {
 	for _, f := range p.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hasFrameParam(p, fd) {
+			if !ok || fd.Body == nil {
 				continue
 			}
-			var copyWrites []*ast.SelectorExpr
-			validated := false
+			if fd.Recv != nil && isCell(p.TypesInfo.TypeOf(fd.Recv.List[0].Type)) {
+				continue // the cell's own method
+			}
+			report := func(lhs ast.Expr) {
+				if writesCell(p, lhs) {
+					p.Reportf(lhs.Pos(), "copy cell written outside its methods (%s in %s); a frame reaches a copy only through the cell's windows",
+						types.ExprString(lhs), fd.Name.Name)
+				}
+			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
-				case *ast.CallExpr:
-					name := calleeName(n)
-					if strings.HasPrefix(name, "check") || strings.HasPrefix(name, "admit") {
-						validated = true
-					}
 				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						if sel, ok := lhs.(*ast.SelectorExpr); ok {
-							if seqCopyFields[sel.Sel.Name] && pendingSlotShaped(p, sel) {
-								copyWrites = append(copyWrites, sel)
-							}
+					if n.Tok != token.DEFINE {
+						for _, lhs := range n.Lhs {
+							report(lhs)
 						}
 					}
+				case *ast.IncDecStmt:
+					report(n.X)
 				}
 				return true
 			})
-			if validated {
-				continue
-			}
-			for _, sel := range copyWrites {
-				p.Reportf(sel.Pos(), "frame adopted (write to %s.%s) with no sequence-window check in %s; a forged frame would be adopted unvalidated",
-					exprText(sel.X), sel.Sel.Name, fd.Name.Name)
-			}
 		}
 	}
 	return nil
 }
 
-// hasFrameParam reports whether fd takes a wire-frame parameter: a type
-// named Message or UpMessage (possibly through a pointer).
-func hasFrameParam(p *Pass, fd *ast.FuncDecl) bool {
-	if fd.Type.Params == nil {
-		return false
-	}
-	for _, field := range fd.Type.Params.List {
-		tv, ok := p.TypesInfo.Types[field.Type]
-		if !ok || tv.Type == nil {
-			continue
-		}
-		t := tv.Type
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		named, ok := t.(*types.Named)
-		if !ok {
-			continue
-		}
-		switch named.Obj().Name() {
-		case "Message", "UpMessage":
+// writesCell reports whether assigning to e writes a cell: e is a cell, or
+// a field reached through one (c.sn, n.kid[i].live.triple.ph, *c).
+func writesCell(p *Pass, e ast.Expr) bool {
+	for {
+		if isCell(p.TypesInfo.TypeOf(e)) {
 			return true
 		}
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return false
+		}
 	}
-	return false
 }
 
-// pendingSlotShaped reports whether sel selects a field of a struct that
-// also carries a pending-sighting slot (a field whose name contains
-// "pend", e.g. pending/havePending, pendDown, kidPend) — the shape of a
-// window-guarded receive state. Copy fields on unguarded structs are
-// outside the rule.
-func pendingSlotShaped(p *Pass, sel *ast.SelectorExpr) bool {
-	tv, ok := p.TypesInfo.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+// isCell reports whether t is the type named cell, or a pointer to it.
+func isCell(t types.Type) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if strings.Contains(strings.ToLower(st.Field(i).Name()), "pend") {
-			return true
-		}
-	}
-	return false
-}
-
-// calleeName returns the bare name of a call's callee ("checkDown" for
-// tp.checkDown(m), "admitPredState" for p.admitPredState(m)).
-func calleeName(c *ast.CallExpr) string {
-	switch fun := c.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "cell"
 }

@@ -1,78 +1,87 @@
-// Fixture: the frame-validation discipline (DESIGN.md §13). A receive
-// path — a function handed a wire frame (Message/UpMessage) — that
-// adopts the frame into a neighbor-copy cell of a window-guarded struct
-// (one carrying a pending-sighting slot) must run its sequence-window
-// check (a check*/admit* call) in the same function. Adoption without
-// the check is the forged-frame hole: one well-formed lie steering a
-// correct member's phase.
+// Fixture: the frame-validation discipline (DESIGN.md §13) as one rule on
+// one type. A neighbour-copy cell — the struct type named cell — is
+// written only inside its own methods, whose store sits behind the
+// sequence windows. A receive path that assigns a copy field itself is the
+// forged-frame hole: one well-formed lie steering a correct member's
+// phase.
 package seqwindow
 
-// Message is a wire frame (name-matched, like the runtime's).
+// Message is a wire frame.
 type Message struct {
 	SN, CP, PH int
 }
 
-// UpMessage is the convergecast frame.
-type UpMessage struct {
-	SN, PH int
+type triple struct{ sn, cp, ph int }
+
+// cell is the neighbour copy (name-matched, like the runtime's).
+type cell struct {
+	triple
+	behind bool
 }
 
-// node is window-guarded receive state: neighbor copies plus the
-// pending-sighting slot.
-type node struct {
-	snL, cpL, phL        int
-	pending              Message
-	havePending          bool
-	kidSN, kidPH, kidAck int
-}
+// store is the cell's own method: the one place a copy may be written.
+func (c *cell) store(t triple) { c.triple = t }
 
-func (n *node) checkWindow(m Message) bool { return m.SN == n.snL || m.SN == n.snL+1 }
-
-func (n *node) admitFrame(m Message) bool { return n.checkWindow(m) }
-
-// onStateChecked is the correct receive path: the window is consulted
-// before adoption.
-func onStateChecked(n *node, m Message) {
-	if !n.admitFrame(m) {
-		return
+// admit consults the window, then stores.
+func (c *cell) admit(own int, m Message) bool {
+	if m.SN != own && m.SN != own+1 {
+		return false
 	}
-	n.snL, n.cpL, n.phL = m.SN, m.CP, m.PH
+	c.store(triple{m.SN, m.CP, m.PH})
+	c.ph++
+	return true
+}
+
+// node holds one copy of its predecessor and one per child.
+type node struct {
+	sn   int
+	pred cell
+	kids []struct{ live, ack cell }
+}
+
+// newNode builds cells by composite literal: construction, not a write.
+func newNode(n int) *node {
+	return &node{pred: cell{behind: true}, kids: make([]struct{ live, ack cell }, n)}
+}
+
+// onStateChecked is the correct receive path: it calls the cell.
+func onStateChecked(n *node, m Message) {
+	n.pred.admit(n.sn, m)
 }
 
 // onStateUnchecked adopts the frame blind — the forged-frame hole.
 func onStateUnchecked(n *node, m Message) {
-	n.snL = m.SN // want "frame adopted \(write to n\.snL\) with no sequence-window check in onStateUnchecked"
-	n.phL = m.PH // want "frame adopted \(write to n\.phL\) with no sequence-window check in onStateUnchecked"
+	n.pred.sn = m.SN        // want "copy cell written outside its methods \(n\.pred\.sn in onStateUnchecked\)"
+	n.pred.triple.ph = m.PH // want "copy cell written outside its methods \(n\.pred\.triple\.ph in onStateUnchecked\)"
 }
 
-// onUpUnchecked is the same bug on the convergecast side.
-func onUpUnchecked(n *node, m UpMessage) {
-	n.kidSN = m.SN // want "frame adopted \(write to n\.kidSN\) with no sequence-window check in onUpUnchecked"
+// onUpUnchecked is the same bug on the convergecast side, per child.
+func onUpUnchecked(n *node, i int, m Message) {
+	n.kids[i].ack.sn = m.SN // want "copy cell written outside its methods \(n\.kids\[i\]\.ack\.sn in onUpUnchecked\)"
+	n.kids[i].live.ph++     // want "copy cell written outside its methods \(n\.kids\[i\]\.live\.ph in onUpUnchecked\)"
 }
 
-// onUpChecked consults the per-kid window first.
-func (n *node) onUpChecked(m UpMessage) {
-	if !n.checkUpWindow(m) {
-		return
-	}
-	n.kidSN, n.kidPH = m.SN, m.PH
+// replace overwrites whole cells, directly and through a pointer.
+func replace(n *node, c *cell) {
+	n.pred = cell{} // want "copy cell written outside its methods \(n\.pred in replace\)"
+	*c = n.pred     // want "copy cell written outside its methods \(\*c in replace\)"
 }
 
-func (n *node) checkUpWindow(m UpMessage) bool { return m.SN >= n.kidSN }
-
-// plain has the copy-field names but no pending slot: not a
-// window-guarded receive state, not our business.
+// plain has the copy-field names but is not a cell: not our business.
 type plain struct {
-	snL, phL int
+	triple
+	sn int
 }
 
 func mirror(s *plain, m Message) {
-	s.snL, s.phL = m.SN, m.PH
+	s.sn, s.triple.ph = m.SN, m.PH
 }
 
-// craft builds a frame without adopting one; writes to the frame itself
-// are not copy-cell adoptions.
+// craft reads a cell to build a frame; writes to the frame itself are not
+// copy writes.
 func craft(n *node, m Message) Message {
-	m.SN = n.snL
+	m.SN = n.pred.sn
+	local := n.pred
+	_ = local
 	return m
 }

@@ -88,13 +88,17 @@ func FuzzRuntimeHybrid(f *testing.F) { fuzzLiveBarrier(f, TargetHybrid) }
 // and the per-message fault rates drop to zero, so a large fraction of
 // cases are byz-only — which arms the runner's exactness oracle
 // (barrier_rejected_frames_total must equal the accepted injections) on
-// top of the usual tolerance verdict.
+// top of the usual tolerance verdict. The seed also picks the topology, so
+// the windows of every edge role meet the adversary: the ring's, the
+// tree's parent and child edges, and the hybrid's host roots (the three
+// corpus seeds cover one each).
 func FuzzRuntimeByz(f *testing.F) {
 	f.Add(int64(1), []byte{})
 	f.Add(int64(2), []byte{1, 1, 2, 3, 10, 20, 0xB2, 1, 5, 40})
 	f.Add(int64(3), []byte{2, 2, 0, 1, 2, 3, 0xB3, 1, 6, 9, 9, 9, 0xB3, 2, 8})
+	targets := [...]string{TargetRuntime, TargetTree, TargetHybrid}
 	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
-		s := FromBytes(TargetRuntime, seed, data)
+		s := FromBytes(targets[uint64(seed)%uint64(len(targets))], seed, data)
 		s.Loss, s.Corrupt = 0, 0
 		for i := range s.Ops {
 			if s.Ops[i].Kind == OpSpurious {

@@ -319,16 +319,21 @@ func NewHistogram(name, help string, bounds []float64) *Histogram {
 }
 
 // Observe records v.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of v at the cost of one: a recorder that
+// samples a common value one time in n keeps the count honest by giving
+// the sample the weight of the observations it stands for.
+func (h *Histogram) ObserveN(v float64, n int64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	h.counts[i].Add(n)
+	h.count.Add(n)
 	for {
 		old := h.sumBits.Load()
-		new := math.Float64bits(math.Float64frombits(old) + v)
+		new := math.Float64bits(math.Float64frombits(old) + v*float64(n))
 		if h.sumBits.CompareAndSwap(old, new) {
 			return
 		}

@@ -1,9 +1,13 @@
 package runtime
 
 import (
+	"fmt"
 	goruntime "runtime"
 	"testing"
 )
+
+// String renders a triple for the state dump below.
+func (t triple) String() string { return fmt.Sprintf("(%v %v %d)", t.sn, t.cp, t.ph) }
 
 // StuckFatalf fails a test whose barrier stopped making progress, after
 // logging what a diagnosis needs: every involved barrier's counters, all
@@ -30,12 +34,13 @@ func StuckFatalf(t testing.TB, bs []*Barrier, format string, args ...any) {
 					i, li, id, g.arrived, g.appWaiting, g.curTicket, g.lastDonePh, g.pendingErr,
 					g.tickets, g.entered, b.windows[id].rcur, b.windows[id].pcur)
 				if p := ln.procs[id]; p != nil {
-					t.Logf("    ring sn=%v cp=%v ph=%d | snL=%v cpL=%v phL=%d snR=%v crashed=%v pending=%v", p.sn, p.cp, p.ph, p.snL, p.cpL, p.phL, p.snR, p.crashed, p.havePending)
+					t.Logf("    ring own=%v | pred=%v succ sn=%v crashed=%v pending=%v", p.triple, p.from.triple, p.succ.sn, p.crashed, p.seen.held)
 				}
 				if tp := ln.tprocs[id]; tp != nil {
-					t.Logf("    tree sn=%v cp=%v ph=%d ack=(%v %v %d) parent=(%v %v %d) kids sn=%v cp=%v ph=%v ack sn=%v cp=%v ph=%v crashed=%v",
-						tp.sn, tp.cp, tp.ph, tp.ackSN, tp.ackCP, tp.ackPH, tp.pSN, tp.pCP, tp.pPH,
-						tp.kidSN, tp.kidCP, tp.kidPH, tp.kidAckSN, tp.kidAckCP, tp.kidAckPH, tp.crashed)
+					t.Logf("    tree own=%v ack=%v parent=%v crashed=%v", tp.triple, tp.ack, tp.from.triple, tp.crashed)
+					for i, k := range tp.kid {
+						t.Logf("        kid %d live=%v ack=%v", tp.kids[i], k.live.triple, k.ack.triple)
+					}
 				}
 			}
 		}

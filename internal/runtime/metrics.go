@@ -16,9 +16,10 @@ import (
 // (a short bounded scan and two atomic adds) on sampled or rare events:
 //
 //   - barrier_instances_per_pass (Fig 3/5): re-executed instances are
-//     always recorded exactly (they only happen under faults, which are
-//     rare); the fault-free value 1 is sampled 1-in-8. The exact pass
-//     denominator is barrier_passes_total, not the histogram count.
+//     recorded as they happen (only under faults, which are rare); the
+//     fault-free value 1 is tallied in a plain field and recorded every
+//     eighth pass at the weight of the passes it stands for, so the
+//     histogram count trails barrier_passes_total by under 8 per member.
 //   - barrier_phase_seconds (Fig 4/6): pass-to-pass latency of one pass
 //     in every 8, timed with two time.Now calls per sample.
 //   - barrier_recovery_seconds (Fig 7): injected reset/scramble to the
@@ -29,7 +30,7 @@ import (
 // label is Config.MetricLabel ("" keeps the unlabelled names).
 func (b *Barrier) newHistograms(label string) {
 	b.mInstances = obsv.NewHistogram(obsv.WithLabel("barrier_instances_per_pass", label),
-		"Protocol instances consumed per delivered pass (Fig 3/5; 1 = fault-free, sampled 1-in-8; >1 = re-executions, recorded exactly).",
+		"Protocol instances consumed per delivered pass (Fig 3/5; 1 = fault-free, >1 = re-executions).",
 		obsv.LinearBuckets(1, 1, 8))
 	b.mPhase = obsv.NewHistogram(obsv.WithLabel("barrier_phase_seconds", label),
 		"Pass-to-pass barrier latency in seconds, sampled 1-in-8 per member (live Fig 4/6 overhead).",
@@ -144,8 +145,14 @@ func (g *gate) observePass() {
 	if n > 1 {
 		g.b.statWasted.Add(n - 1)
 	}
-	if n != 1 || seq&7 == 0 {
+	if n == 1 {
+		g.onesSince++
+	} else {
 		g.b.mInstances.Observe(float64(n))
+	}
+	if seq&7 == 0 && g.onesSince > 0 {
+		g.b.mInstances.ObserveN(1, int64(g.onesSince))
+		g.onesSince = 0
 	}
 	if g.faultAtNs != 0 {
 		g.b.mRecovery.Observe(float64(time.Now().UnixNano()-g.faultAtNs) / 1e9)

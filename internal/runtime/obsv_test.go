@@ -432,3 +432,31 @@ func TestPullsCounter(t *testing.T) {
 		})
 	}
 }
+
+// barrier_instances_per_pass counts every pass, not one in eight: the
+// fault-free value is recorded every eighth pass at the weight of the
+// passes it stands for, so _count trails barrier_passes_total by fewer than
+// 8 per hosted member and the mean is the one Stats reports.
+func TestInstancesHistogramCountsEveryPass(t *testing.T) {
+	const n, rounds = 4, 203 // not a multiple of the recording period
+	for _, topology := range []Topology{TopologyRing, TopologyTree} {
+		b, err := New(Config{Participants: n, Topology: topology, Seed: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runWorkers(t, b, rounds, nil)
+		b.Stop()
+		passes, count := b.Stats().Passes, b.mInstances.Count()
+		if passes != n*rounds {
+			t.Fatalf("topology %d: %d passes delivered, want %d", topology, passes, n*rounds)
+		}
+		if count > passes || count <= passes-8*n {
+			t.Errorf("topology %d: histogram count %d for %d passes, want within 8 per member (%d)", topology, count, passes, n)
+		}
+		// Every pass not yet recorded took one instance, so the histogram's
+		// excess over a mean of 1 is already the exact wasted count.
+		if sum, wasted := b.mInstances.Sum(), b.Stats().WastedInstances; sum != float64(count+wasted) {
+			t.Errorf("topology %d: sum %v over count %d with %d wasted instances, want count + wasted", topology, sum, count, wasted)
+		}
+	}
+}

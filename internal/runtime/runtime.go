@@ -23,10 +23,11 @@
 //     configured (Table 1): the barrier never reports a completion
 //     incorrectly — outstanding and future Awaits return ErrHalted.
 //
-// The protocol state per process is exactly MB's: own (sn, cp, ph), local
-// copies (snL, cpL, phL) of the predecessor's variables, and a local copy
-// snR of the successor's sequence number for the whole-ring-corruption
-// restart wave. Messages carry the sender's (sn, cp, ph); links are
+// The protocol state per process is exactly MB's: own (sn, cp, ph), a
+// local copy of the predecessor's variables (MB's snL, cpL, phL), and a
+// local copy of the successor's sequence number (snR) for the
+// whole-ring-corruption restart wave — each copy a cell (cell.go).
+// Messages carry the sender's (sn, cp, ph); links are
 // latest-state-wins, and the periodic retransmission of the current state
 // makes loss, duplication and detected corruption equivalent to delay.
 package runtime
@@ -296,7 +297,7 @@ type Barrier struct {
 	statPulls        atomic.Int64 // neighbour registers re-read at quiescence (sched.pullRound)
 
 	// Frame rejections by the sequence-and-sender validation windows
-	// (see validate.go), exported as barrier_rejected_frames_total{reason}.
+	// (see cell.go), exported as barrier_rejected_frames_total{reason}.
 	statRejSeq    atomic.Int64 // sequence number outside the legal window
 	statRejPhase  atomic.Int64 // phase outside the legal window
 	statRejTop    atomic.Int64 // ⊤ marker at a settled receiver
@@ -338,6 +339,7 @@ type gate struct {
 
 	arrived    bool   // an unconsumed participant arrival (the work gate)
 	appWaiting bool   // an Await is outstanding
+	onesSince  uint8  // fault-free passes not yet in the instances histogram (observePass; at most 8)
 	curTicket  uint64 // ticket of the outstanding Await
 	lastDonePh int    // phase of the last completion that consumed an arrival
 	pendingErr error  // delivered on the next Await (e.g. ErrReset)
@@ -395,37 +397,53 @@ func (g *gate) noteSent() {
 	}
 }
 
-// proc is one MB process: the protocol state of a ring member, owned by
-// the scheduler that hosts it.
-type proc struct {
+// node is what a ring process and a tree process have in common: the
+// participant gate, the member's own triple, the copy of the neighbour its
+// waves come from with that edge's two-sighting slot, and the fault state.
+type node struct {
 	*gate
 
-	// Protocol state (MB, Section 5).
-	sn, snL, snR tokenring.SN
-	cp, cpL      core.CP
-	ph, phL      int
+	triple // the member's own (sn, cp, ph)
 
-	link  Link
-	state <-chan Message // predecessor's state announcements, via the link
-	top   <-chan struct{}
+	// from copies the ring predecessor (MB's snL, cpL, phL) or the tree
+	// parent (meaningless at the root); seen holds the last frame from it
+	// that the windows turned away.
+	from cell
+	seen slot[Message]
+
+	// memory is everything a process fault takes, own triple first: what
+	// Reset resets and Scramble scrambles, in this order.
+	memory []volatile
 
 	// crashed marks the crash fault class: the process is down — it
 	// neither receives, steps nor announces — until ctrlRestart revives it.
 	crashed bool
 
-	// pending holds the last frame rejected by the validation window, for
-	// the two-sighting confirmation (validate.go): a bit-identical second
-	// sighting is adopted, so stabilization survives genuine out-of-window
-	// neighbor states while a single forgery never advances the phase.
-	pending     Message
-	havePending bool
-
-	lastSent Message
-	haveSent bool
-
 	// rng is owned by the hosting scheduler (seeded before it starts; the
 	// goroutine-start happens-before edge publishes it).
 	rng prng.PRNG
+}
+
+// settled reports whether the member is in the steady state the receive
+// windows assume. While unsettled (recovering), validation stands aside so
+// the fault branches can observe arbitrary values.
+func (n *node) settled() bool {
+	return n.sn.Ordinary() && coherentCP(n.cp) && coherentCP(n.from.cp)
+}
+
+// proc is one MB process: the protocol state of a ring member, owned by
+// the scheduler that hosts it.
+type proc struct {
+	node
+
+	succ cell // the successor's ⊤ restart marker (MB's snR)
+
+	link  Link
+	state <-chan Message // predecessor's state announcements, via the link
+	top   <-chan struct{}
+
+	lastSent Message
+	haveSent bool
 }
 
 type awaitResult struct {
@@ -653,21 +671,27 @@ func (b *Barrier) startRing(cfg Config, members []int, ln *lane) error {
 // addRing creates ring member id on this scheduler, speaking over link.
 func (s *sched) addRing(cfg Config, ln *lane, id int, link Link) *proc {
 	ln.links = append(ln.links, link)
+	pred := ahead
+	if id == 0 {
+		pred = behind // the leader's predecessor is the last process
+	}
 	p := &proc{
-		gate:  newGate(s, id, ln.idx),
-		cp:    core.Execute, // everyone starts executing phase 0
-		cpL:   core.Execute,
+		node: node{
+			gate:   newGate(s, id, ln.idx),
+			triple: triple{cp: core.Execute}, // everyone starts executing phase 0
+			from:   cell{triple: triple{cp: core.Execute}, role: pred, ring: true},
+			rng:    prng.New(cfg.Seed + int64(id)*7919),
+		},
+		succ:  cell{role: marker},
 		link:  link,
 		state: link.State(),
 		top:   link.Top(),
-		rng:   prng.New(cfg.Seed + int64(id)*7919),
 	}
+	p.memory = []volatile{&p.triple, &p.from, &p.seen, &p.succ}
 	if cfg.Rejoin {
 		// The Section 7 restart state: identical to the aftermath of a
 		// detectable reset, so the ring masks the (re)join.
-		p.sn, p.cp, p.ph = tokenring.Bot, core.Error, p.rng.Intn(s.b.nPhases)
-		p.snL, p.cpL, p.phL = tokenring.Bot, core.Error, p.rng.Intn(s.b.nPhases)
-		p.snR = tokenring.Bot
+		p.lose()
 	}
 	s.members[id] = p
 	ln.procs[id], ln.gates[id] = p, p.gate
@@ -702,7 +726,7 @@ type Stats struct {
 	RestartsInjected int64
 	ByzInjected      int64
 	// RejectedSeq/RejectedPhase/RejectedTop/RejectedSender count frames
-	// refused by the sequence-and-sender validation windows (validate.go):
+	// refused by the sequence-and-sender validation windows (cell.go):
 	// sequence number outside the paper's legal window for the edge, phase
 	// outside the window (or a current-wave acknowledgment carrying a
 	// foreign phase), a ⊤ marker at a settled receiver, and a frame whose
@@ -1110,7 +1134,7 @@ func (b *Barrier) Restart(id int) {
 // The forgery is crafted from the victim's own view — the strongest
 // position a real adversary on the edge can reach, since it observes at
 // most what the victim announces — and runs through the genuine receive
-// path, where the validation windows (validate.go) reject it. The
+// path, where the validation windows (cell.go) reject it. The
 // injection lands in the adversary's primary lane; an adversary or
 // victim hosted by another process cannot be reached from here and the
 // injection is discarded into Stats.DroppedInjections.
@@ -1400,6 +1424,86 @@ func (g *gate) deliver(r awaitResult) {
 	}
 }
 
+// --- what a ring process and a tree process share (node) ---
+
+// ctrl is the control handler of both member types. What is theirs alone
+// is behind m: which announcements a resend poke forgets, and the routing
+// of a Byzantine forgery to the edge it arrives on.
+func (n *node) ctrl(c ctrlMsg, m interface {
+	forget()
+	onByz(c ctrlMsg)
+}) {
+	switch c.kind {
+	case ctrlArrive:
+		n.onArrive(c)
+	case ctrlTick:
+		// Quiet edges at the resend sweep: retransmit the current state —
+		// it masks lost, dropped and detectably corrupted messages.
+		// Forgetting the last announcement makes the post-ctrl announce
+		// resend it.
+		m.forget()
+	case ctrlReset:
+		if !n.crashed { // a crashed process has no state left to lose
+			n.reset()
+		}
+	case ctrlScramble:
+		if !n.crashed {
+			rng := prng.New(c.seed)
+			for _, v := range n.memory {
+				v.scramble(&rng, n.b.l, n.b.nPhases)
+			}
+			n.noteFault()
+		}
+	case ctrlCrash:
+		// The crash fault class: the process goes down and stays down —
+		// no receives, no steps, no announcements — until Restart.
+		n.crashed = true
+	case ctrlRestart:
+		// Section 7 restart semantics: the revived process re-enters in
+		// the detectably-reset state, so the group masks the rejoin like
+		// any other detectable fault. Restarting a live process is just
+		// a reset.
+		n.crashed = false
+		n.reset()
+	default:
+		m.onByz(c)
+	}
+}
+
+// lose puts the member in the detectably-reset state (MB's and DT's
+// detectable fault action plus the loss of every local copy): sn ⊥, cp
+// error, phases arbitrary. Used for Rejoin and by reset.
+func (n *node) lose() {
+	for _, v := range n.memory {
+		v.reset(&n.rng, n.b.nPhases)
+	}
+}
+
+// reset is the detectable fault action (shared by ctrlReset and the
+// restart half of the crash fault class). The participant is told to redo
+// its phase (ErrReset) only if the reset voids work the current instance
+// still needed: cp = execute means the completion had not been consumed
+// yet (the instance aborts before succeeding, so no participant passes
+// and everyone stays aligned), and cp = error means a previous reset's
+// redo is still outstanding. A reset that lands after the completion was
+// consumed (success/repeat) or between instances (ready) loses only
+// protocol state — the protocol re-executes the instance with the
+// participant's work standing, and reporting ErrReset then would
+// desynchronize the participant's round counter from the collective (it
+// would redo a phase whose barrier already passed and fall one pass
+// behind).
+func (n *node) reset() {
+	workVoided := n.cp == core.Execute || n.cp == core.Error
+	if n.cp != core.Error {
+		n.b.emit(core.Event{Kind: core.EvReset, Proc: n.id, Phase: n.ph})
+	}
+	n.lose()
+	if workVoided {
+		n.failPending(ErrReset)
+	}
+	n.noteFault()
+}
+
 // --- the ring process ---
 
 // poll consumes the link's queued receives: over a transport the
@@ -1422,142 +1526,47 @@ func (p *proc) poll() bool {
 	return progressed
 }
 
-// onPredState is action C.j: update the local copies of the predecessor's
-// variables. The copy cell evolves by the same follower statement as a real
-// process (Section 5: "identical to the superposed action T2").
+// onPredState is action C.j: update the local copy of the predecessor's
+// variables, through the cell's windows (cell.go).
 func (p *proc) onPredState(m Message) {
-	if p.crashed {
-		return
-	}
-	if m.Sum != m.Checksum() {
-		// Detected corruption: drop; the retransmission masks it — at the
-		// next quiescence, if the sender is co-hosted (sched.pullRound).
-		p.b.statDrops.Add(1)
-		p.s.owed++
-		return
-	}
-	if !m.SN.Ordinary() || p.snL == m.SN {
-		return
-	}
-	if !p.admitPredState(m) {
-		return // outside the legal receive window (validate.go)
-	}
-	newCP, newPH, _ := core.FollowerUpdate(p.cpL, p.phL, m.CP, m.PH)
-	p.snL = m.SN
-	p.cpL = newCP
-	p.phL = newPH
+	admit(&p.node, &p.seen, &m, m.Sum == m.Checksum(), half{&p.from, m.triple()}, half{})
 }
 
 // onTop handles the successor's ⊤ marker — the whole-ring restart wave
-// propagating backward. A settled process is not in the restart wave, and
-// snR is only ever consumed by T4' with sn = ⊥ (every path into which
-// clears snR), so a ⊤ arriving while sn is ordinary is either a stale
-// marker or a forgery trying to trigger a spurious whole-ring restart:
-// reject it. A genuine sender retransmits, and the marker is accepted
-// once the receiver itself has entered the wave.
+// propagating backward. It carries no payload a second sighting could
+// confirm: a receiver outside the wave rejects every one.
 func (p *proc) onTop() {
 	if p.crashed {
 		return
 	}
-	if p.sn.Ordinary() {
-		p.b.statRejTop.Add(1)
+	top := triple{sn: tokenring.Top}
+	if r := p.succ.check(&p.node, top); r != rejNone {
+		p.b.countReject(r)
 		return
 	}
-	p.snR = tokenring.Top
+	p.succ.store(top)
 }
 
-func (p *proc) onCtrl(c ctrlMsg) {
-	switch c.kind {
-	case ctrlArrive:
-		p.onArrive(c)
-	case ctrlTick:
-		// Quiet edge at the resend sweep: retransmit the current state —
-		// it masks lost, dropped and detectably corrupted messages.
-		// Forgetting the last announcement makes the post-ctrl announce
-		// resend it.
-		p.haveSent = false
-	case ctrlReset:
-		if p.crashed {
-			return // a crashed process has no state left to lose
+func (p *proc) onCtrl(c ctrlMsg) { p.ctrl(c, p) }
+
+func (p *proc) forget() { p.haveSent = false }
+
+// onByz delivers a Byzantine forgery to this ring proc: a state frame
+// through the predecessor copy's windows, or a premature ⊤ marker. The
+// marker carries no payload; a victim with an ordinary sequence number
+// rejects it through the same topwindow check the genuine marker path
+// runs, and one already inside the restart wave, where the marker is
+// legitimate, is skipped rather than silently accepting it.
+func (p *proc) onByz(c ctrlMsg) {
+	if c.kind == ctrlByzState {
+		if m, ok := forge(&p.node, &p.from, &p.seen, c.seed, triple.message); ok {
+			p.onPredState(m)
 		}
-		p.resetMB()
-	case ctrlScramble:
-		if p.crashed {
-			return
-		}
-		rng := prng.New(c.seed)
-		p.sn = randomSN(&rng, p.b.l)
-		p.snL = randomSN(&rng, p.b.l)
-		p.snR = randomSN(&rng, p.b.l)
-		p.cp = core.CP(rng.Intn(core.NumCP))
-		p.cpL = core.CP(rng.Intn(core.NumCP))
-		p.ph = rng.Intn(p.b.nPhases)
-		p.phL = rng.Intn(p.b.nPhases)
-		p.havePending = false
-		p.noteFault()
-	case ctrlCrash:
-		// The crash fault class: the process goes down and stays down —
-		// no receives, no steps, no announcements — until Restart.
-		p.crashed = true
-	case ctrlRestart:
-		// Section 7 restart semantics: the revived process re-enters in
-		// the detectably-reset state, so the ring masks the rejoin like
-		// any other detectable fault. Restarting a live process is just
-		// a reset.
-		p.crashed = false
-		p.resetMB()
-	case ctrlByzState:
-		p.onByzState(c.seed)
-	case ctrlByzTop:
-		// A forged ⊤ marker carries no payload; it exercises the same
-		// settled-receiver rejection the genuine marker path runs.
-		p.onByzTop()
+	} else if p.crashed || !p.sn.Ordinary() {
+		p.b.byzSkipped()
+	} else {
+		p.onTop()
 	}
-}
-
-// randomSN draws uniformly over [0,L) ∪ {⊥,⊤} — the domain a scramble or
-// a spurious message may leave in a sequence-number cell.
-func randomSN(rng *prng.PRNG, l int) tokenring.SN {
-	switch v := rng.Intn(l + 2); v {
-	case l:
-		return tokenring.Bot
-	case l + 1:
-		return tokenring.Top
-	default:
-		return tokenring.SN(v)
-	}
-}
-
-// resetMB is MB's detectable fault action (shared by ctrlReset and the
-// restart half of the crash fault class). The participant is told to redo
-// its phase (ErrReset) only if the reset voids work the current instance
-// still needed: cp = execute means the completion had not been consumed
-// yet (the instance aborts before succeeding, so no participant passes
-// and everyone stays aligned), and cp = error means a previous reset's
-// redo is still outstanding. A reset that lands after the completion was
-// consumed (success/repeat) or between instances (ready) loses only
-// protocol state — the protocol re-executes the instance with the
-// participant's work standing, and reporting ErrReset then would
-// desynchronize the participant's round counter from the collective (it
-// would redo a phase whose barrier already passed and fall one pass
-// behind).
-func (p *proc) resetMB() {
-	workVoided := p.cp == core.Execute || p.cp == core.Error
-	if p.cp != core.Error {
-		p.b.emit(core.Event{Kind: core.EvReset, Proc: p.id, Phase: p.ph})
-	}
-	p.sn = tokenring.Bot
-	p.cp = core.Error
-	p.ph = p.rng.Intn(p.b.nPhases)
-	p.snL = tokenring.Bot
-	p.cpL = core.Error
-	p.phL = p.rng.Intn(p.b.nPhases)
-	p.snR = tokenring.Bot
-	p.havePending = false
-	if workVoided {
-		p.failPending(ErrReset)
-	}
-	p.noteFault()
 }
 
 // step applies every enabled local action to quiescence: T1'/T2' (token
@@ -1571,21 +1580,21 @@ func (p *proc) step() {
 		changed := false
 
 		// T1' at 0 / T2' elsewhere.
-		if p.snL.Ordinary() {
+		if p.from.sn.Ordinary() {
 			enabled := false
 			if p.id == 0 {
-				enabled = p.sn == p.snL || !p.sn.Ordinary()
+				enabled = p.sn == p.from.sn || !p.sn.Ordinary()
 			} else {
-				enabled = p.sn != p.snL
+				enabled = p.sn != p.from.sn
 			}
 			if enabled {
 				var newCP core.CP
 				var newPH int
 				var out core.Outcome
 				if p.id == 0 {
-					newCP, newPH, out = core.LeaderUpdate(p.cp, p.ph, p.cpL, p.phL, p.b.nPhases)
+					newCP, newPH, out = core.LeaderUpdate(p.cp, p.ph, p.from.cp, p.from.ph, p.b.nPhases)
 				} else {
-					newCP, newPH, out = core.FollowerUpdate(p.cp, p.ph, p.cpL, p.phL)
+					newCP, newPH, out = core.FollowerUpdate(p.cp, p.ph, p.from.cp, p.from.ph)
 				}
 				// The work gate: the completion transition waits for the
 				// participant to arrive at the barrier.
@@ -1595,9 +1604,9 @@ func (p *proc) step() {
 				} else {
 					oldPH := p.ph
 					if p.id == 0 {
-						p.sn = tokenring.SN((int(p.snL) + 1) % p.b.l)
+						p.sn = tokenring.SN((int(p.from.sn) + 1) % p.b.l)
 					} else {
-						p.sn = p.snL
+						p.sn = p.from.sn
 					}
 					p.cp = newCP
 					p.ph = newPH
@@ -1612,8 +1621,9 @@ func (p *proc) step() {
 			p.sn = tokenring.Top
 			changed = true
 		}
-		// T4' elsewhere: propagate ⊤ backward via the local copy snR.
-		if p.id != p.b.n-1 && p.sn == tokenring.Bot && p.snR == tokenring.Top {
+		// T4' elsewhere: propagate ⊤ backward via the local copy of the
+		// successor's marker.
+		if p.id != p.b.n-1 && p.sn == tokenring.Bot && p.succ.sn == tokenring.Top {
 			p.sn = tokenring.Top
 			changed = true
 		}
@@ -1638,12 +1648,11 @@ func (p *proc) step() {
 // successor at ⊤ the restart marker. It reports the registers taken.
 func (p *proc) pull() (pulls int) {
 	n := p.b.n
-	if pred := p.s.ringPeer((p.id + n - 1) % n); pred != nil && pred.haveSent && pred.lastSent.SN != p.snL {
+	if pred := p.s.ringPeer((p.id + n - 1) % n); pred != nil && pred.haveSent && p.from.stale(pred.lastSent.triple()) {
 		p.onPredState(pred.lastSent)
 		pulls++
 	}
-	if succ := p.s.ringPeer((p.id + 1) % n); succ != nil && succ.haveSent &&
-		succ.lastSent.SN == tokenring.Top && p.snR != tokenring.Top {
+	if succ := p.s.ringPeer((p.id + 1) % n); succ != nil && succ.haveSent && p.succ.stale(succ.lastSent.triple()) {
 		p.onTop()
 		pulls++
 	}
@@ -1659,11 +1668,10 @@ func (p *proc) announce(lossRate, corruptRate float64) {
 	if p.crashed {
 		return
 	}
-	m := Message{SN: p.sn, CP: p.cp, PH: p.ph}
-	m.Sum = m.Checksum()
-	if p.haveSent && m == p.lastSent {
+	if p.haveSent && p.triple == p.lastSent.triple() {
 		return
 	}
+	m := p.triple.message()
 	p.lastSent = m
 	p.haveSent = true
 	p.noteSent()

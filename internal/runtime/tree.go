@@ -77,49 +77,25 @@ func (s *sched) addTree(cfg Config, ln *lane, id int, tree *topo.Tree, link Tree
 	return tp
 }
 
+// kidCopy is what a tree node holds of one child: a cell for each half of
+// its convergecast frames — the live state, read by the resynchronization
+// and restart actions, and the subtree acknowledgment, read by the node's
+// own convergecast — and the last such frame the windows turned away.
+type kidCopy struct {
+	live, ack cell
+	seen      slot[UpMessage]
+}
+
 // treeProc is one DT process: the protocol state of a tree member, owned
 // by the scheduler that hosts it.
 type treeProc struct {
-	*gate
+	node // own triple; from copies the parent's announced state
 
 	parentID int   // -1 at the root
 	kids     []int // child member ids, increasing
 
-	// Protocol state (DT): own triple and subtree acknowledgment.
-	sn tokenring.SN
-	cp core.CP
-	ph int
-
-	ackSN tokenring.SN
-	ackCP core.CP
-	ackPH int
-
-	// Local copy of the parent's announced state (meaningless at the root).
-	pSN tokenring.SN
-	pCP core.CP
-	pPH int
-
-	// Local copies of each child's announced live state and summary,
-	// indexed like kids.
-	kidSN    []tokenring.SN
-	kidCP    []core.CP
-	kidPH    []int
-	kidAckSN []tokenring.SN
-	kidAckCP []core.CP
-	kidAckPH []int
-
-	// crashed marks the crash fault class: the node is down — it neither
-	// receives, steps nor announces — until ctrlRestart revives it.
-	crashed bool
-
-	// Pending sightings for the validation windows (validate.go): the
-	// last rejected parent frame, and per child the last rejected up
-	// frame. Per-kid slots matter — two simultaneously out-of-window
-	// children sharing one slot would alternate and never confirm.
-	pendDown     Message
-	havePendDown bool
-	kidPend      []UpMessage
-	kidHavePend  []bool
+	ack triple    // the subtree acknowledgment (DT)
+	kid []kidCopy // indexed like kids
 
 	link TreeLink
 	down <-chan Message
@@ -129,55 +105,40 @@ type treeProc struct {
 	haveSentDown bool
 	lastUp       UpMessage
 	haveSentUp   bool
-
-	// rng is owned by the hosting scheduler (seeded before it starts; the
-	// goroutine-start happens-before edge publishes it).
-	rng prng.PRNG
 }
 
 func newTreeProc(g *gate, parentID int, kids []int, link TreeLink, cfg Config) *treeProc {
-	tp := &treeProc{
-		gate:        g,
-		parentID:    parentID,
-		kids:        append([]int(nil), kids...),
-		kidSN:       make([]tokenring.SN, len(kids)),
-		kidCP:       make([]core.CP, len(kids)),
-		kidPH:       make([]int, len(kids)),
-		kidAckSN:    make([]tokenring.SN, len(kids)),
-		kidAckCP:    make([]core.CP, len(kids)),
-		kidAckPH:    make([]int, len(kids)),
-		kidPend:     make([]UpMessage, len(kids)),
-		kidHavePend: make([]bool, len(kids)),
-		link:        link,
-		down:        link.Down(),
-		up:          link.Up(),
-		rng:         prng.New(cfg.Seed + int64(g.id)*7919),
-	}
 	// DT's start state: wave 0 disseminated and acknowledged, everyone
 	// ready in phase 0 — the root's first increment begins phase 0.
-	tp.cp, tp.ackCP, tp.pCP = core.Ready, core.Ready, core.Ready
-	for i := range tp.kidCP {
-		tp.kidCP[i], tp.kidAckCP[i] = core.Ready, core.Ready
+	ready := triple{cp: core.Ready}
+	tp := &treeProc{
+		node: node{
+			gate:   g,
+			triple: ready,
+			from:   cell{triple: ready, role: ahead},
+			rng:    prng.New(cfg.Seed + int64(g.id)*7919),
+		},
+		parentID: parentID,
+		kids:     append([]int(nil), kids...),
+		ack:      ready,
+		kid:      make([]kidCopy, len(kids)),
+		link:     link,
+		down:     link.Down(),
+		up:       link.Up(),
+	}
+	tp.memory = append(make([]volatile, 0, 4+3*len(kids)), &tp.triple, &tp.ack, &tp.from, &tp.seen)
+	for i := range tp.kid {
+		tp.kid[i] = kidCopy{
+			live: cell{triple: ready, role: behind},
+			ack:  cell{triple: ready, role: behind, ack: true},
+		}
+		k := &tp.kid[i]
+		tp.memory = append(tp.memory, &k.live, &k.ack, &k.seen)
 	}
 	if cfg.Rejoin {
-		tp.resetState()
+		tp.lose()
 	}
 	return tp
-}
-
-// resetState puts the proc in the detectably-reset state (DT's detectable
-// fault action plus the loss of every local copy): sn ⊥, cp error, phases
-// arbitrary. Used for Rejoin and for the Reset fault injection.
-func (tp *treeProc) resetState() {
-	tp.sn, tp.cp, tp.ph = tokenring.Bot, core.Error, tp.rng.Intn(tp.b.nPhases)
-	tp.ackSN, tp.ackCP, tp.ackPH = tokenring.Bot, core.Error, tp.rng.Intn(tp.b.nPhases)
-	tp.pSN, tp.pCP, tp.pPH = tokenring.Bot, core.Error, tp.rng.Intn(tp.b.nPhases)
-	tp.havePendDown = false
-	for i := range tp.kids {
-		tp.kidSN[i], tp.kidCP[i], tp.kidPH[i] = tokenring.Bot, core.Error, tp.rng.Intn(tp.b.nPhases)
-		tp.kidAckSN[i], tp.kidAckCP[i], tp.kidAckPH[i] = tokenring.Bot, core.Error, tp.rng.Intn(tp.b.nPhases)
-		tp.kidHavePend[i] = false
-	}
 }
 
 // poll consumes the link's queued receives — on a direct-copy link,
@@ -198,184 +159,85 @@ func (tp *treeProc) poll() bool {
 	}
 }
 
-// onDown refreshes the local copy of the parent's state — including ⊥/⊤,
-// which the bottom-up resynchronization must observe (while the node is
-// itself in the restart wave; a settled node ignores the markers — its
-// own reset clears the copy before they matter).
+// onDown refreshes the local copy of the parent's state, through the
+// cell's windows (cell.go).
 func (tp *treeProc) onDown(m Message) {
-	if tp.crashed {
-		return
-	}
-	if m.Sum != m.Checksum() {
-		// Detected corruption: drop; the retransmission masks it — at the
-		// next quiescence, if the sender is co-hosted (sched.pullRound).
-		tp.b.statDrops.Add(1)
-		tp.s.owed++
-		return
-	}
-	if tp.settled() {
-		if !m.SN.Ordinary() {
-			return
-		}
-		if r := tp.checkDown(m); r != rejNone {
-			if tp.havePendDown && m == tp.pendDown {
-				// Second sighting: a genuine parent's retransmission.
-				tp.havePendDown = false
-			} else {
-				tp.pendDown = m
-				tp.havePendDown = true
-				tp.b.countReject(r)
-				return
-			}
-		} else {
-			tp.havePendDown = false
+	admit(&tp.node, &tp.seen, &m, m.Sum == m.Checksum(), half{&tp.from, m.triple()}, half{})
+}
+
+// kidOf returns the copy held of child id, or nil if this node has no such
+// child.
+func (tp *treeProc) kidOf(id int) *kidCopy {
+	for i, c := range tp.kids {
+		if c == id {
+			return &tp.kid[i]
 		}
 	}
-	tp.pSN, tp.pCP, tp.pPH = m.SN, m.CP, m.PH
+	return nil
 }
 
 // onUp refreshes the local copies of one child's live state and summary.
 func (tp *treeProc) onUp(m UpMessage) {
-	if tp.crashed {
+	sumOK := m.Sum == m.Checksum()
+	k := tp.kidOf(m.Child)
+	if k == nil {
+		// A child id this node does not have: a well-formed frame that
+		// cannot be attributed to any edge of this node — a sender violation.
+		if tp.hears(sumOK) {
+			tp.b.countReject(rejSender)
+		}
 		return
 	}
-	if m.Sum != m.Checksum() {
-		tp.b.statDrops.Add(1)
-		tp.s.owed++ // as in onDown
+	admit(&tp.node, &k.seen, &m, sumOK, half{&k.live, m.live()}, half{&k.ack, m.acked()})
+}
+
+func (tp *treeProc) onCtrl(c ctrlMsg) { tp.ctrl(c, tp) }
+
+func (tp *treeProc) forget() { tp.haveSentDown, tp.haveSentUp = false, false }
+
+// onByz delivers a Byzantine forgery to this node: a parent announcement
+// through the parent copy's windows, or a convergecast frame claiming to
+// come from child c.from, forged in its acknowledgment half — the live
+// half is kept benign so the rejection is attributed to the forged
+// acknowledgment alone. An adversary that is not a child of this node
+// lands in the sender rejection, like any unattributable frame.
+func (tp *treeProc) onByz(c ctrlMsg) {
+	if c.kind == ctrlByzDown {
+		if m, ok := forge(&tp.node, &tp.from, &tp.seen, c.seed, triple.message); ok {
+			tp.onDown(m)
+		}
 		return
 	}
-	for i, c := range tp.kids {
-		if c == m.Child {
-			tp.storeUp(i, m)
-			return
-		}
-	}
-	// A child id this node does not have: a well-formed frame that cannot
-	// be attributed to any edge of this node — a sender violation.
-	tp.b.statRejSender.Add(1)
-}
-
-// storeUp validates one child's frame against the receive windows
-// (validate.go) and stores it. While settled, non-ordinary halves are
-// restart markers this node has no use for (T4 reads them only with its
-// own sn at ⊥, where validation stands aside) and are left unstored.
-func (tp *treeProc) storeUp(i int, m UpMessage) {
-	if !tp.settled() {
-		tp.kidSN[i], tp.kidCP[i], tp.kidPH[i] = m.SN, m.CP, m.PH
-		tp.kidAckSN[i], tp.kidAckCP[i], tp.kidAckPH[i] = m.AckSN, m.AckCP, m.AckPH
+	k := tp.kidOf(c.from)
+	if k == nil {
+		tp.b.countReject(rejSender)
 		return
 	}
-	if r := tp.checkUp(i, m); r != rejNone {
-		if tp.kidHavePend[i] && m == tp.kidPend[i] {
-			tp.kidHavePend[i] = false
-		} else {
-			tp.kidPend[i] = m
-			tp.kidHavePend[i] = true
-			tp.b.countReject(r)
-			return
-		}
-	} else {
-		tp.kidHavePend[i] = false
+	frame := func(ack triple) UpMessage {
+		return upMessage(c.from, triple{tp.sn, k.live.cp, k.live.ph}, ack)
 	}
-	if m.SN.Ordinary() {
-		tp.kidSN[i], tp.kidCP[i], tp.kidPH[i] = m.SN, m.CP, m.PH
+	if m, ok := forge(&tp.node, &k.ack, &k.seen, c.seed, frame); ok {
+		tp.onUp(m)
 	}
-	if m.AckSN.Ordinary() {
-		tp.kidAckSN[i], tp.kidAckCP[i], tp.kidAckPH[i] = m.AckSN, m.AckCP, m.AckPH
-	}
-}
-
-func (tp *treeProc) onCtrl(c ctrlMsg) {
-	switch c.kind {
-	case ctrlArrive:
-		tp.onArrive(c)
-	case ctrlTick:
-		// Quiet edges at the resend sweep: forget the last announcements so
-		// the post-ctrl announce retransmits them (see proc.onCtrl).
-		tp.haveSentDown, tp.haveSentUp = false, false
-	case ctrlReset:
-		if tp.crashed {
-			return // a crashed node has no state left to lose
-		}
-		tp.resetDT()
-	case ctrlScramble:
-		if tp.crashed {
-			return
-		}
-		rng := prng.New(c.seed)
-		drawSN := func() tokenring.SN { return randomSN(&rng, tp.b.l) }
-		randomCP := func() core.CP { return core.CP(rng.Intn(core.NumCP)) }
-		randomPH := func() int { return rng.Intn(tp.b.nPhases) }
-		tp.sn, tp.cp, tp.ph = drawSN(), randomCP(), randomPH()
-		tp.ackSN, tp.ackCP, tp.ackPH = drawSN(), randomCP(), randomPH()
-		tp.pSN, tp.pCP, tp.pPH = drawSN(), randomCP(), randomPH()
-		for i := range tp.kids {
-			tp.kidSN[i], tp.kidCP[i], tp.kidPH[i] = drawSN(), randomCP(), randomPH()
-			tp.kidAckSN[i], tp.kidAckCP[i], tp.kidAckPH[i] = drawSN(), randomCP(), randomPH()
-			tp.kidHavePend[i] = false
-		}
-		tp.havePendDown = false
-		tp.noteFault()
-	case ctrlCrash:
-		// The crash fault class: the node goes down and stays down until
-		// Restart revives it.
-		tp.crashed = true
-	case ctrlRestart:
-		// Section 7 restart: revive in the detectably-reset state, so the
-		// tree masks the rejoin like any other detectable fault.
-		tp.crashed = false
-		tp.resetDT()
-	case ctrlByzDown:
-		tp.onByzDown(c.seed)
-	case ctrlByzUp:
-		tp.onByzUp(c.from, c.seed)
-	}
-}
-
-// resetDT is DT's detectable fault action (shared by ctrlReset and the
-// restart half of the crash fault class); see the ring resetMB for the
-// workVoided rationale.
-func (tp *treeProc) resetDT() {
-	workVoided := tp.cp == core.Execute || tp.cp == core.Error
-	if tp.cp != core.Error {
-		tp.b.emit(core.Event{Kind: core.EvReset, Proc: tp.id, Phase: tp.ph})
-	}
-	tp.resetState()
-	if workVoided {
-		tp.failPending(ErrReset)
-	}
-	tp.noteFault()
 }
 
 // injectSpurious delivers a forged, well-formed announcement to this node:
 // a parent announcement for non-roots, a child announcement at the root.
 func (tp *treeProc) injectSpurious(seed int64) {
 	rng := prng.New(seed)
-	drawSN := func() tokenring.SN { return randomSN(&rng, tp.b.l) }
+	draw := func() (t triple) {
+		t.scramble(&rng, tp.b.l, tp.b.nPhases)
+		return t
+	}
 	tp.b.statSpurious.Add(1)
 	if tp.parentID < 0 {
-		m := UpMessage{
-			Child: tp.kids[rng.Intn(len(tp.kids))],
-			SN:    drawSN(),
-			CP:    core.CP(rng.Intn(core.NumCP)),
-			PH:    rng.Intn(tp.b.nPhases),
-			AckSN: drawSN(),
-			AckCP: core.CP(rng.Intn(core.NumCP)),
-			AckPH: rng.Intn(tp.b.nPhases),
-		}
-		m.Sum = m.Checksum()
-		if !tp.link.InjectUp(m) {
+		child := tp.kids[rng.Intn(len(tp.kids))]
+		if !tp.link.InjectUp(upMessage(child, draw(), draw())) {
 			tp.b.statDrops.Add(1)
 		}
 		return
 	}
-	m := Message{
-		SN: drawSN(),
-		CP: core.CP(rng.Intn(core.NumCP)),
-		PH: rng.Intn(tp.b.nPhases),
-	}
-	m.Sum = m.Checksum()
-	if !tp.link.InjectDown(m) {
+	if !tp.link.InjectDown(draw().message()) {
 		// The mailbox holds a genuine in-flight announcement; the forgery
 		// loses the race (see the ring InjectSpurious).
 		tp.b.statDrops.Add(1)
@@ -411,7 +273,7 @@ func (tp *treeProc) step() {
 // repeat so the current phase is re-executed.
 func (tp *treeProc) stepRoot() bool {
 	if tp.sn.Ordinary() {
-		if tp.ackSN != tp.sn {
+		if tp.ack.sn != tp.sn {
 			return false
 		}
 		cpN, phN := tp.foldKidAcks()
@@ -419,8 +281,8 @@ func (tp *treeProc) stepRoot() bool {
 			// The root lost its own phase: recover it from a live child's
 			// announced state rather than a possibly stale summary.
 			for i := range tp.kids {
-				if tp.kidSN[i].Ordinary() {
-					phN = tp.kidPH[i]
+				if tp.kid[i].live.sn.Ordinary() {
+					phN = tp.kid[i].live.ph
 					break
 				}
 			}
@@ -440,10 +302,10 @@ func (tp *treeProc) stepRoot() bool {
 	}
 	if tp.sn == tokenring.Bot {
 		for i := range tp.kids {
-			if tp.kidSN[i].Ordinary() {
-				tp.sn = tokenring.SN((int(tp.kidSN[i]) + 1) % tp.b.l)
+			if tp.kid[i].live.sn.Ordinary() {
+				tp.sn = tokenring.SN((int(tp.kid[i].live.sn) + 1) % tp.b.l)
 				tp.cp = core.Repeat
-				tp.ph = tp.kidPH[i]
+				tp.ph = tp.kid[i].live.ph
 				return true
 			}
 		}
@@ -453,17 +315,17 @@ func (tp *treeProc) stepRoot() bool {
 
 // stepDown is action D.j: adopt the parent's wave.
 func (tp *treeProc) stepDown() bool {
-	if !tp.pSN.Ordinary() || tp.sn == tp.pSN {
+	if !tp.from.sn.Ordinary() || tp.sn == tp.from.sn {
 		return false
 	}
-	newCP, newPH, out := core.FollowerUpdate(tp.cp, tp.ph, tp.pCP, tp.pPH)
+	newCP, newPH, out := core.FollowerUpdate(tp.cp, tp.ph, tp.from.cp, tp.from.ph)
 	// The work gate, as in D.j's guard: the completing wave waits for this
 	// node's participant.
 	if out == core.OutComplete && tp.completionBlocked() {
 		return false
 	}
 	oldPH := tp.ph
-	tp.sn = tp.pSN
+	tp.sn = tp.from.sn
 	tp.cp = newCP
 	tp.ph = newPH
 	tp.applyOutcome(out, oldPH, newPH)
@@ -475,14 +337,14 @@ func (tp *treeProc) stepDown() bool {
 // adopts a live child's wave and phase, marked repeat. Without it a
 // simultaneous corruption of a whole root-path would deadlock.
 func (tp *treeProc) stepBottomUp() bool {
-	if tp.sn.Ordinary() || tp.pSN.Ordinary() {
+	if tp.sn.Ordinary() || tp.from.sn.Ordinary() {
 		return false
 	}
 	for i := range tp.kids {
-		if tp.kidSN[i].Ordinary() {
-			tp.sn = tp.kidSN[i]
+		if tp.kid[i].live.sn.Ordinary() {
+			tp.sn = tp.kid[i].live.sn
 			tp.cp = core.Repeat
-			tp.ph = tp.kidPH[i]
+			tp.ph = tp.kid[i].live.ph
 			return true
 		}
 	}
@@ -493,21 +355,20 @@ func (tp *treeProc) stepBottomUp() bool {
 // has, folding the children's summaries with this node's own state —
 // disagreement reads as repeat, forcing the root to re-execute.
 func (tp *treeProc) stepAck() bool {
-	if !tp.sn.Ordinary() || tp.ackSN == tp.sn {
+	own := tp.triple
+	if !own.sn.Ordinary() || tp.ack.sn == own.sn {
 		return false
 	}
-	for i := range tp.kids {
-		if tp.kidAckSN[i] != tp.sn {
+	for i := range tp.kid {
+		k := &tp.kid[i].ack
+		if k.sn != own.sn {
 			return false
 		}
-	}
-	cp, ph := tp.cp, tp.ph
-	for i := range tp.kids {
-		if tp.kidAckCP[i] != cp || tp.kidAckPH[i] != ph {
-			cp = core.Repeat
+		if k.cp != own.cp || k.ph != own.ph {
+			own.cp = core.Repeat
 		}
 	}
-	tp.ackSN, tp.ackCP, tp.ackPH = tp.sn, cp, ph
+	tp.ack = own
 	return true
 }
 
@@ -521,7 +382,7 @@ func (tp *treeProc) stepRestart() bool {
 			return true
 		}
 		for i := range tp.kids {
-			if tp.kidSN[i] != tokenring.Top {
+			if tp.kid[i].live.sn != tokenring.Top {
 				return false
 			}
 		}
@@ -538,9 +399,9 @@ func (tp *treeProc) stepRestart() bool {
 // foldKidAcks merges the children's summaries (what R.0 passes to the
 // leader update: the state of all non-root processes).
 func (tp *treeProc) foldKidAcks() (core.CP, int) {
-	cp, ph := tp.kidAckCP[0], tp.kidAckPH[0]
+	cp, ph := tp.kid[0].ack.cp, tp.kid[0].ack.ph
 	for i := 1; i < len(tp.kids); i++ {
-		if tp.kidAckCP[i] != cp || tp.kidAckPH[i] != ph {
+		if tp.kid[i].ack.cp != cp || tp.kid[i].ack.ph != ph {
 			cp = core.Repeat
 		}
 	}
@@ -550,24 +411,21 @@ func (tp *treeProc) foldKidAcks() (core.CP, int) {
 // pull is the tree member's share of a pull round (see proc.pull): the
 // parent's lastDown against the parent copy, each child's lastUp against
 // that child's live and acknowledgment copies. While this node is settled
-// onDown and storeUp leave ⊥/⊤ unstored, so such a register keeps differing
+// the cells leave ⊥/⊤ unstored, so such a register keeps differing
 // and is re-read once per round — never more (sched.pullRound).
 func (tp *treeProc) pull() (pulls int) {
 	if tp.parentID >= 0 {
-		if par := tp.s.treePeer(tp.parentID); par != nil && par.haveSentDown {
-			if m := par.lastDown; m.SN != tp.pSN || m.CP != tp.pCP || m.PH != tp.pPH {
-				tp.onDown(m)
-				pulls++
-			}
+		if par := tp.s.treePeer(tp.parentID); par != nil && par.haveSentDown && tp.from.stale(par.lastDown.triple()) {
+			tp.onDown(par.lastDown)
+			pulls++
 		}
 	}
 	for i, c := range tp.kids {
-		kid := tp.s.treePeer(c)
+		kid, k := tp.s.treePeer(c), &tp.kid[i]
 		if kid == nil || !kid.haveSentUp {
 			continue
 		}
-		if u := kid.lastUp; u.SN != tp.kidSN[i] || u.CP != tp.kidCP[i] || u.PH != tp.kidPH[i] ||
-			u.AckSN != tp.kidAckSN[i] || u.AckCP != tp.kidAckCP[i] || u.AckPH != tp.kidAckPH[i] {
+		if u := kid.lastUp; k.live.stale(u.live()) || k.ack.stale(u.acked()) {
 			tp.onUp(u)
 			pulls++
 		}
@@ -583,54 +441,44 @@ func (tp *treeProc) announce(lossRate, corruptRate float64) {
 	if tp.crashed {
 		return
 	}
-	if len(tp.kids) > 0 {
-		m := Message{SN: tp.sn, CP: tp.cp, PH: tp.ph}
-		m.Sum = m.Checksum()
-		if !tp.haveSentDown || m != tp.lastDown {
-			tp.lastDown = m
-			tp.haveSentDown = true
-			tp.noteSent()
-			for _, c := range tp.kids {
-				tp.b.statSends.Add(1)
-				if tp.s.treePeer(c) != nil {
-					tp.s.owed++ // until fusedTreeLink delivers it
-				}
-				if lossRate > 0 && tp.rng.Float64() < lossRate {
-					tp.b.statDrops.Add(1)
-					continue
-				}
-				mm := m
-				if corruptRate > 0 && tp.rng.Float64() < corruptRate {
-					mm.Sum ^= 0xdeadbeef
-				}
-				tp.link.SendDown(c, mm)
-			}
-		}
-	}
-	if tp.parentID >= 0 {
-		u := UpMessage{
-			Child: tp.id,
-			SN:    tp.sn, CP: tp.cp, PH: tp.ph,
-			AckSN: tp.ackSN, AckCP: tp.ackCP, AckPH: tp.ackPH,
-		}
-		u.Sum = u.Checksum()
-		if !tp.haveSentUp || tp.upUrgent(u) {
-			tp.lastUp = u
-			tp.haveSentUp = true
-			tp.noteSent()
+	if len(tp.kids) > 0 && (!tp.haveSentDown || tp.triple != tp.lastDown.triple()) {
+		m := tp.triple.message()
+		tp.lastDown = m
+		tp.haveSentDown = true
+		tp.noteSent()
+		for _, c := range tp.kids {
 			tp.b.statSends.Add(1)
-			if tp.s.treePeer(tp.parentID) != nil {
-				tp.s.owed++
+			if tp.s.treePeer(c) != nil {
+				tp.s.owed++ // until fusedTreeLink delivers it
 			}
 			if lossRate > 0 && tp.rng.Float64() < lossRate {
 				tp.b.statDrops.Add(1)
-				return
+				continue
 			}
+			mm := m
 			if corruptRate > 0 && tp.rng.Float64() < corruptRate {
-				u.Sum ^= 0xdeadbeef
+				mm.Sum ^= 0xdeadbeef
 			}
-			tp.link.SendUp(u)
+			tp.link.SendDown(c, mm)
 		}
+	}
+	if tp.parentID >= 0 && (!tp.haveSentUp || tp.upUrgent()) {
+		u := upMessage(tp.id, tp.triple, tp.ack)
+		tp.lastUp = u
+		tp.haveSentUp = true
+		tp.noteSent()
+		tp.b.statSends.Add(1)
+		if tp.s.treePeer(tp.parentID) != nil {
+			tp.s.owed++
+		}
+		if lossRate > 0 && tp.rng.Float64() < lossRate {
+			tp.b.statDrops.Add(1)
+			return
+		}
+		if corruptRate > 0 && tp.rng.Float64() < corruptRate {
+			u.Sum ^= 0xdeadbeef
+		}
+		tp.link.SendUp(u)
 	}
 }
 
@@ -642,10 +490,6 @@ func (tp *treeProc) announce(lossRate, corruptRate float64) {
 // internal node that just adopted a wave need not wake its parent — the
 // acknowledgment it sends moments later carries the same live state. This
 // halves an internal node's up traffic per wave.
-func (tp *treeProc) upUrgent(u UpMessage) bool {
-	if u == tp.lastUp {
-		return false
-	}
-	return u.AckSN != tp.lastUp.AckSN || u.AckCP != tp.lastUp.AckCP ||
-		u.AckPH != tp.lastUp.AckPH || !u.SN.Ordinary()
+func (tp *treeProc) upUrgent() bool {
+	return tp.ack != tp.lastUp.acked() || !tp.sn.Ordinary() && tp.triple != tp.lastUp.live()
 }

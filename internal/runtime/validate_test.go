@@ -40,40 +40,40 @@ func TestForgedWrongPhaseFrameRejected(t *testing.T) {
 	b := haltedRing(t, 3, 3, 41)
 	p := b.lanes[0].procs[1]
 	if !p.settled() {
-		t.Fatalf("fault-free ring proc not settled: sn=%v cp=%v cpL=%v", p.sn, p.cp, p.cpL)
+		t.Fatalf("fault-free ring proc not settled: sn=%v cp=%v cpL=%v", p.sn, p.cp, p.from.cp)
 	}
 
-	snL, cpL, phL := p.snL, p.cpL, p.phL
-	lo, hi := p.stateWindow()
-	forged := Message{SN: hi, CP: p.cpL, PH: (p.phL + 2) % b.nPhases}
-	if forged.SN == p.snL {
+	snL, cpL, phL := p.from.sn, p.from.cp, p.from.ph
+	lo, hi := p.from.seqWindow(&p.node)
+	forged := Message{SN: hi, CP: p.from.cp, PH: (p.from.ph + 2) % b.nPhases}
+	if forged.SN == p.from.sn {
 		forged.SN = lo
 	}
 	forged.Sum = forged.Checksum()
 
 	p.onPredState(forged)
-	if p.snL != snL || p.cpL != cpL || p.phL != phL {
+	if p.from.sn != snL || p.from.cp != cpL || p.from.ph != phL {
 		t.Fatalf("forged frame adopted: copy (%v,%v,%d) -> (%v,%v,%d)",
-			snL, cpL, phL, p.snL, p.cpL, p.phL)
+			snL, cpL, phL, p.from.sn, p.from.cp, p.from.ph)
 	}
 	st := b.Stats()
 	if st.RejectedPhase != 1 {
 		t.Fatalf("RejectedPhase = %d, want 1", st.RejectedPhase)
 	}
-	if !p.havePending || p.pending != forged {
+	if !p.seen.held || p.seen.pending != forged {
 		t.Fatal("rejected frame not held as the pending sighting")
 	}
 
 	// A genuine new frame — in-window sequence, in-window phase — is
 	// adopted and clears the pending sighting, so a one-shot forgery can
 	// never be confirmed by later genuine traffic.
-	genuine := Message{SN: forged.SN, CP: p.cpL, PH: p.phL}
+	genuine := Message{SN: forged.SN, CP: p.from.cp, PH: p.from.ph}
 	genuine.Sum = genuine.Checksum()
 	p.onPredState(genuine)
-	if p.snL != genuine.SN {
-		t.Fatalf("genuine in-window frame not adopted: snL=%v want %v", p.snL, genuine.SN)
+	if p.from.sn != genuine.SN {
+		t.Fatalf("genuine in-window frame not adopted: snL=%v want %v", p.from.sn, genuine.SN)
 	}
-	if p.havePending {
+	if p.seen.held {
 		t.Fatal("pending sighting survived a genuine adoption")
 	}
 	if got := b.Stats(); got.RejectedPhase != 1 || got.RejectedSeq != 0 {
@@ -88,19 +88,19 @@ func TestForgedWrongPhaseFrameRejected(t *testing.T) {
 func TestForgedFrameSecondSightingAdopted(t *testing.T) {
 	b := haltedRing(t, 3, 3, 43)
 	p := b.lanes[0].procs[2]
-	lo, hi := p.stateWindow()
-	forged := Message{SN: hi, CP: p.cpL, PH: (p.phL + 2) % b.nPhases}
-	if forged.SN == p.snL {
+	lo, hi := p.from.seqWindow(&p.node)
+	forged := Message{SN: hi, CP: p.from.cp, PH: (p.from.ph + 2) % b.nPhases}
+	if forged.SN == p.from.sn {
 		forged.SN = lo
 	}
 	forged.Sum = forged.Checksum()
 
 	p.onPredState(forged)
-	if p.snL == forged.SN {
+	if p.from.sn == forged.SN {
 		t.Fatal("first sighting adopted")
 	}
 	p.onPredState(forged)
-	if p.snL != forged.SN || p.phL != forged.PH {
+	if p.from.sn != forged.SN || p.from.ph != forged.PH {
 		t.Fatal("bit-identical second sighting not adopted (stabilization would livelock)")
 	}
 	if st := b.Stats(); st.RejectedPhase != 1 {
@@ -117,14 +117,14 @@ func TestStaleSequenceEchoRejected(t *testing.T) {
 	if b.l < 4 {
 		t.Skipf("ring modulus %d too small to leave the follower window", b.l)
 	}
-	echo := Message{SN: tokenring.SN((int(p.sn) + 2) % b.l), CP: p.cpL, PH: p.phL}
+	echo := Message{SN: tokenring.SN((int(p.sn) + 2) % b.l), CP: p.from.cp, PH: p.from.ph}
 	echo.Sum = echo.Checksum()
-	if echo.SN == p.snL {
+	if echo.SN == p.from.sn {
 		t.Fatalf("test bug: echo SN %v collides with the current copy", echo.SN)
 	}
-	snL := p.snL
+	snL := p.from.sn
 	p.onPredState(echo)
-	if p.snL != snL {
+	if p.from.sn != snL {
 		t.Fatal("stale echo adopted")
 	}
 	if st := b.Stats(); st.RejectedSeq != 1 {
@@ -140,10 +140,10 @@ func TestForgedTopRejected(t *testing.T) {
 	if !p.sn.Ordinary() {
 		t.Fatalf("fault-free proc has non-ordinary sn %v", p.sn)
 	}
-	snR := p.snR
+	snR := p.succ.sn
 	p.onTop()
-	if p.snR != snR {
-		t.Fatalf("premature ⊤ adopted: snR %v -> %v", snR, p.snR)
+	if p.succ.sn != snR {
+		t.Fatalf("premature ⊤ adopted: snR %v -> %v", snR, p.succ.sn)
 	}
 	if st := b.Stats(); st.RejectedTop != 1 {
 		t.Fatalf("RejectedTop = %d, want 1", st.RejectedTop)
@@ -185,11 +185,11 @@ func TestTreeForgedFramesRejected(t *testing.T) {
 	}
 
 	// Wrong-phase parent announcement at a child.
-	down := Message{SN: tokenring.SN((int(child.sn) + 1) % b.l), CP: child.pCP, PH: (child.pPH + 2) % b.nPhases}
+	down := Message{SN: tokenring.SN((int(child.sn) + 1) % b.l), CP: child.from.cp, PH: (child.from.ph + 2) % b.nPhases}
 	down.Sum = down.Checksum()
-	pSN, pPH := child.pSN, child.pPH
+	pSN, pPH := child.from.sn, child.from.ph
 	child.onDown(down)
-	if child.pSN != pSN || child.pPH != pPH {
+	if child.from.sn != pSN || child.from.ph != pPH {
 		t.Fatal("forged parent announcement adopted at the child")
 	}
 	if st := b.Stats(); st.RejectedPhase != 1 {
@@ -202,13 +202,13 @@ func TestTreeForgedFramesRejected(t *testing.T) {
 	i := 0
 	up := UpMessage{
 		Child: root.kids[i],
-		SN:    root.sn, CP: root.kidCP[i], PH: root.kidPH[i],
+		SN:    root.sn, CP: root.kid[i].live.cp, PH: root.kid[i].live.ph,
 		AckSN: root.sn, AckCP: core.Success, AckPH: (root.ph + 1) % b.nPhases,
 	}
 	up.Sum = up.Checksum()
-	ackSN, ackPH := root.kidAckSN[i], root.kidAckPH[i]
+	ackSN, ackPH := root.kid[i].ack.sn, root.kid[i].ack.ph
 	root.onUp(up)
-	if root.kidAckSN[i] != ackSN || root.kidAckPH[i] != ackPH {
+	if root.kid[i].ack.sn != ackSN || root.kid[i].ack.ph != ackPH {
 		t.Fatal("forged current-wave acknowledgment adopted at the root")
 	}
 	if st := b.Stats(); st.RejectedPhase != 2 {
@@ -310,14 +310,14 @@ func TestCrashedMemberIgnoresStateFaults(t *testing.T) {
 	if p.sn != sn || p.cp != cp || p.ph != ph {
 		t.Fatal("crashed member's state changed under reset/scramble")
 	}
-	m := Message{SN: p.sn, CP: p.cpL, PH: p.phL}
-	if m.SN == p.snL {
+	m := Message{SN: p.sn, CP: p.from.cp, PH: p.from.ph}
+	if m.SN == p.from.sn {
 		m.SN = tokenring.SN((int(p.sn) + 1) % b.l)
 	}
 	m.Sum = m.Checksum()
-	snL := p.snL
+	snL := p.from.sn
 	p.onPredState(m)
-	if p.snL != snL {
+	if p.from.sn != snL {
 		t.Fatal("crashed member adopted a frame")
 	}
 	p.onCtrl(ctrlMsg{kind: ctrlRestart})
