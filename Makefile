@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet barriervet fuzz-smoke barrierd-e2e barrierbench-smoke bench bench-ab
+.PHONY: build test race vet barriervet fuzz-smoke barrierd-e2e barrierbench-smoke bench bench-ab tier1-soak
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The uncached suite N times in a row, one line per run; a failing
+# package's JSON is kept under .bench_build/soak/ (scripts/tier1-soak.sh).
+#	make tier1-soak N=10
+N ?= 10
+tier1-soak:
+	bash scripts/tier1-soak.sh $(N)
 
 # vet is the full static gate: the stock toolchain vet plus barriervet,
 # the repo's own invariant analyzers (see internal/analyzers).

@@ -52,81 +52,67 @@ func TestHaltQuiescesRing(t *testing.T) {
 	}
 }
 
-// A spurious message must not displace a genuine in-flight announcement:
-// the mailbox keeps the real message and the spurious one is dropped.
-// Genuine traffic sits in a receive mailbox only on a channel link, so
-// the ring is placed over an explicit channel transport.
-func TestSpuriousDoesNotDisplaceGenuine(t *testing.T) {
-	b, err := New(Config{Participants: 3, Seed: 32, Transport: NewChanTransport(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Stop()
-	// Freeze the ring so the mailbox can be inspected without racing it.
-	b.Halt()
-	waitQuiesced(t, b)
+// A spurious frame enters through the victim's control channel on every
+// placement, like the other fault kinds. Each call counts as spurious; with
+// the scheduler frozen by Halt, every call beyond the control buffer's free
+// capacity costs one drop; and a genuine frame waiting in a channel link's
+// receive mailbox is still there afterwards — nothing but the neighbour
+// writes into a link.
+func TestSpuriousEntersThroughControl(t *testing.T) {
+	const n, victim, extra = 4, 1, 3
+	for _, pl := range placements(t, n, 1, 32) {
+		t.Run(pl.name, func(t *testing.T) {
+			b, err := New(pl.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Stop()
+			b.Halt()
+			waitQuiesced(t, b)
 
-	p := b.lanes[0].procs[1]
-	for {
-		select {
-		case <-p.state:
-			continue
-		default:
-		}
-		break
-	}
-	genuine := Message{SN: 2, CP: core.Execute, PH: 1}
-	genuine.Sum = genuine.Checksum()
-	if !p.link.InjectState(genuine) {
-		t.Fatal("drained mailbox rejected the genuine announcement")
-	}
+			ln := b.lanes[0]
+			var mailbox chan Message // the victim's receive mailbox on a channel link
+			if p := ln.procs[victim]; p != nil {
+				if l, ok := p.link.(*chanLink); ok {
+					mailbox = l.state
+				}
+			} else if l, ok := ln.tprocs[victim].link.(*chanTreeLink); ok {
+				mailbox = l.down
+			}
+			if (pl.cfg.LaneTransports != nil) != (mailbox != nil) {
+				t.Fatalf("channel link found = %v on placement %s", mailbox != nil, pl.name)
+			}
+			genuine := Message{SN: 2, CP: core.Execute, PH: 1}
+			genuine.Sum = genuine.Checksum()
+			if mailbox != nil {
+				for len(mailbox) > 0 {
+					<-mailbox
+				}
+				mailbox <- genuine
+			}
 
-	dropsBefore := b.Stats().Drops
-	b.InjectSpurious(1, 12345)
-
-	if got := b.Stats().Spurious; got != 1 {
-		t.Errorf("Spurious counter = %d, want 1", got)
-	}
-	if got := b.Stats().Drops; got != dropsBefore+1 {
-		t.Errorf("losing spurious message not accounted: drops %d, want %d", got, dropsBefore+1)
-	}
-	select {
-	case m := <-p.state:
-		if m != genuine {
-			t.Errorf("mailbox holds %+v, want the genuine announcement %+v", m, genuine)
-		}
-	default:
-		t.Error("mailbox empty: genuine announcement was discarded")
-	}
-}
-
-// The one-scheduler ring's counterpart: members exchange no messages a
-// forgery could displace, and a direct-copy link's mailbox holds at most
-// one injection the scheduler has not drained yet. A second injection in
-// that window loses the race and is accounted as a drop; both count as
-// spurious.
-func TestSpuriousMailboxOnDirectCopyLink(t *testing.T) {
-	b, err := New(Config{Participants: 3, Seed: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Stop()
-	// Freeze the scheduler so nothing drains the mailbox.
-	b.Halt()
-	waitQuiesced(t, b)
-
-	before := b.Stats()
-	b.InjectSpurious(1, 12345)
-	b.InjectSpurious(1, 67890)
-	after := b.Stats()
-	if got := after.Spurious - before.Spurious; got != 2 {
-		t.Errorf("Spurious rose by %d, want 2", got)
-	}
-	if got := after.Drops - before.Drops; got != 1 {
-		t.Errorf("Drops rose by %d, want 1 (the second injection found the mailbox occupied)", got)
-	}
-	if got := len(b.lanes[0].procs[1].state); got != 1 {
-		t.Errorf("mailbox holds %d messages, want the first injection", got)
+			ctrl := ln.gates[victim].ctrl
+			calls := cap(ctrl) - len(ctrl) + extra
+			before := b.Stats()
+			for k := 0; k < calls; k++ {
+				b.InjectSpurious(victim, int64(12345+k))
+			}
+			after := b.Stats()
+			if got := after.Spurious - before.Spurious; got != int64(calls) {
+				t.Errorf("Spurious rose by %d, want %d", got, calls)
+			}
+			if got := after.Drops - before.Drops; got != extra {
+				t.Errorf("Drops rose by %d, want %d (the injections a full control buffer turned away)", got, extra)
+			}
+			if len(ctrl) != cap(ctrl) {
+				t.Errorf("control buffer holds %d of %d", len(ctrl), cap(ctrl))
+			}
+			if mailbox != nil {
+				if len(mailbox) != 1 || <-mailbox != genuine {
+					t.Error("the genuine frame in the receive mailbox was displaced")
+				}
+			}
+		})
 	}
 }
 

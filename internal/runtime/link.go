@@ -60,7 +60,11 @@ func (m Message) Checksum() uint32 {
 
 // Link is one ring member's attachment to its two neighbors: state
 // announcements flow forward (to the successor), and the ⊤ whole-ring
-// restart marker flows backward (to the predecessor).
+// restart marker flows backward (to the predecessor). A link only sends
+// and receives — a register the neighbour writes and the member reads
+// (Herman's safe-register model). Nothing else writes into it: a fault,
+// spurious reception included, reaches the member through its
+// scheduler's control channel.
 type Link interface {
 	// SendState announces the member's current (sn, cp, ph) to its
 	// successor. Best-effort and non-blocking: the latest state wins, and
@@ -75,11 +79,6 @@ type Link interface {
 	State() <-chan Message
 	// Top is the channel of ⊤ markers received from the successor.
 	Top() <-chan struct{}
-	// InjectState delivers a forged announcement locally, as if it had
-	// been received from the predecessor — the fault-injection hook for
-	// "unexpected message reception". It reports false when the receive
-	// mailbox already holds a genuine in-flight message.
-	InjectState(Message) bool
 	// Close tears down any goroutines and connections serving this link.
 	// It must not close the State/Top channels (a scheduler may still be
 	// selecting on them).
@@ -165,8 +164,6 @@ func (l *chanLink) SendTop() {
 
 func (l *chanLink) State() <-chan Message { return l.state }
 func (l *chanLink) Top() <-chan struct{}  { return l.top }
-
-func (l *chanLink) InjectState(m Message) bool { return offer(l.state, m) }
 
 // offer is a non-blocking send: it reports false when ch is full.
 func offer[M any](ch chan M, m M) bool {

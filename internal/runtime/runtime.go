@@ -142,9 +142,6 @@ type Config struct {
 	Rejoin bool
 	// NPhases is the phase-counter modulus (default 8; any value ≥ 2).
 	NPhases int
-	// L is the sequence-number modulus; the MB refinement requires
-	// L > 2N+1. Default 2*Participants + 2.
-	L int
 	// Resend is the period of the barrier's retransmission sweep (default
 	// 200µs), which masks message loss on every edge that crosses a
 	// Transport within 2 x max(Resend, the host's idle-timer granularity).
@@ -198,6 +195,10 @@ const (
 	// revives it in the Section 7 detectably-reset state.
 	ctrlCrash
 	ctrlRestart
+	// ctrlSpurious is the "unexpected message reception" fault: the victim's
+	// scheduler draws a well-formed frame from seed and feeds it through
+	// the genuine receive path of the edge it claims to arrive on.
+	ctrlSpurious
 	// ctrlByz* deliver a Byzantine adversary's forgery to the victim's
 	// scheduler, which crafts the frame from the victim's own current
 	// view (the strongest forgery an adversary on that edge can build)
@@ -406,7 +407,8 @@ type node struct {
 	triple // the member's own (sn, cp, ph)
 
 	// from copies the ring predecessor (MB's snL, cpL, phL) or the tree
-	// parent (meaningless at the root); seen holds the last frame from it
+	// parent (at the root, a constant start state no fault takes, so
+	// settled needs no root case); seen holds the last frame from it
 	// that the windows turned away.
 	from cell
 	seen slot[Message]
@@ -438,9 +440,7 @@ type proc struct {
 
 	succ cell // the successor's ⊤ restart marker (MB's snR)
 
-	link  Link
-	state <-chan Message // predecessor's state announcements, via the link
-	top   <-chan struct{}
+	link Link
 
 	lastSent Message
 	haveSent bool
@@ -467,13 +467,6 @@ func New(cfg Config) (*Barrier, error) {
 	}
 	if cfg.NPhases < 2 {
 		return nil, errors.New("ftbarrier: need at least 2 phases")
-	}
-	if cfg.L == 0 {
-		cfg.L = 2*cfg.Participants + 2
-	}
-	if cfg.L < 2*cfg.Participants {
-		return nil, fmt.Errorf("ftbarrier: need L > 2N+1, got L=%d with N=%d",
-			cfg.L, cfg.Participants-1)
 	}
 	if cfg.Resend == 0 {
 		cfg.Resend = 200 * time.Microsecond
@@ -531,7 +524,10 @@ func New(cfg Config) (*Barrier, error) {
 	b := &Barrier{
 		n:       cfg.Participants,
 		nPhases: cfg.NPhases,
-		l:       cfg.L,
+		// The sequence-number modulus: MB needs L > 2N+1 for processes
+		// 0..N, i.e. L >= 2*Participants. The two spare values keep the L
+		// every recorded schedule and corpus entry was run with.
+		l:       2*cfg.Participants + 2,
 		depth:   cfg.Depth,
 		halted:  make(chan struct{}),
 		stopped: make(chan struct{}),
@@ -646,7 +642,7 @@ func (b *Barrier) startRing(cfg Config, members []int, ln *lane) error {
 		// Every member is local (Members requires an explicit Transport).
 		s := newSched(b, cfg, ln, true)
 		for id := 0; id < b.n; id++ {
-			s.addRing(cfg, ln, id, newFusedRingLink(s, id))
+			s.addRing(cfg, ln, id, &fusedRingLink{s, id})
 		}
 	} else {
 		for _, j := range members {
@@ -656,6 +652,7 @@ func (b *Barrier) startRing(cfg Config, members []int, ln *lane) error {
 			}
 			s := newSched(b, cfg, ln, false)
 			s.ringIn = s.addRing(cfg, ln, j, link)
+			s.extState, s.extTop = link.State(), link.Top()
 		}
 	}
 	if !cfg.Rejoin {
@@ -682,10 +679,8 @@ func (s *sched) addRing(cfg Config, ln *lane, id int, link Link) *proc {
 			from:   cell{triple: triple{cp: core.Execute}, role: pred, ring: true},
 			rng:    prng.New(cfg.Seed + int64(id)*7919),
 		},
-		succ:  cell{role: marker},
-		link:  link,
-		state: link.State(),
-		top:   link.Top(),
+		succ: cell{role: marker},
+		link: link,
 	}
 	p.memory = []volatile{&p.triple, &p.from, &p.seen, &p.succ}
 	if cfg.Rejoin {
@@ -803,6 +798,11 @@ func (b *Barrier) Stats() Stats {
 // stabilizing, not masking: a forged state can propagate transiently (even
 // completing a barrier at the wrong phase) until the predecessor's next
 // genuine (re)transmission overrides it and the ring re-converges.
+//
+// Like every other fault it enters through the process's control channel
+// (ctrlSpurious), never through a link, so a genuine frame in flight is
+// never displaced by one. A full control buffer discards the message,
+// accounted as a drop; either way it counts as spurious.
 func (b *Barrier) InjectSpurious(id int, seed int64) {
 	if id < 0 || id >= b.n {
 		return
@@ -810,28 +810,12 @@ func (b *Barrier) InjectSpurious(id int, seed int64) {
 	// With a pipeline window the forgery lands in the participant's
 	// current (primary) lane — the instance whose outcome it can actually
 	// perturb — so Depth=1 behavior is exactly the historical one.
-	ln := b.lanes[b.primaryLane(id)]
-	if tp := ln.tprocs[id]; tp != nil {
-		tp.injectSpurious(seed)
+	g := b.lanes[b.primaryLane(id)].gates[id]
+	if g == nil {
 		return
 	}
-	if ln.procs[id] == nil {
-		return
-	}
-	rng := prng.New(seed)
-	m := Message{
-		SN: tokenring.SN(rng.Intn(b.l)),
-		CP: core.CP(rng.Intn(core.NumCP)),
-		PH: rng.Intn(b.nPhases),
-	}
-	m.Sum = m.Checksum()
 	b.statSpurious.Add(1)
-	if !ln.procs[id].link.InjectState(m) {
-		// The receive mailbox is occupied: on a channel link by a genuine
-		// in-flight announcement — displacing it would silently void a
-		// message already counted as sent — on a direct-copy link by an
-		// injection not drained yet. The spurious message loses the race
-		// instead, and the discard is accounted as a drop.
+	if !offer(g.ctrl, ctrlMsg{id: id, kind: ctrlSpurious, seed: seed}) {
 		b.statDrops.Add(1)
 	}
 }
@@ -1427,10 +1411,11 @@ func (g *gate) deliver(r awaitResult) {
 // --- what a ring process and a tree process share (node) ---
 
 // ctrl is the control handler of both member types. What is theirs alone
-// is behind m: which announcements a resend poke forgets, and the routing
-// of a Byzantine forgery to the edge it arrives on.
+// is behind m: which announcements a resend poke forgets, and the frame a
+// spurious reception or a Byzantine forgery puts on which edge.
 func (n *node) ctrl(c ctrlMsg, m interface {
 	forget()
+	onSpurious(seed int64)
 	onByz(c ctrlMsg)
 }) {
 	switch c.kind {
@@ -1465,6 +1450,8 @@ func (n *node) ctrl(c ctrlMsg, m interface {
 		// a reset.
 		n.crashed = false
 		n.reset()
+	case ctrlSpurious:
+		m.onSpurious(c.seed)
 	default:
 		m.onByz(c)
 	}
@@ -1506,26 +1493,6 @@ func (n *node) reset() {
 
 // --- the ring process ---
 
-// poll consumes the link's queued receives: over a transport the
-// predecessor's announcement and the successor's ⊤ marker, on a
-// direct-copy link a spurious injection.
-func (p *proc) poll() bool {
-	progressed := false
-	select {
-	case msg := <-p.state:
-		p.onPredState(msg)
-		progressed = true
-	default:
-	}
-	select {
-	case <-p.top:
-		p.onTop()
-		progressed = true
-	default:
-	}
-	return progressed
-}
-
 // onPredState is action C.j: update the local copy of the predecessor's
 // variables, through the cell's windows (cell.go).
 func (p *proc) onPredState(m Message) {
@@ -1550,6 +1517,14 @@ func (p *proc) onTop() {
 func (p *proc) onCtrl(c ctrlMsg) { p.ctrl(c, p) }
 
 func (p *proc) forget() { p.haveSent = false }
+
+// onSpurious receives a state frame drawn from seed on the predecessor's
+// edge: an ordinary sequence number, any control position and phase.
+func (p *proc) onSpurious(seed int64) {
+	rng := prng.New(seed)
+	t := triple{tokenring.SN(rng.Intn(p.b.l)), core.CP(rng.Intn(core.NumCP)), rng.Intn(p.b.nPhases)}
+	p.onPredState(t.message())
+}
 
 // onByz delivers a Byzantine forgery to this ring proc: a state frame
 // through the predecessor copy's windows, or a premature ⊤ marker. The

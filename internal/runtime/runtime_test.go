@@ -46,9 +46,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Participants: 4, NPhases: 1}); err == nil {
 		t.Error("single phase should be rejected")
 	}
-	if _, err := New(Config{Participants: 4, L: 7}); err == nil {
-		t.Error("L ≤ 2N+1 should be rejected")
-	}
 	if _, err := New(Config{Participants: 4, LossRate: 1.5}); err == nil {
 		t.Error("loss rate ≥ 1 should be rejected")
 	}
@@ -670,13 +667,19 @@ func TestChaosSoak(t *testing.T) {
 	// at its personal target could stall the rest. The target includes two
 	// full injector cycles: 40 lossy passes alone take less than one
 	// injector period now that loss between co-hosted members is masked
-	// without waiting for the sweeper.
+	// without waiting for the sweeper. They also keep going until every
+	// fault path asserted below has fired: whether a Reset voids phase work
+	// (ErrReset) depends on where in the phase it lands, so a fixed number
+	// of injections can miss it.
 	const wantPasses, wantInjections = 40, 14
 	runCtx, runCancel := context.WithCancel(ctx)
 	defer runCancel()
 	var passes [n]int64
 	allDone := func() bool {
 		if injections.Load() < wantInjections {
+			return false
+		}
+		if st := b.Stats(); st.Drops == 0 || st.Spurious == 0 || st.Resets == 0 {
 			return false
 		}
 		for i := range passes {

@@ -20,21 +20,23 @@
 //     member of an in-process NewChanTransport or NewLoopbackRing), one
 //     scheduler for a hybrid host's whole roster.
 //
-// That link is the scheduler's one external attachment; its receive
-// channels sit in the scheduler's select beside the inputs whose senders
-// are other goroutines: arrivals, fault injections and resend pokes on
-// the control channel the hosted members share, and spurious injections
-// into direct-copy links (per-link mailboxes plus a nudge). A scheduler
-// owns no timer: the barrier's one sweeper paces every retransmission.
+// That link is the scheduler's one external attachment. Every input a
+// member sees comes through one of two doors: the receive channels of that
+// attachment, or the control channel the hosted members share, which
+// carries whatever other goroutines send — arrivals, resend pokes, and
+// every fault kind, a spurious frame included (the paper's faults are
+// environment actions on a process's variables, and "unexpected message
+// reception" is one on the receiver's copy). A scheduler owns no timer:
+// the barrier's one sweeper paces every retransmission.
 //
-// The nudge is also how a scheduler learns of Halt and Stop. It does not
-// wait on their channels: it looks at them (Barrier.down) each time round
-// its loop, and Halt and Stop offer the nudge after closing theirs, which
-// ends an idle park. The nudge has capacity 1 and carries no payload — its
-// senders are injectors and Barrier.wakeAll, all non-blocking, and a full
-// buffer already guarantees the wake-up the sender wanted. The participants'
-// side of the same arrangement is the gate's wake channel, where the
-// scheduler is the sender of results and wakeAll of pokes (see gate).
+// The nudge is how a scheduler learns of Halt and Stop. It does not wait
+// on their channels: it looks at them (Barrier.down) each time round its
+// loop, and Halt and Stop offer the nudge after closing theirs, which ends
+// an idle park. The nudge has capacity 1 and carries no payload — its one
+// sender is Barrier.wakeAll, non-blocking, and a full buffer already
+// guarantees the wake-up it wanted. The participants' side of the same
+// arrangement is the gate's wake channel, where the scheduler is the
+// sender of results and wakeAll of pokes (see gate).
 //
 // What a scheduler can do without a timer is notice, when it runs out of
 // work, that a frame between two members it hosts never arrived: both ends
@@ -60,7 +62,6 @@ type member interface {
 	step()                                  // apply every enabled action to quiescence
 	announce(lossRate, corruptRate float64) // send what changed since the last announcement
 	onCtrl(c ctrlMsg)                       // arrival, fault injection, or the sweeper's resend poke
-	poll() bool                             // consume the link's queued receives; false if none
 	pull() int                              // re-read co-hosted neighbours' registers; how many were taken
 }
 
@@ -87,21 +88,24 @@ type sched struct {
 	lossRate, corruptRate float64 // Config's, drawn against in announce
 
 	ctrl  chan ctrlMsg
-	nudge chan struct{} // "look again": a spurious injection is in a mailbox, or Halt/Stop
+	nudge chan struct{} // "look again": Halt or Stop
 
 	dirty []bool
 	queue []int
 	head  int
 
 	// The external attachment, at most one. ringIn is the member of a
-	// one-member ring scheduler; its link's State/Top are the attachment.
-	// treeIn is the member whose remote tree edges extDown/extUp carry:
-	// the member of a one-member tree scheduler (the channels are its own
-	// link's), or the local host root of a hybrid roster.
-	ringIn  *proc
-	treeIn  *treeProc
-	extDown <-chan Message
-	extUp   <-chan UpMessage
+	// one-member ring scheduler; its link's extState/extTop are the
+	// attachment. treeIn is the member whose remote tree edges
+	// extDown/extUp carry: the member of a one-member tree scheduler (the
+	// channels are its own link's), or the local host root of a hybrid
+	// roster. The channels of an absent attachment are nil, never ready.
+	ringIn   *proc
+	treeIn   *treeProc
+	extState <-chan Message
+	extTop   <-chan struct{}
+	extDown  <-chan Message
+	extUp    <-chan UpMessage
 
 	// Hybrid host-tree addressing (nil/zero otherwise): ext is this
 	// host's edge set in the cross-host tree (node space = host indices),
@@ -145,7 +149,7 @@ func newSched(b *Barrier, cfg Config, ln *lane, fused bool) *sched {
 func (b *Barrier) startFusedTree(cfg Config, tree *topo.Tree, ln *lane) {
 	s := newSched(b, cfg, ln, true)
 	for id := 0; id < b.n; id++ {
-		s.addTree(cfg, ln, id, tree, newFusedTreeLink(s, id))
+		s.addTree(cfg, ln, id, tree, &fusedTreeLink{s, id})
 	}
 }
 
@@ -210,7 +214,7 @@ func (b *Barrier) startFusedHybrid(cfg Config, hy *topo.Hybrid, members []int, t
 	s.ext, s.extDown, s.extUp = ext, ext.Down(), ext.Up()
 	s.host, s.hy = host, hy
 	for _, id := range roster {
-		s.addTree(cfg, ln, id, hy.Tree, newFusedTreeLink(s, id))
+		s.addTree(cfg, ln, id, hy.Tree, &fusedTreeLink{s, id})
 	}
 	s.treeIn = ln.tprocs[hy.HostRoot[host]]
 	return nil
@@ -314,6 +318,18 @@ func (s *sched) onCtrl(c ctrlMsg) {
 	s.mark(c.id)
 }
 
+// onExtState and onExtTop deliver what a one-member ring scheduler's link
+// received: the predecessor's announcement and the successor's ⊤ marker.
+func (s *sched) onExtState(m Message) {
+	s.ringIn.onPredState(m)
+	s.mark(s.ringIn.id)
+}
+
+func (s *sched) onExtTop() {
+	s.ringIn.onTop()
+	s.mark(s.ringIn.id)
+}
+
 // onExtDown delivers an announcement from the external parent edge: it
 // refreshes the attached member's parent copy (checksum verification and
 // all fault branches are the member's own onDown).
@@ -353,15 +369,19 @@ func (s *sched) poll() bool {
 		progressed = true
 	default:
 	}
-	select {
-	case <-s.nudge:
-		s.sweepInjections()
-		progressed = true
-	default:
-	}
-	if s.ringIn != nil && s.ringIn.poll() {
-		s.mark(s.ringIn.id)
-		progressed = true
+	if s.ringIn != nil {
+		select {
+		case m := <-s.extState:
+			s.onExtState(m)
+			progressed = true
+		default:
+		}
+		select {
+		case <-s.extTop:
+			s.onExtTop()
+			progressed = true
+		default:
+		}
 	}
 	if s.treeIn != nil {
 		select {
@@ -383,16 +403,6 @@ func (s *sched) poll() bool {
 	return progressed
 }
 
-// sweepInjections drains the spurious-injection mailboxes of the
-// direct-copy links.
-func (s *sched) sweepInjections() {
-	for id, m := range s.members {
-		if m != nil && m.poll() {
-			s.mark(id)
-		}
-	}
-}
-
 // run is the scheduler goroutine: started by New, it exits on Stop and —
 // fail-safe — on Halt: no completion may ever be reported again, so
 // circulating waves or retransmitting state is pure waste, and
@@ -401,12 +411,6 @@ func (s *sched) sweepInjections() {
 // waits only on this scheduler's own inputs, and wakeAll's nudge ends it.
 func (s *sched) run() {
 	defer s.b.wg.Done()
-	// The ring attachment's channels; nil (never ready) when absent.
-	var extState <-chan Message
-	var extTop <-chan struct{}
-	if s.ringIn != nil {
-		extState, extTop = s.ringIn.state, s.ringIn.top
-	}
 	for id, m := range s.members {
 		if m != nil {
 			s.mark(id) // prime the collective
@@ -431,13 +435,10 @@ func (s *sched) run() {
 		case c := <-s.ctrl:
 			s.onCtrl(c)
 		case <-s.nudge:
-			s.sweepInjections()
-		case m := <-extState:
-			s.ringIn.onPredState(m)
-			s.mark(s.ringIn.id)
-		case <-extTop:
-			s.ringIn.onTop()
-			s.mark(s.ringIn.id)
+		case m := <-s.extState:
+			s.onExtState(m)
+		case <-s.extTop:
+			s.onExtTop()
 		case m := <-s.extDown:
 			s.onExtDown(m)
 		case m := <-s.extUp:
@@ -446,30 +447,12 @@ func (s *sched) run() {
 	}
 }
 
-// inject offers a spurious message to a direct-copy link's mailbox and
-// nudges the scheduler to sweep it (the caller is a participant
-// goroutine). It reports false when the mailbox is still occupied.
-func inject[M any](s *sched, mailbox chan M, m M) bool {
-	if !offer(mailbox, m) {
-		return false
-	}
-	offer(s.nudge, struct{}{})
-	return true
-}
-
 // fusedRingLink is a member's ring link when the whole ring shares one
 // scheduler: sends refresh the neighbour's copies directly (the caller is
-// always the scheduler goroutine); the mailbox exists only for
-// spurious-message injection, whose senders are participant goroutines.
+// always the scheduler goroutine), so there is nothing to receive.
 type fusedRingLink struct {
 	s  *sched // hosts the whole ring: s.procs is every member
 	id int
-
-	inj chan Message
-}
-
-func newFusedRingLink(s *sched, id int) *fusedRingLink {
-	return &fusedRingLink{s: s, id: id, inj: make(chan Message, 1)}
 }
 
 // SendState delivers the announcement and credits the ledger with it (a
@@ -489,10 +472,8 @@ func (l *fusedRingLink) SendTop() {
 	l.s.mark(pred)
 }
 
-func (l *fusedRingLink) State() <-chan Message { return l.inj }
+func (l *fusedRingLink) State() <-chan Message { return nil }
 func (l *fusedRingLink) Top() <-chan struct{}  { return nil }
-
-func (l *fusedRingLink) InjectState(m Message) bool { return inject(l.s, l.inj, m) }
 
 func (l *fusedRingLink) Close() error { return nil }
 
@@ -500,18 +481,6 @@ func (l *fusedRingLink) Close() error { return nil }
 type fusedTreeLink struct {
 	s  *sched // s.tprocs is the lane's members; nil entries live on other hosts
 	id int
-
-	injDown chan Message
-	injUp   chan UpMessage
-}
-
-func newFusedTreeLink(s *sched, id int) *fusedTreeLink {
-	return &fusedTreeLink{
-		s:       s,
-		id:      id,
-		injDown: make(chan Message, 1),
-		injUp:   make(chan UpMessage, 2),
-	}
 }
 
 func (l *fusedTreeLink) SendDown(child int, m Message) {
@@ -556,10 +525,7 @@ func (l *fusedTreeLink) SendUp(m UpMessage) {
 	l.s.mark(p)
 }
 
-func (l *fusedTreeLink) Down() <-chan Message { return l.injDown }
-func (l *fusedTreeLink) Up() <-chan UpMessage { return l.injUp }
-
-func (l *fusedTreeLink) InjectDown(m Message) bool { return inject(l.s, l.injDown, m) }
-func (l *fusedTreeLink) InjectUp(m UpMessage) bool { return inject(l.s, l.injUp, m) }
+func (l *fusedTreeLink) Down() <-chan Message { return nil }
+func (l *fusedTreeLink) Up() <-chan UpMessage { return nil }
 
 func (l *fusedTreeLink) Close() error { return nil }

@@ -98,8 +98,6 @@ type treeProc struct {
 	kid []kidCopy // indexed like kids
 
 	link TreeLink
-	down <-chan Message
-	up   <-chan UpMessage
 
 	lastDown     Message
 	haveSentDown bool
@@ -123,10 +121,15 @@ func newTreeProc(g *gate, parentID int, kids []int, link TreeLink, cfg Config) *
 		ack:      ready,
 		kid:      make([]kidCopy, len(kids)),
 		link:     link,
-		down:     link.Down(),
-		up:       link.Up(),
 	}
-	tp.memory = append(make([]volatile, 0, 4+3*len(kids)), &tp.triple, &tp.ack, &tp.from, &tp.seen)
+	// memory holds the cells this member's role has. A root has no parent,
+	// so its parent copy stays the coherent start value nothing refreshes:
+	// a fault that took it would leave the root unsettled (node.settled)
+	// for good, and its windows standing aside for the rest of the run.
+	tp.memory = append(make([]volatile, 0, 4+3*len(kids)), &tp.triple, &tp.ack)
+	if parentID >= 0 {
+		tp.memory = append(tp.memory, &tp.from, &tp.seen)
+	}
 	for i := range tp.kid {
 		tp.kid[i] = kidCopy{
 			live: cell{triple: ready, role: behind},
@@ -139,24 +142,6 @@ func newTreeProc(g *gate, parentID int, kids []int, link TreeLink, cfg Config) *
 		tp.lose()
 	}
 	return tp
-}
-
-// poll consumes the link's queued receives — on a direct-copy link,
-// spurious injections (a cold path: the scheduler polls a transport
-// link's channels itself).
-func (tp *treeProc) poll() bool {
-	progressed := false
-	for {
-		select {
-		case m := <-tp.down:
-			tp.onDown(m)
-		case m := <-tp.up:
-			tp.onUp(m)
-		default:
-			return progressed
-		}
-		progressed = true
-	}
 }
 
 // onDown refreshes the local copy of the parent's state, through the
@@ -221,27 +206,20 @@ func (tp *treeProc) onByz(c ctrlMsg) {
 	}
 }
 
-// injectSpurious delivers a forged, well-formed announcement to this node:
-// a parent announcement for non-roots, a child announcement at the root.
-func (tp *treeProc) injectSpurious(seed int64) {
+// onSpurious receives a frame drawn from seed: a parent announcement at a
+// non-root, at the root a drawn child's convergecast frame.
+func (tp *treeProc) onSpurious(seed int64) {
 	rng := prng.New(seed)
 	draw := func() (t triple) {
 		t.scramble(&rng, tp.b.l, tp.b.nPhases)
 		return t
 	}
-	tp.b.statSpurious.Add(1)
 	if tp.parentID < 0 {
 		child := tp.kids[rng.Intn(len(tp.kids))]
-		if !tp.link.InjectUp(upMessage(child, draw(), draw())) {
-			tp.b.statDrops.Add(1)
-		}
+		tp.onUp(upMessage(child, draw(), draw()))
 		return
 	}
-	if !tp.link.InjectDown(draw().message()) {
-		// The mailbox holds a genuine in-flight announcement; the forgery
-		// loses the race (see the ring InjectSpurious).
-		tp.b.statDrops.Add(1)
-	}
+	tp.onDown(draw().message())
 }
 
 // step applies every enabled DT action to quiescence: D.j/B.j (or R.0 at

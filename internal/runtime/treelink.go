@@ -53,6 +53,7 @@ func (m UpMessage) Checksum() uint32 {
 }
 
 // TreeLink is one tree member's attachment to its parent and children.
+// Like Link it only sends and receives; faults do not come through it.
 type TreeLink interface {
 	// SendDown announces the member's current (sn, cp, ph) to child
 	// (a member id). Best-effort and non-blocking; latest state wins.
@@ -65,13 +66,6 @@ type TreeLink interface {
 	// Up is the channel of announcements received from the children
 	// (shared across children; receivers demultiplex by Child).
 	Up() <-chan UpMessage
-	// InjectDown delivers a forged parent announcement locally — the
-	// fault-injection hook for "unexpected message reception". It reports
-	// false when the mailbox already holds a genuine in-flight message.
-	InjectDown(m Message) bool
-	// InjectUp delivers a forged child announcement locally; it reports
-	// false when the up mailbox is full of genuine traffic.
-	InjectUp(m UpMessage) bool
 	// Close tears down any goroutines and connections serving this link.
 	// It must not close the Down/Up channels.
 	Close() error
@@ -188,8 +182,5 @@ func (l *chanTreeLink) SendUp(m UpMessage) {
 
 func (l *chanTreeLink) Down() <-chan Message { return l.down }
 func (l *chanTreeLink) Up() <-chan UpMessage { return l.up }
-
-func (l *chanTreeLink) InjectDown(m Message) bool { return offer(l.down, m) }
-func (l *chanTreeLink) InjectUp(m UpMessage) bool { return offer(l.up, m) }
 
 func (l *chanTreeLink) Close() error { return nil }

@@ -337,20 +337,42 @@ func TestCrashedMemberIgnoresStateFaults(t *testing.T) {
 // only what a genuine neighbour announced, so it neither adopts a forgery
 // nor supplies the second sighting that would confirm one, and a genuine
 // register is never outside its window — the identity stays exact.
+//
+// The root rows fault the root once (a Reset, or a Crash and Restart),
+// let passes resume, and then have a leaf child of the root forge its
+// convergecast frames. A recovered root validates again, so every one of
+// them is rejected — none is reclassified as skipped. The identity is
+// counted from the end of the recovery: while it stabilizes, a settled
+// member may turn a genuine frame away once before its second sighting.
 func TestByzRejectedExactlyLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock paced")
 	}
-	const n = 4
-	configs := map[string]Config{
-		"ring":       {Participants: n, NPhases: 3, Seed: 49},
-		"tree":       {Participants: n, NPhases: 3, Topology: TopologyTree, Seed: 49},
-		"hybrid":     {Participants: n, NPhases: 3, Topology: TopologyHybrid, Seed: 49, Hosts: [][]int{{0, 1}, {2, 3}}},
-		"tree-lossy": {Participants: n, NPhases: 3, Topology: TopologyTree, Seed: 49, LossRate: 0.05},
+	const n, forgeries = 4, 24
+	tree := Config{Participants: n, NPhases: 3, Topology: TopologyTree, Seed: 49}
+	hybrid := Config{Participants: n, NPhases: 3, Topology: TopologyHybrid, Seed: 49, Hosts: [][]int{{0, 1}, {2, 3}}}
+	lossy := tree
+	lossy.LossRate = 0.05
+	reset := func(b *Barrier) { b.Reset(0) }
+	restart := func(b *Barrier) { b.Crash(0); b.Restart(0) }
+	rows := []struct {
+		name      string
+		cfg       Config
+		rootFault func(*Barrier) // nil: no fault, forgeries from every member in turn
+		adversary int            // with rootFault: the leaf child of the root that forges
+	}{
+		{name: "ring", cfg: Config{Participants: n, NPhases: 3, Seed: 49}},
+		{name: "tree", cfg: tree},
+		{name: "hybrid", cfg: hybrid},
+		{name: "tree-lossy", cfg: lossy},
+		{name: "tree-root-reset", cfg: tree, rootFault: reset, adversary: 2},
+		{name: "tree-root-restart", cfg: tree, rootFault: restart, adversary: 2},
+		{name: "hybrid-root-reset", cfg: hybrid, rootFault: reset, adversary: 1},
+		{name: "hybrid-root-restart", cfg: hybrid, rootFault: restart, adversary: 1},
 	}
-	for _, name := range []string{"ring", "tree", "hybrid", "tree-lossy"} {
-		cfg := configs[name]
-		t.Run(name, func(t *testing.T) {
+	for _, row := range rows {
+		cfg := row.cfg
+		t.Run(row.name, func(t *testing.T) {
 			var mu sync.Mutex
 			checker := core.NewSpecChecker(n, 3)
 			cfg.Resend = 50 * time.Microsecond
@@ -403,9 +425,20 @@ func TestByzRejectedExactlyLive(t *testing.T) {
 				}
 			}
 			waitFor(2) // settle
+			adversary := func(k int) int { return k % n }
+			var base Stats // the counters the forgeries are measured from
+			if row.rootFault != nil {
+				if tp := b.lanes[0].tprocs[row.adversary]; tp.parentID != 0 || len(tp.kids) != 0 {
+					t.Fatalf("member %d is not a leaf child of the root", row.adversary)
+				}
+				row.rootFault(b)
+				waitFor(2) // the root recovered and passes resumed
+				base = b.Stats()
+				adversary = func(int) int { return row.adversary }
+			}
 
-			for k := 0; k < 24; k++ {
-				b.Byz(k%n, int64(1000*k+7))
+			for k := 0; k < forgeries; k++ {
+				b.Byz(adversary(k), int64(1000*k+7))
 				time.Sleep(300 * time.Microsecond)
 			}
 			waitFor(3) // the adversary must not stop the barrier
@@ -414,8 +447,18 @@ func TestByzRejectedExactlyLive(t *testing.T) {
 			b.Stop()
 
 			st := b.Stats()
+			st.ByzInjected -= base.ByzInjected
+			st.DroppedInjections -= base.DroppedInjections
+			st.RejectedSeq -= base.RejectedSeq
+			st.RejectedPhase -= base.RejectedPhase
+			st.RejectedTop -= base.RejectedTop
+			st.RejectedSender -= base.RejectedSender
 			if st.ByzInjected == 0 {
 				t.Fatal("no Byzantine forgery was delivered; the adversary path was not exercised")
+			}
+			if row.rootFault != nil && (st.ByzInjected != forgeries || st.DroppedInjections != 0) {
+				t.Errorf("recovered root hosted %d of %d forgeries (%d skipped or dropped), want all",
+					st.ByzInjected, forgeries, st.DroppedInjections)
 			}
 			if cfg.LossRate > 0 && st.Pulls == 0 {
 				t.Error("lossy run pulled nothing; forgeries never met a pull")

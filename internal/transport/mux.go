@@ -23,8 +23,8 @@
 // Lifecycle isolation: a group's link can be closed (its barrier halted,
 // stopped, or restarted for rejoin) without touching the shared
 // connections; its slots just stop being marked and its incoming frames
-// are dropped as loss. No group can stall another: every delivery is
-// non-blocking, every send is a slot overwrite.
+// wait, latest-wins, for the next Open. No group can stall another: every
+// delivery is non-blocking, every send is a slot overwrite.
 package transport
 
 import (
@@ -196,11 +196,12 @@ type muxGroup struct {
 	owner *Mux
 
 	sent, recv atomic.Int64 // per-group frame counters
-	// dropped counts frames that arrived for this group after its links
-	// were torn down (stop/churn). The drop is correct — a closed group's
-	// frames are loss, masked by retransmission on the sender — but it
-	// must not be silent: a rejoin that keeps receiving old-incarnation
-	// traffic, or a tenant wedged at teardown, shows up here first.
+	// dropped counts frames that arrived for this group while none of its
+	// links was open: before the first Open, or after a Close (stop/churn).
+	// Each is still delivered to the link's latest-wins mailbox, where the
+	// newest is what the next Open reads — but the count must not be
+	// silent: a rejoin that keeps receiving old-incarnation traffic, or a
+	// tenant wedged at teardown, shows up here first.
 	dropped atomic.Int64
 }
 
@@ -393,7 +394,7 @@ func newMux(cfg MuxConfig, w muxWiring) (*Mux, error) {
 				obsv.NewCounterFunc(`transport_group_frames_total{group="`+g.spec.Name+`",dir="recv"}`,
 					"Frames by group and direction.", g.recv.Load),
 				obsv.NewCounterFunc(`transport_group_frames_dropped_total{group="`+g.spec.Name+`"}`,
-					"Frames that arrived for this group after its links were torn down (dropped as loss).", g.dropped.Load))
+					"Frames that arrived for this group while none of its links was open; the newest is kept for the next Open.", g.dropped.Load))
 			if err != nil {
 				// registerAll already rolled back every series the mux had
 				// registered so far.
@@ -472,7 +473,8 @@ func (m *Mux) PeerCount() int { return len(m.cfg.Peers) }
 
 // GroupStats returns the (sent, recv, dropped) frame counts of one group:
 // frames sent on its behalf, frames received for it, and received frames
-// discarded because the group's links were already torn down.
+// that arrived while none of its links was open (kept, latest-wins, for
+// the next Open).
 func (m *Mux) GroupStats(id uint32) (sent, recv, dropped int64) {
 	g := m.groups[id]
 	if g == nil {
@@ -927,9 +929,13 @@ func (m *Mux) routeMiss(typ byte, id uint32, from int) error {
 }
 
 // deliverState routes a FrameState: a ring predecessor's announcement or
-// a tree parent's broadcast. Delivery is latest-wins and drops silently
-// when the group's link is closed (teardown isolation: a stopped group
-// must not affect the shared connection).
+// a tree parent's broadcast. Delivery is latest-wins into the link's
+// mailbox whether or not the link is open: the newest frame is the
+// neighbour's current register, which is what the next Open should read.
+// A peer may connect before this process opens the group, and a frame that
+// arrives after Close is no less current. Such a frame is counted in the
+// group's dropped frames, so late traffic into a closed group is visible;
+// the shared connection is not affected either way.
 func (m *Mux) deliverState(p *muxPeer, id uint32, msg runtime.Message) error {
 	r, ok := m.routes[routeKey{id, FrameState, p.id}]
 	if !ok {
@@ -946,10 +952,7 @@ func (m *Mux) deliverState(p *muxPeer, id uint32, msg runtime.Message) error {
 		dst, openFlag = r.g.tree.down, &r.g.tree.open
 	}
 	if !openFlag.Load() {
-		// Group torn down: the frame is loss, not an error — but counted,
-		// so late traffic into a closed group is visible.
 		r.g.dropped.Add(1)
-		return nil
 	}
 	select {
 	case <-dst:
@@ -970,8 +973,7 @@ func (m *Mux) deliverTop(p *muxPeer, id uint32) error {
 	m.stats.framesRecv.Add(1)
 	r.g.recv.Add(1)
 	if !r.g.ring.open.Load() {
-		r.g.dropped.Add(1)
-		return nil
+		r.g.dropped.Add(1) // and still delivered (see deliverState)
 	}
 	select {
 	case r.g.ring.top <- struct{}{}:
@@ -994,8 +996,7 @@ func (m *Mux) deliverUp(p *muxPeer, id uint32, msg runtime.UpMessage) error {
 	r.g.recv.Add(1)
 	tl := r.g.tree
 	if !tl.open.Load() {
-		r.g.dropped.Add(1)
-		return nil
+		r.g.dropped.Add(1) // and still delivered (see deliverState)
 	}
 	// Shared-mailbox delivery, the channel transport's discipline: send;
 	// if full, displace the oldest and retry; losing that race is loss.
@@ -1070,15 +1071,6 @@ func (l *muxRingLink) SendTop() {
 func (l *muxRingLink) State() <-chan runtime.Message { return l.state }
 func (l *muxRingLink) Top() <-chan struct{}          { return l.top }
 
-func (l *muxRingLink) InjectState(m runtime.Message) bool {
-	select {
-	case l.state <- m:
-		return true
-	default:
-		return false
-	}
-}
-
 func (l *muxRingLink) Close() error {
 	l.open.Store(false)
 	l.stateSlot.clear()
@@ -1118,24 +1110,6 @@ func (l *muxTreeLink) SendUp(m runtime.UpMessage) {
 
 func (l *muxTreeLink) Down() <-chan runtime.Message { return l.down }
 func (l *muxTreeLink) Up() <-chan runtime.UpMessage { return l.up }
-
-func (l *muxTreeLink) InjectDown(m runtime.Message) bool {
-	select {
-	case l.down <- m:
-		return true
-	default:
-		return false
-	}
-}
-
-func (l *muxTreeLink) InjectUp(m runtime.UpMessage) bool {
-	select {
-	case l.up <- m:
-		return true
-	default:
-		return false
-	}
-}
 
 func (l *muxTreeLink) Close() error {
 	l.open.Store(false)

@@ -557,3 +557,47 @@ func TestMuxHybridValidation(t *testing.T) {
 		t.Error("hybrid group with fewer hosts than processes succeeded")
 	}
 }
+
+// A frame that reaches a process before it opens the group is the
+// neighbour's current register, not loss: the link the first Open returns
+// yields it at once, with no resend. A peer routinely connects, and
+// announces, before this process has opened all of its groups.
+func TestMuxFrameBeforeOpenIsKept(t *testing.T) {
+	set, err := NewLoopbackMuxes(2, []GroupSpec{{ID: 0, Name: "alpha"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	l0, err := set.Muxes[0].Ring(0).Open(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l0.Close()
+	m := runtime.Message{SN: 3, CP: 1, PH: 1}
+	m.Sum = m.Checksum()
+	l0.SendState(m) // once: nothing in this test resends it
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, _, dropped := set.Muxes[1].GroupStats(0); dropped == 1 {
+			break // arrived at process 1 with no link open, and counted
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the announcement never reached process 1's mux")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	l1, err := set.Muxes[1].Ring(0).Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l1.Close()
+	select {
+	case got := <-l1.State():
+		if got != m {
+			t.Errorf("opened link yields %+v, want %+v", got, m)
+		}
+	default:
+		t.Fatal("the frame that arrived before Open was discarded")
+	}
+}
