@@ -234,29 +234,35 @@ func buildBarrierd(t *testing.T, dir string) string {
 	return bin
 }
 
-// reservePeers reserves one loopback port per member by binding and
-// releasing ephemeral listeners; barrierd then binds the same addresses
-// itself.
+// reservePeers reserves one loopback port per member by binding
+// ephemeral listeners and releasing them once all are bound (so no two
+// members draw the same port); barrierd then binds the same addresses
+// itself. They are on 127.0.0.2, which this package alone binds: a dial
+// to any loopback address takes its ephemeral source port on 127.0.0.1,
+// so no connection made meanwhile — by this package or another one
+// running beside it — can take a released port before its daemon
+// re-binds it.
 func reservePeers(t *testing.T, n int) string {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		ln, err := net.Listen("tcp", "127.0.0.2:0")
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer ln.Close()
 		addrs[i] = ln.Addr().String()
-		ln.Close()
 	}
 	return strings.Join(addrs, ",")
 }
 
 // stopOnCleanup kills whatever is still running when the test ends.
-// members is read at cleanup time, so restarted processes are covered.
+// members is read at cleanup time, so restarted processes are covered,
+// and a slot never started (nil) is skipped.
 func stopOnCleanup(t *testing.T, members []*member) {
 	t.Cleanup(func() {
 		for _, m := range members {
-			if m.cmd.ProcessState == nil {
+			if m != nil && m.cmd.ProcessState == nil {
 				m.cmd.Process.Kill()
 				m.cmd.Wait()
 			}
@@ -679,7 +685,11 @@ func TestLoopbackGroupHaltHealthz(t *testing.T) {
 	// peer's copy of the group stalls in reset-redo and would never reach
 	// its own haltafter count. haltafter= is daemon-local (not part of
 	// the group fingerprint), so the rosters still match on the wire.
+	// Each process is started once the one before it is healthy: the
+	// groups cannot pass before process 1 is up, so process 0's 200 is
+	// observed before its doomed group can halt.
 	members := make([]*member, procs)
+	stopOnCleanup(t, members)
 	for id := 0; id < procs; id++ {
 		roster := "live ring 3\ndoomed ring 3"
 		if id == 0 {
@@ -688,10 +698,7 @@ func TestLoopbackGroupHaltHealthz(t *testing.T) {
 		roster += "\n"
 		groupsFile := writeRoster(t, dir, fmt.Sprintf("groups.%d.conf", id), roster)
 		members[id] = start(t, bin, peers, id, groupQuota, dir, false, "-groups", groupsFile, "-resend", "1ms")
-	}
-	stopOnCleanup(t, members)
-	for _, m := range members {
-		waitHealthy(t, m, time.Minute)
+		waitHealthy(t, members[id], time.Minute)
 	}
 
 	// The doomed group halts itself on process 0 after a few passes; the

@@ -95,16 +95,28 @@ func (c *daemonCluster) Start(ctx context.Context) error {
 		return err
 	}
 
-	// Reserve one loopback port per member by binding and releasing
-	// ephemeral listeners; the daemons then bind the same addresses.
+	// Reserve one loopback port per member by binding ephemeral listeners
+	// and releasing them once all are bound (so no two members draw the
+	// same port); the daemons then bind the same addresses. They are on
+	// 127.0.0.3, which nothing else here binds: a dial to any loopback
+	// address takes its ephemeral source port on 127.0.0.1, so no
+	// connection made meanwhile can take a released port before its
+	// daemon re-binds it (cmd/barrierd's tests reserve on 127.0.0.2).
 	addrs := make([]string, c.p.Procs)
+	held := make([]net.Listener, 0, len(addrs))
 	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
+		var ln net.Listener
+		if ln, err = net.Listen("tcp", "127.0.0.3:0"); err != nil {
+			break
 		}
+		held = append(held, ln)
 		addrs[i] = ln.Addr().String()
+	}
+	for _, ln := range held {
 		ln.Close()
+	}
+	if err != nil {
+		return err
 	}
 	c.peers = strings.Join(addrs, ",")
 

@@ -71,13 +71,12 @@ func TestSpuriousEntersThroughControl(t *testing.T) {
 			waitQuiesced(t, b)
 
 			ln := b.lanes[0]
-			var mailbox chan Message // the victim's receive mailbox on a channel link
-			if p := ln.procs[victim]; p != nil {
-				if l, ok := p.link.(*chanLink); ok {
-					mailbox = l.state
-				}
-			} else if l, ok := ln.tprocs[victim].link.(*chanTreeLink); ok {
-				mailbox = l.down
+			var mailbox chan Message // a receive mailbox of the victim scheduler's channel link
+			switch s := ln.gates[victim].s; {
+			case s.link != nil:
+				mailbox = s.link.(*chanLink).state
+			case s.tlink != nil:
+				mailbox = s.tlink.(*chanTreeLink).down
 			}
 			if (pl.cfg.LaneTransports != nil) != (mailbox != nil) {
 				t.Fatalf("channel link found = %v on placement %s", mailbox != nil, pl.name)

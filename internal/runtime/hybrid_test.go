@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/topo"
 )
 
@@ -30,7 +31,7 @@ func TestHybridValidation(t *testing.T) {
 		Hosts: [][]int{{0, 1}, {1, 2, 3}}}); err == nil {
 		t.Error("duplicate member across hosts should be rejected")
 	}
-	// Distributed: Members must be exactly one host's roster.
+	// Distributed: Members must be a union of whole host rosters.
 	hy, err := topo.NewHybridTree(hosts, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -38,11 +39,67 @@ func TestHybridValidation(t *testing.T) {
 	tr := NewChanTreeTransport(hy.HostTree.Parent)
 	if _, err := New(Config{Participants: 4, Topology: TopologyHybrid, Hosts: hosts,
 		Transport: tr, Members: []int{0, 1, 2}}); err == nil {
-		t.Error("Members spanning two hosts should be rejected")
+		t.Error("Members spanning part of a host should be rejected")
 	}
 	if _, err := New(Config{Participants: 4, Topology: TopologyHybrid, Hosts: hosts,
 		Transport: tr, Members: []int{2}}); err == nil {
 		t.Error("Members = a partial host roster should be rejected")
+	}
+	b, err := New(Config{Participants: 4, Topology: TopologyHybrid, Hosts: hosts,
+		Transport: tr, Members: []int{3, 2, 1, 0}})
+	if err != nil {
+		t.Errorf("Members = a union of whole hosts was rejected: %v", err)
+	} else {
+		b.Stop()
+	}
+}
+
+// A process may run several whole hosts over a host-tree transport, one
+// scheduler per host: every host in one Barrier (Members nil), and two
+// hosts of three beside a Barrier for the third. Either way every member
+// passes every barrier with the host roots speaking over the links.
+func TestHybridHostUnion(t *testing.T) {
+	hosts := [][]int{{0, 1}, {2, 3}, {4, 5}}
+	const n, rounds = 6, 40
+	hy, err := topo.NewHybridTree(hosts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, split := range []struct {
+		name   string
+		groups [][]int // the members of each Barrier
+		scheds []int   // the schedulers each Barrier runs, one per host
+	}{
+		{"one-barrier", [][]int{{0, 1, 2, 3, 4, 5}}, []int{3}},
+		{"two-hosts-and-one", [][]int{{0, 1, 2, 3}, {4, 5}}, []int{2, 1}},
+	} {
+		t.Run(split.name, func(t *testing.T) {
+			tr := NewChanTreeTransport(hy.HostTree.Parent)
+			bs := make([]*Barrier, len(split.groups))
+			for i, ms := range split.groups {
+				if len(split.groups) == 1 {
+					ms = nil // every member
+				}
+				b, err := New(Config{Participants: n, Topology: TopologyHybrid, Hosts: hosts,
+					Transport: tr, Members: ms, Seed: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer b.Stop()
+				if got := len(b.lanes[0].scheds); got != split.scheds[i] {
+					t.Errorf("Barrier %d runs %d schedulers, want %d", i, got, split.scheds[i])
+				}
+				bs[i] = b
+			}
+			runHybridWorkers(t, bs, split.groups, n, rounds)
+			var total int64
+			for _, b := range bs {
+				total += b.Stats().Passes
+			}
+			if total != int64(n*rounds) {
+				t.Errorf("total passes = %d, want %d", total, n*rounds)
+			}
+		})
 	}
 }
 
@@ -237,5 +294,39 @@ func TestHybridDistributedResetMasked(t *testing.T) {
 	wg.Wait()
 	if got := bs[1].Stats().ResetsInjected; got == 0 {
 		t.Error("no resets were accepted at the host root")
+	}
+}
+
+// remapUpChild translates Child at the host-tree edge without changing a
+// frame's integrity status: a genuine frame still verifies, a corrupted
+// one still fails its checksum (the laundering guard), and a frame whose
+// Child is already right comes back bit-identical.
+func TestRemapUpChild(t *testing.T) {
+	genuine := upMessage(3, triple{sn: 2, cp: core.Execute, ph: 1}, triple{sn: 2, cp: core.Ready, ph: 1})
+	corrupted := genuine
+	corrupted.Sum ^= 0xdeadbeef
+	for _, tc := range []struct {
+		name  string
+		in    UpMessage
+		child int
+	}{
+		{"genuine/already-right", genuine, 3},
+		{"genuine/rewritten", genuine, 1},
+		{"corrupted/already-right", corrupted, 3},
+		{"corrupted/rewritten", corrupted, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := remapUpChild(tc.in, tc.child)
+			if got.Child != tc.child {
+				t.Errorf("Child = %d, want %d", got.Child, tc.child)
+			}
+			valid := tc.in.Sum == tc.in.Checksum()
+			if ok := got.Sum == got.Checksum(); ok != valid {
+				t.Errorf("checksum verifies = %v, want %v", ok, valid)
+			}
+			if tc.in.Child == tc.child && got != tc.in {
+				t.Errorf("already-right frame changed: %+v -> %+v", tc.in, got)
+			}
+		})
 	}
 }

@@ -4,8 +4,10 @@
 // latest-state-wins buffered channels — exactly the semantics the protocol
 // was originally built on — while internal/transport realizes the same
 // contract over TCP sockets, so a barrier can span OS processes and
-// machines without any change to the protocol itself. (Without a
-// Transport there are no channels between members at all: see sched.go.)
+// machines without any change to the protocol itself. (A link carries
+// only the edges that leave a scheduler: between members one scheduler
+// hosts — every member, without a Transport — the scheduler copies the
+// frame itself; see sched.go.)
 //
 // The contract every Transport must honor is deliberately weak, because
 // the protocol already masks the weakness (the paper's Section 5):
@@ -87,7 +89,7 @@ type Link interface {
 
 // Transport supplies the ring links for a barrier. A transport is built
 // for a fixed member count; Open is called once per member hosted by this
-// process (exactly one per OS process in a distributed deployment).
+// process (typically one per OS process in a distributed deployment).
 type Transport interface {
 	// Open returns member id's link.
 	Open(id int) (Link, error)

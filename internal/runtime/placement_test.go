@@ -3,7 +3,9 @@ package runtime
 // The executor has one degree of freedom — where members are placed — so
 // the sweeps that used to enumerate topologies enumerate placements: the
 // three all-local ones (one scheduler per lane hosts every member) and
-// the two one-scheduler-per-link ones over explicit channel transports.
+// the three one-scheduler-per-link ones over explicit channel transports
+// (per member for the ring and tree, per host for the hybrid, whose host
+// roots speak over the links).
 
 import (
 	"testing"
@@ -25,24 +27,30 @@ func placements(t *testing.T, n, depth int, seed int64) []placement {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ringLanes, treeLanes := make([]Transport, depth), make([]Transport, depth)
-	for i := range ringLanes {
-		ringLanes[i] = NewChanTransport(n)
-		treeLanes[i] = NewChanTreeTransport(shape.Parent)
-	}
 	hosts := [][]int{{}, {}}
 	for id := 0; id < n; id++ {
 		hosts[id*2/n] = append(hosts[id*2/n], id)
 	}
+	hy, err := topo.NewHybridTree(hosts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ringLanes, treeLanes, hostLanes := make([]Transport, depth), make([]Transport, depth), make([]Transport, depth)
+	for i := range ringLanes {
+		ringLanes[i] = NewChanTransport(n)
+		treeLanes[i] = NewChanTreeTransport(shape.Parent)
+		hostLanes[i] = NewChanTreeTransport(hy.HostTree.Parent)
+	}
 	base := Config{Participants: n, Depth: depth, Seed: seed}
-	tree, hybrid, ringChan, treeChan := base, base, base, base
+	tree, hybrid, ringChan, treeChan, hybridChan := base, base, base, base, base
 	tree.Topology = TopologyTree
 	hybrid.Topology, hybrid.Hosts = TopologyHybrid, hosts
 	ringChan.LaneTransports = ringLanes
 	treeChan.Topology, treeChan.LaneTransports = TopologyTree, treeLanes
+	hybridChan.Topology, hybridChan.Hosts, hybridChan.LaneTransports = TopologyHybrid, hosts, hostLanes
 	return []placement{
 		{"ring", base}, {"tree", tree}, {"hybrid", hybrid},
-		{"ring-chan", ringChan}, {"tree-chan", treeChan},
+		{"ring-chan", ringChan}, {"tree-chan", treeChan}, {"hybrid-chan", hybridChan},
 	}
 }
 

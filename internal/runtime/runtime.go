@@ -2,8 +2,9 @@
 // message-passing implementation of program MB (Section 5 of the paper)
 // and its tree refinement. The protocol processes are guarded-command
 // state machines stepped by scheduler goroutines (sched.go): co-located
-// members share one scheduler and read each other's announcements as
-// registers, members reached over a Transport get a scheduler per link.
+// members share one scheduler, which copies their announcements as
+// registers; over a Transport each ring member or host gets a scheduler
+// with one link.
 // It is the library a systems programmer would embed — the paper's
 // "third alternative" to MPI's abort-or-error-code fault handling.
 //
@@ -76,8 +77,9 @@ const (
 	// O(log #hosts) and local siblings exchange no network traffic at
 	// all. With a nil Transport every host is local and the whole
 	// member tree runs on one scheduler; with a TreeTransport over the
-	// host indices, each OS process runs one host's members on one
-	// scheduler and only host-root edges cross the network.
+	// host indices, each OS process runs one or more whole hosts, each
+	// host's members on one scheduler, and only host-root edges cross
+	// the network.
 	TopologyHybrid
 )
 
@@ -86,10 +88,12 @@ type Config struct {
 	// Participants is the number of synchronizing goroutines (≥ 2).
 	Participants int
 	// Topology selects the protocol's communication structure: the MB
-	// ring (default) or the Figure 2(d) double tree. Both provide the
-	// same guarantees (masking for detectable faults, stabilization for
-	// undetectable ones, fail-safe Halt); the tree trades O(N) for
-	// O(log N) sequential hops per pass.
+	// ring (default), the Figure 2(d) double tree, or the hybrid. All
+	// provide the same guarantees (masking for detectable faults,
+	// stabilization for undetectable ones, fail-safe Halt); the tree
+	// trades O(N) for O(log N) sequential hops per pass. Over a
+	// Transport a tree is the hybrid with one member per host, and each
+	// OS process runs one or more whole hosts.
 	Topology Topology
 	// TreeArity is the branching factor of the TopologyTree tree
 	// (default 2; heap-shaped, node i's parent is (i-1)/TreeArity).
@@ -120,18 +124,20 @@ type Config struct {
 	// are closed on Stop but the transports themselves belong to the
 	// caller.
 	LaneTransports []Transport
-	// Transport supplies the ring links (nil: every member is local and
-	// neighbours deliver by direct copy, no links at all). A network
-	// transport (internal/transport) lets the ring
-	// span OS processes; the Barrier closes the links it opens on Stop,
-	// but an explicitly supplied Transport is closed by its creator.
-	// With Topology == TopologyTree the transport must additionally
-	// implement TreeTransport (NewChanTreeTransport, transport.NewTCPTree).
+	// Transport supplies the links (nil: every member is local and its
+	// scheduler copies frames between them, no links at all). A network
+	// transport (internal/transport) lets the barrier span OS processes,
+	// each running one or more ring members or whole hosts; the Barrier
+	// closes the links it opens on Stop, but an explicitly supplied
+	// Transport is closed by its creator. A tree or hybrid needs a
+	// TreeTransport over the host indices (NewChanTreeTransport,
+	// transport.NewTCPTree).
 	Transport Transport
-	// Members lists the ring members hosted by this process (nil: all of
-	// them). A distributed deployment runs one process per member over a
-	// network transport; Await and the fault-injection methods accept only
-	// local member ids. Members requires an explicit Transport.
+	// Members lists the members hosted by this process (nil: all of
+	// them): any ring members, or of a tree or hybrid any union of whole
+	// hosts (a tree's hosts are its members). Await and the
+	// fault-injection methods accept only local member ids. Members
+	// requires an explicit Transport.
 	Members []int
 	// Rejoin starts the local members in the detectably-reset state (sn ⊥,
 	// cp error) instead of the phase-0 start state — the Section 7 restart
@@ -440,8 +446,6 @@ type proc struct {
 
 	succ cell // the successor's ⊤ restart marker (MB's snR)
 
-	link Link
-
 	lastSent Message
 	haveSent bool
 }
@@ -635,14 +639,14 @@ func (b *Barrier) sweepResends(resend time.Duration) {
 }
 
 // startRing wires the MB ring: with no transport one scheduler hosts the
-// whole ring over direct-copy links, otherwise each hosted member gets a
-// scheduler attached to the link the transport opens for it.
+// whole ring, otherwise each hosted member gets a scheduler attached to
+// the link the transport opens for it.
 func (b *Barrier) startRing(cfg Config, members []int, ln *lane) error {
 	if cfg.Transport == nil {
 		// Every member is local (Members requires an explicit Transport).
-		s := newSched(b, cfg, ln, true)
+		s := newSched(b, cfg, ln, b.n)
 		for id := 0; id < b.n; id++ {
-			s.addRing(cfg, ln, id, &fusedRingLink{s, id})
+			s.addRing(cfg, ln, id)
 		}
 	} else {
 		for _, j := range members {
@@ -650,9 +654,10 @@ func (b *Barrier) startRing(cfg Config, members []int, ln *lane) error {
 			if err != nil {
 				return fmt.Errorf("ftbarrier: open link for member %d: %w", j, err)
 			}
-			s := newSched(b, cfg, ln, false)
-			s.ringIn = s.addRing(cfg, ln, j, link)
-			s.extState, s.extTop = link.State(), link.Top()
+			ln.links = append(ln.links, link)
+			s := newSched(b, cfg, ln, 1)
+			s.link, s.extState, s.extTop = link, link.State(), link.Top()
+			s.ringIn = s.addRing(cfg, ln, j)
 		}
 	}
 	if !cfg.Rejoin {
@@ -665,9 +670,8 @@ func (b *Barrier) startRing(cfg Config, members []int, ln *lane) error {
 	return nil
 }
 
-// addRing creates ring member id on this scheduler, speaking over link.
-func (s *sched) addRing(cfg Config, ln *lane, id int, link Link) *proc {
-	ln.links = append(ln.links, link)
+// addRing creates ring member id on this scheduler.
+func (s *sched) addRing(cfg Config, ln *lane, id int) *proc {
 	pred := ahead
 	if id == 0 {
 		pred = behind // the leader's predecessor is the last process
@@ -680,7 +684,6 @@ func (s *sched) addRing(cfg Config, ln *lane, id int, link Link) *proc {
 			rng:    prng.New(cfg.Seed + int64(id)*7919),
 		},
 		succ: cell{role: marker},
-		link: link,
 	}
 	p.memory = []volatile{&p.triple, &p.from, &p.seen, &p.succ}
 	if cfg.Rejoin {
@@ -1635,11 +1638,9 @@ func (p *proc) pull() (pulls int) {
 }
 
 // announce sends the current state to the successor (and the ⊤ marker to
-// the predecessor) if it changed since the last send, subject to the
-// configured loss and corruption rates. The fault injection sits above the
-// transport so that loss and detected corruption exercise identical
-// protocol paths over channels and over sockets.
-func (p *proc) announce(lossRate, corruptRate float64) {
+// the predecessor) if it changed since the last send, through the
+// scheduler, which makes the loss and corruption draws.
+func (p *proc) announce() {
 	if p.crashed {
 		return
 	}
@@ -1650,21 +1651,7 @@ func (p *proc) announce(lossRate, corruptRate float64) {
 	p.lastSent = m
 	p.haveSent = true
 	p.noteSent()
-
-	p.b.statSends.Add(1)
-	if p.s.ringPeer((p.id+1)%p.b.n) != nil {
-		p.s.owed++ // until fusedRingLink delivers it
-	}
-	if lossRate > 0 && p.rng.Float64() < lossRate {
-		p.b.statDrops.Add(1)
-		return // the message is lost; a pull or the resend sweep will mask it
-	}
-	if corruptRate > 0 && p.rng.Float64() < corruptRate {
-		// Bit-flip in flight: the receiver's integrity check will reject it.
-		m.Sum ^= 0xdeadbeef
-	}
-	p.link.SendState(m)
-	if p.sn == tokenring.Top {
-		p.link.SendTop()
+	if p.s.sendState(p, m) && p.sn == tokenring.Top {
+		p.s.sendTop(p)
 	}
 }

@@ -10,24 +10,26 @@
 //
 // Placement is the only policy; Topology, Transport and Members decide it:
 //
-//   - No Transport: every member is local and one scheduler per lane
-//     hosts them all. A neighbour's state is a register you read, not a
-//     goroutine you hand off to: an announcement refreshes the receiver's
-//     copy directly (fusedRingLink, fusedTreeLink) and queues the receiver
-//     for a step, so a wave crosses the whole collective in one wakeup.
-//   - A Transport: one scheduler per opened link — a one-member scheduler
-//     for a ring or tree member (the distributed deployment, and every
-//     member of an in-process NewChanTransport or NewLoopbackRing), one
-//     scheduler for a hybrid host's whole roster.
+//   - No Transport: one scheduler per lane hosts every member.
+//   - A ring over a Transport: one scheduler per hosted member, attached
+//     to the link the transport opens for it (the distributed deployment,
+//     and every member of an in-process NewChanTransport or NewLoopbackRing).
+//   - A tree or hybrid over a TreeTransport: one scheduler per hosted host,
+//     running its roster on the host's link in the cross-host tree; a tree
+//     is the hybrid whose hosts have one member each.
 //
-// That link is the scheduler's one external attachment. Every input a
-// member sees comes through one of two doors: the receive channels of that
-// attachment, or the control channel the hosted members share, which
-// carries whatever other goroutines send — arrivals, resend pokes, and
-// every fault kind, a spurious frame included (the paper's faults are
-// environment actions on a process's variables, and "unexpected message
-// reception" is one on the receiver's copy). A scheduler owns no timer:
-// the barrier's one sweeper paces every retransmission.
+// A scheduler owns its members' edges. One between two members it hosts
+// is a register it copies (sendState, sendTop, sendDown, sendUp): the
+// announcement refreshes the receiver's copy and queues the receiver, so a
+// wave crosses the whole roster in one wakeup. Every other edge is on the
+// scheduler's one link, its external attachment. Every input a member sees
+// comes through one of two doors: the receive channels of that attachment,
+// or the control channel the hosted members share, which carries whatever
+// other goroutines send — arrivals, resend pokes, and every fault kind, a
+// spurious frame included (the paper's faults are environment actions on a
+// process's variables, and "unexpected message reception" is one on the
+// receiver's copy). A scheduler owns no timer: the barrier's one sweeper
+// paces every retransmission.
 //
 // The nudge is how a scheduler learns of Halt and Stop. It does not wait
 // on their channels: it looks at them (Barrier.down) each time round its
@@ -51,18 +53,18 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"sort"
 
+	"repro/internal/prng"
 	"repro/internal/topo"
 )
 
 // member is a protocol state machine as the scheduler drives it; proc
 // (ring) and treeProc (tree, hybrid) implement it.
 type member interface {
-	step()                                  // apply every enabled action to quiescence
-	announce(lossRate, corruptRate float64) // send what changed since the last announcement
-	onCtrl(c ctrlMsg)                       // arrival, fault injection, or the sweeper's resend poke
-	pull() int                              // re-read co-hosted neighbours' registers; how many were taken
+	step()            // apply every enabled action to quiescence
+	announce()        // send what changed since the last announcement
+	onCtrl(c ctrlMsg) // arrival, fault injection, or the sweeper's resend poke
+	pull() int        // re-read co-hosted neighbours' registers; how many were taken
 }
 
 // sched is the scheduler: a work queue of members with unprocessed input
@@ -72,12 +74,6 @@ type sched struct {
 	b       *Barrier
 	members []member // indexed by member id; nil for members hosted elsewhere
 
-	// The hosted members by protocol, indexed by id, on a scheduler whose
-	// members deliver to each other by direct copy (the lane's slices); nil
-	// on a one-member scheduler, which has no co-hosted edge.
-	procs  []*proc
-	tprocs []*treeProc
-
 	// owed is the ledger of the direct-copy edges: frames announced to a
 	// co-hosted neighbour (counted before the loss draw) minus frames its
 	// receive function took with a good checksum, plus one for every fault
@@ -85,7 +81,7 @@ type sched struct {
 	// means some copy may trail its neighbour's register: see pullRound.
 	owed int
 
-	lossRate, corruptRate float64 // Config's, drawn against in announce
+	lossRate, corruptRate float64 // Config's, drawn against in lost
 
 	ctrl  chan ctrlMsg
 	nudge chan struct{} // "look again": Halt or Stop
@@ -94,12 +90,13 @@ type sched struct {
 	queue []int
 	head  int
 
-	// The external attachment, at most one. ringIn is the member of a
-	// one-member ring scheduler; its link's extState/extTop are the
-	// attachment. treeIn is the member whose remote tree edges
-	// extDown/extUp carry: the member of a one-member tree scheduler (the
-	// channels are its own link's), or the local host root of a hybrid
-	// roster. The channels of an absent attachment are nil, never ready.
+	// The external attachment, at most one: link is the ring link of a
+	// one-member ring scheduler, whose member is ringIn; tlink is a host's
+	// link in the cross-host tree, and treeIn the host root, the one member
+	// with edges on it. extState/extTop/extDown/extUp are the attachment's
+	// receive channels, nil — never ready — where it is absent.
+	link     Link
+	tlink    TreeLink
 	ringIn   *proc
 	treeIn   *treeProc
 	extState <-chan Message
@@ -107,25 +104,22 @@ type sched struct {
 	extDown  <-chan Message
 	extUp    <-chan UpMessage
 
-	// Hybrid host-tree addressing (nil/zero otherwise): ext is this
-	// host's edge set in the cross-host tree (node space = host indices),
-	// host this host's index; hy.HostOf addresses down sends to remote
-	// child hosts, hy.HostRoot attributes received up summaries.
-	ext  TreeLink
+	// Host-tree addressing (with tlink): tlink's node space is the host
+	// indices, host is this scheduler's; hy.HostOf addresses down sends to
+	// remote child hosts, hy.HostRoot attributes received up summaries.
 	host int
 	hy   *topo.Hybrid
 }
 
-// newSched adds an empty scheduler to the lane; addRing/addTree populate
-// it and New starts it. A fused scheduler's members deliver to each other
-// by direct copy.
-func newSched(b *Barrier, cfg Config, ln *lane, fused bool) *sched {
+// newSched adds an empty scheduler for a roster of hosted members to the
+// lane; addRing/addTree populate it and New starts it.
+func newSched(b *Barrier, cfg Config, ln *lane, hosted int) *sched {
 	// The control channel: at most one outstanding arrival and one resend
 	// poke per hosted member, plus headroom for fault-injection bursts
 	// (inject drops on overflow).
 	ctrlCap := b.n + 4
-	if fused {
-		ctrlCap = 4*b.n + 16 // shared by up to n members
+	if hosted > 1 {
+		ctrlCap = 4*b.n + 16 // shared by the roster
 	}
 	s := &sched{
 		b:           b,
@@ -137,38 +131,34 @@ func newSched(b *Barrier, cfg Config, ln *lane, fused bool) *sched {
 		dirty:       make([]bool, b.n),
 		queue:       make([]int, 0, b.n),
 	}
-	if fused {
-		s.procs, s.tprocs = ln.procs, ln.tprocs
-	}
 	ln.scheds = append(ln.scheds, s)
 	return s
 }
 
-// startFusedTree wires the all-local tree: one scheduler, links deliver
-// by direct copy refresh.
+// startFusedTree wires the all-local tree: one scheduler hosts every
+// member.
 func (b *Barrier) startFusedTree(cfg Config, tree *topo.Tree, ln *lane) {
-	s := newSched(b, cfg, ln, true)
+	s := newSched(b, cfg, ln, b.n)
 	for id := 0; id < b.n; id++ {
-		s.addTree(cfg, ln, id, tree, &fusedTreeLink{s, id})
+		s.addTree(cfg, ln, id, tree)
 	}
 }
 
-// startHybrid wires the two-level hybrid topology. With no transport
-// every host is local and the member-level tree (stars under host roots,
-// host roots in the cross-host tree) runs on one scheduler. With a
-// TreeTransport — opened over HOST indices, one process per host — this
-// process runs exactly one host's members on one scheduler, which
-// presents that whole subtree as one node on the external host-tree
-// edges: down messages from the parent host refresh the local host
-// root's parent copy, and the host root's convergecast acknowledgment —
-// already the aggregate of its entire local subtree — is the only thing
-// that crosses the network upward.
-func (b *Barrier) startHybrid(cfg Config, members []int, ln *lane) error {
-	arity := cfg.TreeArity
-	if arity == 0 {
-		arity = 2
+// treeArity is Config.TreeArity with its default.
+func treeArity(cfg Config) int {
+	if cfg.TreeArity == 0 {
+		return 2
 	}
-	hy, err := topo.NewHybridTree(cfg.Hosts, arity)
+	return cfg.TreeArity
+}
+
+// startHybrid wires the two-level hybrid topology. With no transport every
+// host is local and the member-level tree (stars under host roots, host
+// roots in the cross-host tree) runs on one scheduler; with a
+// TreeTransport over the host indices, startHosts runs this process's
+// hosts.
+func (b *Barrier) startHybrid(cfg Config, members []int, ln *lane) error {
+	hy, err := topo.NewHybridTree(cfg.Hosts, treeArity(cfg))
 	if err != nil {
 		return fmt.Errorf("ftbarrier: %w", err)
 	}
@@ -183,40 +173,43 @@ func (b *Barrier) startHybrid(cfg Config, members []int, ln *lane) error {
 	if !ok {
 		return errors.New("ftbarrier: Topology == TopologyHybrid requires a tree transport over the host indices (transport.NewTCPTree)")
 	}
-	return b.startFusedHybrid(cfg, hy, members, tt, ln)
+	return b.startHosts(cfg, hy, members, tt, ln)
 }
 
-// startFusedHybrid wires one host's roster into the cross-host tree:
-// Members must be exactly one entry of Hosts, and the transport's node
-// space is the host indices.
-func (b *Barrier) startFusedHybrid(cfg Config, hy *topo.Hybrid, members []int, tt TreeTransport, ln *lane) error {
-	if len(members) == 0 || len(members) == b.n {
-		return errors.New("ftbarrier: hybrid over a transport needs Members = the roster of exactly one host")
+// startHosts wires this process's hosts into the cross-host tree: Members
+// must be a union of whole entries of Hosts, and the transport's node
+// space is the host indices. Each host gets one scheduler, which presents
+// the host's whole subtree as one node on the external host-tree edges:
+// down messages from the parent host refresh the local host root's parent
+// copy, and the host root's convergecast acknowledgment — already the
+// aggregate of its entire local subtree — is the only thing that crosses
+// the network upward.
+func (b *Barrier) startHosts(cfg Config, hy *topo.Hybrid, members []int, tt TreeTransport, ln *lane) error {
+	hosted := make([]int, len(hy.Hosts)) // how many of each host's members are in Members
+	for _, j := range members {
+		hosted[hy.HostOf[j]]++
 	}
-	host := hy.HostOf[members[0]]
-	roster := hy.Hosts[host]
-	sorted := append([]int(nil), members...)
-	sort.Ints(sorted)
-	if len(sorted) != len(roster) {
-		return fmt.Errorf("ftbarrier: Members must be exactly host %d's roster %v, got %v", host, roster, members)
-	}
-	for i, j := range sorted {
-		if roster[i] != j {
-			return fmt.Errorf("ftbarrier: Members must be exactly host %d's roster %v, got %v", host, roster, members)
+	for h, roster := range hy.Hosts {
+		if hosted[h] == 0 {
+			continue
 		}
+		if hosted[h] != len(roster) {
+			// New closes the links opened so far.
+			return fmt.Errorf("ftbarrier: Members must be a union of whole hosts: host %d's roster is %v, Members %v", h, roster, members)
+		}
+		tl, err := tt.OpenTree(h)
+		if err != nil {
+			return fmt.Errorf("ftbarrier: open host-tree link for host %d: %w", h, err)
+		}
+		ln.links = append(ln.links, tl)
+		s := newSched(b, cfg, ln, len(roster))
+		s.tlink, s.extDown, s.extUp = tl, tl.Down(), tl.Up()
+		s.host, s.hy = h, hy
+		for _, id := range roster {
+			s.addTree(cfg, ln, id, hy.Tree)
+		}
+		s.treeIn = ln.tprocs[hy.HostRoot[h]]
 	}
-	ext, err := tt.OpenTree(host)
-	if err != nil {
-		return fmt.Errorf("ftbarrier: open host-tree link for host %d: %w", host, err)
-	}
-	ln.links = append(ln.links, ext)
-	s := newSched(b, cfg, ln, true)
-	s.ext, s.extDown, s.extUp = ext, ext.Down(), ext.Up()
-	s.host, s.hy = host, hy
-	for _, id := range roster {
-		s.addTree(cfg, ln, id, hy.Tree, &fusedTreeLink{s, id})
-	}
-	s.treeIn = ln.tprocs[hy.HostRoot[host]]
 	return nil
 }
 
@@ -224,8 +217,13 @@ func (b *Barrier) startFusedHybrid(cfg Config, hy *topo.Hybrid, members []int, t
 // translation at the external edge, preserving the message's integrity
 // status: the checksum covers Child, so a plain rewrite would either
 // invalidate a genuine message or — worse — launder a corrupted one into
-// validity. A message that arrived corrupted leaves corrupted.
+// validity. A message that arrived corrupted leaves corrupted, and one
+// whose Child is already right leaves untouched (a tree's hosts are its
+// members, so there the translation is the identity).
 func remapUpChild(m UpMessage, child int) UpMessage {
+	if m.Child == child {
+		return m
+	}
 	valid := m.Sum == m.Checksum()
 	m.Child = child
 	m.Sum = m.Checksum()
@@ -233,6 +231,100 @@ func remapUpChild(m UpMessage, child int) UpMessage {
 		m.Sum ^= 0xdeadbeef
 	}
 	return m
+}
+
+// lost counts a frame onto an edge and makes its one loss and corruption
+// draw, from the sending member's rng: it reports a lost frame (counted in
+// Drops), and flips a corrupted frame's checksum so the receiver's
+// integrity check rejects it. The draw sits above every link, so loss and
+// detected corruption take the same protocol paths between co-hosted
+// members as over sockets. A frame to a co-hosted member (local) is
+// credited to the ledger before the draw; copied debits it on delivery,
+// and a checksum failure at the receiver credits it again.
+func (s *sched) lost(rng *prng.PRNG, sum *uint32, local bool) bool {
+	s.b.statSends.Add(1)
+	if local {
+		s.owed++
+	}
+	if s.lossRate > 0 && rng.Float64() < s.lossRate {
+		s.b.statDrops.Add(1)
+		return true // a pull or the resend sweep will mask it
+	}
+	if s.corruptRate > 0 && rng.Float64() < s.corruptRate {
+		*sum ^= 0xdeadbeef // bit-flip in flight
+	}
+	return false
+}
+
+// copied settles the ledger for a frame delivered into co-hosted member id
+// and queues the member for a step.
+func (s *sched) copied(id int) {
+	s.owed--
+	s.mark(id)
+}
+
+// sendState puts ring member p's announcement on the edge to its
+// successor: a copy when this scheduler hosts it, otherwise the link. It
+// reports whether the frame survived the loss draw: the ⊤ marker rides on
+// it (sendTop).
+func (s *sched) sendState(p *proc, m Message) bool {
+	succ := s.ringPeer((p.id + 1) % s.b.n)
+	if s.lost(&p.rng, &m.Sum, succ != nil) {
+		return false
+	}
+	if succ == nil {
+		s.link.SendState(m)
+		return true
+	}
+	succ.onPredState(m)
+	s.copied(succ.id)
+	return true
+}
+
+// sendTop propagates p's ⊤ marker to its predecessor. It makes no draw of
+// its own and leaves the ledger alone: it rides on the state frame.
+func (s *sched) sendTop(p *proc) {
+	pred := s.ringPeer((p.id - 1 + s.b.n) % s.b.n)
+	if pred == nil {
+		s.link.SendTop()
+		return
+	}
+	pred.onTop()
+	s.mark(pred.id)
+}
+
+// sendDown puts tree member tp's announcement on the edge to child. A
+// child on another host — only a host root has one — is reached over the
+// host tree, addressed by its host index.
+func (s *sched) sendDown(tp *treeProc, child int, m Message) {
+	kid := s.treePeer(child)
+	if s.lost(&tp.rng, &m.Sum, kid != nil) {
+		return
+	}
+	if kid == nil {
+		s.tlink.SendDown(s.hy.HostOf[child], m)
+		return
+	}
+	kid.onDown(m)
+	s.copied(child)
+}
+
+// sendUp puts tree member tp's state and acknowledgment on the edge to its
+// parent. A parent on another host makes tp the host root: its up summary
+// — the aggregate acknowledgment of this host's whole subtree — is the one
+// frame that crosses the network, with Child translated to our host index
+// (the transport's node space).
+func (s *sched) sendUp(tp *treeProc, u UpMessage) {
+	par := s.treePeer(tp.parentID)
+	if s.lost(&tp.rng, &u.Sum, par != nil) {
+		return
+	}
+	if par == nil {
+		s.tlink.SendUp(remapUpChild(u, s.host))
+		return
+	}
+	par.onUp(u)
+	s.copied(par.id)
 }
 
 // mark queues member id for a step unless it is already queued.
@@ -244,7 +336,7 @@ func (s *sched) mark(id int) {
 }
 
 // drain steps queued members to quiescence. Announcements made during a
-// step over a direct-copy link deliver immediately and re-queue their
+// step to a co-hosted member deliver immediately and re-queue their
 // receivers, so one drain carries a wave as far as the protocol allows.
 func (s *sched) drain() {
 	for s.head < len(s.queue) {
@@ -253,26 +345,22 @@ func (s *sched) drain() {
 		s.dirty[id] = false
 		m := s.members[id]
 		m.step()
-		m.announce(s.lossRate, s.corruptRate)
+		m.announce()
 	}
 	s.queue = s.queue[:0]
 	s.head = 0
 }
 
 // ringPeer and treePeer return member id if this scheduler hosts it — the
-// far end of a direct-copy edge — and nil if it is reached over a link.
+// far end of a direct-copy edge — and nil if it is reached over the link.
 func (s *sched) ringPeer(id int) *proc {
-	if id < len(s.procs) {
-		return s.procs[id]
-	}
-	return nil
+	p, _ := s.members[id].(*proc)
+	return p
 }
 
 func (s *sched) treePeer(id int) *treeProc {
-	if id < len(s.tprocs) {
-		return s.tprocs[id]
-	}
-	return nil
+	tp, _ := s.members[id].(*treeProc)
+	return tp
 }
 
 // pullRound is loss recovery at quiescence. The queue is drained and no
@@ -338,21 +426,18 @@ func (s *sched) onExtDown(m Message) {
 	s.mark(s.treeIn.id)
 }
 
-// onExtUp delivers a convergecast frame from an external child edge. On a
-// hybrid's host tree Child is the sending HOST index (the TCP transport
+// onExtUp delivers a convergecast frame from an external child edge. On
+// the host tree Child is the sending HOST index (the TCP transport
 // cross-checks it against the hello identity); here it is translated to
 // that host's root member — the child the member-level tree lists under
 // our root. An out-of-range host index cannot be attributed to any edge:
 // a sender violation, rejected and counted like onUp's unknown child.
 func (s *sched) onExtUp(m UpMessage) {
-	if s.hy != nil {
-		if m.Child < 0 || m.Child >= len(s.hy.HostRoot) {
-			s.b.statRejSender.Add(1)
-			return
-		}
-		m = remapUpChild(m, s.hy.HostRoot[m.Child])
+	if m.Child < 0 || m.Child >= len(s.hy.HostRoot) {
+		s.b.statRejSender.Add(1)
+		return
 	}
-	s.treeIn.onUp(m)
+	s.treeIn.onUp(remapUpChild(m, s.hy.HostRoot[m.Child]))
 	s.mark(s.treeIn.id)
 }
 
@@ -446,86 +531,3 @@ func (s *sched) run() {
 		}
 	}
 }
-
-// fusedRingLink is a member's ring link when the whole ring shares one
-// scheduler: sends refresh the neighbour's copies directly (the caller is
-// always the scheduler goroutine), so there is nothing to receive.
-type fusedRingLink struct {
-	s  *sched // hosts the whole ring: s.procs is every member
-	id int
-}
-
-// SendState delivers the announcement and credits the ledger with it (a
-// checksum failure at the receiver debits it again). The ⊤ marker rides on
-// the state frame — announce draws loss once for both — so SendTop leaves
-// the ledger alone.
-func (l *fusedRingLink) SendState(m Message) {
-	succ := (l.id + 1) % len(l.s.procs)
-	l.s.procs[succ].onPredState(m)
-	l.s.owed--
-	l.s.mark(succ)
-}
-
-func (l *fusedRingLink) SendTop() {
-	pred := (l.id - 1 + len(l.s.procs)) % len(l.s.procs)
-	l.s.procs[pred].onTop()
-	l.s.mark(pred)
-}
-
-func (l *fusedRingLink) State() <-chan Message { return nil }
-func (l *fusedRingLink) Top() <-chan struct{}  { return nil }
-
-func (l *fusedRingLink) Close() error { return nil }
-
-// fusedTreeLink is the tree twin of fusedRingLink.
-type fusedTreeLink struct {
-	s  *sched // s.tprocs is the lane's members; nil entries live on other hosts
-	id int
-}
-
-func (l *fusedTreeLink) SendDown(child int, m Message) {
-	if child < 0 || child >= len(l.s.tprocs) {
-		return
-	}
-	tp := l.s.tprocs[child]
-	if tp == nil {
-		// A remote child: in the hybrid, the host root's children of other
-		// hosts are reached over the external host-tree edge, addressed by
-		// host index. (Only the host root has remote children.)
-		if l.s.ext != nil && l.id == l.s.treeIn.id {
-			l.s.ext.SendDown(l.s.hy.HostOf[child], m)
-		}
-		return
-	}
-	if tp.parentID != l.id {
-		return
-	}
-	tp.onDown(m)
-	l.s.owed--
-	l.s.mark(child)
-}
-
-func (l *fusedTreeLink) SendUp(m UpMessage) {
-	p := l.s.tprocs[l.id].parentID
-	if p < 0 {
-		return
-	}
-	if l.s.treePeer(p) == nil {
-		// The host root's parent lives on another host: the up summary —
-		// the aggregate acknowledgment of this entire fused subtree — is
-		// the one message that crosses the network, with Child translated
-		// to our host index (the transport's node space).
-		if l.s.ext != nil && l.id == l.s.treeIn.id {
-			l.s.ext.SendUp(remapUpChild(m, l.s.host))
-		}
-		return
-	}
-	l.s.tprocs[p].onUp(m)
-	l.s.owed--
-	l.s.mark(p)
-}
-
-func (l *fusedTreeLink) Down() <-chan Message { return nil }
-func (l *fusedTreeLink) Up() <-chan UpMessage { return nil }
-
-func (l *fusedTreeLink) Close() error { return nil }

@@ -31,20 +31,21 @@ import (
 )
 
 // startTree wires the double-tree topology: with no transport one
-// scheduler hosts the whole tree over direct-copy links, otherwise each
-// hosted member gets a scheduler attached to the link the transport opens
-// for it.
+// scheduler hosts the whole k-ary tree; over a transport the tree is the
+// hybrid whose hosts each have one member (its member tree and host tree
+// are both the k-ary heap), and startHosts gives each hosted member a
+// scheduler attached to its link.
 func (b *Barrier) startTree(cfg Config, members []int, ln *lane) error {
-	arity := cfg.TreeArity
-	if arity == 0 {
-		arity = 2
-	}
-	tree, err := topo.NewKAryTree(b.n, arity)
-	if err != nil {
-		return fmt.Errorf("ftbarrier: %w", err)
-	}
+	// Unlike the ring procs (which start mid-phase, in execute), tree procs
+	// start in DT's start state — wave 0 fully acknowledged, everyone ready
+	// in phase 0 — so the begins of phase 0 are emitted by the protocol
+	// itself when the first wave rolls; no implicit events are needed here.
 	if cfg.Transport == nil {
 		// Every member is local (Members requires an explicit Transport).
+		tree, err := topo.NewKAryTree(b.n, treeArity(cfg))
+		if err != nil {
+			return fmt.Errorf("ftbarrier: %w", err)
+		}
 		b.startFusedTree(cfg, tree, ln)
 		return nil
 	}
@@ -52,29 +53,22 @@ func (b *Barrier) startTree(cfg Config, members []int, ln *lane) error {
 	if !ok {
 		return errors.New("ftbarrier: Topology == TopologyTree requires a tree transport (NewChanTreeTransport, transport.NewTCPTree)")
 	}
-	for _, j := range members {
-		link, err := tt.OpenTree(j)
-		if err != nil {
-			return fmt.Errorf("ftbarrier: open tree link for member %d: %w", j, err)
-		}
-		s := newSched(b, cfg, ln, false)
-		s.treeIn = s.addTree(cfg, ln, j, tree, link)
-		s.extDown, s.extUp = link.Down(), link.Up()
+	hosts := make([][]int, b.n)
+	for id := range hosts {
+		hosts[id] = []int{id}
 	}
-	// Unlike the ring procs (which start mid-phase, in execute), tree procs
-	// start in DT's start state — wave 0 fully acknowledged, everyone ready
-	// in phase 0 — so the begins of phase 0 are emitted by the protocol
-	// itself when the first wave rolls; no implicit events are needed here.
-	return nil
+	hy, err := topo.NewHybridTree(hosts, treeArity(cfg))
+	if err != nil {
+		return fmt.Errorf("ftbarrier: %w", err)
+	}
+	return b.startHosts(cfg, hy, members, tt, ln)
 }
 
-// addTree creates tree member id on this scheduler, speaking over link.
-func (s *sched) addTree(cfg Config, ln *lane, id int, tree *topo.Tree, link TreeLink) *treeProc {
-	ln.links = append(ln.links, link)
-	tp := newTreeProc(newGate(s, id, ln.idx), tree.Parent[id], tree.Children[id], link, cfg)
+// addTree creates tree member id on this scheduler.
+func (s *sched) addTree(cfg Config, ln *lane, id int, tree *topo.Tree) {
+	tp := newTreeProc(newGate(s, id, ln.idx), tree.Parent[id], tree.Children[id], cfg)
 	s.members[id] = tp
 	ln.tprocs[id], ln.gates[id] = tp, tp.gate
-	return tp
 }
 
 // kidCopy is what a tree node holds of one child: a cell for each half of
@@ -97,15 +91,13 @@ type treeProc struct {
 	ack triple    // the subtree acknowledgment (DT)
 	kid []kidCopy // indexed like kids
 
-	link TreeLink
-
 	lastDown     Message
 	haveSentDown bool
 	lastUp       UpMessage
 	haveSentUp   bool
 }
 
-func newTreeProc(g *gate, parentID int, kids []int, link TreeLink, cfg Config) *treeProc {
+func newTreeProc(g *gate, parentID int, kids []int, cfg Config) *treeProc {
 	// DT's start state: wave 0 disseminated and acknowledged, everyone
 	// ready in phase 0 — the root's first increment begins phase 0.
 	ready := triple{cp: core.Ready}
@@ -120,7 +112,6 @@ func newTreeProc(g *gate, parentID int, kids []int, link TreeLink, cfg Config) *
 		kids:     append([]int(nil), kids...),
 		ack:      ready,
 		kid:      make([]kidCopy, len(kids)),
-		link:     link,
 	}
 	// memory holds the cells this member's role has. A root has no parent,
 	// so its parent copy stays the coherent start value nothing refreshes:
@@ -413,9 +404,8 @@ func (tp *treeProc) pull() (pulls int) {
 
 // announce sends the node's current state down every child edge and its
 // state+acknowledgment up the parent edge, if they changed since the last
-// send, subject to the configured loss and corruption rates (injected
-// above the transport, as in the ring).
-func (tp *treeProc) announce(lossRate, corruptRate float64) {
+// send, through the scheduler, which makes the loss and corruption draws.
+func (tp *treeProc) announce() {
 	if tp.crashed {
 		return
 	}
@@ -425,19 +415,7 @@ func (tp *treeProc) announce(lossRate, corruptRate float64) {
 		tp.haveSentDown = true
 		tp.noteSent()
 		for _, c := range tp.kids {
-			tp.b.statSends.Add(1)
-			if tp.s.treePeer(c) != nil {
-				tp.s.owed++ // until fusedTreeLink delivers it
-			}
-			if lossRate > 0 && tp.rng.Float64() < lossRate {
-				tp.b.statDrops.Add(1)
-				continue
-			}
-			mm := m
-			if corruptRate > 0 && tp.rng.Float64() < corruptRate {
-				mm.Sum ^= 0xdeadbeef
-			}
-			tp.link.SendDown(c, mm)
+			tp.s.sendDown(tp, c, m)
 		}
 	}
 	if tp.parentID >= 0 && (!tp.haveSentUp || tp.upUrgent()) {
@@ -445,18 +423,7 @@ func (tp *treeProc) announce(lossRate, corruptRate float64) {
 		tp.lastUp = u
 		tp.haveSentUp = true
 		tp.noteSent()
-		tp.b.statSends.Add(1)
-		if tp.s.treePeer(tp.parentID) != nil {
-			tp.s.owed++
-		}
-		if lossRate > 0 && tp.rng.Float64() < lossRate {
-			tp.b.statDrops.Add(1)
-			return
-		}
-		if corruptRate > 0 && tp.rng.Float64() < corruptRate {
-			u.Sum ^= 0xdeadbeef
-		}
-		tp.link.SendUp(u)
+		tp.s.sendUp(tp, u)
 	}
 }
 

@@ -71,11 +71,12 @@ type TreeLink interface {
 	Close() error
 }
 
-// TreeTransport supplies the tree links for a TopologyTree barrier. A
-// transport is built for a fixed tree (parent vector); OpenTree is called
-// once per member hosted by this process.
+// TreeTransport supplies the tree links for a TopologyTree or
+// TopologyHybrid barrier. A transport is built for a fixed tree (parent
+// vector) over host indices — a flat tree's hosts are its members — and
+// OpenTree is called once per host this process runs.
 type TreeTransport interface {
-	// OpenTree returns member id's tree link.
+	// OpenTree returns node id's tree link.
 	OpenTree(id int) (TreeLink, error)
 	// Close tears the whole transport down (see Transport.Close).
 	Close() error

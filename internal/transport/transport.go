@@ -58,10 +58,6 @@ type TCPConfig struct {
 	// HandshakeTimeout bounds the wait for a dialer's hello frame
 	// (default 5s).
 	HandshakeTimeout time.Duration
-	// Group tags every frame this transport sends and is verified on every
-	// frame it receives; it becomes the ID of the one GroupSpec the
-	// members' muxes declare. A lone deployment leaves it 0.
-	Group uint32
 	// MaxPending bounds concurrent un-handshaken incoming connections
 	// (default 64). Each pre-handshake connection holds a goroutine and a
 	// frame buffer for up to HandshakeTimeout; beyond the bound new
@@ -301,10 +297,9 @@ func newMemberMuxes(cfg TCPConfig, topology string, shape *topo.Tree) (*memberMu
 		return nil, errors.New("transport: need at least 2 peers")
 	}
 	s := &memberMuxes{
-		group: cfg.Group,
 		cfg: MuxConfig{
 			Peers:            cfg.Peers,
-			Groups:           []GroupSpec{{ID: cfg.Group, Topology: topology}},
+			Groups:           []GroupSpec{{ID: 0, Topology: topology}},
 			BaseBackoff:      cfg.BaseBackoff,
 			MaxBackoff:       cfg.MaxBackoff,
 			DialTimeout:      cfg.DialTimeout,
