@@ -339,7 +339,7 @@ func TestResetVoidsArrivalOnlyAtWindowHead(t *testing.T) {
 	}
 
 	for _, g := range []*gate{head, ahead} {
-		g.onArrive(ctrlMsg{kind: ctrlArrive, ticket: 1})
+		g.onArrive(1)
 		g.failPending(ErrReset)
 	}
 	if !ahead.arrived || !ahead.appWaiting || len(ahead.wake) != 0 {
@@ -364,7 +364,7 @@ func TestResetVoidsArrivalOnlyAtWindowHead(t *testing.T) {
 		t.Fatal("reset at the head lane with no arrival outstanding stored no error")
 	}
 	b.windows[0].rmirror.Store(1) // the participant reaped wave 0: lane 1 is the head now
-	head.onArrive(ctrlMsg{kind: ctrlArrive, ticket: 2})
+	head.onArrive(2)
 	if !head.arrived || head.pendingErr != nil || len(head.wake) != 0 {
 		t.Errorf("arrival for a later wave: arrived=%v pendingErr=%v results=%d, want it standing", head.arrived, head.pendingErr, len(head.wake))
 	}

@@ -65,7 +65,9 @@ func TestFuzzyBarrierOverlapsWork(t *testing.T) {
 }
 
 // Leave still provides the full barrier: nobody returns from Leave before
-// every participant has entered.
+// every participant has called Enter. That is all a barrier can promise:
+// the last Enter may complete the pass, and deliver every result, before
+// it returns, so the count is taken before the call.
 func TestLeaveWaitsForAllEnters(t *testing.T) {
 	const n = 3
 	b, err := New(Config{Participants: n, Seed: 21})
@@ -85,11 +87,11 @@ func TestLeaveWaitsForAllEnters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			time.Sleep(time.Duration(id) * 3 * time.Millisecond)
+			entered.Add(1)
 			if err := b.Enter(ctx, id); err != nil {
 				t.Errorf("enter %d: %v", id, err)
 				return
 			}
-			entered.Add(1)
 			if _, err := b.Leave(ctx, id); err != nil {
 				t.Errorf("leave %d: %v", id, err)
 				return

@@ -190,8 +190,7 @@ type Config struct {
 type ctrlKind uint8
 
 const (
-	ctrlArrive ctrlKind = iota
-	ctrlReset
+	ctrlReset ctrlKind = iota
 	ctrlScramble
 	// ctrlTick is the resend sweeper poking a member whose edges were
 	// quiet for a full resend period: retransmit the current state.
@@ -217,11 +216,10 @@ const (
 )
 
 type ctrlMsg struct {
-	id     int // target member (used by shared control channels)
-	from   int // claimed sender (Byzantine adversary injections)
-	kind   ctrlKind
-	seed   int64
-	ticket uint64
+	id   int // target member (used by shared control channels)
+	from int // claimed sender (Byzantine adversary injections)
+	kind ctrlKind
+	seed int64
 }
 
 // closer is the teardown half shared by ring and tree links/transports.
@@ -326,13 +324,16 @@ type Barrier struct {
 // gate is the participant-facing half of a protocol process, shared by the
 // ring and tree topologies: the work gate (has the participant arrived at
 // the barrier?), the outstanding-Await bookkeeping, and the wake channel.
-// Only the scheduler hosting the process touches the mutable fields; the
-// participant goroutine interacts through ctrl/wake/tickets.
+// Only the holder of the hosting scheduler's baton touches the mutable
+// fields — the scheduler goroutine or a participant running a turn (see
+// sched.go). The participant posts its arrival in arrival, parks on wake,
+// and keeps its own tickets/entered.
 //
 // wake is the one channel a parked Leave waits on beside its caller's
-// ctx.Done(). It has two kinds of sender. The hosting scheduler delivers
-// results (gate.deliver): a phase or an error for the ticket of the
-// outstanding arrival. Halt and Stop send a poke
+// ctx.Done(). It has two kinds of sender. A turn of the hosting scheduler,
+// on whichever goroutine runs it, delivers results (gate.deliver): a phase
+// or an error for the ticket of the outstanding arrival. Halt and Stop send
+// a poke
 // (Barrier.wakeAll): a non-blocking offer of an awaitResult carrying
 // pokeTicket, which matches no arrival and says only "the barrier went
 // down, look again". A poke lands only in an empty buffer, so it never
@@ -371,9 +372,14 @@ type gate struct {
 	sentSinceTick atomic.Bool
 
 	// s is the hosting scheduler; ctrl is its control channel, shared by
-	// every member it hosts (the one part of s other goroutines use).
+	// every member it hosts, which other goroutines send on through
+	// s.control.
 	s    *sched
 	ctrl chan ctrlMsg
+	// arrival is the ticket of the participant's posted arrival: stored by
+	// enterGate before it sets the member's bit in s.arrivals, read by the
+	// turn that takes it (takeArrival).
+	arrival atomic.Uint64
 	// signal to a waiting Await: the phase that just began, an error, or a
 	// Halt/Stop poke (see the type comment for who may send).
 	wake chan awaitResult
@@ -626,13 +632,10 @@ func (b *Barrier) sweepResends(resend time.Duration) {
 				if g == nil || g.sentSinceTick.CompareAndSwap(true, false) {
 					continue // hosted elsewhere, or hot
 				}
-				select {
-				case g.ctrl <- ctrlMsg{id: g.id, kind: ctrlTick}:
-				default:
-					// Control buffer full: the scheduler is busy draining
-					// work and will announce on its own; the next sweep
-					// retries.
-				}
+				// A full control buffer drops the poke: the scheduler is
+				// busy draining work and will announce on its own, and the
+				// next sweep retries.
+				g.s.control(ctrlMsg{id: g.id, kind: ctrlTick})
 			}
 		}
 	}
@@ -818,7 +821,7 @@ func (b *Barrier) InjectSpurious(id int, seed int64) {
 		return
 	}
 	b.statSpurious.Add(1)
-	if !offer(g.ctrl, ctrlMsg{id: id, kind: ctrlSpurious, seed: seed}) {
+	if !g.s.control(ctrlMsg{id: id, kind: ctrlSpurious, seed: seed}) {
 		b.statDrops.Add(1)
 	}
 }
@@ -870,8 +873,8 @@ func (b *Barrier) emit(e core.Event) {
 //   - ErrStopped if the barrier was stopped;
 //   - ctx.Err() if the context ends first.
 func (b *Barrier) Await(ctx context.Context, id int) (int, error) {
-	if id < 0 || id >= b.n {
-		return 0, fmt.Errorf("ftbarrier: participant %d out of range [0,%d)", id, b.n)
+	if err := b.participant(id); err != nil {
+		return 0, err
 	}
 	if err := b.Enter(ctx, id); err != nil {
 		return 0, err
@@ -892,10 +895,14 @@ func (b *Barrier) Await(ctx context.Context, id int) (int, error) {
 // canceled Enter registers nothing, so Enter/Leave pairs compose with
 // context cancellation without losing or double-counting a pass. Neither
 // does an Enter on a halted or stopped barrier or with a ctx that has
-// already ended: those are looked at first, without blocking, and the
-// arrival is then offered to the member's own scheduler — Enter touches
-// no channel other callers wait on unless that scheduler's control
-// channel is full.
+// already ended: those are looked at first, without blocking.
+//
+// Enter never blocks. It posts the arrival to the member's own scheduler
+// and, if that scheduler's baton is free and its goroutine has no input to
+// apply first, runs the scheduler's turn itself: it may step other
+// members, send their frames and deliver their results — the last Enter of
+// a pass completes it and delivers every participant's result, its own
+// included, before it returns.
 //
 // With Depth > 1, Enter tops the pipeline window up to Depth
 // outstanding waves: wave k+1's instance launches before wave k
@@ -904,11 +911,8 @@ func (b *Barrier) Await(ctx context.Context, id int) (int, error) {
 // re-entered first (on the same lane — its instance still owes the
 // participant a completion).
 func (b *Barrier) Enter(ctx context.Context, id int) error {
-	if id < 0 || id >= b.n {
-		return fmt.Errorf("ftbarrier: participant %d out of range [0,%d)", id, b.n)
-	}
-	if b.lanes[0].gates[id] == nil {
-		return fmt.Errorf("ftbarrier: member %d is not hosted by this process", id)
+	if err := b.participant(id); err != nil {
+		return err
 	}
 	w := &b.windows[id]
 	for {
@@ -932,6 +936,20 @@ func (b *Barrier) Enter(ctx context.Context, id int) error {
 		}
 		w.pcur++
 	}
+}
+
+// participant checks an id handed to Await, Enter or Leave: in range and
+// hosted by this process. The errors are built here, out of the callers'
+// frames, because a scheduler turn runs beneath Enter on the participant's
+// own stack.
+func (b *Barrier) participant(id int) error {
+	if id < 0 || id >= b.n {
+		return fmt.Errorf("ftbarrier: participant %d out of range [0,%d)", id, b.n)
+	}
+	if b.lanes[0].gates[id] == nil {
+		return fmt.Errorf("ftbarrier: member %d is not hosted by this process", id)
+	}
+	return nil
 }
 
 // down reports why the barrier can complete nothing any more: ErrHalted
@@ -958,32 +976,38 @@ func (b *Barrier) down() error {
 // protocol: a canceled Enter must leave no trace, or the next Leave
 // would wait on a ticket whose arrival never happened. A barrier that is
 // down or a ctx that has already ended is seen before the arrival is
-// offered, so such an Enter never registers one; the offer itself blocks
-// only on a full control channel.
+// posted, so such an Enter never registers one. Posting cannot fail or
+// block: the ticket goes into the gate's arrival word, the member's bit
+// into its scheduler's arrivals, and the caller then assists — it runs the
+// scheduler's turn if it gets the baton, and otherwise leaves the arrival
+// to the baton's holder.
 func (b *Barrier) enterGate(ctx context.Context, g *gate) error {
 	if err := b.down(); err != nil {
 		return err
 	}
+	if err := canceled(ctx); err != nil {
+		return err
+	}
+	ticket := g.tickets + 1
+	g.arrival.Store(ticket)
+	g.s.post(g.id)
+	g.tickets = ticket
+	g.entered = true
+	g.s.assist()
+	return nil
+}
+
+// canceled is ctx.Err() looked up without blocking or locking: receiving
+// from a Done channel that is still open takes no lock, where Err takes
+// the context's mutex — which every participant sharing one ctx would
+// contend on at each arrival.
+func canceled(ctx context.Context) error {
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
 	default:
+		return nil
 	}
-	arrival := ctrlMsg{id: g.id, kind: ctrlArrive, ticket: g.tickets + 1}
-	if !offer(g.ctrl, arrival) {
-		select {
-		case g.ctrl <- arrival:
-		case <-b.halted:
-			return ErrHalted
-		case <-b.stopped:
-			return ErrStopped
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	g.tickets = arrival.ticket
-	g.entered = true
-	return nil
 }
 
 // Leave is the second half of a fuzzy barrier: it blocks until the barrier
@@ -1010,11 +1034,8 @@ func (b *Barrier) enterGate(ctx context.Context, g *gate) error {
 // ErrReset the wave stays at the head of the window, to be redone on
 // the same lane, so waves are never reordered or skipped.
 func (b *Barrier) Leave(ctx context.Context, id int) (int, error) {
-	if id < 0 || id >= b.n {
-		return 0, fmt.Errorf("ftbarrier: participant %d out of range [0,%d)", id, b.n)
-	}
-	if b.lanes[0].gates[id] == nil {
-		return 0, fmt.Errorf("ftbarrier: member %d is not hosted by this process", id)
+	if err := b.participant(id); err != nil {
+		return 0, err
 	}
 	w := &b.windows[id]
 	g := b.laneGate(w.rcur, id)
@@ -1137,10 +1158,9 @@ func (b *Barrier) Byz(id int, seed int64) {
 		return
 	}
 	m := ctrlMsg{id: victim, from: id, kind: kind, seed: rng.Int63n(1 << 62)}
-	select {
-	case ln.gates[victim].ctrl <- m:
+	if ln.gates[victim].s.control(m) {
 		b.statInjByz.Add(1)
-	default:
+	} else {
 		b.statInjDropped.Add(1)
 	}
 }
@@ -1185,12 +1205,7 @@ func (b *Barrier) inject(id int, m ctrlMsg) {
 	m.id = id
 	pri := b.primaryLane(id)
 	for li, ln := range b.lanes {
-		accepted := false
-		select {
-		case ln.gates[id].ctrl <- m:
-			accepted = true
-		default:
-		}
+		accepted := ln.gates[id].s.control(m)
 		if li != pri {
 			continue
 		}
@@ -1293,11 +1308,14 @@ func (b *Barrier) closeLinks() {
 
 // --- the participant gate (topology-independent) ---
 
-// onArrive records a participant arrival (Enter), surfacing a pending
-// error from an earlier reset instead if one is stored.
-func (g *gate) onArrive(c ctrlMsg) {
+// takeArrival hands the arrival posted in g.arrival to the work gate.
+func (g *gate) takeArrival() { g.onArrive(g.arrival.Load()) }
+
+// onArrive records a participant arrival (Enter) with the given ticket,
+// surfacing a pending error from an earlier reset instead if one is stored.
+func (g *gate) onArrive(ticket uint64) {
 	g.appWaiting = true
-	g.curTicket = c.ticket
+	g.curTicket = ticket
 	g.arrived = true
 	if err := g.pendingErr; err != nil {
 		g.pendingErr = nil
@@ -1422,8 +1440,6 @@ func (n *node) ctrl(c ctrlMsg, m interface {
 	onByz(c ctrlMsg)
 }) {
 	switch c.kind {
-	case ctrlArrive:
-		n.onArrive(c)
 	case ctrlTick:
 		// Quiet edges at the resend sweep: retransmit the current state —
 		// it masks lost, dropped and detectably corrupted messages.

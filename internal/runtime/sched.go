@@ -19,26 +19,53 @@
 //     is the hybrid whose hosts have one member each.
 //
 // A scheduler owns its members' edges. One between two members it hosts
-// is a register it copies (sendState, sendTop, sendDown, sendUp): the
-// announcement refreshes the receiver's copy and queues the receiver, so a
-// wave crosses the whole roster in one wakeup. Every other edge is on the
+// is a register it copies (sendState, sendTop, sendDown, sendUp, then
+// copyHops): each frame of an announcement refreshes the receiver's copy
+// and queues the receiver as soon as the announcement returns, so a wave
+// crosses the whole roster in one turn. Every other edge is on the
 // scheduler's one link, its external attachment. Every input a member sees
-// comes through one of two doors: the receive channels of that attachment,
-// or the control channel the hosted members share, which carries whatever
-// other goroutines send — arrivals, resend pokes, and every fault kind, a
+// comes through one of three doors: the receive channels of that
+// attachment; the control channel the hosted members share, which carries
+// what other goroutines send — resend pokes and every fault kind, a
 // spurious frame included (the paper's faults are environment actions on a
 // process's variables, and "unexpected message reception" is one on the
-// receiver's copy). A scheduler owns no timer: the barrier's one sweeper
-// paces every retransmission.
+// receiver's copy); and the posted arrivals, one word per gate
+// (gate.arrival) and one bit per hosted member (arrivals). A scheduler
+// owns no timer: the barrier's one sweeper paces every retransmission.
 //
-// The nudge is how a scheduler learns of Halt and Stop. It does not wait
-// on their channels: it looks at them (Barrier.down) each time round its
-// loop, and Halt and Stop offer the nudge after closing theirs, which ends
-// an idle park. The nudge has capacity 1 and carries no payload — its one
-// sender is Barrier.wakeAll, non-blocking, and a full buffer already
-// guarantees the wake-up it wanted. The participants' side of the same
-// arrangement is the gate's wake channel, where the scheduler is the
-// sender of results and wakeAll of pokes (see gate).
+// Who runs a turn — take the posted arrivals, drain the queue, pull at
+// quiescence — is whoever holds the baton. A participant that posts an
+// arrival tries to take it (one CAS) and, if it gets it, runs the turn on
+// its own goroutine (assist): the last arriver carries the whole wave and
+// delivers every result, its own included, so neither its arrival nor its
+// Leave wakes another goroutine. The scheduler goroutine remains the only
+// receiver of the channels. It releases the baton when it runs out of work
+// and parks on its inputs; woken by one while a participant holds the
+// baton, it sets want — participants then start no turn — and parks on the
+// nudge, which the holder offers on release. It never spins: a spinning
+// scheduler waiting on a descheduled participant would hold the control
+// channel's faults back for milliseconds and apply them in one batch. Every
+// release is followed by a look for posted work, and the atomics are
+// sequentially consistent, so of a poster whose CAS failed and the holder
+// that released, one sees the other's write: no arrival is left behind.
+//
+// Faults keep their place among the passes. A control message counts as
+// queued from just before its send until it is applied (control); while
+// one is, participants start no turn and the scheduler goroutine takes no
+// arrival (first), so no pass completes on an arrival posted after the
+// fault was injected — the order the control channel kept when arrivals
+// queued in it behind the faults.
+//
+// The nudge is how a scheduler learns of Halt and Stop and of a baton
+// handed back to it. It does not wait on Halt's and Stop's channels: it
+// looks at them (Barrier.down) each time round its loop, and Halt and Stop
+// offer the nudge after closing theirs, which ends an idle park or a wait
+// for the baton. The nudge has capacity 1 and carries no payload — its
+// senders are Barrier.wakeAll and a baton holder's release (sched.release),
+// both non-blocking, and a full buffer already guarantees the wake-up they
+// wanted. The participants' side of the same arrangement is the gate's wake
+// channel, where a turn is the sender of results and wakeAll of pokes (see
+// gate).
 //
 // What a scheduler can do without a timer is notice, when it runs out of
 // work, that a frame between two members it hosts never arrived: both ends
@@ -53,6 +80,9 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/prng"
 	"repro/internal/topo"
@@ -63,13 +93,15 @@ import (
 type member interface {
 	step()            // apply every enabled action to quiescence
 	announce()        // send what changed since the last announcement
-	onCtrl(c ctrlMsg) // arrival, fault injection, or the sweeper's resend poke
+	onCtrl(c ctrlMsg) // fault injection or the sweeper's resend poke
+	takeArrival()     // hand the posted arrival to the work gate
 	pull() int        // re-read co-hosted neighbours' registers; how many were taken
 }
 
 // sched is the scheduler: a work queue of members with unprocessed input
-// or unapplied enabled actions. All proc and gate state is owned by the
-// scheduler goroutine; only the channels are shared.
+// or unapplied enabled actions. All proc and gate state, and the queue,
+// belong to the holder of the baton; the channels and the atomics
+// (arrivals, baton, want, queued) are shared.
 type sched struct {
 	b       *Barrier
 	members []member // indexed by member id; nil for members hosted elsewhere
@@ -84,11 +116,21 @@ type sched struct {
 	lossRate, corruptRate float64 // Config's, drawn against in lost
 
 	ctrl  chan ctrlMsg
-	nudge chan struct{} // "look again": Halt or Stop
+	nudge chan struct{} // "look again": Halt, Stop, or the baton is free
+
+	// arrivals has one bit per hosted member whose gate holds a posted
+	// arrival not yet taken (bit id%64 of word id/64). baton is held by
+	// whoever runs a turn; want says the scheduler goroutine has an input
+	// in hand and waits for the baton, so no participant starts a turn.
+	arrivals []atomic.Uint64
+	baton    atomic.Bool
+	want     atomic.Bool
+	queued   atomic.Int32 // control messages sent and not yet applied: see control
 
 	dirty []bool
 	queue []int
 	head  int
+	hops  []hop // an announcement's co-hosted frames, awaiting delivery
 
 	// The external attachment, at most one: link is the ring link of a
 	// one-member ring scheduler, whose member is ringIn; tlink is a host's
@@ -114,9 +156,10 @@ type sched struct {
 // newSched adds an empty scheduler for a roster of hosted members to the
 // lane; addRing/addTree populate it and New starts it.
 func newSched(b *Barrier, cfg Config, ln *lane, hosted int) *sched {
-	// The control channel: at most one outstanding arrival and one resend
-	// poke per hosted member, plus headroom for fault-injection bursts
-	// (inject drops on overflow).
+	// The control channel: one resend poke per hosted member plus headroom
+	// for fault-injection bursts (inject drops on overflow). Arrivals do
+	// not come through it; the capacities are the ones sized when they did,
+	// so a burst drops exactly as many injections as it always has.
 	ctrlCap := b.n + 4
 	if hosted > 1 {
 		ctrlCap = 4*b.n + 16 // shared by the roster
@@ -128,9 +171,12 @@ func newSched(b *Barrier, cfg Config, ln *lane, hosted int) *sched {
 		corruptRate: cfg.CorruptRate,
 		ctrl:        make(chan ctrlMsg, ctrlCap),
 		nudge:       make(chan struct{}, 1),
+		arrivals:    make([]atomic.Uint64, (b.n+63)/64),
 		dirty:       make([]bool, b.n),
 		queue:       make([]int, 0, b.n),
+		hops:        make([]hop, 0, hosted+1), // one per co-hosted neighbour, and a ⊤ marker
 	}
+	s.baton.Store(true) // run starts with it: it primes the members
 	ln.scheds = append(ln.scheds, s)
 	return s
 }
@@ -239,7 +285,7 @@ func remapUpChild(m UpMessage, child int) UpMessage {
 // integrity check rejects it. The draw sits above every link, so loss and
 // detected corruption take the same protocol paths between co-hosted
 // members as over sockets. A frame to a co-hosted member (local) is
-// credited to the ledger before the draw; copied debits it on delivery,
+// credited to the ledger before the draw; copyHops debits it on delivery,
 // and a checksum failure at the receiver credits it again.
 func (s *sched) lost(rng *prng.PRNG, sum *uint32, local bool) bool {
 	s.b.statSends.Add(1)
@@ -256,13 +302,6 @@ func (s *sched) lost(rng *prng.PRNG, sum *uint32, local bool) bool {
 	return false
 }
 
-// copied settles the ledger for a frame delivered into co-hosted member id
-// and queues the member for a step.
-func (s *sched) copied(id int) {
-	s.owed--
-	s.mark(id)
-}
-
 // sendState puts ring member p's announcement on the edge to its
 // successor: a copy when this scheduler hosts it, otherwise the link. It
 // reports whether the frame survived the loss draw: the ⊤ marker rides on
@@ -276,8 +315,8 @@ func (s *sched) sendState(p *proc, m Message) bool {
 		s.link.SendState(m)
 		return true
 	}
-	succ.onPredState(m)
-	s.copied(succ.id)
+	h := s.hop()
+	h.ring, h.m = succ, m
 	return true
 }
 
@@ -289,8 +328,8 @@ func (s *sched) sendTop(p *proc) {
 		s.link.SendTop()
 		return
 	}
-	pred.onTop()
-	s.mark(pred.id)
+	h := s.hop()
+	h.ring, h.top = pred, true
 }
 
 // sendDown puts tree member tp's announcement on the edge to child. A
@@ -305,26 +344,94 @@ func (s *sched) sendDown(tp *treeProc, child int, m Message) {
 		s.tlink.SendDown(s.hy.HostOf[child], m)
 		return
 	}
-	kid.onDown(m)
-	s.copied(child)
+	h := s.hop()
+	h.tree, h.m = kid, m
 }
 
-// sendUp puts tree member tp's state and acknowledgment on the edge to its
-// parent. A parent on another host makes tp the host root: its up summary
-// — the aggregate acknowledgment of this host's whole subtree — is the one
-// frame that crosses the network, with Child translated to our host index
-// (the transport's node space).
-func (s *sched) sendUp(tp *treeProc, u UpMessage) {
+// sendUp puts tree member tp's state and acknowledgment, its last up
+// announcement, on the edge to its parent. A parent on another host makes
+// tp the host root: its up summary — the aggregate acknowledgment of this
+// host's whole subtree — is the one frame that crosses the network
+// (sendUpLink).
+func (s *sched) sendUp(tp *treeProc) {
 	par := s.treePeer(tp.parentID)
-	if s.lost(&tp.rng, &u.Sum, par != nil) {
-		return
-	}
 	if par == nil {
-		s.tlink.SendUp(remapUpChild(u, s.host))
+		s.sendUpLink(tp)
 		return
 	}
-	par.onUp(u)
-	s.copied(par.id)
+	h := s.hop()
+	h.tree, h.up, h.u = par, true, tp.lastUp
+	if s.lost(&tp.rng, &h.u.Sum, true) {
+		s.hops = s.hops[:len(s.hops)-1]
+	}
+}
+
+// sendUpLink is sendUp to a parent on another host, with Child translated
+// to our host index (the transport's node space). It is a function of its
+// own so that its frame copies stay out of sendUp's, which is on a turn's
+// path.
+func (s *sched) sendUpLink(tp *treeProc) {
+	u := tp.lastUp
+	if !s.lost(&tp.rng, &u.Sum, false) {
+		s.tlink.SendUp(remapUpChild(u, s.host))
+	}
+}
+
+// hop is a frame between two members this scheduler hosts, past its loss
+// draw: a ring state frame or ⊤ marker (ring), or a tree down or up frame
+// (tree). drain delivers the hops of an announcement as soon as it
+// returns, in the order they were sent. A receive refreshes the receiver's
+// copies and queues it, and touches nothing the rest of the announcement
+// reads, so delivering after the announcement rather than inside it
+// changes no outcome; what it changes is depth. The receive path no
+// longer sits on the send path's frames, and a turn runs on a
+// participant's goroutine, whose stack starts small: nested, the two grew
+// every arriving participant's stack on its first pass.
+type hop struct {
+	ring    *proc
+	tree    *treeProc
+	top, up bool
+	m       Message
+	u       UpMessage
+}
+
+// hop appends a zero hop to the announcement's and returns it, built in
+// place rather than copied in from a temporary on the sender's frame.
+func (s *sched) hop() *hop {
+	n := len(s.hops)
+	s.hops = slices.Grow(s.hops, 1)[:n+1]
+	h := &s.hops[n]
+	*h = hop{}
+	return h
+}
+
+// copyHops hands the hops of the last announcement to their receivers and
+// queues them. Each frame settles its ledger entry (see lost); the ⊤ marker
+// rides on the state frame and has none.
+func (s *sched) copyHops() {
+	for i := range s.hops {
+		h := &s.hops[i]
+		id, frame := 0, true
+		switch {
+		case h.top:
+			h.ring.onTop()
+			id, frame = h.ring.id, false
+		case h.ring != nil:
+			h.ring.onPredState(h.m)
+			id = h.ring.id
+		case h.up:
+			h.tree.onUp(&h.u)
+			id = h.tree.id
+		default:
+			h.tree.onDown(h.m)
+			id = h.tree.id
+		}
+		if frame {
+			s.owed--
+		}
+		s.mark(id)
+	}
+	s.hops = s.hops[:0]
 }
 
 // mark queues member id for a step unless it is already queued.
@@ -346,6 +453,7 @@ func (s *sched) drain() {
 		m := s.members[id]
 		m.step()
 		m.announce()
+		s.copyHops()
 	}
 	s.queue = s.queue[:0]
 	s.head = 0
@@ -393,6 +501,7 @@ func (s *sched) pullRound() bool {
 
 // onCtrl dispatches a control message to its target member.
 func (s *sched) onCtrl(c ctrlMsg) {
+	defer s.queued.Add(-1)
 	if c.id < 0 || c.id >= len(s.members) || s.members[c.id] == nil {
 		return
 	}
@@ -437,7 +546,8 @@ func (s *sched) onExtUp(m UpMessage) {
 		s.b.statRejSender.Add(1)
 		return
 	}
-	s.treeIn.onUp(remapUpChild(m, s.hy.HostRoot[m.Child]))
+	m = remapUpChild(m, s.hy.HostRoot[m.Child])
+	s.treeIn.onUp(&m)
 	s.mark(s.treeIn.id)
 }
 
@@ -488,12 +598,139 @@ func (s *sched) poll() bool {
 	return progressed
 }
 
+// post marks member id's arrival as posted; its ticket is already in the
+// gate's arrival word. atomic.Uint64.Or needs go1.23, so the bit is set by
+// CAS, retried only when another poster changed the word in between.
+func (s *sched) post(id int) {
+	w, bit := &s.arrivals[id/64], uint64(1)<<(id%64)
+	for {
+		old := w.Load()
+		if w.CompareAndSwap(old, old|bit) {
+			return
+		}
+	}
+}
+
+// posted reports whether an arrival waits to be taken.
+func (s *sched) posted() bool {
+	for i := range s.arrivals {
+		if s.arrivals[i].Load() != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// takeArrivals hands every posted arrival to its member's work gate and
+// queues the member for a step.
+func (s *sched) takeArrivals() {
+	for i := range s.arrivals {
+		if s.arrivals[i].Load() == 0 {
+			continue
+		}
+		for w := s.arrivals[i].Swap(0); w != 0; w &= w - 1 {
+			id := i*64 + bits.TrailingZeros64(w)
+			s.members[id].takeArrival()
+			s.mark(id)
+		}
+	}
+}
+
+// assist is a participant's share of its scheduler's work, called after it
+// posted an arrival: while arrivals wait and the scheduler goroutine has no
+// input to apply first, take the baton and run a turn. A failed CAS leaves
+// the posted work to the holder, whose release is followed by the same
+// look. On a barrier that is down the arrivals stay where they are.
+func (s *sched) assist() {
+	for s.posted() && !s.first() && s.baton.CompareAndSwap(false, true) {
+		ran := s.turn()
+		s.release()
+		if !ran {
+			return
+		}
+	}
+}
+
+// turn is one scheduler turn on a participant's goroutine: take the posted
+// arrivals, drain, and at quiescence settle an unbalanced ledger. On a
+// barrier that is down it does nothing, so it delivers nothing, and
+// reports false.
+func (s *sched) turn() bool {
+	if s.b.down() != nil {
+		return false
+	}
+	for {
+		s.takeArrivals()
+		s.drain()
+		if s.owed == 0 || !s.pullRound() {
+			return true
+		}
+	}
+}
+
+// first reports whether the scheduler goroutine has input to apply before
+// the next turn: a control message sent and not yet applied (queued), or
+// any input in hand that waits for the baton (want). A participant then
+// starts no turn and leaves its arrival to that goroutine, which takes
+// arrivals only once no control message is pending. So no pass completes
+// on arrivals posted after a fault was injected and before it was applied,
+// however long the scheduler goroutine waits for a CPU: a fault meets the
+// pass it raced with, as it did when arrivals queued behind it in the
+// control channel. (Applying an arrival and a control message commute; a
+// drain between them is what would not.)
+func (s *sched) first() bool { return s.want.Load() || s.queued.Load() > 0 }
+
+// control offers c to the control channel without blocking and reports
+// whether it was queued. From just before the send until the scheduler
+// goroutine has applied it, c counts in queued.
+func (s *sched) control(c ctrlMsg) bool {
+	s.queued.Add(1)
+	if offer(s.ctrl, c) {
+		return true
+	}
+	s.queued.Add(-1)
+	return false
+}
+
+// release frees the baton and, if the scheduler goroutine waits for it,
+// offers it the nudge.
+func (s *sched) release() {
+	s.baton.Store(false)
+	if s.want.Load() {
+		offer(s.nudge, struct{}{})
+	}
+}
+
+// acquire takes the baton for the scheduler goroutine, which has an input
+// in hand. Held by a participant's turn, it sets want and parks on the
+// nudge until the holder releases it; it gives up, reporting false, once
+// the barrier is down. Storing want before the second CAS closes the race
+// with a release that looked for want just before it was set.
+func (s *sched) acquire() bool {
+	if s.baton.CompareAndSwap(false, true) {
+		return true
+	}
+	s.want.Store(true)
+	defer s.want.Store(false)
+	for !s.baton.CompareAndSwap(false, true) {
+		if s.b.down() != nil {
+			return false
+		}
+		<-s.nudge
+	}
+	return true
+}
+
 // run is the scheduler goroutine: started by New, it exits on Stop and —
 // fail-safe — on Halt: no completion may ever be reported again, so
 // circulating waves or retransmitting state is pure waste, and
 // Await/Enter/Leave keep returning ErrHalted via b.halted. Both are looked
 // for once per turn of the loop, busy or about to park; the park itself
 // waits only on this scheduler's own inputs, and wakeAll's nudge ends it.
+// The loop runs holding the baton (newSched hands it over) and returns
+// holding it, so no participant turns a down barrier's scheduler again —
+// unless the barrier went down while it waited for the baton, in which
+// case the turns left see the barrier down (turn).
 func (s *sched) run() {
 	defer s.b.wg.Done()
 	for id, m := range s.members {
@@ -502,10 +739,13 @@ func (s *sched) run() {
 		}
 	}
 	for {
-		s.drain()
 		if s.b.down() != nil {
 			return
 		}
+		if s.queued.Load() == 0 {
+			s.takeArrivals() // else they wait for the control input (see first)
+		}
+		s.drain()
 		if s.poll() {
 			continue // busy: stay out of the blocking select
 		}
@@ -516,18 +756,36 @@ func (s *sched) run() {
 		if s.owed != 0 && s.pullRound() {
 			continue
 		}
+		// Release the baton, then look for arrivals posted while it was
+		// held: their posters may have found it taken and left them here.
+		// Arrivals held back by control input wait for it in the park.
+		s.baton.Store(false)
+		if s.posted() && s.queued.Load() == 0 && s.baton.CompareAndSwap(false, true) {
+			continue
+		}
 		select {
 		case c := <-s.ctrl:
-			s.onCtrl(c)
+			if s.acquire() {
+				s.onCtrl(c)
+			}
 		case <-s.nudge:
+			s.acquire()
 		case m := <-s.extState:
-			s.onExtState(m)
+			if s.acquire() {
+				s.onExtState(m)
+			}
 		case <-s.extTop:
-			s.onExtTop()
+			if s.acquire() {
+				s.onExtTop()
+			}
 		case m := <-s.extDown:
-			s.onExtDown(m)
+			if s.acquire() {
+				s.onExtDown(m)
+			}
 		case m := <-s.extUp:
-			s.onExtUp(m)
+			if s.acquire() {
+				s.onExtUp(m)
+			}
 		}
 	}
 }

@@ -153,7 +153,10 @@ func (tp *treeProc) kidOf(id int) *kidCopy {
 }
 
 // onUp refreshes the local copies of one child's live state and summary.
-func (tp *treeProc) onUp(m UpMessage) {
+// The frame comes by pointer, which keeps a copy of it out of the frames
+// of the co-hosted delivery path (sched.copyHops), which a participant's
+// turn runs on its own stack.
+func (tp *treeProc) onUp(m *UpMessage) {
 	sumOK := m.Sum == m.Checksum()
 	k := tp.kidOf(m.Child)
 	if k == nil {
@@ -164,7 +167,7 @@ func (tp *treeProc) onUp(m UpMessage) {
 		}
 		return
 	}
-	admit(&tp.node, &k.seen, &m, sumOK, half{&k.live, m.live()}, half{&k.ack, m.acked()})
+	admit(&tp.node, &k.seen, m, sumOK, half{&k.live, m.live()}, half{&k.ack, m.acked()})
 }
 
 func (tp *treeProc) onCtrl(c ctrlMsg) { tp.ctrl(c, tp) }
@@ -193,7 +196,7 @@ func (tp *treeProc) onByz(c ctrlMsg) {
 		return upMessage(c.from, triple{tp.sn, k.live.cp, k.live.ph}, ack)
 	}
 	if m, ok := forge(&tp.node, &k.ack, &k.seen, c.seed, frame); ok {
-		tp.onUp(m)
+		tp.onUp(&m)
 	}
 }
 
@@ -207,7 +210,8 @@ func (tp *treeProc) onSpurious(seed int64) {
 	}
 	if tp.parentID < 0 {
 		child := tp.kids[rng.Intn(len(tp.kids))]
-		tp.onUp(upMessage(child, draw(), draw()))
+		m := upMessage(child, draw(), draw())
+		tp.onUp(&m)
 		return
 	}
 	tp.onDown(draw().message())
@@ -394,7 +398,7 @@ func (tp *treeProc) pull() (pulls int) {
 		if kid == nil || !kid.haveSentUp {
 			continue
 		}
-		if u := kid.lastUp; k.live.stale(u.live()) || k.ack.stale(u.acked()) {
+		if u := &kid.lastUp; k.live.stale(u.live()) || k.ack.stale(u.acked()) {
 			tp.onUp(u)
 			pulls++
 		}
@@ -419,11 +423,10 @@ func (tp *treeProc) announce() {
 		}
 	}
 	if tp.parentID >= 0 && (!tp.haveSentUp || tp.upUrgent()) {
-		u := upMessage(tp.id, tp.triple, tp.ack)
-		tp.lastUp = u
+		tp.lastUp = upMessage(tp.id, tp.triple, tp.ack)
 		tp.haveSentUp = true
 		tp.noteSent()
-		tp.s.sendUp(tp, u)
+		tp.s.sendUp(tp)
 	}
 }
 

@@ -207,7 +207,7 @@ func TestTreeForgedFramesRejected(t *testing.T) {
 	}
 	up.Sum = up.Checksum()
 	ackSN, ackPH := root.kid[i].ack.sn, root.kid[i].ack.ph
-	root.onUp(up)
+	root.onUp(&up)
 	if root.kid[i].ack.sn != ackSN || root.kid[i].ack.ph != ackPH {
 		t.Fatal("forged current-wave acknowledgment adopted at the root")
 	}
@@ -219,7 +219,7 @@ func TestTreeForgedFramesRejected(t *testing.T) {
 	alien := up
 	alien.Child = 99
 	alien.Sum = alien.Checksum()
-	root.onUp(alien)
+	root.onUp(&alien)
 	if st := b.Stats(); st.RejectedSender != 1 {
 		t.Fatalf("RejectedSender = %d, want 1", st.RejectedSender)
 	}
