@@ -113,9 +113,10 @@ func NewMetricsRegistry() *MetricsRegistry { return obsv.NewRegistry() }
 
 // Transport supplies the barrier's ring links (Config.Transport); Link is
 // one member's attachment to its neighbors, and Message is the MB wire
-// triple (sn, cp, ph) with its end-to-end checksum. The in-process channel
-// transport is the default; NewTCPTransport carries the same protocol
-// across OS processes and machines.
+// triple (sn, cp, ph) with its end-to-end checksum. With no Transport there
+// are no links: every member runs on one scheduler, which copies frames
+// between them itself. NewTCPTransport carries the same protocol across OS
+// processes and machines.
 type (
 	// Transport supplies one Link per ring member.
 	Transport = runtime.Transport
@@ -126,15 +127,17 @@ type (
 )
 
 // NewChanTransport returns the in-process channel transport for an
-// all-local ring of n members — the default when Config.Transport is nil,
-// exported for explicit side-by-side configuration with network
-// transports.
+// all-local ring of n members: the one-scheduler-per-link placement without
+// sockets, for tests and benchmarks to set beside the network transports.
+// A nil Config.Transport is not this: it runs the whole ring on one
+// scheduler with no channels between members.
 func NewChanTransport(n int) Transport { return runtime.NewChanTransport(n) }
 
 // NewChanTreeTransport returns the in-process channel transport for the
-// tree described by the parent vector (parent[root] == -1) — the default
-// for TopologyTree when Config.Transport is nil. The tree must match the
-// shape the barrier derives from Config.TreeArity.
+// tree described by the parent vector (parent[root] == -1): the tree twin
+// of NewChanTransport, one scheduler per member. A nil Config.Transport is
+// not this either: it runs the whole tree on one scheduler. The tree must
+// match the shape the barrier derives from Config.TreeArity.
 func NewChanTreeTransport(parent []int) Transport { return runtime.NewChanTreeTransport(parent) }
 
 // TCPConfig parameterizes a TCP transport; TCPTransport implements

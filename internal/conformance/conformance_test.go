@@ -119,40 +119,76 @@ func TestRuntimeTarget(t *testing.T) {
 	}
 }
 
-// The tcp target runs the identical protocol over loopback sockets: a
-// schedule ported between the channel and TCP transports must produce the
-// same verdict — including a schedule drawn exactly as FuzzRuntime draws
-// it, so any corpus entry is portable between the two fuzz targets.
-func TestTCPTargetMatchesChannelTarget(t *testing.T) {
+// A schedule ported from the channel-transport ring to another target must
+// produce the same verdict. Each target is a refinement, not an
+// observable:
+//
+//   - tcp runs the identical protocol over loopback sockets, including a
+//     schedule drawn exactly as FuzzRuntime draws it, so any corpus entry
+//     is portable between the two fuzz targets;
+//   - tree is the other topology: fault-free schedules check pure barrier
+//     equivalence, the masking and byte-derived mixes that the tree masks
+//     the same fault classes;
+//   - hybrid fuses members pairwise onto per-host schedulers, a deployment
+//     choice — including resets landing on fused (non-root) members whose
+//     faults never touch a cross-host edge;
+//   - mux multiplexes the scheduled barrier with background tenant groups
+//     on shared connections: multi-tenancy is a transport refinement.
+func TestTargetsMatchChannelTarget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock paced")
 	}
-	schedules := []Schedule{
+	faultFree := []Schedule{
+		// Fault-free: both topologies must run spec-clean barriers. The odd
+		// roster leaves one hybrid host with a single member.
+		Generate(GenConfig{Target: TargetRuntime, NProcs: 4, NPhases: 3, Ops: 40}, 10),
+		Generate(GenConfig{Target: TargetRuntime, NProcs: 7, NPhases: 2, Ops: 40}, 11),
 		// Masking mix: resets over lossy, corrupting links.
 		Generate(GenConfig{Target: TargetRuntime, NProcs: 4, NPhases: 3, Ops: 40,
-			FaultRate: 0.15, Loss: 0.05, Corrupt: 0.05}, 11),
-		// Stabilizing mix: scrambles and spurious messages on top.
-		Generate(GenConfig{Target: TargetRuntime, NProcs: 3, NPhases: 2, Ops: 40,
-			FaultRate: 0.15, Scrambles: true, Spurious: true, Loss: 0.05, Corrupt: 0.05}, 12),
+			FaultRate: 0.15, Loss: 0.05, Corrupt: 0.05}, 12),
 		// A byte-derived schedule, as the fuzzers construct them.
 		FromBytes(TargetRuntime, 13, []byte{1, 1, 2, 3, 10, 20, 0xB2, 1, 5, 40}),
 	}
-	for i, s := range schedules {
-		s.Target = TargetRuntime
-		vChan := Run(s)
-		s.Target = TargetTCP
-		vTCP := Run(s)
-		if vChan.OK != vTCP.OK || vChan.Reason != vTCP.Reason {
-			t.Errorf("schedule %d: verdicts diverge across transports:\n  channel: %v\n  tcp:     %v\n  replay: %s",
-				i, vChan, vTCP, s.String())
+	// faulty is the masking mix, the stabilizing mix (scrambles and spurious
+	// messages on top) and a byte-derived schedule, from seed on.
+	faulty := func(seed int64) []Schedule {
+		return []Schedule{
+			Generate(GenConfig{Target: TargetRuntime, NProcs: 4, NPhases: 3, Ops: 40,
+				FaultRate: 0.15, Loss: 0.05, Corrupt: 0.05}, seed),
+			Generate(GenConfig{Target: TargetRuntime, NProcs: 3, NPhases: 2, Ops: 40,
+				FaultRate: 0.15, Scrambles: true, Spurious: true, Loss: 0.05, Corrupt: 0.05}, seed+1),
+			FromBytes(TargetRuntime, seed+2, []byte{1, 1, 2, 3, 10, 20, 0xB2, 1, 5, 40}),
 		}
-		if !vChan.OK {
-			t.Errorf("schedule %d: expected OK on both transports, got %v", i, vChan)
-		}
-		if s.HasUndetectable() && (vChan.Stabilized != vTCP.Stabilized) {
-			t.Errorf("schedule %d: stabilization verdicts diverge: channel=%v tcp=%v",
-				i, vChan.Stabilized, vTCP.Stabilized)
-		}
+	}
+	for _, tc := range []struct {
+		name      string
+		target    string
+		schedules []Schedule
+	}{
+		{"tcp", TargetTCP, faulty(11)},
+		{"tree", TargetTree, faultFree},
+		{"hybrid", TargetHybrid, faultFree},
+		{"mux", TargetMux, faulty(21)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i, s := range tc.schedules {
+				s.Target = TargetRuntime
+				vChan := Run(s)
+				s.Target = tc.target
+				v := Run(s)
+				if vChan.OK != v.OK || vChan.Reason != v.Reason {
+					t.Errorf("schedule %d: verdicts diverge:\n  channel: %v\n  %s: %v\n  replay: %s",
+						i, vChan, tc.name, v, s.String())
+				}
+				if !vChan.OK {
+					t.Errorf("schedule %d: expected OK on both targets, got %v", i, vChan)
+				}
+				if s.HasUndetectable() && (vChan.Stabilized != v.Stabilized) {
+					t.Errorf("schedule %d: stabilization verdicts diverge: channel=%v %s=%v",
+						i, vChan.Stabilized, tc.name, v.Stabilized)
+				}
+			}
+		})
 	}
 }
 
@@ -172,83 +208,6 @@ func TestTreeTarget(t *testing.T) {
 			FaultRate: 0.15, Scrambles: true, Spurious: true, Loss: 0.05, Corrupt: 0.05}, seed)
 		if v := Run(s); !v.OK {
 			t.Errorf("stabilizing seed=%d: %v\n  replay: %s", seed, v, s.String())
-		}
-	}
-}
-
-// A schedule ported between the ring and tree topologies must produce the
-// same verdict: the topology is a refinement choice, not an observable.
-// Fault-free schedules check pure barrier equivalence; the masking and
-// byte-derived mixes check that the tree masks the same fault classes.
-func TestTreeTargetMatchesChannelTarget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock paced")
-	}
-	schedules := []Schedule{
-		// Fault-free: both topologies must run spec-clean barriers.
-		Generate(GenConfig{Target: TargetRuntime, NProcs: 4, NPhases: 3, Ops: 40}, 10),
-		Generate(GenConfig{Target: TargetRuntime, NProcs: 7, NPhases: 2, Ops: 40}, 11),
-		// Masking mix: resets over lossy, corrupting links.
-		Generate(GenConfig{Target: TargetRuntime, NProcs: 4, NPhases: 3, Ops: 40,
-			FaultRate: 0.15, Loss: 0.05, Corrupt: 0.05}, 12),
-		// A byte-derived schedule, as the fuzzers construct them.
-		FromBytes(TargetRuntime, 13, []byte{1, 1, 2, 3, 10, 20, 0xB2, 1, 5, 40}),
-	}
-	for i, s := range schedules {
-		s.Target = TargetRuntime
-		vRing := Run(s)
-		s.Target = TargetTree
-		vTree := Run(s)
-		if vRing.OK != vTree.OK || vRing.Reason != vTree.Reason {
-			t.Errorf("schedule %d: verdicts diverge across topologies:\n  ring: %v\n  tree: %v\n  replay: %s",
-				i, vRing, vTree, s.String())
-		}
-		if !vRing.OK {
-			t.Errorf("schedule %d: expected OK on both topologies, got %v", i, vRing)
-		}
-		if s.HasUndetectable() && (vRing.Stabilized != vTree.Stabilized) {
-			t.Errorf("schedule %d: stabilization verdicts diverge: ring=%v tree=%v",
-				i, vRing.Stabilized, vTree.Stabilized)
-		}
-	}
-}
-
-// A schedule ported between the ring and the hybrid topology must produce
-// the same verdict: fusing members pairwise onto per-host schedulers is a
-// deployment choice, not an observable. Fault-free schedules check pure
-// barrier equivalence; the masking and byte-derived mixes check that the
-// hybrid shape masks the same fault classes — including resets landing on
-// fused (non-root) members whose faults never touch a cross-host edge.
-func TestHybridTargetMatchesChannelTarget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock paced")
-	}
-	schedules := []Schedule{
-		// Fault-free: both topologies must run spec-clean barriers. The odd
-		// roster leaves one host with a single member.
-		Generate(GenConfig{Target: TargetRuntime, NProcs: 4, NPhases: 3, Ops: 40}, 10),
-		Generate(GenConfig{Target: TargetRuntime, NProcs: 7, NPhases: 2, Ops: 40}, 11),
-		// Masking mix: resets over lossy, corrupting links.
-		Generate(GenConfig{Target: TargetRuntime, NProcs: 4, NPhases: 3, Ops: 40,
-			FaultRate: 0.15, Loss: 0.05, Corrupt: 0.05}, 12),
-		// A byte-derived schedule, as the fuzzers construct them.
-		FromBytes(TargetRuntime, 13, []byte{1, 1, 2, 3, 10, 20, 0xB2, 1, 5, 40}),
-	}
-	for i, s := range schedules {
-		s.Target = TargetRuntime
-		vRing := Run(s)
-		s.Target = TargetHybrid
-		vHybrid := Run(s)
-		if vRing.OK != vHybrid.OK || vRing.Reason != vHybrid.Reason {
-			t.Errorf("schedule %d: verdicts diverge across topologies:\n  ring:   %v\n  hybrid: %v\n  replay: %s",
-				i, vRing, vHybrid, s.String())
-		}
-		if !vRing.OK {
-			t.Errorf("schedule %d: expected OK on both topologies, got %v", i, vRing)
-		}
-		if s.HasUndetectable() && (vRing.Stabilized != vHybrid.Stabilized) {
-			t.Errorf("schedule %d: stabilization verdicts diverge: ring=%v hybrid=%v",
-				i, vRing.Stabilized, vHybrid.Stabilized)
 		}
 	}
 }
@@ -380,43 +339,6 @@ func TestFromBytesTotal(t *testing.T) {
 			if v2 := Run(parsed); v2.String() != v.String() {
 				t.Fatalf("byte-derived schedule replay diverged: %v vs %v\n  %s", v, v2, s.String())
 			}
-		}
-	}
-}
-
-// The mux target multiplexes the scheduled barrier with background tenant
-// groups on shared connections: a schedule ported between the channel
-// transport and the mux must produce the same verdict — multi-tenancy is
-// a transport refinement, not an observable.
-func TestMuxTargetMatchesChannelTarget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock paced")
-	}
-	schedules := []Schedule{
-		// Masking mix: resets over lossy, corrupting links.
-		Generate(GenConfig{Target: TargetRuntime, NProcs: 4, NPhases: 3, Ops: 40,
-			FaultRate: 0.15, Loss: 0.05, Corrupt: 0.05}, 21),
-		// Stabilizing mix: scrambles and spurious messages on top.
-		Generate(GenConfig{Target: TargetRuntime, NProcs: 3, NPhases: 2, Ops: 40,
-			FaultRate: 0.15, Scrambles: true, Spurious: true, Loss: 0.05, Corrupt: 0.05}, 22),
-		// A byte-derived schedule, as the fuzzers construct them.
-		FromBytes(TargetRuntime, 23, []byte{1, 1, 2, 3, 10, 20, 0xB2, 1, 5, 40}),
-	}
-	for i, s := range schedules {
-		s.Target = TargetRuntime
-		vChan := Run(s)
-		s.Target = TargetMux
-		vMux := Run(s)
-		if vChan.OK != vMux.OK || vChan.Reason != vMux.Reason {
-			t.Errorf("schedule %d: verdicts diverge across transports:\n  channel: %v\n  mux:     %v\n  replay: %s",
-				i, vChan, vMux, s.String())
-		}
-		if !vChan.OK {
-			t.Errorf("schedule %d: expected OK on both transports, got %v", i, vChan)
-		}
-		if s.HasUndetectable() && (vChan.Stabilized != vMux.Stabilized) {
-			t.Errorf("schedule %d: stabilization verdicts diverge: channel=%v mux=%v",
-				i, vChan.Stabilized, vMux.Stabilized)
 		}
 	}
 }

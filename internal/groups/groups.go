@@ -169,11 +169,9 @@ func New(opts Options, cfgs []Config) (*Registry, error) {
 		return nil, err
 	}
 	mux, err := transport.NewMux(transport.MuxConfig{
-		Self:     opts.Self,
-		Peers:    opts.Peers,
-		Groups:   specs,
-		Logf:     opts.Logf,
-		Registry: opts.Metrics,
+		Self:      opts.Self,
+		Groups:    specs,
+		TCPConfig: transport.TCPConfig{Peers: opts.Peers, Logf: opts.Logf, Registry: opts.Metrics},
 	})
 	if err != nil {
 		return nil, err

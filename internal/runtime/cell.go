@@ -280,30 +280,36 @@ func (c *cell) stale(t triple) bool {
 	return t != c.triple
 }
 
-// slot is an edge's two-sighting slot: the last frame its windows turned
-// away. Per edge — two out-of-window children sharing one slot would
-// alternate and never confirm.
-type slot[F comparable] struct {
-	pending F
-	held    bool
+// slot is an edge's two-sighting slot: the triples of the last frame its
+// windows turned away — a and, for a child's frame, b, as admit names them.
+// They identify the frame exactly: its checksum held before it got here,
+// and a child's slot only ever sees that child. Per edge — two
+// out-of-window children sharing one slot would alternate and never
+// confirm.
+type slot struct {
+	a, b triple
+	held bool
 }
 
-// confirm is hold-then-confirm; r is what the windows said about f. A
-// frame they pass clears the slot, so a one-shot forgery can never be
-// confirmed by later genuine traffic.
-func (s *slot[F]) confirm(f *F, r rejectReason) bool {
-	if r == rejNone || s.held && *f == s.pending {
+// holds reports whether the frame carrying a and b is the pending sighting.
+func (s *slot) holds(a, b triple) bool { return s.held && s.a == a && s.b == b }
+
+// confirm is hold-then-confirm for the frame carrying a and b; r is what
+// the windows said about it. A frame they pass clears the slot, so a
+// one-shot forgery can never be confirmed by later genuine traffic.
+func (s *slot) confirm(a, b triple, r rejectReason) bool {
+	if r == rejNone || s.holds(a, b) {
 		// In the window, or a bit-identical second sighting: a genuine
 		// sender's retransmission confirms the frame.
 		s.held = false
 		return true
 	}
-	s.pending, s.held = *f, true
+	s.a, s.b, s.held = a, b, true
 	return false
 }
 
-func (s *slot[F]) reset(*prng.PRNG, int)         { s.held = false }
-func (s *slot[F]) scramble(*prng.PRNG, int, int) { s.held = false }
+func (s *slot) reset(*prng.PRNG, int)         { s.held = false }
+func (s *slot) scramble(*prng.PRNG, int, int) { s.held = false }
 
 // half pairs a triple a frame carries with the cell it would refresh.
 type half struct {
@@ -327,11 +333,11 @@ func (n *node) hears(sumOK bool) bool {
 }
 
 // admit is the one way a received — or pulled — frame reaches the copies:
-// f arrived on the edge whose slot is s, carrying a.t for a.c and, if it is
-// a child's frame, its acknowledgment half b.t for b.c. It reports the
+// a frame arrived on the edge whose slot is s, carrying a.t for a.c and, if
+// it is a child's frame, its acknowledgment half b.t for b.c. It reports the
 // rejection, if the windows made one. While the receiver is unsettled
 // validation stands aside and everything the cells take is stored.
-func admit[F comparable](n *node, s *slot[F], f *F, sumOK bool, a, b half) rejectReason {
+func admit(n *node, s *slot, sumOK bool, a, b half) rejectReason {
 	if !n.hears(sumOK) {
 		return rejNone
 	}
@@ -351,7 +357,7 @@ func admit[F comparable](n *node, s *slot[F], f *F, sumOK bool, a, b half) rejec
 		if takeB && r == rejNone {
 			r = b.c.check(n, b.t)
 		}
-		if !s.confirm(f, r) {
+		if !s.confirm(a.t, b.t, r) {
 			n.b.countReject(r)
 			return r
 		}
@@ -376,25 +382,28 @@ func (b *Barrier) byzSkipped() {
 	b.statInjDropped.Add(1)
 }
 
-// forge crafts the Byzantine adversary's frame for cell c of victim n —
+// forge crafts the Byzantine adversary's triple for cell c of victim n —
 // the table's complement, from the victim's own view: the strongest
 // position an adversary on the edge can reach, since a real one observes
-// at most what the victim announces. frame wraps the forged triple into
-// the edge's wire frame (valid checksum); the result is never the frame s
-// holds, so each injection is rejected exactly once. ok is false, and the
-// injection reclassified, when the victim cannot host a forgery: an
-// unsettled or crashed one is in a recovery whose stabilizing tolerance
-// covers arbitrary state anyway, and a ring copy deaf to the forged sn (a
-// transiently stale copy colliding with a stale-sequence echo) would let
-// it land on deaf ears and under-count the rejected == accepted identity.
-func forge[F comparable](n *node, c *cell, s *slot[F], seed int64, frame func(triple) F) (f F, ok bool) {
+// at most what the victim announces. A forged acknowledgment rides in a
+// child's frame whose live half is live (ignored for any other cell);
+// the frame is never the one s holds, so each injection is rejected
+// exactly once. ok is false, and the injection reclassified, when the
+// victim cannot host a forgery: an unsettled or crashed one is in a
+// recovery whose stabilizing tolerance covers arbitrary state anyway, and
+// a ring copy deaf to the forged sn (a transiently stale copy colliding
+// with a stale-sequence echo) would let it land on deaf ears and
+// under-count the rejected == accepted identity.
+func forge(n *node, c *cell, s *slot, seed int64, live triple) (t triple, ok bool) {
 	if n.crashed || !n.settled() {
 		n.b.byzSkipped()
-		return f, false
+		return t, false
 	}
-	fresh := func(t triple) bool {
-		f = frame(t)
-		return !(s.held && f == s.pending) // differs from the pending sighting
+	fresh := func() bool { // t's frame is not the pending sighting
+		if c.ack {
+			return !s.holds(live, t)
+		}
+		return !s.holds(t, triple{})
 	}
 	rng := prng.New(seed)
 	l, np := n.b.l, n.b.nPhases
@@ -403,7 +412,7 @@ func forge[F comparable](n *node, c *cell, s *slot[F], seed int64, frame func(tr
 	// and a phase outside the window — the shape of the original fuzz
 	// counterexample; on the acknowledgment half, a completion of the
 	// victim's CURRENT wave at a foreign phase.
-	t := triple{sn: hi, cp: c.cp}
+	t = triple{sn: hi, cp: c.cp}
 	if c.ring && t.sn == c.sn {
 		t.sn = lo // a ring copy is deaf to the sequence number it holds
 	}
@@ -416,7 +425,7 @@ func forge[F comparable](n *node, c *cell, s *slot[F], seed int64, frame func(tr
 		off := width + rng.Intn(span)
 		for tries := 0; tries < 2 && !crafted; tries++ {
 			t.ph = (first + off) % np
-			crafted = fresh(t)
+			crafted = fresh()
 			off = width + (off-width+1)%span
 		}
 	}
@@ -425,11 +434,11 @@ func forge[F comparable](n *node, c *cell, s *slot[F], seed int64, frame func(tr
 	span := l - 2
 	for off := rng.Intn(span); !crafted; off = (off + 1) % span {
 		t = triple{tokenring.SN((int(lo) + 2 + off) % l), c.cp, c.ph}
-		crafted = fresh(t)
+		crafted = fresh()
 	}
 	if !c.takes(t, true) {
 		n.b.byzSkipped()
-		return f, false
+		return t, false
 	}
-	return f, true
+	return t, true
 }

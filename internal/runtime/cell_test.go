@@ -88,7 +88,7 @@ func TestCellAdmitMatchesTable(t *testing.T) {
 						m := triple{tokenring.SN(fsn), core.Success, fph}.message()
 						name := fmt.Sprintf("%s: own sn=%d copy=%v frame=%v", row.name, sn, before, m.triple())
 						deliver := func() rejectReason {
-							return admit(n, &n.seen, &m, true, half{&n.from, m.triple()}, half{})
+							return admit(n, &n.seen, true, half{&n.from, m.triple()}, half{})
 						}
 
 						got := deliver()
@@ -113,7 +113,7 @@ func TestCellAdmitMatchesTable(t *testing.T) {
 							}
 							continue
 						}
-						if n.from.triple != before || !n.seen.held || n.seen.pending != m {
+						if n.from.triple != before || !n.seen.held || n.seen.a != m.triple() {
 							t.Fatalf("%s: rejected, but copy = %v (was %v), held = %v", name, n.from.triple, before, n.seen.held)
 						}
 						if c := rejected(n.b); c[want] != 1 || c[rejSeq]+c[rejPhase]+c[rejTop]+c[rejSender] != 1 {
@@ -151,7 +151,7 @@ func TestCellAdmitUpMatchesTable(t *testing.T) {
 					if want == rejNone {
 						want = wantHalf(behindWindow, true, sn, ph, 0, m.acked())
 					}
-					got := admit(n, &k.seen, &m, true, half{&k.live, m.live()}, half{&k.ack, m.acked()})
+					got := admit(n, &k.seen, true, half{&k.live, m.live()}, half{&k.ack, m.acked()})
 					if got != want {
 						t.Fatalf("up frame live=%v ack=%v: admit = %d, table says %d", m.live(), m.acked(), got, want)
 					}
@@ -159,7 +159,7 @@ func TestCellAdmitUpMatchesTable(t *testing.T) {
 						if k.live.triple != m.live() || k.ack.triple != m.acked() || k.seen.held {
 							t.Fatalf("up frame live=%v ack=%v accepted but stored as %v / %v", m.live(), m.acked(), k.live.triple, k.ack.triple)
 						}
-					} else if k.live != before.live || k.ack != before.ack || !k.seen.held || k.seen.pending != m || rejected(n.b)[want] != 1 {
+					} else if k.live != before.live || k.ack != before.ack || !k.seen.held || k.seen.a != m.live() || k.seen.b != m.acked() || rejected(n.b)[want] != 1 {
 						t.Fatalf("up frame live=%v ack=%v rejected (%d) but copies or slot or count disagree", m.live(), m.acked(), want)
 					}
 				}
@@ -186,8 +186,7 @@ func TestCellMarkerUnsettled(t *testing.T) {
 		n := oracleNode(2, 0)
 		n.from = cell{triple: triple{2, core.Execute, 0}, role: row.role, ring: row.ring}
 		deliver := func(tr triple) rejectReason {
-			m := tr.message()
-			return admit(n, &n.seen, &m, true, half{&n.from, tr}, half{})
+			return admit(n, &n.seen, true, half{&n.from, tr}, half{})
 		}
 		before := n.from.triple
 		for _, mark := range []tokenring.SN{tokenring.Bot, tokenring.Top} {
@@ -215,7 +214,7 @@ func TestCellMarkerUnsettled(t *testing.T) {
 	k := kidCopy{live: cell{role: behind}, ack: cell{role: behind, ack: true}}
 	k.seen.held = true
 	reset := upMessage(7, triple{tokenring.Bot, core.Error, 1}, triple{tokenring.Bot, core.Error, 2})
-	if r := admit(n, &k.seen, &reset, true, half{&k.live, reset.live()}, half{&k.ack, reset.acked()}); r != rejNone || k.seen.held || k.live.sn != 0 || k.ack.sn != 0 {
+	if r := admit(n, &k.seen, true, half{&k.live, reset.live()}, half{&k.ack, reset.acked()}); r != rejNone || k.seen.held || k.live.sn != 0 || k.ack.sn != 0 {
 		t.Errorf("child's restart markers at a settled parent: admit = %d, held = %v, copies %v / %v", r, k.seen.held, k.live.triple, k.ack.triple)
 	}
 
@@ -244,39 +243,40 @@ func TestCellForgeIsTheComplement(t *testing.T) {
 		return edge{row.name, func(n *node, seed int64) (v verdicts, same, ok bool) {
 			n.from.role, n.from.ring = row.role, row.ring
 			deliver := func(m Message) rejectReason {
-				return admit(n, &n.seen, &m, m.Sum == m.Checksum(), half{&n.from, m.triple()}, half{})
+				return admit(n, &n.seen, m.Sum == m.Checksum(), half{&n.from, m.triple()}, half{})
 			}
-			m1, ok1 := forge(n, &n.from, &n.seen, seed, triple.message)
+			t1, ok1 := forge(n, &n.from, &n.seen, seed, triple{})
 			if !ok1 {
 				return v, false, false
 			}
-			v.first = deliver(m1)
-			m2, ok2 := forge(n, &n.from, &n.seen, seed, triple.message)
+			v.first = deliver(t1.message())
+			t2, ok2 := forge(n, &n.from, &n.seen, seed, triple{})
 			if !ok2 {
 				return v, false, false
 			}
-			v.second, v.confirm = deliver(m2), deliver(m2)
-			return v, m1 == m2, true
+			v.second, v.confirm = deliver(t2.message()), deliver(t2.message())
+			return v, t1 == t2, true
 		}}
 	}
 	var kid kidCopy
 	edges := []edge{state(edgeRows[0]), state(edgeRows[1]), state(edgeRows[2]), {"tree parent ← child (ack)",
 		func(n *node, seed int64) (v verdicts, same, ok bool) {
-			frame := func(ack triple) UpMessage { return upMessage(7, triple{n.sn, kid.live.cp, kid.live.ph}, ack) }
+			live := triple{n.sn, kid.live.cp, kid.live.ph}
+			frame := func(ack triple) UpMessage { return upMessage(7, live, ack) }
 			deliver := func(m UpMessage) rejectReason {
-				return admit(n, &kid.seen, &m, m.Sum == m.Checksum(), half{&kid.live, m.live()}, half{&kid.ack, m.acked()})
+				return admit(n, &kid.seen, m.Sum == m.Checksum(), half{&kid.live, m.live()}, half{&kid.ack, m.acked()})
 			}
-			m1, ok1 := forge(n, &kid.ack, &kid.seen, seed, frame)
+			a1, ok1 := forge(n, &kid.ack, &kid.seen, seed, live)
 			if !ok1 {
 				return v, false, false
 			}
-			v.first = deliver(m1)
-			m2, ok2 := forge(n, &kid.ack, &kid.seen, seed, frame)
+			v.first = deliver(frame(a1))
+			a2, ok2 := forge(n, &kid.ack, &kid.seen, seed, live)
 			if !ok2 {
 				return v, false, false
 			}
-			v.second, v.confirm = deliver(m2), deliver(m2)
-			return v, m1 == m2, true
+			v.second, v.confirm = deliver(frame(a2)), deliver(frame(a2))
+			return v, a1 == a2, true
 		}}}
 
 	for _, nPhases := range []int{2, oracleNP} {

@@ -7,7 +7,10 @@
 // machines without any change to the protocol itself. (A link carries
 // only the edges that leave a scheduler: between members one scheduler
 // hosts — every member, without a Transport — the scheduler copies the
-// frame itself; see sched.go.)
+// frame itself; see sched.go.) A link's State channel is one member's
+// upstream edge, the same edge a tree link's Down channel is: the
+// scheduler reads either into the one upstream receive (sched.extFrom,
+// node.onState).
 //
 // The contract every Transport must honor is deliberately weak, because
 // the protocol already masks the weakness (the paper's Section 5):

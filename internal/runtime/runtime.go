@@ -411,8 +411,10 @@ func (g *gate) noteSent() {
 }
 
 // node is what a ring process and a tree process have in common: the
-// participant gate, the member's own triple, the copy of the neighbour its
-// waves come from with that edge's two-sighting slot, and the fault state.
+// participant gate, the member's own triple, both ends of the state edge —
+// the copy of the upstream neighbour its waves come from, with that edge's
+// two-sighting slot, and the register it last announced downstream — and
+// the fault state.
 type node struct {
 	*gate
 
@@ -423,7 +425,15 @@ type node struct {
 	// settled needs no root case); seen holds the last frame from it
 	// that the windows turned away.
 	from cell
-	seen slot[Message]
+	seen slot
+
+	// lastSent is the state frame last announced downstream — to the ring
+	// successor or to every child — as put on the edge before the loss and
+	// corruption draws: the output register a co-hosted receiver pulls.
+	// haveSent is false until the first announcement and after a resend
+	// poke, which makes the next announce send it again.
+	lastSent Message
+	haveSent bool
 
 	// memory is everything a process fault takes, own triple first: what
 	// Reset resets and Scramble scrambles, in this order.
@@ -451,9 +461,6 @@ type proc struct {
 	node
 
 	succ cell // the successor's ⊤ restart marker (MB's snR)
-
-	lastSent Message
-	haveSent bool
 }
 
 type awaitResult struct {
@@ -659,8 +666,8 @@ func (b *Barrier) startRing(cfg Config, members []int, ln *lane) error {
 			}
 			ln.links = append(ln.links, link)
 			s := newSched(b, cfg, ln, 1)
-			s.link, s.extState, s.extTop = link, link.State(), link.Top()
-			s.ringIn = s.addRing(cfg, ln, j)
+			s.link, s.extFrom, s.extTop = link, link.State(), link.Top()
+			s.in = &s.addRing(cfg, ln, j).node
 		}
 	}
 	if !cfg.Rejoin {
@@ -1510,13 +1517,47 @@ func (n *node) reset() {
 	n.noteFault()
 }
 
-// --- the ring process ---
-
-// onPredState is action C.j: update the local copy of the predecessor's
-// variables, through the cell's windows (cell.go).
-func (p *proc) onPredState(m Message) {
-	admit(&p.node, &p.seen, &m, m.Sum == m.Checksum(), half{&p.from, m.triple()}, half{})
+// onState receives a state frame from the upstream neighbour: it refreshes
+// the copy of the ring predecessor (action C.j) or of the tree parent,
+// through the cell's windows (cell.go).
+func (n *node) onState(m Message) {
+	admit(n, &n.seen, m.Sum == m.Checksum(), half{&n.from, m.triple()}, half{})
 }
+
+// byzState delivers a Byzantine forgery of the upstream neighbour's state
+// frame, crafted against the copy's windows.
+func (n *node) byzState(seed int64) {
+	if t, ok := forge(n, &n.from, &n.seen, seed, triple{}); ok {
+		n.onState(t.message())
+	}
+}
+
+// pullFrom is the upstream half of a pull round (sched.pullRound): where
+// the upstream neighbour up is co-hosted and its register lastSent differs
+// from the copy held here, take it through onState, exactly as if the frame
+// had arrived. Of a ring copy only sn is comparable (cell.stale). It
+// reports the registers taken.
+func (n *node) pullFrom(up *node) int {
+	if up == nil || !up.haveSent || !n.from.stale(up.lastSent.triple()) {
+		return 0
+	}
+	n.onState(up.lastSent)
+	return 1
+}
+
+// restate records the member's triple in its downstream register if it
+// changed since the last announcement (or a resend poke forgot that), and
+// reports whether it did: the state frame is then to be sent.
+func (n *node) restate() bool {
+	if n.haveSent && n.triple == n.lastSent.triple() {
+		return false
+	}
+	n.lastSent, n.haveSent = n.triple.message(), true
+	n.noteSent()
+	return true
+}
+
+// --- the ring process ---
 
 // onTop handles the successor's ⊤ marker — the whole-ring restart wave
 // propagating backward. It carries no payload a second sighting could
@@ -1542,7 +1583,7 @@ func (p *proc) forget() { p.haveSent = false }
 func (p *proc) onSpurious(seed int64) {
 	rng := prng.New(seed)
 	t := triple{tokenring.SN(rng.Intn(p.b.l)), core.CP(rng.Intn(core.NumCP)), rng.Intn(p.b.nPhases)}
-	p.onPredState(t.message())
+	p.onState(t.message())
 }
 
 // onByz delivers a Byzantine forgery to this ring proc: a state frame
@@ -1553,9 +1594,7 @@ func (p *proc) onSpurious(seed int64) {
 // legitimate, is skipped rather than silently accepting it.
 func (p *proc) onByz(c ctrlMsg) {
 	if c.kind == ctrlByzState {
-		if m, ok := forge(&p.node, &p.from, &p.seen, c.seed, triple.message); ok {
-			p.onPredState(m)
-		}
+		p.byzState(c.seed)
 	} else if p.crashed || !p.sn.Ordinary() {
 		p.b.byzSkipped()
 	} else {
@@ -1633,19 +1672,12 @@ func (p *proc) step() {
 	}
 }
 
-// pull is this member's share of a pull round (sched.pullRound): where a
-// co-hosted neighbour's output register — lastSent, as put on the edge
-// before the loss and corruption draws — differs from the copy held here,
-// take it through the ordinary receive function, exactly as if the frame
-// had arrived. The predecessor's register refreshes the state copy (whose
-// cp and ph evolve by the follower statement, so only sn is comparable), a
-// successor at ⊤ the restart marker. It reports the registers taken.
+// pull is this member's share of a pull round (sched.pullRound): the
+// predecessor's register refreshes the state copy (pullFrom), a successor
+// at ⊤ the restart marker. It reports the registers taken.
 func (p *proc) pull() (pulls int) {
 	n := p.b.n
-	if pred := p.s.ringPeer((p.id + n - 1) % n); pred != nil && pred.haveSent && p.from.stale(pred.lastSent.triple()) {
-		p.onPredState(pred.lastSent)
-		pulls++
-	}
+	pulls = p.pullFrom(p.s.peer((p.id + n - 1) % n))
 	if succ := p.s.ringPeer((p.id + 1) % n); succ != nil && succ.haveSent && p.succ.stale(succ.lastSent.triple()) {
 		p.onTop()
 		pulls++
@@ -1657,17 +1689,10 @@ func (p *proc) pull() (pulls int) {
 // the predecessor) if it changed since the last send, through the
 // scheduler, which makes the loss and corruption draws.
 func (p *proc) announce() {
-	if p.crashed {
+	if p.crashed || !p.restate() {
 		return
 	}
-	if p.haveSent && p.triple == p.lastSent.triple() {
-		return
-	}
-	m := p.triple.message()
-	p.lastSent = m
-	p.haveSent = true
-	p.noteSent()
-	if p.s.sendState(p, m) && p.sn == tokenring.Top {
+	if p.s.sendState(&p.node, (p.id+1)%p.b.n, p.lastSent) && p.sn == tokenring.Top {
 		p.s.sendTop(p)
 	}
 }

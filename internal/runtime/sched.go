@@ -19,17 +19,22 @@
 //     is the hybrid whose hosts have one member each.
 //
 // A scheduler owns its members' edges. One between two members it hosts
-// is a register it copies (sendState, sendTop, sendDown, sendUp, then
-// copyHops): each frame of an announcement refreshes the receiver's copy
-// and queues the receiver as soon as the announcement returns, so a wave
-// crosses the whole roster in one turn. Every other edge is on the
-// scheduler's one link, its external attachment. Every input a member sees
+// is a register it copies (sendState, sendTop, sendUp, then copyHops):
+// each frame of an announcement refreshes the receiver's copy and queues
+// the receiver as soon as the announcement returns, so a wave crosses the
+// whole roster in one turn. Every other edge is on the scheduler's one
+// link, its external attachment. A state frame travels one way whatever
+// the topology: the upstream neighbour's register — the ring predecessor's
+// or the tree parent's (node.lastSent) — reaches the member's one copy of
+// it through one receive (node.onState), whether it was copied (a hop),
+// pulled (pullRound) or received (extFrom). Every input a member sees
 // comes through one of three doors: the receive channels of that
-// attachment; the control channel the hosted members share, which carries
-// what other goroutines send — resend pokes and every fault kind, a
-// spurious frame included (the paper's faults are environment actions on a
-// process's variables, and "unexpected message reception" is one on the
-// receiver's copy); and the posted arrivals, one word per gate
+// attachment — upstream state frames, the ring's ⊤ markers, a host's
+// convergecast frames; the control channel the hosted members share,
+// which carries what other goroutines send — resend pokes and every fault
+// kind, a spurious frame included (the paper's faults are environment
+// actions on a process's variables, and "unexpected message reception" is
+// one on the receiver's copy); and the posted arrivals, one word per gate
 // (gate.arrival) and one bit per hosted member (arrivals). A scheduler
 // owns no timer: the barrier's one sweeper paces every retransmission.
 //
@@ -133,18 +138,19 @@ type sched struct {
 	hops  []hop // an announcement's co-hosted frames, awaiting delivery
 
 	// The external attachment, at most one: link is the ring link of a
-	// one-member ring scheduler, whose member is ringIn; tlink is a host's
-	// link in the cross-host tree, and treeIn the host root, the one member
-	// with edges on it. extState/extTop/extDown/extUp are the attachment's
-	// receive channels, nil — never ready — where it is absent.
-	link     Link
-	tlink    TreeLink
-	ringIn   *proc
-	treeIn   *treeProc
-	extState <-chan Message
-	extTop   <-chan struct{}
-	extDown  <-chan Message
-	extUp    <-chan UpMessage
+	// one-member ring scheduler, tlink a host's link in the cross-host
+	// tree, and in the one member with edges on it (the ring member, or
+	// the host root). Its receive channels: extFrom, the upstream
+	// neighbour's state frames — the ring predecessor's announcements or
+	// the parent host's down frames; extTop, the ring successor's ⊤
+	// markers; extUp, the child hosts' convergecast frames. A channel the
+	// attachment lacks is nil, never ready.
+	link    Link
+	tlink   TreeLink
+	in      *node
+	extFrom <-chan Message
+	extTop  <-chan struct{}
+	extUp   <-chan UpMessage
 
 	// Host-tree addressing (with tlink): tlink's node space is the host
 	// indices, host is this scheduler's; hy.HostOf addresses down sends to
@@ -249,12 +255,12 @@ func (b *Barrier) startHosts(cfg Config, hy *topo.Hybrid, members []int, tt Tree
 		}
 		ln.links = append(ln.links, tl)
 		s := newSched(b, cfg, ln, len(roster))
-		s.tlink, s.extDown, s.extUp = tl, tl.Down(), tl.Up()
+		s.tlink, s.extFrom, s.extUp = tl, tl.Down(), tl.Up()
 		s.host, s.hy = h, hy
 		for _, id := range roster {
 			s.addTree(cfg, ln, id, hy.Tree)
 		}
-		s.treeIn = ln.tprocs[hy.HostRoot[h]]
+		s.in = &ln.tprocs[hy.HostRoot[h]].node
 	}
 	return nil
 }
@@ -302,50 +308,39 @@ func (s *sched) lost(rng *prng.PRNG, sum *uint32, local bool) bool {
 	return false
 }
 
-// sendState puts ring member p's announcement on the edge to its
-// successor: a copy when this scheduler hosts it, otherwise the link. It
-// reports whether the frame survived the loss draw: the ⊤ marker rides on
-// it (sendTop).
-func (s *sched) sendState(p *proc, m Message) bool {
-	succ := s.ringPeer((p.id + 1) % s.b.n)
-	if s.lost(&p.rng, &m.Sum, succ != nil) {
+// sendState puts member n's state frame on the edge to downstream member
+// to — its ring successor or a tree child: a copy when this scheduler hosts
+// it, otherwise the link. A child on another host — only a host root has
+// one — is reached over the host tree, addressed by its host index. It
+// reports whether the frame survived the loss draw: the ring's ⊤ marker
+// rides on it (sendTop).
+func (s *sched) sendState(n *node, to int, m Message) bool {
+	peer := s.peer(to)
+	if s.lost(&n.rng, &m.Sum, peer != nil) {
 		return false
 	}
-	if succ == nil {
+	switch {
+	case peer != nil:
+		h := s.hop()
+		h.to, h.m = peer, m
+	case s.link != nil:
 		s.link.SendState(m)
-		return true
+	default:
+		s.tlink.SendDown(s.hy.HostOf[to], m)
 	}
-	h := s.hop()
-	h.ring, h.m = succ, m
 	return true
 }
 
 // sendTop propagates p's ⊤ marker to its predecessor. It makes no draw of
 // its own and leaves the ledger alone: it rides on the state frame.
 func (s *sched) sendTop(p *proc) {
-	pred := s.ringPeer((p.id - 1 + s.b.n) % s.b.n)
+	pred := s.peer((p.id - 1 + s.b.n) % s.b.n)
 	if pred == nil {
 		s.link.SendTop()
 		return
 	}
 	h := s.hop()
-	h.ring, h.top = pred, true
-}
-
-// sendDown puts tree member tp's announcement on the edge to child. A
-// child on another host — only a host root has one — is reached over the
-// host tree, addressed by its host index.
-func (s *sched) sendDown(tp *treeProc, child int, m Message) {
-	kid := s.treePeer(child)
-	if s.lost(&tp.rng, &m.Sum, kid != nil) {
-		return
-	}
-	if kid == nil {
-		s.tlink.SendDown(s.hy.HostOf[child], m)
-		return
-	}
-	h := s.hop()
-	h.tree, h.m = kid, m
+	h.to, h.kind = pred, hopTop
 }
 
 // sendUp puts tree member tp's state and acknowledgment, its last up
@@ -360,7 +355,7 @@ func (s *sched) sendUp(tp *treeProc) {
 		return
 	}
 	h := s.hop()
-	h.tree, h.up, h.u = par, true, tp.lastUp
+	h.to, h.kind, h.u = &par.node, hopUp, tp.lastUp
 	if s.lost(&tp.rng, &h.u.Sum, true) {
 		s.hops = s.hops[:len(s.hops)-1]
 	}
@@ -378,8 +373,9 @@ func (s *sched) sendUpLink(tp *treeProc) {
 }
 
 // hop is a frame between two members this scheduler hosts, past its loss
-// draw: a ring state frame or ⊤ marker (ring), or a tree down or up frame
-// (tree). drain delivers the hops of an announcement as soon as it
+// draw, to member to: a state frame from upstream (the ring predecessor's
+// or the tree parent's), the ring successor's ⊤ marker, or a tree child's
+// up frame. drain delivers the hops of an announcement as soon as it
 // returns, in the order they were sent. A receive refreshes the receiver's
 // copies and queues it, and touches nothing the rest of the announcement
 // reads, so delivering after the announcement rather than inside it
@@ -388,12 +384,20 @@ func (s *sched) sendUpLink(tp *treeProc) {
 // participant's goroutine, whose stack starts small: nested, the two grew
 // every arriving participant's stack on its first pass.
 type hop struct {
-	ring    *proc
-	tree    *treeProc
-	top, up bool
-	m       Message
-	u       UpMessage
+	to   *node
+	kind hopKind
+	m    Message   // hopState
+	u    UpMessage // hopUp
 }
+
+// hopKind names the receive a hop takes: onState, onTop or onUp.
+type hopKind uint8
+
+const (
+	hopState hopKind = iota
+	hopTop
+	hopUp
+)
 
 // hop appends a zero hop to the announcement's and returns it, built in
 // place rather than copied in from a temporary on the sender's frame.
@@ -411,25 +415,17 @@ func (s *sched) hop() *hop {
 func (s *sched) copyHops() {
 	for i := range s.hops {
 		h := &s.hops[i]
-		id, frame := 0, true
-		switch {
-		case h.top:
-			h.ring.onTop()
-			id, frame = h.ring.id, false
-		case h.ring != nil:
-			h.ring.onPredState(h.m)
-			id = h.ring.id
-		case h.up:
-			h.tree.onUp(&h.u)
-			id = h.tree.id
-		default:
-			h.tree.onDown(h.m)
-			id = h.tree.id
-		}
-		if frame {
+		switch h.kind {
+		case hopState:
+			h.to.onState(h.m)
+			s.owed--
+		case hopTop:
+			s.ringPeer(h.to.id).onTop()
+		case hopUp:
+			s.treePeer(h.to.id).onUp(&h.u)
 			s.owed--
 		}
-		s.mark(id)
+		s.mark(h.to.id)
 	}
 	s.hops = s.hops[:0]
 }
@@ -459,8 +455,19 @@ func (s *sched) drain() {
 	s.head = 0
 }
 
-// ringPeer and treePeer return member id if this scheduler hosts it — the
-// far end of a direct-copy edge — and nil if it is reached over the link.
+// peer, ringPeer and treePeer return member id if this scheduler hosts it —
+// the far end of a direct-copy edge — and nil if it is reached over the
+// link.
+func (s *sched) peer(id int) *node {
+	switch m := s.members[id].(type) {
+	case *proc:
+		return &m.node
+	case *treeProc:
+		return &m.node
+	}
+	return nil
+}
+
 func (s *sched) ringPeer(id int) *proc {
 	p, _ := s.members[id].(*proc)
 	return p
@@ -515,28 +522,20 @@ func (s *sched) onCtrl(c ctrlMsg) {
 	s.mark(c.id)
 }
 
-// onExtState and onExtTop deliver what a one-member ring scheduler's link
-// received: the predecessor's announcement and the successor's ⊤ marker.
-func (s *sched) onExtState(m Message) {
-	s.ringIn.onPredState(m)
-	s.mark(s.ringIn.id)
+// onExtFrom, onExtTop and onExtUp deliver what the link received to the
+// attached member: a state frame from upstream, a ⊤ marker from the ring
+// successor, a convergecast frame from a child host.
+func (s *sched) onExtFrom(m Message) {
+	s.in.onState(m)
+	s.mark(s.in.id)
 }
 
 func (s *sched) onExtTop() {
-	s.ringIn.onTop()
-	s.mark(s.ringIn.id)
+	s.ringPeer(s.in.id).onTop()
+	s.mark(s.in.id)
 }
 
-// onExtDown delivers an announcement from the external parent edge: it
-// refreshes the attached member's parent copy (checksum verification and
-// all fault branches are the member's own onDown).
-func (s *sched) onExtDown(m Message) {
-	s.treeIn.onDown(m)
-	s.mark(s.treeIn.id)
-}
-
-// onExtUp delivers a convergecast frame from an external child edge. On
-// the host tree Child is the sending HOST index (the TCP transport
+// On the host tree Child is the sending HOST index (the TCP transport
 // cross-checks it against the hello identity); here it is translated to
 // that host's root member — the child the member-level tree lists under
 // our root. An out-of-range host index cannot be attributed to any edge:
@@ -547,8 +546,8 @@ func (s *sched) onExtUp(m UpMessage) {
 		return
 	}
 	m = remapUpChild(m, s.hy.HostRoot[m.Child])
-	s.treeIn.onUp(&m)
-	s.mark(s.treeIn.id)
+	s.treePeer(s.in.id).onUp(&m)
+	s.mark(s.in.id)
 }
 
 // poll consumes already-queued input with non-blocking single-channel
@@ -564,24 +563,16 @@ func (s *sched) poll() bool {
 		progressed = true
 	default:
 	}
-	if s.ringIn != nil {
+	if s.in != nil {
 		select {
-		case m := <-s.extState:
-			s.onExtState(m)
+		case m := <-s.extFrom:
+			s.onExtFrom(m)
 			progressed = true
 		default:
 		}
 		select {
 		case <-s.extTop:
 			s.onExtTop()
-			progressed = true
-		default:
-		}
-	}
-	if s.treeIn != nil {
-		select {
-		case m := <-s.extDown:
-			s.onExtDown(m)
 			progressed = true
 		default:
 		}
@@ -770,17 +761,13 @@ func (s *sched) run() {
 			}
 		case <-s.nudge:
 			s.acquire()
-		case m := <-s.extState:
+		case m := <-s.extFrom:
 			if s.acquire() {
-				s.onExtState(m)
+				s.onExtFrom(m)
 			}
 		case <-s.extTop:
 			if s.acquire() {
 				s.onExtTop()
-			}
-		case m := <-s.extDown:
-			if s.acquire() {
-				s.onExtDown(m)
 			}
 		case m := <-s.extUp:
 			if s.acquire() {

@@ -77,7 +77,7 @@ func (s *sched) addTree(cfg Config, ln *lane, id int, tree *topo.Tree) {
 // own convergecast — and the last such frame the windows turned away.
 type kidCopy struct {
 	live, ack cell
-	seen      slot[UpMessage]
+	seen      slot
 }
 
 // treeProc is one DT process: the protocol state of a tree member, owned
@@ -91,10 +91,8 @@ type treeProc struct {
 	ack triple    // the subtree acknowledgment (DT)
 	kid []kidCopy // indexed like kids
 
-	lastDown     Message
-	haveSentDown bool
-	lastUp       UpMessage
-	haveSentUp   bool
+	lastUp     UpMessage // the up register (the down one is node.lastSent)
+	haveSentUp bool
 }
 
 func newTreeProc(g *gate, parentID int, kids []int, cfg Config) *treeProc {
@@ -135,12 +133,6 @@ func newTreeProc(g *gate, parentID int, kids []int, cfg Config) *treeProc {
 	return tp
 }
 
-// onDown refreshes the local copy of the parent's state, through the
-// cell's windows (cell.go).
-func (tp *treeProc) onDown(m Message) {
-	admit(&tp.node, &tp.seen, &m, m.Sum == m.Checksum(), half{&tp.from, m.triple()}, half{})
-}
-
 // kidOf returns the copy held of child id, or nil if this node has no such
 // child.
 func (tp *treeProc) kidOf(id int) *kidCopy {
@@ -167,12 +159,12 @@ func (tp *treeProc) onUp(m *UpMessage) {
 		}
 		return
 	}
-	admit(&tp.node, &k.seen, m, sumOK, half{&k.live, m.live()}, half{&k.ack, m.acked()})
+	admit(&tp.node, &k.seen, sumOK, half{&k.live, m.live()}, half{&k.ack, m.acked()})
 }
 
 func (tp *treeProc) onCtrl(c ctrlMsg) { tp.ctrl(c, tp) }
 
-func (tp *treeProc) forget() { tp.haveSentDown, tp.haveSentUp = false, false }
+func (tp *treeProc) forget() { tp.haveSent, tp.haveSentUp = false, false }
 
 // onByz delivers a Byzantine forgery to this node: a parent announcement
 // through the parent copy's windows, or a convergecast frame claiming to
@@ -182,9 +174,7 @@ func (tp *treeProc) forget() { tp.haveSentDown, tp.haveSentUp = false, false }
 // lands in the sender rejection, like any unattributable frame.
 func (tp *treeProc) onByz(c ctrlMsg) {
 	if c.kind == ctrlByzDown {
-		if m, ok := forge(&tp.node, &tp.from, &tp.seen, c.seed, triple.message); ok {
-			tp.onDown(m)
-		}
+		tp.byzState(c.seed)
 		return
 	}
 	k := tp.kidOf(c.from)
@@ -192,10 +182,9 @@ func (tp *treeProc) onByz(c ctrlMsg) {
 		tp.b.countReject(rejSender)
 		return
 	}
-	frame := func(ack triple) UpMessage {
-		return upMessage(c.from, triple{tp.sn, k.live.cp, k.live.ph}, ack)
-	}
-	if m, ok := forge(&tp.node, &k.ack, &k.seen, c.seed, frame); ok {
+	live := triple{tp.sn, k.live.cp, k.live.ph}
+	if ack, ok := forge(&tp.node, &k.ack, &k.seen, c.seed, live); ok {
+		m := upMessage(c.from, live, ack)
 		tp.onUp(&m)
 	}
 }
@@ -214,7 +203,7 @@ func (tp *treeProc) onSpurious(seed int64) {
 		tp.onUp(&m)
 		return
 	}
-	tp.onDown(draw().message())
+	tp.onState(draw().message())
 }
 
 // step applies every enabled DT action to quiescence: D.j/B.j (or R.0 at
@@ -382,16 +371,13 @@ func (tp *treeProc) foldKidAcks() (core.CP, int) {
 }
 
 // pull is the tree member's share of a pull round (see proc.pull): the
-// parent's lastDown against the parent copy, each child's lastUp against
-// that child's live and acknowledgment copies. While this node is settled
-// the cells leave ⊥/⊤ unstored, so such a register keeps differing
-// and is re-read once per round — never more (sched.pullRound).
+// parent's down register against the parent copy (pullFrom), each child's
+// lastUp against that child's live and acknowledgment copies. While this
+// node is settled the cells leave ⊥/⊤ unstored, so such a register keeps
+// differing and is re-read once per round — never more (sched.pullRound).
 func (tp *treeProc) pull() (pulls int) {
 	if tp.parentID >= 0 {
-		if par := tp.s.treePeer(tp.parentID); par != nil && par.haveSentDown && tp.from.stale(par.lastDown.triple()) {
-			tp.onDown(par.lastDown)
-			pulls++
-		}
+		pulls = tp.pullFrom(tp.s.peer(tp.parentID))
 	}
 	for i, c := range tp.kids {
 		kid, k := tp.s.treePeer(c), &tp.kid[i]
@@ -413,13 +399,9 @@ func (tp *treeProc) announce() {
 	if tp.crashed {
 		return
 	}
-	if len(tp.kids) > 0 && (!tp.haveSentDown || tp.triple != tp.lastDown.triple()) {
-		m := tp.triple.message()
-		tp.lastDown = m
-		tp.haveSentDown = true
-		tp.noteSent()
+	if len(tp.kids) > 0 && tp.restate() {
 		for _, c := range tp.kids {
-			tp.s.sendDown(tp, c, m)
+			tp.s.sendState(&tp.node, c, tp.lastSent)
 		}
 	}
 	if tp.parentID >= 0 && (!tp.haveSentUp || tp.upUrgent()) {

@@ -5,7 +5,10 @@
 // parent. The delivery contract is the ring Link contract unchanged:
 // best-effort, non-blocking, latest-state-wins, corruption detectable via
 // the end-to-end checksum; the periodic per-edge retransmission makes
-// loss, duplication and detected corruption equivalent to delay.
+// loss, duplication and detected corruption equivalent to delay. A down
+// announcement is the ring's state frame on a tree edge — one Message,
+// received through the same upstream path (node.onState); only the up
+// frame, with its acknowledgment half, is the tree's own.
 package runtime
 
 import (

@@ -51,7 +51,7 @@ func TestForgedWrongPhaseFrameRejected(t *testing.T) {
 	}
 	forged.Sum = forged.Checksum()
 
-	p.onPredState(forged)
+	p.onState(forged)
 	if p.from.sn != snL || p.from.cp != cpL || p.from.ph != phL {
 		t.Fatalf("forged frame adopted: copy (%v,%v,%d) -> (%v,%v,%d)",
 			snL, cpL, phL, p.from.sn, p.from.cp, p.from.ph)
@@ -60,7 +60,7 @@ func TestForgedWrongPhaseFrameRejected(t *testing.T) {
 	if st.RejectedPhase != 1 {
 		t.Fatalf("RejectedPhase = %d, want 1", st.RejectedPhase)
 	}
-	if !p.seen.held || p.seen.pending != forged {
+	if !p.seen.held || p.seen.a != forged.triple() {
 		t.Fatal("rejected frame not held as the pending sighting")
 	}
 
@@ -69,7 +69,7 @@ func TestForgedWrongPhaseFrameRejected(t *testing.T) {
 	// never be confirmed by later genuine traffic.
 	genuine := Message{SN: forged.SN, CP: p.from.cp, PH: p.from.ph}
 	genuine.Sum = genuine.Checksum()
-	p.onPredState(genuine)
+	p.onState(genuine)
 	if p.from.sn != genuine.SN {
 		t.Fatalf("genuine in-window frame not adopted: snL=%v want %v", p.from.sn, genuine.SN)
 	}
@@ -95,11 +95,11 @@ func TestForgedFrameSecondSightingAdopted(t *testing.T) {
 	}
 	forged.Sum = forged.Checksum()
 
-	p.onPredState(forged)
+	p.onState(forged)
 	if p.from.sn == forged.SN {
 		t.Fatal("first sighting adopted")
 	}
-	p.onPredState(forged)
+	p.onState(forged)
 	if p.from.sn != forged.SN || p.from.ph != forged.PH {
 		t.Fatal("bit-identical second sighting not adopted (stabilization would livelock)")
 	}
@@ -123,7 +123,7 @@ func TestStaleSequenceEchoRejected(t *testing.T) {
 		t.Fatalf("test bug: echo SN %v collides with the current copy", echo.SN)
 	}
 	snL := p.from.sn
-	p.onPredState(echo)
+	p.onState(echo)
 	if p.from.sn != snL {
 		t.Fatal("stale echo adopted")
 	}
@@ -188,7 +188,7 @@ func TestTreeForgedFramesRejected(t *testing.T) {
 	down := Message{SN: tokenring.SN((int(child.sn) + 1) % b.l), CP: child.from.cp, PH: (child.from.ph + 2) % b.nPhases}
 	down.Sum = down.Checksum()
 	pSN, pPH := child.from.sn, child.from.ph
-	child.onDown(down)
+	child.onState(down)
 	if child.from.sn != pSN || child.from.ph != pPH {
 		t.Fatal("forged parent announcement adopted at the child")
 	}
@@ -316,7 +316,7 @@ func TestCrashedMemberIgnoresStateFaults(t *testing.T) {
 	}
 	m.Sum = m.Checksum()
 	snL := p.from.sn
-	p.onPredState(m)
+	p.onState(m)
 	if p.from.sn != snL {
 		t.Fatal("crashed member adopted a frame")
 	}

@@ -221,9 +221,9 @@ func TestConfigDigest(t *testing.T) {
 	}
 	peers := []string{"a:1", "b:2", "c:3"}
 	ring := func(id uint32) MuxConfig {
-		return MuxConfig{Peers: peers, Groups: []GroupSpec{{ID: id, Topology: GroupRing}}}
+		return MuxConfig{TCPConfig: TCPConfig{Peers: peers}, Groups: []GroupSpec{{ID: id, Topology: GroupRing}}}
 	}
-	tree := MuxConfig{Peers: peers, Groups: []GroupSpec{{ID: 0, Topology: GroupTree}}}
+	tree := MuxConfig{TCPConfig: TCPConfig{Peers: peers}, Groups: []GroupSpec{{ID: 0, Topology: GroupTree}}}
 	if muxDigest(ring(0), nil) == muxDigest(ring(1), nil) {
 		t.Error("digest ignores the group id")
 	}
@@ -237,7 +237,7 @@ func TestConfigDigest(t *testing.T) {
 	}
 	// Identical deployments spelled differently must agree: the defaults
 	// (ring, arity 2) are filled in before hashing.
-	implicit := MuxConfig{Peers: peers, Groups: []GroupSpec{{ID: 0}}}
+	implicit := MuxConfig{TCPConfig: TCPConfig{Peers: peers}, Groups: []GroupSpec{{ID: 0}}}
 	if muxDigest(implicit, nil) != muxDigest(ring(0), nil) {
 		t.Error(`Topology "" and "ring" hash differently`)
 	}

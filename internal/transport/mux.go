@@ -80,26 +80,15 @@ type GroupSpec struct {
 type MuxConfig struct {
 	// Self is this process's index into Peers.
 	Self int
-	// Peers[j] is process j's listen address (host:port).
-	Peers []string
 	// Groups declares every group multiplexed over the shared
 	// connections. All muxes of a deployment must declare identical
 	// groups (the hello digest enforces it).
 	Groups []GroupSpec
-
-	// Backoff/timeout knobs, defaulted as in TCPConfig.
-	BaseBackoff      time.Duration
-	MaxBackoff       time.Duration
-	DialTimeout      time.Duration
-	HandshakeTimeout time.Duration
-	// MaxPending bounds concurrent un-handshaken incoming connections
-	// (default 64), as in TCPConfig.
-	MaxPending int
-	// Logf, if non-nil, receives connection lifecycle diagnostics.
-	Logf func(format string, args ...any)
-	// Registry, if non-nil, receives the transport counters plus one
-	// per-group frame counter pair labelled {group="..."}.
-	Registry *obsv.Registry
+	// TCPConfig holds the peer list — Peers[j] is process j's listen
+	// address — and the connection knobs, documented and defaulted there.
+	// Its Registry also receives one per-group frame counter pair
+	// labelled {group="..."}.
+	TCPConfig
 }
 
 // MuxOption mutates a MuxConfig (used by NewLoopbackMuxes).
@@ -172,7 +161,7 @@ type Mux struct {
 	groups map[uint32]*muxGroup
 	order  []*muxGroup // declaration order
 	peers  []*muxPeer  // indexed by process id; nil where no shared edge
-	routes map[routeKey]route
+	routes map[routeKey]*muxGroup
 
 	ln         net.Listener
 	done       chan struct{}
@@ -192,8 +181,21 @@ type muxGroup struct {
 	ring *muxRingLink
 	tree *muxTreeLink
 	// owner is set on the one group of a TCP/TCPTree member's mux, where
-	// the group's link owns the mux (see release); nil on a shared mux.
+	// the group's link owns the mux (see detach); nil on a shared mux.
 	owner *Mux
+
+	// The inbound mailboxes: from holds the upstream neighbour's newest
+	// state frame (the ring predecessor's announcement or the tree parent's
+	// broadcast), top the ring successor's ⊤ marker, up the children's
+	// convergecast frames (nil where the topology has no such edge). They
+	// are the group's, not a link's: a frame that arrives while no link is
+	// open waits in them for the next Open. open is set while one is.
+	from chan runtime.Message
+	top  chan struct{}
+	up   chan runtime.UpMessage
+	open atomic.Bool
+	// slots are the group's outgoing slots, cleared when its link closes.
+	slots []*muxSlot
 
 	sent, recv atomic.Int64 // per-group frame counters
 	// dropped counts frames that arrived for this group while none of its
@@ -205,23 +207,12 @@ type muxGroup struct {
 	dropped atomic.Int64
 }
 
+// routeKey is what the route table expects from a peer: a frame of type
+// typ for group. The frame type alone names the group's mailbox.
 type routeKey struct {
 	group uint32
 	typ   byte
 	from  int
-}
-
-// route delivery kinds.
-const (
-	rState byte = iota // ring: state from the predecessor
-	rTop               // ring: ⊤ from the successor
-	rDown              // tree: broadcast state from the parent
-	rUp                // tree: convergecast from a child
-)
-
-type route struct {
-	kind byte
-	g    *muxGroup
 }
 
 // NewMux validates the configuration, binds this process's listener (when
@@ -262,24 +253,7 @@ func newMux(cfg MuxConfig, w muxWiring) (*Mux, error) {
 	if len(cfg.Groups) == 0 {
 		return nil, errors.New("transport: mux needs at least one group")
 	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = 10 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = time.Second
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 5 * time.Second
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 64
-	}
+	cfg.TCPConfig = cfg.TCPConfig.withDefaults()
 	if w.stats == nil {
 		w.stats = new(tcpStats)
 	}
@@ -288,7 +262,7 @@ func newMux(cfg MuxConfig, w muxWiring) (*Mux, error) {
 		digest: muxDigest(cfg, w.shape),
 		groups: make(map[uint32]*muxGroup, len(cfg.Groups)),
 		peers:  make([]*muxPeer, n),
-		routes: make(map[routeKey]route),
+		routes: make(map[routeKey]*muxGroup),
 		ln:     w.ln,
 		done:   make(chan struct{}),
 		stats:  w.stats,
@@ -305,6 +279,7 @@ func newMux(cfg MuxConfig, w muxWiring) (*Mux, error) {
 		p := peerOf(dst)
 		s := &muxSlot{p: p, g: g, typ: typ}
 		p.slots = append(p.slots, s)
+		g.slots = append(g.slots, s)
 		return s
 	}
 	self := cfg.Self
@@ -316,7 +291,7 @@ func newMux(cfg MuxConfig, w muxWiring) (*Mux, error) {
 		if spec.Name != "" && !validGroupName(spec.Name) {
 			return nil, fmt.Errorf("transport: invalid group name %q", spec.Name)
 		}
-		g := &muxGroup{spec: spec}
+		g := &muxGroup{spec: spec, from: make(chan runtime.Message, 1)}
 		if w.linkOwned {
 			g.owner = m
 		}
@@ -326,15 +301,10 @@ func newMux(cfg MuxConfig, w muxWiring) (*Mux, error) {
 		switch spec.Topology {
 		case GroupRing:
 			pred, succ := (self-1+n)%n, (self+1)%n
-			g.ring = &muxRingLink{
-				g:     g,
-				state: make(chan runtime.Message, 1),
-				top:   make(chan struct{}, 1),
-			}
-			g.ring.stateSlot = slot(succ, g, FrameState)
-			g.ring.topSlot = slot(pred, g, FrameTop)
-			m.routes[routeKey{spec.ID, FrameState, pred}] = route{rState, g}
-			m.routes[routeKey{spec.ID, FrameTop, succ}] = route{rTop, g}
+			g.top = make(chan struct{}, 1)
+			g.ring = &muxRingLink{g: g, stateSlot: slot(succ, g, FrameState), topSlot: slot(pred, g, FrameTop)}
+			m.routes[routeKey{spec.ID, FrameState, pred}] = g
+			m.routes[routeKey{spec.ID, FrameTop, succ}] = g
 		case GroupTree, GroupHybrid:
 			shape := w.shape
 			if spec.Topology == GroupHybrid {
@@ -355,22 +325,18 @@ func newMux(cfg MuxConfig, w muxWiring) (*Mux, error) {
 				shape = s
 			}
 			kids := shape.Children[self]
-			tl := &muxTreeLink{
-				g:      g,
-				parent: shape.Parent[self],
-				kidIdx: make(map[int]int, len(kids)),
-				down:   make(chan runtime.Message, 1),
-				up:     make(chan runtime.UpMessage, 2*len(kids)+2),
-			}
-			if tl.parent >= 0 {
-				tl.upSlot = slot(tl.parent, g, FrameUp)
-				m.routes[routeKey{spec.ID, FrameState, tl.parent}] = route{rDown, g}
+			// Two slots per child absorb a full round of state+ack frames.
+			g.up = make(chan runtime.UpMessage, 2*len(kids)+2)
+			tl := &muxTreeLink{g: g, kidIdx: make(map[int]int, len(kids))}
+			if parent := shape.Parent[self]; parent >= 0 {
+				tl.upSlot = slot(parent, g, FrameUp)
+				m.routes[routeKey{spec.ID, FrameState, parent}] = g
 			}
 			tl.downSlots = make([]*muxSlot, len(kids))
 			for i, kid := range kids {
 				tl.kidIdx[kid] = i
 				tl.downSlots[i] = slot(kid, g, FrameState)
-				m.routes[routeKey{spec.ID, FrameUp, kid}] = route{rUp, g}
+				m.routes[routeKey{spec.ID, FrameUp, kid}] = g
 			}
 			g.tree = tl
 		default:
@@ -549,29 +515,35 @@ func (m *Mux) view(id uint32) *memberMuxes {
 }
 
 func (m *Mux) openRing(id uint32) (runtime.Link, error) {
-	g := m.groups[id]
-	switch {
-	case g == nil:
-		return nil, fmt.Errorf("transport: unknown group %d", id)
-	case g.ring == nil:
-		return nil, fmt.Errorf("transport: group %d is not a ring group", id)
-	case !g.ring.open.CompareAndSwap(false, true):
-		return nil, fmt.Errorf("transport: group %d already open", id)
+	g, err := m.attach(id, false)
+	if err != nil {
+		return nil, err
 	}
 	return g.ring, nil
 }
 
 func (m *Mux) openTree(id uint32) (runtime.TreeLink, error) {
+	g, err := m.attach(id, true)
+	if err != nil {
+		return nil, err
+	}
+	return g.tree, nil
+}
+
+// attach opens group id for a tree link if tree, else for a ring link.
+func (m *Mux) attach(id uint32, tree bool) (*muxGroup, error) {
 	g := m.groups[id]
 	switch {
 	case g == nil:
 		return nil, fmt.Errorf("transport: unknown group %d", id)
-	case g.tree == nil:
+	case tree && g.tree == nil:
 		return nil, fmt.Errorf("transport: group %d is not a tree group", id)
-	case !g.tree.open.CompareAndSwap(false, true):
+	case !tree && g.ring == nil:
+		return nil, fmt.Errorf("transport: group %d is not a ring group", id)
+	case !g.open.CompareAndSwap(false, true):
 		return nil, fmt.Errorf("transport: group %d already open", id)
 	}
-	return g.tree, nil
+	return g, nil
 }
 
 // --- outgoing: per-peer slots and writers ---
@@ -895,26 +867,30 @@ func (m *Mux) serveConn(p *muxPeer, c net.Conn, fr *FrameReader) {
 			c.Close()
 			return
 		}
-		var id uint32
+		var (
+			id  uint32
+			msg runtime.Message
+			up  runtime.UpMessage
+		)
 		switch typ {
 		case FrameHello:
-			// Redundant hello: harmless, ignore.
+			continue // redundant hello: harmless, ignore
 		case FrameState:
-			var msg runtime.Message
-			if id, msg, err = DecodeState(payload); err == nil {
-				err = m.deliverState(p, id, msg)
-			}
+			id, msg, err = DecodeState(payload)
 		case FrameTop:
-			if id, err = DecodeTop(payload); err == nil {
-				err = m.deliverTop(p, id)
-			}
+			id, err = DecodeTop(payload)
 		case FrameUp:
-			var msg runtime.UpMessage
-			if id, msg, err = DecodeUp(payload); err == nil {
-				err = m.deliverUp(p, id, msg)
+			if id, up, err = DecodeUp(payload); err == nil && up.Child != p.id {
+				// The in-band child id must match the connection's verified
+				// peer — a mismatch is detected corruption, not a protocol
+				// message.
+				err = fmt.Errorf("%w: in-band child %d on connection from %d", ErrCodec, up.Child, p.id)
 			}
 		default:
 			err = fmt.Errorf("%w: unexpected frame type %d", ErrCodec, typ)
+		}
+		if err == nil {
+			err = m.deliver(p, typ, id, msg, up)
 		}
 		if err != nil {
 			m.connFailed(p, "frame", err)
@@ -924,96 +900,55 @@ func (m *Mux) serveConn(p *muxPeer, c net.Conn, fr *FrameReader) {
 	}
 }
 
-func (m *Mux) routeMiss(typ byte, id uint32, from int) error {
-	return fmt.Errorf("%w: no route for frame type %d group %d from peer %d", ErrCodec, typ, id, from)
-}
-
-// deliverState routes a FrameState: a ring predecessor's announcement or
-// a tree parent's broadcast. Delivery is latest-wins into the link's
-// mailbox whether or not the link is open: the newest frame is the
-// neighbour's current register, which is what the next Open should read.
-// A peer may connect before this process opens the group, and a frame that
+// deliver is the one inbound path: it routes a frame of type typ for group
+// id from peer p — a state frame (a ring predecessor's announcement or a
+// tree parent's broadcast) carrying msg, a ⊤ marker, or a child's
+// convergecast frame up — counts it, and posts it to the group's mailbox.
+// Delivery does not wait for an open link: the newest frame is the
+// neighbour's current register, which is what the next Open should read. A
+// peer may connect before this process opens the group, and a frame that
 // arrives after Close is no less current. Such a frame is counted in the
 // group's dropped frames, so late traffic into a closed group is visible;
 // the shared connection is not affected either way.
-func (m *Mux) deliverState(p *muxPeer, id uint32, msg runtime.Message) error {
-	r, ok := m.routes[routeKey{id, FrameState, p.id}]
-	if !ok {
-		return m.routeMiss(FrameState, id, p.id)
+func (m *Mux) deliver(p *muxPeer, typ byte, id uint32, msg runtime.Message, up runtime.UpMessage) error {
+	g := m.routes[routeKey{id, typ, p.id}]
+	if g == nil {
+		return fmt.Errorf("%w: no route for frame type %d group %d from peer %d", ErrCodec, typ, id, p.id)
 	}
 	m.stats.framesRecv.Add(1)
-	r.g.recv.Add(1)
-	var dst chan runtime.Message
-	var openFlag *atomic.Bool
-	switch r.kind {
-	case rState:
-		dst, openFlag = r.g.ring.state, &r.g.ring.open
-	case rDown:
-		dst, openFlag = r.g.tree.down, &r.g.tree.open
+	g.recv.Add(1)
+	if !g.open.Load() {
+		g.dropped.Add(1)
 	}
-	if !openFlag.Load() {
-		r.g.dropped.Add(1)
-	}
-	select {
-	case <-dst:
-	default:
-	}
-	select {
-	case dst <- msg:
-	default:
+	switch typ {
+	case FrameState:
+		post(g.from, msg)
+	case FrameTop:
+		post(g.top, struct{}{})
+	case FrameUp:
+		post(g.up, up)
 	}
 	return nil
 }
 
-func (m *Mux) deliverTop(p *muxPeer, id uint32) error {
-	r, ok := m.routes[routeKey{id, FrameTop, p.id}]
-	if !ok {
-		return m.routeMiss(FrameTop, id, p.id)
-	}
-	m.stats.framesRecv.Add(1)
-	r.g.recv.Add(1)
-	if !r.g.ring.open.Load() {
-		r.g.dropped.Add(1) // and still delivered (see deliverState)
-	}
+// post puts v in mailbox ch without blocking: if ch is full it displaces
+// the oldest entry — a frame its sender has since superseded — and retries;
+// losing that race is loss, which the retransmission masks. On a one-slot
+// mailbox that is latest-wins.
+func post[M any](ch chan M, v M) {
 	select {
-	case r.g.ring.top <- struct{}{}:
-	default:
-	}
-	return nil
-}
-
-func (m *Mux) deliverUp(p *muxPeer, id uint32, msg runtime.UpMessage) error {
-	r, ok := m.routes[routeKey{id, FrameUp, p.id}]
-	if !ok {
-		return m.routeMiss(FrameUp, id, p.id)
-	}
-	if msg.Child != p.id {
-		// The in-band child id must match the connection's verified peer —
-		// a mismatch is detected corruption, not a protocol message.
-		return fmt.Errorf("%w: in-band child %d on connection from %d", ErrCodec, msg.Child, p.id)
-	}
-	m.stats.framesRecv.Add(1)
-	r.g.recv.Add(1)
-	tl := r.g.tree
-	if !tl.open.Load() {
-		r.g.dropped.Add(1) // and still delivered (see deliverState)
-	}
-	// Shared-mailbox delivery, the channel transport's discipline: send;
-	// if full, displace the oldest and retry; losing that race is loss.
-	select {
-	case tl.up <- msg:
-		return nil
+	case ch <- v:
+		return
 	default:
 	}
 	select {
-	case <-tl.up:
+	case <-ch:
 	default:
 	}
 	select {
-	case tl.up <- msg:
+	case ch <- v:
 	default:
 	}
-	return nil
 }
 
 // connFailed accounts one connection failure. Decode errors are counted
@@ -1032,11 +967,16 @@ func (m *Mux) connFailed(p *muxPeer, what string, err error) {
 
 // --- per-group links ---
 
-// release ends a group link's Close. On a shared mux the link only
-// detached; on a TCP/TCPTree member's mux the link owns the mux, so the
-// member's listener, connections and goroutines go with it — to its
-// neighbors, the process died.
-func (g *muxGroup) release() error {
+// detach ends a group link's Close: the group stops sending and its slots
+// are cleared. On a shared mux the link only detached; on a TCP/TCPTree
+// member's mux the link owns the mux, so the member's listener,
+// connections and goroutines go with it — to its neighbors, the process
+// died.
+func (g *muxGroup) detach() error {
+	g.open.Store(false)
+	for _, s := range g.slots {
+		s.clear()
+	}
 	if g.owner != nil {
 		return g.owner.Close()
 	}
@@ -1047,54 +987,38 @@ func (g *muxGroup) release() error {
 // detaches the group from the shared connections without touching them;
 // reopening (via the Ring view) reattaches — the teardown/rejoin path.
 type muxRingLink struct {
-	g     *muxGroup
-	state chan runtime.Message
-	top   chan struct{}
-
+	g         *muxGroup
 	stateSlot *muxSlot // to the ring successor
 	topSlot   *muxSlot // to the ring predecessor
-	open      atomic.Bool
 }
 
 func (l *muxRingLink) SendState(m runtime.Message) {
-	if l.open.Load() {
+	if l.g.open.Load() {
 		l.stateSlot.postState(m)
 	}
 }
 
 func (l *muxRingLink) SendTop() {
-	if l.open.Load() {
+	if l.g.open.Load() {
 		l.topSlot.postTop()
 	}
 }
 
-func (l *muxRingLink) State() <-chan runtime.Message { return l.state }
-func (l *muxRingLink) Top() <-chan struct{}          { return l.top }
-
-func (l *muxRingLink) Close() error {
-	l.open.Store(false)
-	l.stateSlot.clear()
-	l.topSlot.clear()
-	return l.g.release()
-}
+func (l *muxRingLink) State() <-chan runtime.Message { return l.g.from }
+func (l *muxRingLink) Top() <-chan struct{}          { return l.g.top }
+func (l *muxRingLink) Close() error                  { return l.g.detach() }
 
 // muxTreeLink is one group's tree attachment for this process (see
 // muxRingLink for the lifecycle contract).
 type muxTreeLink struct {
-	g      *muxGroup
-	parent int         // -1 at the root
-	kidIdx map[int]int // child id → index into downSlots
-
-	down chan runtime.Message
-	up   chan runtime.UpMessage
-
-	upSlot    *muxSlot // nil at the root
+	g         *muxGroup
+	kidIdx    map[int]int // child id → index into downSlots
+	upSlot    *muxSlot    // nil at the root
 	downSlots []*muxSlot
-	open      atomic.Bool
 }
 
 func (l *muxTreeLink) SendDown(child int, m runtime.Message) {
-	if !l.open.Load() {
+	if !l.g.open.Load() {
 		return
 	}
 	if i, ok := l.kidIdx[child]; ok {
@@ -1103,24 +1027,14 @@ func (l *muxTreeLink) SendDown(child int, m runtime.Message) {
 }
 
 func (l *muxTreeLink) SendUp(m runtime.UpMessage) {
-	if l.upSlot != nil && l.open.Load() {
+	if l.upSlot != nil && l.g.open.Load() {
 		l.upSlot.postUp(m)
 	}
 }
 
-func (l *muxTreeLink) Down() <-chan runtime.Message { return l.down }
-func (l *muxTreeLink) Up() <-chan runtime.UpMessage { return l.up }
-
-func (l *muxTreeLink) Close() error {
-	l.open.Store(false)
-	if l.upSlot != nil {
-		l.upSlot.clear()
-	}
-	for _, s := range l.downSlots {
-		s.clear()
-	}
-	return l.g.release()
-}
+func (l *muxTreeLink) Down() <-chan runtime.Message { return l.g.from }
+func (l *muxTreeLink) Up() <-chan runtime.UpMessage { return l.g.up }
+func (l *muxTreeLink) Close() error                 { return l.g.detach() }
 
 // --- loopback set: every process in one test binary ---
 
@@ -1159,11 +1073,9 @@ func NewLoopbackMuxes(n int, groups []GroupSpec, opts ...MuxOption) (*MuxSet, er
 	set := &MuxSet{Muxes: make([]*Mux, n)}
 	for j := 0; j < n; j++ {
 		cfg := MuxConfig{
-			Self:        j,
-			Peers:       peers,
-			Groups:      groups,
-			BaseBackoff: 2 * time.Millisecond,
-			MaxBackoff:  100 * time.Millisecond,
+			Self:      j,
+			Groups:    groups,
+			TCPConfig: TCPConfig{Peers: peers, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
 		}
 		for _, opt := range opts {
 			opt(&cfg)

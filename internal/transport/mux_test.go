@@ -324,7 +324,7 @@ func TestMuxValidation(t *testing.T) {
 	}
 	var links [2]runtime.Link
 	for j, topology := range []string{"", GroupRing} {
-		pm, err := newMux(MuxConfig{Self: j, Peers: peers, BaseBackoff: time.Millisecond,
+		pm, err := newMux(MuxConfig{Self: j, TCPConfig: TCPConfig{Peers: peers, BaseBackoff: time.Millisecond},
 			Groups: []GroupSpec{{ID: 0, Name: "a", Topology: topology}}}, muxWiring{ln: listeners[j]})
 		if err != nil {
 			t.Fatal(err)
@@ -561,41 +561,80 @@ func TestMuxHybridValidation(t *testing.T) {
 // A frame that reaches a process before it opens the group is the
 // neighbour's current register, not loss: the link the first Open returns
 // yields it at once, with no resend. A peer routinely connects, and
-// announces, before this process has opened all of its groups.
+// announces, before this process has opened all of its groups. One row per
+// inbound frame kind, each into its own mailbox.
 func TestMuxFrameBeforeOpenIsKept(t *testing.T) {
-	set, err := NewLoopbackMuxes(2, []GroupSpec{{ID: 0, Name: "alpha"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	l0, err := set.Muxes[0].Ring(0).Open(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l0.Close()
 	m := runtime.Message{SN: 3, CP: 1, PH: 1}
 	m.Sum = m.Checksum()
-	l0.SendState(m) // once: nothing in this test resends it
+	u := runtime.UpMessage{Child: 1, SN: 3, CP: 1, PH: 1, AckSN: 2, AckCP: 2, AckPH: 1}
+	u.Sum = u.Checksum()
+	ring := func(t *testing.T, set *MuxSet, j int) runtime.Link {
+		l, err := set.Muxes[j].Ring(0).Open(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l
+	}
+	tree := func(t *testing.T, set *MuxSet, j int) runtime.TreeLink {
+		l, err := set.Muxes[j].Tree(0).(runtime.TreeTransport).OpenTree(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l
+	}
+	// Two processes: each is the other's ring neighbour both ways, and in
+	// the tree process 0 is the root, process 1 its child.
+	for _, row := range []struct {
+		name     string
+		topology string
+		to       int                             // the receiving process
+		send     func(t *testing.T, set *MuxSet) // sends once: nothing in this test resends it
+		receive  func(t *testing.T, set *MuxSet) // opens the receiver's link and checks what it yields at once
+	}{
+		{"ring state", GroupRing, 1,
+			func(t *testing.T, set *MuxSet) { ring(t, set, 0).SendState(m) },
+			func(t *testing.T, set *MuxSet) { yieldsAtOnce(t, ring(t, set, 1).State(), m) }},
+		{"ring top", GroupRing, 1,
+			func(t *testing.T, set *MuxSet) { ring(t, set, 0).SendTop() },
+			func(t *testing.T, set *MuxSet) { yieldsAtOnce(t, ring(t, set, 1).Top(), struct{}{}) }},
+		{"tree down", GroupTree, 1,
+			func(t *testing.T, set *MuxSet) { tree(t, set, 0).SendDown(1, m) },
+			func(t *testing.T, set *MuxSet) { yieldsAtOnce(t, tree(t, set, 1).Down(), m) }},
+		{"tree up", GroupTree, 0,
+			func(t *testing.T, set *MuxSet) { tree(t, set, 1).SendUp(u) },
+			func(t *testing.T, set *MuxSet) { yieldsAtOnce(t, tree(t, set, 0).Up(), u) }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			set, err := NewLoopbackMuxes(2, []GroupSpec{{ID: 0, Name: "alpha", Topology: row.topology}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { set.Close() })
+			row.send(t, set)
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				if _, _, dropped := set.Muxes[row.to].GroupStats(0); dropped == 1 {
+					break // arrived with no link open, and counted
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("the frame never reached process %d's mux", row.to)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			row.receive(t, set)
+		})
+	}
+}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, _, dropped := set.Muxes[1].GroupStats(0); dropped == 1 {
-			break // arrived at process 1 with no link open, and counted
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the announcement never reached process 1's mux")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	l1, err := set.Muxes[1].Ring(0).Open(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l1.Close()
+// yieldsAtOnce checks that ch holds want, without waiting.
+func yieldsAtOnce[M comparable](t *testing.T, ch <-chan M, want M) {
+	t.Helper()
 	select {
-	case got := <-l1.State():
-		if got != m {
-			t.Errorf("opened link yields %+v, want %+v", got, m)
+	case got := <-ch:
+		if got != want {
+			t.Errorf("opened link yields %+v, want %+v", got, want)
 		}
 	default:
 		t.Fatal("the frame that arrived before Open was discarded")

@@ -42,10 +42,11 @@ import (
 	"repro/internal/topo"
 )
 
-// TCPConfig parameterizes a single-group TCP transport.
+// TCPConfig parameterizes a single-group TCP transport, and holds the peer
+// list and connection knobs of a Mux (MuxConfig embeds it).
 type TCPConfig struct {
-	// Peers[j] is member j's listen address (host:port); the group has
-	// len(Peers) members.
+	// Peers[j] is member (for a Mux, process) j's listen address
+	// (host:port); the group has len(Peers) members.
 	Peers []string
 	// BaseBackoff and MaxBackoff bound the reconnect backoff (defaults
 	// 10ms and 1s). Each failed dial doubles the delay up to MaxBackoff,
@@ -71,6 +72,29 @@ type TCPConfig struct {
 	// are read at scrape time from the atomics the transport maintains
 	// anyway, so exporting costs the data path nothing.
 	Registry *obsv.Registry
+}
+
+// withDefaults fills in the documented defaults of the knobs left zero.
+func (c TCPConfig) withDefaults() TCPConfig {
+	if c.BaseBackoff <= 0 {
+		c.BaseBackoff = 10 * time.Millisecond
+	}
+	if c.MaxBackoff <= 0 {
+		c.MaxBackoff = time.Second
+	}
+	if c.DialTimeout <= 0 {
+		c.DialTimeout = 2 * time.Second
+	}
+	if c.HandshakeTimeout <= 0 {
+		c.HandshakeTimeout = 5 * time.Second
+	}
+	if c.MaxPending <= 0 {
+		c.MaxPending = 64
+	}
+	if c.Logf == nil {
+		c.Logf = func(string, ...any) {}
+	}
+	return c
 }
 
 // Option mutates a TCPConfig (used by the loopback constructors).
@@ -297,25 +321,17 @@ func newMemberMuxes(cfg TCPConfig, topology string, shape *topo.Tree) (*memberMu
 		return nil, errors.New("transport: need at least 2 peers")
 	}
 	s := &memberMuxes{
-		cfg: MuxConfig{
-			Peers:            cfg.Peers,
-			Groups:           []GroupSpec{{ID: 0, Topology: topology}},
-			BaseBackoff:      cfg.BaseBackoff,
-			MaxBackoff:       cfg.MaxBackoff,
-			DialTimeout:      cfg.DialTimeout,
-			HandshakeTimeout: cfg.HandshakeTimeout,
-			MaxPending:       cfg.MaxPending,
-			Logf:             cfg.Logf,
-		},
+		cfg:       MuxConfig{Groups: []GroupSpec{{ID: 0, Topology: topology}}, TCPConfig: cfg},
 		shape:     shape,
 		stats:     new(tcpStats),
 		muxes:     make([]*Mux, len(cfg.Peers)),
 		listeners: make([]net.Listener, len(cfg.Peers)),
 	}
 	s.digest = muxDigest(s.cfg, shape)
+	// The series are registered here, once, rather than by the member
+	// muxes: several local members would collide on the names.
+	s.cfg.Registry = nil
 	if cfg.Registry != nil {
-		// Registered here, once, rather than by the member muxes: several
-		// local members would collide on the series names.
 		if err := s.stats.register(cfg.Registry); err != nil {
 			return nil, err
 		}
