@@ -22,9 +22,12 @@ N ?= 10
 tier1-soak:
 	bash scripts/tier1-soak.sh $(N)
 
-# vet is the full static gate: the stock toolchain vet plus barriervet,
-# the repo's own invariant analyzers (see internal/analyzers).
+# vet is the full static gate: gofmt on every tracked Go file, the stock
+# toolchain vet, and barriervet, the repo's own invariant analyzers (see
+# internal/analyzers).
 vet:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./... && $(GO) run ./cmd/barriervet ./...
 
 barriervet:

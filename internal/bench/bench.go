@@ -268,10 +268,12 @@ func Run(ctx context.Context, p Profile) (*Report, error) {
 // schedule (arrival targets are anchored to the schedule, not to
 // completions, so a slow barrier does not thin the offered load).
 type clientPool struct {
-	ctx    context.Context
-	stop   context.CancelFunc
-	wg     sync.WaitGroup
+	ctx  context.Context
+	stop context.CancelFunc
+	wg   sync.WaitGroup
+
 	passes, resets, stopped, timeouts atomic.Int64
+
 	errMu sync.Mutex
 	err   error
 }

@@ -66,7 +66,7 @@ func GenerateChaos(procs, groups, ops int, seed int64) conformance.Schedule {
 		// keeps a default run's verdict about tolerance rather than about
 		// surviving a fault storm: ~5% of paced steps, so a 30s window at
 		// the default pacing sees on the order of 15 faults.
-		FaultRate: 0.05,
+		FaultRate:  0.05,
 		Kills:      true,
 		Partitions: true,
 		Churns:     true,

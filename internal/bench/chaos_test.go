@@ -51,8 +51,14 @@ type fakeCluster struct {
 	skipChurns bool
 }
 
-func (f *fakeCluster) Kill(j int) error    { f.ops = append(f.ops, fmt.Sprintf("kill %d", j)); return nil }
-func (f *fakeCluster) Restart(j int) error { f.ops = append(f.ops, fmt.Sprintf("restart %d", j)); return nil }
+func (f *fakeCluster) Kill(j int) error {
+	f.ops = append(f.ops, fmt.Sprintf("kill %d", j))
+	return nil
+}
+func (f *fakeCluster) Restart(j int) error {
+	f.ops = append(f.ops, fmt.Sprintf("restart %d", j))
+	return nil
+}
 func (f *fakeCluster) Partition(j int, d time.Duration) error {
 	f.ops = append(f.ops, fmt.Sprintf("partition %d %s", j, d))
 	return nil

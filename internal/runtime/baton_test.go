@@ -3,9 +3,10 @@ package runtime
 // The baton hand-over between participants and the scheduler goroutine
 // (sched.go): each row holds s.baton from the test, the way a participant's
 // turn would, and drives one rule of the hand-over through it. All rows run
-// a two-member ring on one scheduler with the resend sweeper effectively
-// off, so nothing but the rule under test can move an arrival or wake the
-// scheduler goroutine.
+// a two-member ring with the resend sweeper effectively off, so nothing but
+// the rule under test can move an arrival or wake the scheduler goroutine:
+// on one scheduler, or — the link rows — one scheduler per member over
+// hookLinks, whose input only the test posts.
 
 import (
 	"context"
@@ -26,10 +27,12 @@ type batonRig struct {
 	hook atomic.Pointer[func(core.Event)]
 }
 
-func newBatonRig(t *testing.T) *batonRig {
+// newBatonRig builds the row's barrier: over tr if it is not nil, else on
+// one scheduler. r.s is member 0's scheduler either way.
+func newBatonRig(t *testing.T, tr Transport) *batonRig {
 	t.Helper()
 	r := &batonRig{}
-	b, err := New(Config{Participants: 2, Seed: 5, Resend: time.Hour,
+	b, err := New(Config{Participants: 2, Seed: 5, Resend: time.Hour, Transport: tr,
 		EventSink: func(e core.Event) {
 			if h := r.hook.Load(); h != nil {
 				(*h)(e)
@@ -79,6 +82,60 @@ func (r *batonRig) wakeInHand(t *testing.T) {
 	waitFor(t, "the scheduler goroutine to want the baton", r.s.want.Load)
 }
 
+// hookLink is a ring link that tells its scheduler of input, the way the
+// mux's links do: whoever posts a frame to its mailbox calls the hook
+// afterwards, on its own goroutine and never from inside a Send. Nothing
+// posts but the row: the link's sends only record the sender's register,
+// which the row may then deliver as the reader of a wire would.
+type hookLink struct {
+	state chan Message
+	top   chan struct{}
+	hook  atomic.Pointer[func()]
+	sent  atomic.Pointer[Message] // the last state frame this member sent
+}
+
+type hookTransport []*hookLink
+
+func newHookTransport(n int) hookTransport {
+	t := make(hookTransport, n)
+	for i := range t {
+		t[i] = &hookLink{state: make(chan Message, 1), top: make(chan struct{}, 1)}
+	}
+	return t
+}
+
+func (t hookTransport) Open(id int) (Link, error) { return t[id], nil }
+func (t hookTransport) Close() error              { return nil }
+
+func (l *hookLink) SendState(m Message)   { l.sent.Store(&m) }
+func (l *hookLink) SendTop()              {}
+func (l *hookLink) State() <-chan Message { return l.state }
+func (l *hookLink) Top() <-chan struct{}  { return l.top }
+func (l *hookLink) Close() error          { l.hook.Store(nil); return nil }
+func (l *hookLink) Notify(f func())       { l.hook.Store(&f) }
+
+// deliver posts m to the link's mailbox and calls the hook, on a goroutine
+// of its own — the reader of a wire — and returns once the hook has.
+func (l *hookLink) deliver(m Message) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		l.state <- m
+		if h := l.hook.Load(); h != nil {
+			(*h)()
+		}
+	}()
+	<-done
+}
+
+// upstream returns the state frame member 1 — member 0's predecessor —
+// last sent, once it has announced.
+func upstream(t *testing.T, tr hookTransport) Message {
+	t.Helper()
+	waitFor(t, "member 1 to announce", func() bool { return tr[1].sent.Load() != nil })
+	return *tr[1].sent.Load()
+}
+
 // results drains g's wake buffer and returns what it held, pokes dropped.
 func results(g *gate) (rs []awaitResult) {
 	for {
@@ -99,7 +156,8 @@ func TestBaton(t *testing.T) {
 
 	rows := []struct {
 		name string
-		run  func(t *testing.T, r *batonRig)
+		link bool // the row's barrier is a ring over a hookTransport
+		run  func(t *testing.T, r *batonRig, tr hookTransport)
 	}{{
 		// Member 1 posts while member 0's turn holds the baton, so its
 		// CAS fails and its Enter returns. Only the holder's look after
@@ -107,7 +165,7 @@ func TestBaton(t *testing.T) {
 		// with nothing to wake it, and without the look member 1's Leave
 		// would wait out the test's deadline.
 		name: "arrival posted under a held baton is taken by the holder's re-check",
-		run: func(t *testing.T, r *batonRig) {
+		run: func(t *testing.T, r *batonRig, _ hookTransport) {
 			inTurn, proceed := make(chan struct{}), make(chan struct{})
 			hook := func(e core.Event) {
 				if e.Kind == core.EvComplete && e.Proc == 0 {
@@ -142,13 +200,82 @@ func TestBaton(t *testing.T) {
 			}
 		},
 	}, {
+		// The same for link input. Member 0's turn holds the baton when the
+		// wire's reader posts its predecessor's frame and calls the hook,
+		// whose CAS fails. The scheduler goroutine's park does not watch a
+		// notifier link, so only the holder's look after releasing receives
+		// the frame; without it the frame would wait for the next post.
+		name: "link input posted under a held baton is taken by the holder's re-check",
+		link: true,
+		run: func(t *testing.T, r *batonRig, tr hookTransport) {
+			m := upstream(t, tr)
+			inTurn, proceed := make(chan struct{}), make(chan struct{})
+			hook := func(e core.Event) {
+				if e.Kind == core.EvComplete && e.Proc == 0 {
+					close(inTurn)
+					<-proceed
+				}
+			}
+			waitFor(t, "the scheduler goroutine to go idle", func() bool { return !r.s.baton.Load() })
+			r.hook.Store(&hook)
+			actx, acancel := context.WithCancel(ctx)
+			defer acancel()
+			go r.b.Await(actx, 0) // the pass needs member 1: it is cancelled
+			select {
+			case <-inTurn:
+			case <-ctx.Done():
+				t.Fatal("member 0's turn never completed its phase")
+			}
+			tr[0].deliver(m)
+			if len(tr[0].state) != 1 {
+				t.Fatal("the frame was received while member 0's turn held the baton")
+			}
+			close(proceed)
+			waitFor(t, "the holder to receive the frame", func() bool { return len(tr[0].state) == 0 && !r.s.posted() })
+		},
+	}, {
+		// Link input that arrives while a control message is pending is
+		// posted work like an arrival: the hook starts no turn, and the
+		// scheduler goroutine receives the frame only after it has applied
+		// the message — at the Reset the frame is still in the mailbox.
+		name: "link input waits for a pending control message",
+		link: true,
+		run: func(t *testing.T, r *batonRig, tr hookTransport) {
+			m := upstream(t, tr)
+			bufferedAtReset := make(chan int, 1)
+			hook := func(e core.Event) {
+				if e.Kind == core.EvReset && e.Proc == 0 {
+					bufferedAtReset <- len(tr[0].state)
+				}
+			}
+			r.hook.Store(&hook)
+			waitFor(t, "the scheduler goroutine to go idle", func() bool { return !r.s.baton.Load() })
+			r.s.queued.Add(1) // a sender between its count and its send
+			tr[0].deliver(m)
+			if r.s.baton.Load() || len(tr[0].state) != 1 {
+				t.Fatalf("the hook ran a turn with control input pending (baton=%v buffered=%d)", r.s.baton.Load(), len(tr[0].state))
+			}
+			if !offer(r.s.ctrl, ctrlMsg{id: 0, kind: ctrlReset}) {
+				t.Fatal("control channel full")
+			}
+			select {
+			case n := <-bufferedAtReset:
+				if n != 1 {
+					t.Error("the frame posted before the Reset was sent was received before it was applied")
+				}
+			case <-ctx.Done():
+				t.Fatal("the Reset was never applied")
+			}
+			waitFor(t, "the scheduler goroutine to receive the frame", func() bool { return len(tr[0].state) == 0 && !r.s.posted() })
+		},
+	}, {
 		// The scheduler goroutine holds a Reset it received while the test
 		// held the baton. With want set, the baton is free and member 0
 		// posts, yet no participant turn may start; the Reset is applied
 		// first, so at its EvReset member 0 has no arrival, and the
 		// arrival then meets the stored error.
 		name: "a received control message sets want and goes before later arrivals",
-		run: func(t *testing.T, r *batonRig) {
+		run: func(t *testing.T, r *batonRig, _ hookTransport) {
 			waitingAtReset := make(chan bool, 1)
 			g := r.b.lanes[0].gates[0]
 			hook := func(e core.Event) {
@@ -186,7 +313,7 @@ func TestBaton(t *testing.T) {
 		// want alone keeps a participant from starting a turn on the free
 		// baton. Handed the baton, the goroutine takes the arrival itself.
 		name: "want alone blocks participant turns",
-		run: func(t *testing.T, r *batonRig) {
+		run: func(t *testing.T, r *batonRig, _ hookTransport) {
 			r.wakeInHand(t)
 			r.s.baton.Store(false) // free, but want is set: no nudge yet
 			if err := r.b.Enter(ctx, 0); err != nil {
@@ -206,7 +333,7 @@ func TestBaton(t *testing.T) {
 		// complete on its arrival ahead of the fault, which is applied
 		// first once it reaches the scheduler goroutine.
 		name: "a participant leaves its arrival to the scheduler goroutine while control input is pending",
-		run: func(t *testing.T, r *batonRig) {
+		run: func(t *testing.T, r *batonRig, _ hookTransport) {
 			waitFor(t, "the scheduler goroutine to go idle", func() bool { return !r.s.baton.Load() })
 			r.s.queued.Add(1) // a sender between its count and its send
 			if err := r.b.Enter(ctx, 0); err != nil {
@@ -224,14 +351,14 @@ func TestBaton(t *testing.T) {
 		},
 	}, {
 		name: "Halt gets a scheduler goroutine waiting for the baton out",
-		run: func(t *testing.T, r *batonRig) {
+		run: func(t *testing.T, r *batonRig, _ hookTransport) {
 			r.resetInHand(t)
 			r.b.Halt()
 			waitQuiesced(t, r.b)
 		},
 	}, {
 		name: "Stop gets a scheduler goroutine waiting for the baton out",
-		run: func(t *testing.T, r *batonRig) {
+		run: func(t *testing.T, r *batonRig, _ hookTransport) {
 			r.resetInHand(t)
 			stopped := make(chan struct{})
 			go func() { r.b.Stop(); close(stopped) }()
@@ -246,7 +373,7 @@ func TestBaton(t *testing.T) {
 		// It is posted the way enterGate posts it, but only after Halt, and
 		// the turn that takes the baton must see the barrier down.
 		name: "a turn on a down barrier delivers nothing",
-		run: func(t *testing.T, r *batonRig) {
+		run: func(t *testing.T, r *batonRig, _ hookTransport) {
 			if err := r.b.Enter(ctx, 1); err != nil {
 				t.Fatalf("Enter(1): %v", err)
 			}
@@ -271,8 +398,16 @@ func TestBaton(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			base := goruntime.NumGoroutine()
-			r := newBatonRig(t)
-			row.run(t, r)
+			var (
+				tr    hookTransport
+				trans Transport // nil, not a nil hookTransport, for the one-scheduler rows
+			)
+			if row.link {
+				tr = newHookTransport(2)
+				trans = tr
+			}
+			r := newBatonRig(t, trans)
+			row.run(t, r, tr)
 			r.b.Stop()
 			waitFor(t, "the barrier's goroutines to exit", func() bool { return goruntime.NumGoroutine() <= base })
 		})

@@ -27,6 +27,15 @@
 //     frames, and must map every transport-level failure — decode error,
 //     connection reset, partial write — onto message loss by discarding
 //     the damaged data. No transport failure needs new recovery logic.
+//   - Input may be announced. A link with a Notify(func()) method (the
+//     mux's links) is handed its scheduler's input hook when the barrier
+//     attaches it; the link calls the hook after it posts a frame to a
+//     receive channel, on the goroutine that posted, and that goroutine
+//     may then run the scheduler's turn. It must call the hook after the
+//     post, never before, and never from inside a Send*: a send is made
+//     by a turn, and a hook called there would nest one scheduler's turn
+//     inside another's. A link without the method is received by its
+//     scheduler's goroutine as well.
 package runtime
 
 import (

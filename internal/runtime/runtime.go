@@ -667,6 +667,7 @@ func (b *Barrier) startRing(cfg Config, members []int, ln *lane) error {
 			ln.links = append(ln.links, link)
 			s := newSched(b, cfg, ln, 1)
 			s.link, s.extFrom, s.extTop = link, link.State(), link.Top()
+			s.hook(link)
 			s.in = &s.addRing(cfg, ln, j).node
 		}
 	}

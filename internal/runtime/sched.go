@@ -28,35 +28,40 @@
 // or the tree parent's (node.lastSent) — reaches the member's one copy of
 // it through one receive (node.onState), whether it was copied (a hop),
 // pulled (pullRound) or received (extFrom). Every input a member sees
-// comes through one of three doors: the receive channels of that
-// attachment — upstream state frames, the ring's ⊤ markers, a host's
-// convergecast frames; the control channel the hosted members share,
-// which carries what other goroutines send — resend pokes and every fault
-// kind, a spurious frame included (the paper's faults are environment
-// actions on a process's variables, and "unexpected message reception" is
-// one on the receiver's copy); and the posted arrivals, one word per gate
-// (gate.arrival) and one bit per hosted member (arrivals). A scheduler
-// owns no timer: the barrier's one sweeper paces every retransmission.
+// comes through one of two doors, each a place where other goroutines
+// post. The control channel the hosted members share carries resend pokes
+// and every fault kind, a spurious frame included (the paper's faults are
+// environment actions on a process's variables, and "unexpected message
+// reception" is one on the receiver's copy). Posted work is everything
+// else: the arrivals, one word per gate (gate.arrival) and one bit per
+// hosted member (arrivals), and the link's input — upstream state frames,
+// the ring's ⊤ markers, a host's convergecast frames — in the link's
+// receive channels. A scheduler owns no timer: the barrier's one sweeper
+// paces every retransmission.
 //
-// Who runs a turn — take the posted arrivals, drain the queue, pull at
-// quiescence — is whoever holds the baton. A participant that posts an
-// arrival tries to take it (one CAS) and, if it gets it, runs the turn on
-// its own goroutine (assist): the last arriver carries the whole wave and
-// delivers every result, its own included, so neither its arrival nor its
-// Leave wakes another goroutine. The scheduler goroutine remains the only
-// receiver of the channels. It releases the baton when it runs out of work
-// and parks on its inputs; woken by one while a participant holds the
-// baton, it sets want — participants then start no turn — and parks on the
+// Who runs a turn — take the posted arrivals, receive the link's input,
+// drain the queue, pull at quiescence — is whoever holds the baton, and
+// only the holder receives from the channels. A goroutine that posts work
+// tries to take the baton (one CAS) and, if it gets it, runs the turn
+// itself (assist). An arriving participant does: the last arriver carries
+// the whole wave and delivers every result, its own included, so neither
+// its arrival nor its Leave wakes another goroutine. A link that tells its
+// scheduler when it has posted (notifier; the mux's links) has its reader
+// do the same (external): a wire frame is answered on the goroutine that
+// read it, and that scheduler's goroutine no longer waits on the link.
+// The scheduler goroutine releases the baton when it runs out of work and
+// parks on its inputs; woken by one while another goroutine holds the
+// baton, it sets want — posters then start no turn — and parks on the
 // nudge, which the holder offers on release. It never spins: a spinning
 // scheduler waiting on a descheduled participant would hold the control
 // channel's faults back for milliseconds and apply them in one batch. Every
 // release is followed by a look for posted work, and the atomics are
 // sequentially consistent, so of a poster whose CAS failed and the holder
-// that released, one sees the other's write: no arrival is left behind.
+// that released, one sees the other's write: no posted work is left behind.
 //
 // Faults keep their place among the passes. A control message counts as
 // queued from just before its send until it is applied (control); while
-// one is, participants start no turn and the scheduler goroutine takes no
+// one is, posters start no turn and the scheduler goroutine takes no
 // arrival (first), so no pass completes on an arrival posted after the
 // fault was injected — the order the control channel kept when arrivals
 // queued in it behind the faults.
@@ -106,7 +111,7 @@ type member interface {
 // sched is the scheduler: a work queue of members with unprocessed input
 // or unapplied enabled actions. All proc and gate state, and the queue,
 // belong to the holder of the baton; the channels and the atomics
-// (arrivals, baton, want, queued) are shared.
+// (arrivals, linkIn, baton, want, queued) are shared.
 type sched struct {
 	b       *Barrier
 	members []member // indexed by member id; nil for members hosted elsewhere
@@ -124,10 +129,12 @@ type sched struct {
 	nudge chan struct{} // "look again": Halt, Stop, or the baton is free
 
 	// arrivals has one bit per hosted member whose gate holds a posted
-	// arrival not yet taken (bit id%64 of word id/64). baton is held by
-	// whoever runs a turn; want says the scheduler goroutine has an input
-	// in hand and waits for the baton, so no participant starts a turn.
+	// arrival not yet taken (bit id%64 of word id/64), and linkIn says a
+	// notifier link posted input since the holder last looked. baton is
+	// held by whoever runs a turn; want says the scheduler goroutine has an
+	// input in hand and waits for the baton, so no poster starts a turn.
 	arrivals []atomic.Uint64
+	linkIn   atomic.Bool
 	baton    atomic.Bool
 	want     atomic.Bool
 	queued   atomic.Int32 // control messages sent and not yet applied: see control
@@ -144,13 +151,15 @@ type sched struct {
 	// neighbour's state frames — the ring predecessor's announcements or
 	// the parent host's down frames; extTop, the ring successor's ⊤
 	// markers; extUp, the child hosts' convergecast frames. A channel the
-	// attachment lacks is nil, never ready.
-	link    Link
-	tlink   TreeLink
-	in      *node
-	extFrom <-chan Message
-	extTop  <-chan struct{}
-	extUp   <-chan UpMessage
+	// attachment lacks is nil, never ready. notified says the link posts
+	// its input (hook): the scheduler goroutine's park leaves it alone.
+	link     Link
+	tlink    TreeLink
+	in       *node
+	extFrom  <-chan Message
+	extTop   <-chan struct{}
+	extUp    <-chan UpMessage
+	notified bool
 
 	// Host-tree addressing (with tlink): tlink's node space is the host
 	// indices, host is this scheduler's; hy.HostOf addresses down sends to
@@ -256,6 +265,7 @@ func (b *Barrier) startHosts(cfg Config, hy *topo.Hybrid, members []int, tt Tree
 		ln.links = append(ln.links, tl)
 		s := newSched(b, cfg, ln, len(roster))
 		s.tlink, s.extFrom, s.extUp = tl, tl.Down(), tl.Up()
+		s.hook(tl)
 		s.host, s.hy = h, hy
 		for _, id := range roster {
 			s.addTree(cfg, ln, id, hy.Tree)
@@ -522,6 +532,29 @@ func (s *sched) onCtrl(c ctrlMsg) {
 	s.mark(c.id)
 }
 
+// notifier is a link that says when it has posted input to its receive
+// channels: its reader calls the function registered with Notify after
+// each post (see Link). The mux's links are notifiers; a link that is not
+// is received by the scheduler goroutine's park as well as by turns.
+type notifier interface{ Notify(func()) }
+
+// hook attaches the scheduler to its link's input: if the link is a
+// notifier, every post runs external.
+func (s *sched) hook(l any) {
+	if n, ok := l.(notifier); ok {
+		n.Notify(s.external)
+		s.notified = true
+	}
+}
+
+// external is the link's side of assist, run by the goroutine that posted
+// the input: mark it posted, then take the baton and run the turn that
+// receives it — respecting first(), as an arriving participant does.
+func (s *sched) external() {
+	s.linkIn.Store(true)
+	s.assist()
+}
+
 // onExtFrom, onExtTop and onExtUp deliver what the link received to the
 // attached member: a state frame from upstream, a ⊤ marker from the ring
 // successor, a convergecast frame from a child host.
@@ -563,27 +596,36 @@ func (s *sched) poll() bool {
 		progressed = true
 	default:
 	}
-	if s.in != nil {
+	return s.pollLink() || progressed
+}
+
+// pollLink is poll's link half, and a turn's look at the link. It clears
+// linkIn before it looks, so input posted after the look is posted again.
+func (s *sched) pollLink() bool {
+	if s.in == nil {
+		return false
+	}
+	s.linkIn.Swap(false) // a read of the poster's mark, so its frame is seen
+	progressed := false
+	select {
+	case m := <-s.extFrom:
+		s.onExtFrom(m)
+		progressed = true
+	default:
+	}
+	select {
+	case <-s.extTop:
+		s.onExtTop()
+		progressed = true
+	default:
+	}
+	for drained := false; !drained; {
 		select {
-		case m := <-s.extFrom:
-			s.onExtFrom(m)
+		case m := <-s.extUp:
+			s.onExtUp(m)
 			progressed = true
 		default:
-		}
-		select {
-		case <-s.extTop:
-			s.onExtTop()
-			progressed = true
-		default:
-		}
-		for drained := false; !drained; {
-			select {
-			case m := <-s.extUp:
-				s.onExtUp(m)
-				progressed = true
-			default:
-				drained = true
-			}
+			drained = true
 		}
 	}
 	return progressed
@@ -602,8 +644,12 @@ func (s *sched) post(id int) {
 	}
 }
 
-// posted reports whether an arrival waits to be taken.
+// posted reports whether an arrival or notified link input waits to be
+// taken.
 func (s *sched) posted() bool {
+	if s.linkIn.Load() {
+		return true
+	}
 	for i := range s.arrivals {
 		if s.arrivals[i].Load() != 0 {
 			return true
@@ -627,11 +673,12 @@ func (s *sched) takeArrivals() {
 	}
 }
 
-// assist is a participant's share of its scheduler's work, called after it
-// posted an arrival: while arrivals wait and the scheduler goroutine has no
-// input to apply first, take the baton and run a turn. A failed CAS leaves
-// the posted work to the holder, whose release is followed by the same
-// look. On a barrier that is down the arrivals stay where they are.
+// assist is a poster's share of its scheduler's work, called after it
+// posted an arrival or link input: while posted work waits and the
+// scheduler goroutine has no input to apply first, take the baton and run
+// a turn. A failed CAS leaves the posted work to the holder, whose release
+// is followed by the same look. On a barrier that is down the posted work
+// stays where it is.
 func (s *sched) assist() {
 	for s.posted() && !s.first() && s.baton.CompareAndSwap(false, true) {
 		ran := s.turn()
@@ -642,16 +689,17 @@ func (s *sched) assist() {
 	}
 }
 
-// turn is one scheduler turn on a participant's goroutine: take the posted
-// arrivals, drain, and at quiescence settle an unbalanced ledger. On a
-// barrier that is down it does nothing, so it delivers nothing, and
-// reports false.
+// turn is one scheduler turn on a poster's goroutine: take the posted
+// arrivals, receive the link's input, drain, and at quiescence settle an
+// unbalanced ledger. On a barrier that is down it does nothing, so it
+// delivers nothing, and reports false.
 func (s *sched) turn() bool {
 	if s.b.down() != nil {
 		return false
 	}
 	for {
 		s.takeArrivals()
+		s.pollLink()
 		s.drain()
 		if s.owed == 0 || !s.pullRound() {
 			return true
@@ -661,8 +709,8 @@ func (s *sched) turn() bool {
 
 // first reports whether the scheduler goroutine has input to apply before
 // the next turn: a control message sent and not yet applied (queued), or
-// any input in hand that waits for the baton (want). A participant then
-// starts no turn and leaves its arrival to that goroutine, which takes
+// any input in hand that waits for the baton (want). A poster then starts
+// no turn and leaves its work to that goroutine, which takes
 // arrivals only once no control message is pending. So no pass completes
 // on arrivals posted after a fault was injected and before it was applied,
 // however long the scheduler goroutine waits for a CPU: a fault meets the
@@ -693,7 +741,7 @@ func (s *sched) release() {
 }
 
 // acquire takes the baton for the scheduler goroutine, which has an input
-// in hand. Held by a participant's turn, it sets want and parks on the
+// in hand. Held by another goroutine's turn, it sets want and parks on the
 // nudge until the holder releases it; it gives up, reporting false, once
 // the barrier is down. Storing want before the second CAS closes the race
 // with a release that looked for want just before it was set.
@@ -719,7 +767,7 @@ func (s *sched) acquire() bool {
 // for once per turn of the loop, busy or about to park; the park itself
 // waits only on this scheduler's own inputs, and wakeAll's nudge ends it.
 // The loop runs holding the baton (newSched hands it over) and returns
-// holding it, so no participant turns a down barrier's scheduler again —
+// holding it, so no poster turns a down barrier's scheduler again —
 // unless the barrier went down while it waited for the baton, in which
 // case the turns left see the barrier down (turn).
 func (s *sched) run() {
@@ -747,12 +795,17 @@ func (s *sched) run() {
 		if s.owed != 0 && s.pullRound() {
 			continue
 		}
-		// Release the baton, then look for arrivals posted while it was
-		// held: their posters may have found it taken and left them here.
-		// Arrivals held back by control input wait for it in the park.
+		// Release the baton, then look for work posted while it was held:
+		// its posters may have found it taken and left it here. Work held
+		// back by control input waits for it in the park, which leaves a
+		// notifier link to its posts.
 		s.baton.Store(false)
 		if s.posted() && s.queued.Load() == 0 && s.baton.CompareAndSwap(false, true) {
 			continue
+		}
+		from, top, up := s.extFrom, s.extTop, s.extUp
+		if s.notified {
+			from, top, up = nil, nil, nil
 		}
 		select {
 		case c := <-s.ctrl:
@@ -761,15 +814,15 @@ func (s *sched) run() {
 			}
 		case <-s.nudge:
 			s.acquire()
-		case m := <-s.extFrom:
+		case m := <-from:
 			if s.acquire() {
 				s.onExtFrom(m)
 			}
-		case <-s.extTop:
+		case <-top:
 			if s.acquire() {
 				s.onExtTop()
 			}
-		case m := <-s.extUp:
+		case m := <-up:
 			if s.acquire() {
 				s.onExtUp(m)
 			}

@@ -208,6 +208,17 @@ func (fr *FrameReader) Read() (typ byte, payload []byte, err error) {
 	return typ, body[:n:n], nil
 }
 
+// buffered reports whether a whole frame is already in the buffer, so the
+// next Read returns without touching the connection.
+func (fr *FrameReader) buffered() bool {
+	n := fr.br.Buffered()
+	if n < headerLen {
+		return false
+	}
+	hdr, _ := fr.br.Peek(headerLen)
+	return n >= headerLen+(int(hdr[2])<<8|int(hdr[3]))+trailerLen
+}
+
 // AppendState appends a FrameState carrying m for the given group.
 func AppendState(dst []byte, group uint32, m runtime.Message) []byte {
 	var p [statePayloadLen]byte

@@ -16,15 +16,26 @@
 // so one connection per unordered pair suffices; the lower process index
 // dials, the higher accepts. Outgoing frames go through per-(group, kind,
 // edge) latest-state-wins slots, so a slow connection never blocks a
-// protocol goroutine and superseded states coalesce. One writer per
-// connection drains every dirty slot bound for that peer into a single
-// Write, batching frames of many groups into one syscall.
+// protocol goroutine and superseded states coalesce.
+//
+// A frame in is answered on the goroutine that read it: Mux.deliver posts
+// it to the group's mailbox and calls the hook the group's scheduler
+// registered (Notify), which runs the scheduler's turn right there. While
+// a reader is in a read batch — frames it has read and not yet answered,
+// or still buffered — a post only marks its peer dirty; when the buffer
+// runs dry the reader flushes every dirty peer, each in one non-blocking
+// write of all its pending slots (muxPeer.flush). So a burst of frames in
+// leaves as one burst out, frames of many groups in one syscall, and a
+// wire hop wakes no other goroutine. What a flush cannot write at once
+// goes to the connection's writer goroutine, which also carries the posts
+// made while no reader is in a batch (arrivals, resends).
 //
 // Lifecycle isolation: a group's link can be closed (its barrier halted,
 // stopped, or restarted for rejoin) without touching the shared
 // connections; its slots just stop being marked and its incoming frames
 // wait, latest-wins, for the next Open. No group can stall another: every
-// delivery is non-blocking, every send is a slot overwrite.
+// delivery, with the turn it runs, is non-blocking, every send is a slot
+// overwrite.
 package transport
 
 import (
@@ -32,10 +43,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	goruntime "runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/obsv"
@@ -171,6 +182,10 @@ type Mux struct {
 	wg         sync.WaitGroup
 	mu         sync.Mutex // guards peer conn registration against Close
 
+	// reading counts the readers in a read batch: while it is nonzero a
+	// post leaves its peer to their flush instead of kicking the writer.
+	reading atomic.Int32
+
 	stats *tcpStats
 }
 
@@ -196,6 +211,9 @@ type muxGroup struct {
 	open atomic.Bool
 	// slots are the group's outgoing slots, cleared when its link closes.
 	slots []*muxSlot
+	// notify is the open link's input hook (Notify), called after every
+	// post to a mailbox; nil while no link is open or it registered none.
+	notify atomic.Pointer[func()]
 
 	sent, recv atomic.Int64 // per-group frame counters
 	// dropped counts frames that arrived for this group while none of its
@@ -272,6 +290,7 @@ func newMux(cfg MuxConfig, w muxWiring) (*Mux, error) {
 			return p
 		}
 		p := &muxPeer{m: m, id: j, addr: cfg.Peers[j], kick: make(chan struct{}, 1)}
+		p.rawWriteFn = p.rawWrite
 		m.peers[j] = p
 		return p
 	}
@@ -549,9 +568,9 @@ func (m *Mux) attach(id uint32, tree bool) (*muxGroup, error) {
 // --- outgoing: per-peer slots and writers ---
 
 // muxSlot is one latest-state-wins outgoing mailbox: a protocol send
-// overwrites the slot and kicks the peer's writer; the writer takes the
-// newest value, so superseded states coalesce — to the protocol that is
-// indistinguishable from loss.
+// overwrites the slot and marks its peer (muxPeer.posted); whoever drains
+// the peer next takes the newest value, so superseded states coalesce — to
+// the protocol that is indistinguishable from loss.
 type muxSlot struct {
 	p   *muxPeer
 	g   *muxGroup
@@ -568,7 +587,7 @@ func (s *muxSlot) postState(m runtime.Message) {
 	s.state = m
 	s.pending = true
 	s.mu.Unlock()
-	s.p.kickWriter()
+	s.p.posted()
 }
 
 func (s *muxSlot) postUp(m runtime.UpMessage) {
@@ -576,14 +595,14 @@ func (s *muxSlot) postUp(m runtime.UpMessage) {
 	s.up = m
 	s.pending = true
 	s.mu.Unlock()
-	s.p.kickWriter()
+	s.p.posted()
 }
 
 func (s *muxSlot) postTop() {
 	s.mu.Lock()
 	s.pending = true
 	s.mu.Unlock()
-	s.p.kickWriter()
+	s.p.posted()
 }
 
 func (s *muxSlot) clear() {
@@ -622,12 +641,29 @@ type muxPeer struct {
 	addr  string
 	slots []*muxSlot
 	kick  chan struct{} // cap 1: writer wake-up
+	dirty atomic.Bool   // posted during a read batch, not yet flushed
 
 	// partitioned is the chaos-injection gate (SetPartition): while set,
 	// no connection to this peer is kept, dialed, or accepted.
 	partitioned atomic.Bool
 
 	conn net.Conn // guarded by m.mu
+
+	// The write side, guarded by wmu: the connection the writer serves
+	// (wc) and its raw socket for a reader's flush (raw; nil if it has
+	// none), and the frames taken from the slots — out[off:] not yet
+	// written, outN of them not yet counted sent. A flush that writes short
+	// leaves the rest there, and the writer writes it before anything else.
+	wmu  sync.Mutex
+	wc   net.Conn
+	raw  syscall.RawConn
+	out  []byte
+	off  int
+	outN int
+	// rawWriteFn is rawWrite bound once, so a flush allocates nothing;
+	// wrote is what its write(2) wrote.
+	rawWriteFn func(fd uintptr) bool
+	wrote      int
 }
 
 func (p *muxPeer) kickWriter() {
@@ -635,6 +671,88 @@ func (p *muxPeer) kickWriter() {
 	case p.kick <- struct{}{}:
 	default:
 	}
+}
+
+// posted is a slot's post: it marks the peer dirty and, unless a reader is
+// in a read batch, takes the mark back and kicks the writer. The mark
+// comes before the look at reading, and a reader leaves the count before
+// it looks for marks (Mux.endBatch): of the two, one sees the other, so no
+// post is left unsent.
+func (p *muxPeer) posted() {
+	p.dirty.Store(true)
+	if p.m.reading.Load() == 0 && p.dirty.Swap(false) {
+		p.kickWriter()
+	}
+}
+
+// take appends every pending slot's frame to out, after the remainder a
+// flush left if there is one.
+func (p *muxPeer) take() {
+	if p.off == len(p.out) {
+		p.out, p.off = p.out[:0], 0
+	}
+	for _, s := range p.slots {
+		var ok bool
+		if p.out, ok = s.takeInto(p.out); ok {
+			p.outN++
+		}
+	}
+}
+
+// written records that out has been written whole.
+func (p *muxPeer) written() {
+	p.m.stats.framesSent.Add(int64(p.outN))
+	p.out, p.off, p.outN = p.out[:0], 0, 0
+}
+
+// flush sends the peer's pending slots from a reader without blocking: it
+// takes the write lock with TryLock and makes one non-blocking write(2) of
+// everything pending. What it cannot write — the lock is busy, a
+// remainder is owed, the socket is full or takes part — it leaves to the
+// writer, so a reader never waits on a socket: two processes cannot
+// deadlock write against write, and sends still never block.
+func (p *muxPeer) flush() {
+	if !p.wmu.TryLock() {
+		p.kickWriter()
+		return
+	}
+	defer p.wmu.Unlock()
+	if p.raw == nil || p.off < len(p.out) {
+		p.kickWriter()
+		return
+	}
+	p.take()
+	if len(p.out) == 0 {
+		return
+	}
+	p.wrote = 0
+	if p.raw.Write(p.rawWriteFn) == nil && p.wrote == len(p.out) {
+		p.written()
+		return
+	}
+	p.off = p.wrote
+	p.kickWriter()
+}
+
+// rawWrite is flush's write(2) on the socket's descriptor. It reports
+// done whatever happened, so the poller never waits for the socket to be
+// writable; a short write, EAGAIN or an error leaves the rest to the
+// writer, whose blocking Write waits or meets the error.
+func (p *muxPeer) rawWrite(fd uintptr) bool {
+	if n, _ := syscall.Write(int(fd), p.out[p.off:]); n > 0 {
+		p.wrote = n
+	}
+	return true
+}
+
+// rawConn returns c's raw socket, or nil if it has none.
+func rawConn(c net.Conn) syscall.RawConn {
+	if sc, ok := c.(syscall.Conn); ok {
+		if rc, err := sc.SyscallConn(); err == nil {
+			return rc
+		}
+	}
+	return nil
 }
 
 // setConn registers a new live connection, replacing (closing) the
@@ -661,13 +779,24 @@ func (p *muxPeer) setConn(c net.Conn) bool {
 	return true
 }
 
-// writeLoop drains dirty slots into single batched writes until the
-// connection dies or the mux closes. Frames of many groups that went
-// pending together leave in one Write.
+// writeLoop serves connection c's write side until it dies or the mux
+// closes: on each kick it writes what a flush left, then every pending
+// slot, in one blocking Write. Frames of many groups that went pending
+// together leave in one syscall. A remainder of an earlier connection is
+// dropped — its tail would tear c's stream — and is loss.
 func (p *muxPeer) writeLoop(c net.Conn, dead chan struct{}) {
+	p.wmu.Lock()
+	p.wc, p.raw = c, rawConn(c)
+	p.out, p.off, p.outN = p.out[:0], 0, 0
+	p.wmu.Unlock()
+	defer func() {
+		p.wmu.Lock()
+		if p.wc == c {
+			p.wc, p.raw = nil, nil
+		}
+		p.wmu.Unlock()
+	}()
 	p.kickWriter() // flush anything posted while no connection existed
-	var buf []byte
-	batching := 0
 	for {
 		select {
 		case <-p.m.done:
@@ -676,41 +805,37 @@ func (p *muxPeer) writeLoop(c net.Conn, dead chan struct{}) {
 			return
 		case <-p.kick:
 		}
-		// While this edge has recently carried multi-frame drains, yield
-		// once between the kick and the drain: other protocol goroutines
-		// runnable right now (concurrent groups, pipelined lanes) post
-		// into their slots first — superseded states coalesce in the
-		// slots and the survivors leave in this Write instead of the next
-		// one. The regime is sticky for a few drains because batches
-		// alternate with single-frame drains even under sustained
-		// multi-lane load; a workload that never batches stops yielding
-		// and keeps the minimum-latency single-frame path.
-		if batching > 0 {
-			goruntime.Gosched()
-		}
-		buf = buf[:0]
-		took := 0
-		for _, s := range p.slots {
-			var ok bool
-			if buf, ok = s.takeInto(buf); ok {
-				took++
+		if err := p.writeOut(c); err != nil {
+			if err != errReplaced {
+				p.m.connFailed(p, "write", err)
 			}
-		}
-		if took > 1 {
-			batching = 8
-		} else if batching > 0 {
-			batching--
-		}
-		if took == 0 {
-			continue
-		}
-		if _, err := c.Write(buf); err != nil {
-			p.m.connFailed(p, "write", err)
 			c.Close()
 			return
 		}
-		p.m.stats.framesSent.Add(int64(took))
 	}
+}
+
+// errReplaced ends the writer of a connection a newer one replaced.
+var errReplaced = errors.New("transport: connection replaced")
+
+// writeOut is one writer turn: the remainder, then the pending slots. A
+// writer whose connection was replaced passes the kick on to the new one's.
+func (p *muxPeer) writeOut(c net.Conn) error {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	if p.wc != c {
+		p.kickWriter()
+		return errReplaced
+	}
+	p.take()
+	if p.off == len(p.out) {
+		return nil
+	}
+	if _, err := c.Write(p.out[p.off:]); err != nil {
+		return err
+	}
+	p.written()
+	return nil
 }
 
 // dialLoop maintains the connection to a higher-indexed peer: dial,
@@ -858,14 +983,31 @@ func (m *Mux) handleIn(c net.Conn) {
 // serveConn reads and demultiplexes frames from one peer until the
 // connection errors. A codec violation — including a frame for a group or
 // direction the route table does not expect from this peer — drops the
-// connection; every group's retransmission masks the loss.
+// connection; every group's retransmission masks the loss. A frame read
+// starts a read batch, which ends — and flushes — once no whole frame is
+// left in the buffer, before a Read that could block, or when the
+// connection ends.
 func (m *Mux) serveConn(p *muxPeer, c net.Conn, fr *FrameReader) {
+	batch := false
+	defer func() {
+		if batch {
+			m.endBatch()
+		}
+	}()
 	for {
+		if batch && !fr.buffered() {
+			batch = false
+			m.endBatch()
+		}
 		typ, payload, err := fr.Read()
 		if err != nil {
 			m.connFailed(p, "read", err)
 			c.Close()
 			return
+		}
+		if !batch {
+			batch = true
+			m.reading.Add(1)
 		}
 		var (
 			id  uint32
@@ -928,7 +1070,21 @@ func (m *Mux) deliver(p *muxPeer, typ byte, id uint32, msg runtime.Message, up r
 	case FrameUp:
 		post(g.up, up)
 	}
+	if f := g.notify.Load(); f != nil {
+		(*f)() // the scheduler's turn, on this reader
+	}
 	return nil
+}
+
+// endBatch ends a reader's read batch: it leaves the count of readers in
+// one, then flushes every dirty peer (see muxPeer.posted for the order).
+func (m *Mux) endBatch() {
+	m.reading.Add(-1)
+	for _, p := range m.peers {
+		if p != nil && p.dirty.Load() && p.dirty.Swap(false) {
+			p.flush()
+		}
+	}
 }
 
 // post puts v in mailbox ch without blocking: if ch is full it displaces
@@ -974,6 +1130,7 @@ func (m *Mux) connFailed(p *muxPeer, what string, err error) {
 // died.
 func (g *muxGroup) detach() error {
 	g.open.Store(false)
+	g.notify.Store(nil)
 	for _, s := range g.slots {
 		s.clear()
 	}
@@ -1004,6 +1161,10 @@ func (l *muxRingLink) SendTop() {
 	}
 }
 
+// Notify registers the scheduler's input hook (the runtime's notifier):
+// deliver calls it after each post to the group's mailboxes.
+func (l *muxRingLink) Notify(f func()) { l.g.notify.Store(&f) }
+
 func (l *muxRingLink) State() <-chan runtime.Message { return l.g.from }
 func (l *muxRingLink) Top() <-chan struct{}          { return l.g.top }
 func (l *muxRingLink) Close() error                  { return l.g.detach() }
@@ -1031,6 +1192,9 @@ func (l *muxTreeLink) SendUp(m runtime.UpMessage) {
 		l.upSlot.postUp(m)
 	}
 }
+
+// Notify: see muxRingLink.Notify.
+func (l *muxTreeLink) Notify(f func()) { l.g.notify.Store(&f) }
 
 func (l *muxTreeLink) Down() <-chan runtime.Message { return l.g.from }
 func (l *muxTreeLink) Up() <-chan runtime.UpMessage { return l.g.up }

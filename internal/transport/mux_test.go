@@ -640,3 +640,121 @@ func yieldsAtOnce[M comparable](t *testing.T, ch <-chan M, want M) {
 		t.Fatal("the frame that arrived before Open was discarded")
 	}
 }
+
+// A reader's flush never waits on a socket. The far end of a connection
+// stops reading; rounds of posts, each ended the way a reader ends a read
+// batch (Mux.endBatch), fill the socket until a flush hands a remainder to
+// the writer, and every round after that still returns at once. Once the
+// far end reads again, every frame decodes, and each group's frames arrive
+// in the order they were posted, its last one included.
+func TestMuxFlushNeverBlocks(t *testing.T) {
+	const nGroups = 64
+	listeners, peers, err := bindLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer listeners[1].Close()
+	specs := make([]GroupSpec, nGroups)
+	for i := range specs {
+		specs[i] = GroupSpec{ID: uint32(i)}
+	}
+	m, err := newMux(MuxConfig{Groups: specs, TCPConfig: TCPConfig{Peers: peers}}, muxWiring{ln: listeners[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.start(); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	far, err := listeners[1].Accept() // the lower index dials
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer far.Close()
+	p := m.peers[1]
+	writing := func() bool { p.wmu.Lock(); defer p.wmu.Unlock(); return p.raw != nil }
+	for deadline := time.Now().Add(10 * time.Second); !writing(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the connection's writer never started")
+		}
+	}
+
+	seq := 0
+	round := func() { // one read batch: every group posts its next state
+		seq++
+		m.reading.Add(1)
+		for _, g := range m.order {
+			g.ring.stateSlot.postState(runtime.Message{PH: seq})
+		}
+		m.endBatch()
+	}
+	// handed reports whether the writer owes the socket something: a flush
+	// left a remainder, or the writer holds the lock to write it. Once the
+	// socket is full that holds after every round; a streak of 50 tells it
+	// from a writer caught in an ordinary write.
+	handed := func() bool {
+		if !p.wmu.TryLock() {
+			return true
+		}
+		defer p.wmu.Unlock()
+		return p.off < len(p.out)
+	}
+	filled := make(chan error, 1)
+	go func() {
+		for streak := 0; streak < 50; {
+			if seq == 1<<20 {
+				filled <- errors.New("the socket never filled")
+				return
+			}
+			if round(); handed() {
+				streak++
+			} else {
+				streak = 0
+			}
+		}
+		start := time.Now()
+		for i := 0; i < 100; i++ {
+			round()
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			filled <- fmt.Errorf("100 flushes against a full socket took %v", d)
+			return
+		}
+		filled <- nil
+	}()
+	select {
+	case err := <-filled:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("a flush blocked on the full socket (round %d)", seq)
+	}
+
+	t.Logf("socket full after %d rounds", seq-150)
+	far.SetReadDeadline(time.Now().Add(30 * time.Second))
+	fr := NewFrameReader(far, 4096)
+	last := make([]int, nGroups)
+	for done := 0; done < nGroups; {
+		typ, payload, err := fr.Read()
+		if err != nil {
+			t.Fatalf("after %d groups complete: %v", done, err)
+		}
+		if typ == FrameHello {
+			continue
+		}
+		id, msg, err := DecodeState(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg.PH <= last[id] {
+			t.Fatalf("group %d: frame %d arrived after frame %d", id, msg.PH, last[id])
+		}
+		if last[id] = msg.PH; msg.PH == seq {
+			done++
+		}
+	}
+	if st := m.Stats(); st.DecodeErrors != 0 || st.ConnDrops != 0 {
+		t.Errorf("decode errors %d, connection drops %d", st.DecodeErrors, st.ConnDrops)
+	}
+}
