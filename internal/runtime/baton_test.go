@@ -1,17 +1,23 @@
 package runtime
 
-// The baton hand-over between participants and the scheduler goroutine
-// (sched.go): each row holds s.baton from the test, the way a participant's
-// turn would, and drives one rule of the hand-over through it. All rows run
-// a two-member ring with the resend sweeper effectively off, so nothing but
-// the rule under test can move an arrival or wake the scheduler goroutine:
-// on one scheduler, or — the link rows — one scheduler per member over
-// hookLinks, whose input only the test posts.
+// The baton (sched.go): whoever posts work — a participant's arrival, a
+// control message, link input — runs the scheduler's turn if it gets the
+// baton, and otherwise leaves the work to the holder. Each row drives one
+// rule of that arrangement: (a) every release is followed by a look for
+// posted work; (b) control messages are applied one at a time, each
+// drained before the next; (c) an arrival posted after an injection
+// returned is not stepped before the fault is applied; (d) the link's
+// channels are polled on every turn; (e) a turn on a down barrier delivers
+// nothing. All rows run a two-member ring with the resend sweeper
+// effectively off, so nothing but the rule under test can move posted
+// work: on one scheduler, or — the link rows — one scheduler per member
+// over hookLinks, whose input only the test posts.
 
 import (
 	"context"
 	"errors"
 	goruntime "runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,8 +25,9 @@ import (
 	"repro/internal/core"
 )
 
-// batonRig is one row's barrier, its one scheduler, and the row's event
-// hook (the barrier's EventSink forwards to it once the row has set it).
+// batonRig is one row's barrier, its member 0's scheduler, and the row's
+// event hook (the barrier's EventSink forwards to it once the row has set
+// it).
 type batonRig struct {
 	b    *Barrier
 	s    *sched
@@ -56,30 +63,49 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// hold takes the baton once the scheduler goroutine has primed the members
-// and released it at its idle transition.
+// hold takes member 0's scheduler's baton for the test, the way a turn
+// would.
 func (r *batonRig) hold(t *testing.T) {
 	t.Helper()
-	waitFor(t, "the scheduler goroutine to release the baton", func() bool { return r.s.baton.CompareAndSwap(false, true) })
+	waitFor(t, "the baton to be free", func() bool { return r.s.baton.CompareAndSwap(false, true) })
 }
 
-// resetInHand has the scheduler goroutine receive a Reset of member 0 while
-// the test holds the baton, and waits until it asks for the baton (want).
-func (r *batonRig) resetInHand(t *testing.T) {
-	t.Helper()
-	r.hold(t)
-	r.b.Reset(0)
-	waitFor(t, "the scheduler goroutine to want the baton", r.s.want.Load)
+// release frees the baton the test holds and looks for posted work, as
+// every holder's release does (assist's loop).
+func (r *batonRig) release() {
+	r.s.baton.Store(false)
+	r.s.assist()
 }
 
-// wakeInHand has the scheduler goroutine woken by a bare nudge while the
-// test holds the baton, so that it waits for the baton with no control
-// message pending.
-func (r *batonRig) wakeInHand(t *testing.T) {
+// turnHeld has member 0 await a pass whose turn — on the Await's own
+// goroutine — stops inside at member 0's completion, holding the baton,
+// until proceed is closed. The pass needs member 1, so a row that does not
+// enter it cancels the Await with ctx.
+func (r *batonRig) turnHeld(t *testing.T, ctx context.Context) (proceed chan struct{}, awaited chan error) {
 	t.Helper()
-	r.hold(t)
-	offer(r.s.nudge, struct{}{})
-	waitFor(t, "the scheduler goroutine to want the baton", r.s.want.Load)
+	inTurn, proceed := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	hook := func(e core.Event) {
+		if e.Kind == core.EvComplete && e.Proc == 0 {
+			once.Do(func() {
+				close(inTurn)
+				<-proceed
+			})
+		}
+	}
+	waitFor(t, "the baton to be free", func() bool { return !r.s.baton.Load() })
+	r.hook.Store(&hook)
+	awaited = make(chan error, 1)
+	go func() {
+		_, err := r.b.Await(ctx, 0)
+		awaited <- err
+	}()
+	select {
+	case <-inTurn:
+	case <-ctx.Done():
+		t.Fatal("member 0's turn never completed its phase")
+	}
+	return proceed, awaited
 }
 
 // hookLink is a ring link that tells its scheduler of input, the way the
@@ -150,41 +176,43 @@ func results(g *gate) (rs []awaitResult) {
 	}
 }
 
-func TestBaton(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
+// sendsAtResets returns, in order, the send count at each of the next
+// EvResets, of whichever member: call it with the first wanted.
+func (r *batonRig) sendsAtResets(ctx context.Context) func(t *testing.T) int64 {
+	at := make(chan int64, 8)
+	hook := func(e core.Event) {
+		if e.Kind == core.EvReset {
+			at <- r.b.statSends.Load()
+		}
+	}
+	r.hook.Store(&hook)
+	return func(t *testing.T) int64 {
+		t.Helper()
+		select {
+		case n := <-at:
+			return n
+		case <-ctx.Done():
+			t.Fatal("a Reset was never applied")
+			return 0
+		}
+	}
+}
 
+func TestBaton(t *testing.T) {
 	rows := []struct {
-		name string
-		link bool // the row's barrier is a ring over a hookTransport
-		run  func(t *testing.T, r *batonRig, tr hookTransport)
+		name   string
+		link   bool                   // the row's barrier is a ring over a hookTransport
+		before func(tr hookTransport) // run before New, on the row's transport
+		run    func(t *testing.T, ctx context.Context, r *batonRig, tr hookTransport)
 	}{{
-		// Member 1 posts while member 0's turn holds the baton, so its
+		// (a) Member 1 posts while member 0's turn holds the baton, so its
 		// CAS fails and its Enter returns. Only the holder's look after
-		// releasing takes that arrival: the scheduler goroutine is parked
-		// with nothing to wake it, and without the look member 1's Leave
-		// would wait out the test's deadline.
+		// releasing takes that arrival: no other goroutine runs the
+		// scheduler's turns, and without the look member 1's Leave would
+		// wait out the test's deadline.
 		name: "arrival posted under a held baton is taken by the holder's re-check",
-		run: func(t *testing.T, r *batonRig, _ hookTransport) {
-			inTurn, proceed := make(chan struct{}), make(chan struct{})
-			hook := func(e core.Event) {
-				if e.Kind == core.EvComplete && e.Proc == 0 {
-					close(inTurn)
-					<-proceed
-				}
-			}
-			waitFor(t, "the scheduler goroutine to go idle", func() bool { return !r.s.baton.Load() })
-			r.hook.Store(&hook)
-			awaited := make(chan error, 1)
-			go func() {
-				_, err := r.b.Await(ctx, 0)
-				awaited <- err
-			}()
-			select {
-			case <-inTurn:
-			case <-ctx.Done():
-				t.Fatal("member 0's turn never completed its phase")
-			}
+		run: func(t *testing.T, ctx context.Context, r *batonRig, _ hookTransport) {
+			proceed, awaited := r.turnHeld(t, ctx)
 			if err := r.b.Enter(ctx, 1); err != nil {
 				t.Fatalf("Enter(1) under a held baton: %v", err)
 			}
@@ -200,32 +228,18 @@ func TestBaton(t *testing.T) {
 			}
 		},
 	}, {
-		// The same for link input. Member 0's turn holds the baton when the
-		// wire's reader posts its predecessor's frame and calls the hook,
-		// whose CAS fails. The scheduler goroutine's park does not watch a
-		// notifier link, so only the holder's look after releasing receives
-		// the frame; without it the frame would wait for the next post.
+		// (a) The same for link input. Member 0's turn holds the baton when
+		// the wire's reader posts its predecessor's frame and calls the
+		// hook, whose CAS fails. Only the holder's look after releasing
+		// receives the frame; without it the frame would wait for the next
+		// post.
 		name: "link input posted under a held baton is taken by the holder's re-check",
 		link: true,
-		run: func(t *testing.T, r *batonRig, tr hookTransport) {
+		run: func(t *testing.T, ctx context.Context, r *batonRig, tr hookTransport) {
 			m := upstream(t, tr)
-			inTurn, proceed := make(chan struct{}), make(chan struct{})
-			hook := func(e core.Event) {
-				if e.Kind == core.EvComplete && e.Proc == 0 {
-					close(inTurn)
-					<-proceed
-				}
-			}
-			waitFor(t, "the scheduler goroutine to go idle", func() bool { return !r.s.baton.Load() })
-			r.hook.Store(&hook)
 			actx, acancel := context.WithCancel(ctx)
 			defer acancel()
-			go r.b.Await(actx, 0) // the pass needs member 1: it is cancelled
-			select {
-			case <-inTurn:
-			case <-ctx.Done():
-				t.Fatal("member 0's turn never completed its phase")
-			}
+			proceed, _ := r.turnHeld(t, actx)
 			tr[0].deliver(m)
 			if len(tr[0].state) != 1 {
 				t.Fatal("the frame was received while member 0's turn held the baton")
@@ -234,156 +248,133 @@ func TestBaton(t *testing.T) {
 			waitFor(t, "the holder to receive the frame", func() bool { return len(tr[0].state) == 0 && !r.s.posted() })
 		},
 	}, {
-		// Link input that arrives while a control message is pending is
-		// posted work like an arrival: the hook starts no turn, and the
-		// scheduler goroutine receives the frame only after it has applied
-		// the message — at the Reset the frame is still in the mailbox.
+		// (a) The same for a control message: the Reset of member 1 finds
+		// the baton held, its injector returns, and only the holder's look
+		// after releasing applies it.
+		name: "a control message posted under a held baton is taken by the holder's re-check",
+		run: func(t *testing.T, ctx context.Context, r *batonRig, _ hookTransport) {
+			actx, acancel := context.WithCancel(ctx)
+			defer acancel()
+			proceed, _ := r.turnHeld(t, actx)
+			r.b.Reset(1)
+			if len(r.s.ctrl) != 1 {
+				t.Fatal("the Reset was applied while member 0's turn held the baton")
+			}
+			close(proceed)
+			waitFor(t, "the holder to apply the Reset", func() bool { return len(r.s.ctrl) == 0 && !r.s.posted() })
+		},
+	}, {
+		// (b) Two Resets are queued while the test holds the baton. A drain
+		// between them steps the reset member, whose announcement counts a
+		// send: the second Reset is applied with more sends behind it than
+		// the first. Applied in one batch, both would see the same count.
+		name: "two Resets queued behind a held baton are applied with a drain between them",
+		run: func(t *testing.T, ctx context.Context, r *batonRig, _ hookTransport) {
+			r.hold(t)
+			next := r.sendsAtResets(ctx)
+			r.b.Reset(0)
+			r.b.Reset(1)
+			if len(r.s.ctrl) != 2 {
+				t.Fatalf("control channel holds %d, want both Resets", len(r.s.ctrl))
+			}
+			r.release()
+			first, second := next(t), next(t)
+			if second <= first {
+				t.Errorf("sends at the two Resets: %d, %d — no drain between them", first, second)
+			}
+		},
+	}, {
+		// (c) A Reset is injected and returns, then member 0 arrives, both
+		// behind a held baton. The turn that takes them must apply the
+		// Reset before it steps the arrival: at the EvReset nothing has
+		// been sent since the arrival, and the arrival meets the Reset's
+		// ErrReset rather than passing.
+		name: "an arrival posted after an injection returned is not stepped before the fault",
+		run: func(t *testing.T, ctx context.Context, r *batonRig, _ hookTransport) {
+			r.hold(t)
+			r.b.Reset(0)
+			if err := r.b.Enter(ctx, 0); err != nil {
+				t.Fatalf("Enter(0): %v", err)
+			}
+			next := r.sendsAtResets(ctx)
+			before := r.b.statSends.Load()
+			r.release()
+			if sends := next(t); sends != before {
+				t.Fatalf("%d sends before the Reset was applied: the arrival posted after it was stepped first", sends-before)
+			}
+			if _, err := r.b.Leave(ctx, 0); !errors.Is(err, ErrReset) {
+				t.Errorf("Leave(0) = %v, want ErrReset from the Reset applied before the arrival", err)
+			}
+		},
+	}, {
+		// (c) The same for link input: a frame the wire's reader posts
+		// after a Reset returned is received after the Reset is applied —
+		// at the EvReset the frame is still in the mailbox — though both
+		// wait behind one held baton and are taken by one turn.
 		name: "link input waits for a pending control message",
 		link: true,
-		run: func(t *testing.T, r *batonRig, tr hookTransport) {
+		run: func(t *testing.T, ctx context.Context, r *batonRig, tr hookTransport) {
 			m := upstream(t, tr)
 			bufferedAtReset := make(chan int, 1)
 			hook := func(e core.Event) {
 				if e.Kind == core.EvReset && e.Proc == 0 {
-					bufferedAtReset <- len(tr[0].state)
+					select {
+					case bufferedAtReset <- len(tr[0].state):
+					default:
+					}
 				}
 			}
 			r.hook.Store(&hook)
-			waitFor(t, "the scheduler goroutine to go idle", func() bool { return !r.s.baton.Load() })
-			r.s.queued.Add(1) // a sender between its count and its send
+			r.hold(t)
+			r.b.Reset(0)
 			tr[0].deliver(m)
-			if r.s.baton.Load() || len(tr[0].state) != 1 {
-				t.Fatalf("the hook ran a turn with control input pending (baton=%v buffered=%d)", r.s.baton.Load(), len(tr[0].state))
+			if len(tr[0].state) != 1 {
+				t.Fatal("the frame was received while the test held the baton")
 			}
-			if !offer(r.s.ctrl, ctrlMsg{id: 0, kind: ctrlReset}) {
-				t.Fatal("control channel full")
-			}
+			r.release()
 			select {
 			case n := <-bufferedAtReset:
 				if n != 1 {
-					t.Error("the frame posted before the Reset was sent was received before it was applied")
+					t.Error("the frame posted after the Reset returned was received before the Reset was applied")
 				}
 			case <-ctx.Done():
 				t.Fatal("the Reset was never applied")
 			}
-			waitFor(t, "the scheduler goroutine to receive the frame", func() bool { return len(tr[0].state) == 0 && !r.s.posted() })
+			waitFor(t, "the holder to receive the frame", func() bool { return len(tr[0].state) == 0 && !r.s.posted() })
 		},
 	}, {
-		// The scheduler goroutine holds a Reset it received while the test
-		// held the baton. With want set, the baton is free and member 0
-		// posts, yet no participant turn may start; the Reset is applied
-		// first, so at its EvReset member 0 has no arrival, and the
-		// arrival then meets the stored error.
-		name: "a received control message sets want and goes before later arrivals",
-		run: func(t *testing.T, r *batonRig, _ hookTransport) {
-			waitingAtReset := make(chan bool, 1)
-			g := r.b.lanes[0].gates[0]
-			hook := func(e core.Event) {
-				if e.Kind == core.EvReset && e.Proc == 0 {
-					waitingAtReset <- g.appWaiting // under the baton: the scheduler goroutine's turn
-				}
-			}
-			r.hook.Store(&hook)
-			r.resetInHand(t)
-			r.s.baton.Store(false) // free, but want is set: no nudge yet
-			if err := r.b.Enter(ctx, 0); err != nil {
-				t.Fatalf("Enter(0): %v", err)
-			}
-			if r.s.baton.Load() || !r.s.posted() {
-				t.Fatalf("a participant started a turn while the scheduler goroutine wanted the baton (baton=%v posted=%v)",
-					r.s.baton.Load(), r.s.posted())
-			}
-			r.s.want.Store(true) // the baton was released above without the hand-over: redo it
-			r.s.release()
-			select {
-			case waiting := <-waitingAtReset:
-				if waiting {
-					t.Error("the arrival posted after the Reset was received was applied before it")
-				}
-			case <-ctx.Done():
-				t.Fatal("the Reset was never applied")
-			}
-			if _, err := r.b.Leave(ctx, 0); !errors.Is(err, ErrReset) {
-				t.Errorf("Leave(0) = %v, want ErrReset from the Reset applied before the arrival", err)
+		// (d) A frame waits in member 0's mailbox from before New, so no
+		// hook was called for it and no input is marked. The priming turn
+		// polls the link anyway and receives it; a turn that polled only
+		// on the input mark would leave it for the next sweep, an hour
+		// away.
+		name: "a frame posted before Notify is received by the priming turn",
+		link: true,
+		before: func(tr hookTransport) {
+			m := Message{SN: 1, CP: core.Execute}
+			m.Sum = m.Checksum()
+			tr[0].state <- m
+		},
+		run: func(t *testing.T, ctx context.Context, r *batonRig, tr hookTransport) {
+			if len(tr[0].state) != 0 {
+				t.Error("the frame posted before Notify is still in the mailbox after New")
 			}
 		},
 	}, {
-		// The same for an input that is not a control message: woken by a
-		// bare nudge, the scheduler goroutine has no message pending, and
-		// want alone keeps a participant from starting a turn on the free
-		// baton. Handed the baton, the goroutine takes the arrival itself.
-		name: "want alone blocks participant turns",
-		run: func(t *testing.T, r *batonRig, _ hookTransport) {
-			r.wakeInHand(t)
-			r.s.baton.Store(false) // free, but want is set: no nudge yet
-			if err := r.b.Enter(ctx, 0); err != nil {
-				t.Fatalf("Enter(0): %v", err)
-			}
-			if r.s.baton.Load() || !r.s.posted() {
-				t.Fatalf("a participant started a turn while the scheduler goroutine wanted the baton (baton=%v posted=%v)",
-					r.s.baton.Load(), r.s.posted())
-			}
-			r.s.release()
-			waitFor(t, "the scheduler goroutine to take the arrival", func() bool { return !r.s.posted() })
-		},
-	}, {
-		// A control message is pending from just before its send until it
-		// is applied (sched.control). A participant that posts meanwhile
-		// finds the baton free and still starts no turn: no pass may
-		// complete on its arrival ahead of the fault, which is applied
-		// first once it reaches the scheduler goroutine.
-		name: "a participant leaves its arrival to the scheduler goroutine while control input is pending",
-		run: func(t *testing.T, r *batonRig, _ hookTransport) {
-			waitFor(t, "the scheduler goroutine to go idle", func() bool { return !r.s.baton.Load() })
-			r.s.queued.Add(1) // a sender between its count and its send
-			if err := r.b.Enter(ctx, 0); err != nil {
-				t.Fatalf("Enter(0): %v", err)
-			}
-			if r.s.baton.Load() || !r.s.posted() {
-				t.Fatalf("a participant ran a turn with control input pending (baton=%v posted=%v)", r.s.baton.Load(), r.s.posted())
-			}
-			if !offer(r.s.ctrl, ctrlMsg{id: 0, kind: ctrlReset}) {
-				t.Fatal("control channel full")
-			}
-			if _, err := r.b.Leave(ctx, 0); !errors.Is(err, ErrReset) {
-				t.Errorf("Leave(0) = %v, want ErrReset from the Reset applied before the arrival", err)
-			}
-		},
-	}, {
-		name: "Halt gets a scheduler goroutine waiting for the baton out",
-		run: func(t *testing.T, r *batonRig, _ hookTransport) {
-			r.resetInHand(t)
-			r.b.Halt()
-			waitQuiesced(t, r.b)
-		},
-	}, {
-		name: "Stop gets a scheduler goroutine waiting for the baton out",
-		run: func(t *testing.T, r *batonRig, _ hookTransport) {
-			r.resetInHand(t)
-			stopped := make(chan struct{})
-			go func() { r.b.Stop(); close(stopped) }()
-			select {
-			case <-stopped:
-			case <-time.After(5 * time.Second):
-				t.Fatal("Stop did not return while the test held the baton")
-			}
-		},
-	}, {
-		// Member 1 has arrived; member 0's arrival would complete the pass.
-		// It is posted the way enterGate posts it, but only after Halt, and
-		// the turn that takes the baton must see the barrier down.
+		// (e) Member 1 has arrived; member 0's arrival would complete the
+		// pass. It is posted the way enterGate posts it, but only after
+		// Halt, and the turn that takes the baton must see the barrier
+		// down.
 		name: "a turn on a down barrier delivers nothing",
-		run: func(t *testing.T, r *batonRig, _ hookTransport) {
+		run: func(t *testing.T, ctx context.Context, r *batonRig, _ hookTransport) {
 			if err := r.b.Enter(ctx, 1); err != nil {
 				t.Fatalf("Enter(1): %v", err)
 			}
-			r.wakeInHand(t) // park the scheduler goroutine away from the baton
 			r.b.Halt()
 			waitQuiesced(t, r.b)
 			g := r.b.lanes[0].gates[0]
 			g.arrival.Store(1)
 			r.s.post(0)
-			r.s.baton.Store(false)
 			r.s.assist()
 			for id, g := range r.b.lanes[0].gates {
 				if rs := results(g); len(rs) != 0 {
@@ -406,10 +397,38 @@ func TestBaton(t *testing.T) {
 				tr = newHookTransport(2)
 				trans = tr
 			}
+			if row.before != nil {
+				row.before(tr)
+			}
 			r := newBatonRig(t, trans)
-			row.run(t, r, tr)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			row.run(t, ctx, r, tr)
 			r.b.Stop()
 			waitFor(t, "the barrier's goroutines to exit", func() bool { return goruntime.NumGoroutine() <= base })
+		})
+	}
+}
+
+// A scheduler is no goroutine: a barrier on one scheduler and one with a
+// scheduler per member over channel links each add exactly the resend
+// sweeper to the process, and Stop takes it away again. (A channel link
+// starts a goroutine per hooked post, which exits with its turn; the
+// ring here goes quiet once primed.)
+func TestOneGoroutinePerBarrier(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   func() Transport
+	}{
+		{"one scheduler", func() Transport { return nil }},
+		{"chan transport", func() Transport { return NewChanTransport(2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := goruntime.NumGoroutine()
+			r := newBatonRig(t, tc.tr())
+			waitFor(t, "the barrier to run exactly one goroutine", func() bool { return goruntime.NumGoroutine() == base+1 })
+			r.b.Stop()
+			waitFor(t, "Stop to return the goroutine count to base", func() bool { return goruntime.NumGoroutine() <= base })
 		})
 	}
 }

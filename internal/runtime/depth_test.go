@@ -379,7 +379,7 @@ func TestResetVoidsArrivalOnlyAtWindowHead(t *testing.T) {
 // inflates the wasted counter past what the begins can cover; a storm of
 // cancellations makes any systematic over-count blow through the bounded
 // slack. Swept across placements and window depths; ring-chan is the
-// interleaving — a scheduler goroutine per ring member over channel
+// interleaving — a scheduler per ring member over channel
 // lanes — on which ring/depth=2 once hung (ROADMAP item 0).
 func TestCancelDuringRecoveryWastedAccounting(t *testing.T) {
 	if testing.Short() {

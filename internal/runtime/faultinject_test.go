@@ -11,20 +11,34 @@ import (
 	"repro/internal/core"
 )
 
-// waitQuiesced waits for every scheduler (and the resend sweeper) to exit,
-// so white-box tests may touch proc state and channels without racing them.
+// waitQuiesced waits, on a barrier that is down, for the resend sweeper to
+// exit and for every scheduler turn in flight to end (it takes and
+// releases each baton). Every later turn sees the barrier down and touches
+// nothing, so white-box tests may touch proc state and channels without
+// racing one.
 func waitQuiesced(t *testing.T, b *Barrier) {
 	t.Helper()
 	done := make(chan struct{})
-	go func() { b.wg.Wait(); close(done) }()
+	go func() {
+		b.wg.Wait()
+		for _, ln := range b.lanes {
+			for _, s := range ln.scheds {
+				for !s.baton.CompareAndSwap(false, true) {
+					time.Sleep(50 * time.Microsecond)
+				}
+				s.baton.Store(false)
+			}
+		}
+		close(done)
+	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("protocol goroutines did not exit")
+		t.Fatal("the barrier did not quiesce")
 	}
 }
 
-// Halt quiesces the ring: the scheduler and the sweeper exit instead of
+// Halt quiesces the ring: the sweeper exits and the turns stop instead of
 // retransmitting state forever into a barrier that can never complete.
 func TestHaltQuiescesRing(t *testing.T) {
 	b, err := New(Config{Participants: 3, Resend: 50 * time.Microsecond, Seed: 31})
@@ -38,7 +52,8 @@ func TestHaltQuiescesRing(t *testing.T) {
 	b.Halt()
 	waitQuiesced(t, b)
 
-	// With the goroutines gone, the send counter must be frozen.
+	// With the sweeper gone and every turn a no-op, the send counter must
+	// be frozen.
 	before := b.Stats().Sends
 	time.Sleep(5 * time.Millisecond)
 	if after := b.Stats().Sends; after != before {
@@ -90,7 +105,7 @@ func TestSpuriousEntersThroughControl(t *testing.T) {
 				mailbox <- genuine
 			}
 
-			ctrl := ln.gates[victim].ctrl
+			ctrl := ln.gates[victim].s.ctrl
 			calls := cap(ctrl) - len(ctrl) + extra
 			before := b.Stats()
 			for k := 0; k < calls; k++ {

@@ -44,7 +44,7 @@ func parkedInLeave() int {
 
 // n-1 members wait in Leave for a pass the last member never lets happen;
 // Halt (Stop) must get every one of them out with ErrHalted (ErrStopped),
-// and every scheduler goroutine with them. Swept over the placements, the
+// and leave no turn running (waitQuiesced). Swept over the placements, the
 // window depths and a ctx that can end and one that cannot (a nil Done
 // channel in the park). The barrier goes down only once all n-1 are seen
 // parked, and each must have taken its poke: nothing else ends that park.

@@ -27,19 +27,22 @@
 //     frames, and must map every transport-level failure — decode error,
 //     connection reset, partial write — onto message loss by discarding
 //     the damaged data. No transport failure needs new recovery logic.
-//   - Input may be announced. A link with a Notify(func()) method (the
-//     mux's links) is handed its scheduler's input hook when the barrier
-//     attaches it; the link calls the hook after it posts a frame to a
-//     receive channel, on the goroutine that posted, and that goroutine
-//     may then run the scheduler's turn. It must call the hook after the
-//     post, never before, and never from inside a Send*: a send is made
-//     by a turn, and a hook called there would nest one scheduler's turn
-//     inside another's. A link without the method is received by its
-//     scheduler's goroutine as well.
+//   - Input is announced. A scheduler has no goroutine to wait on its
+//     link: the barrier registers the scheduler's input hook (Notify)
+//     when it attaches the link, and the link calls the hook after it
+//     posts a frame to a receive channel; whoever calls it may then run
+//     the scheduler's turn. It must call the hook after the post, never
+//     before, and never on the goroutine of a Send*: a send is made by a
+//     turn, and a hook called there would nest one scheduler's turn
+//     inside another's. The mux calls it on the reader that read the
+//     frame; the in-process channel links, whose posts are the sends of
+//     another scheduler's turn, start a fresh goroutine for it. A link
+//     with no hook registered calls nothing.
 package runtime
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/tokenring"
@@ -93,6 +96,9 @@ type Link interface {
 	State() <-chan Message
 	// Top is the channel of ⊤ markers received from the successor.
 	Top() <-chan struct{}
+	// Notify registers the scheduler's input hook, which the link calls
+	// after each post to State or Top (see the contract above).
+	Notify(func())
 	// Close tears down any goroutines and connections serving this link.
 	// It must not close the State/Top channels (a scheduler may still be
 	// selecting on them).
@@ -151,33 +157,46 @@ type chanLink struct {
 	id    int
 	state chan Message  // announcements from the predecessor
 	top   chan struct{} // ⊤ markers from the successor
+	hook
 }
 
 func (l *chanLink) SendState(m Message) {
 	n := len(l.t.links)
-	dst := l.t.links[(l.id+1)%n].state
+	dst := l.t.links[(l.id+1)%n]
 	// Latest-state-wins mailbox: drain a stale message, then send.
 	select {
-	case <-dst:
+	case <-dst.state:
 	default:
 	}
-	select {
-	case dst <- m:
-	default:
+	if offer(dst.state, m) {
+		dst.wake()
 	}
 }
 
 func (l *chanLink) SendTop() {
 	n := len(l.t.links)
-	dst := l.t.links[(l.id-1+n)%n].top
-	select {
-	case dst <- struct{}{}:
-	default: // a ⊤ marker is already pending; it is idempotent
-	}
+	dst := l.t.links[(l.id-1+n)%n]
+	if offer(dst.top, struct{}{}) {
+		dst.wake()
+	} // else a ⊤ marker is already pending; it is idempotent
 }
 
 func (l *chanLink) State() <-chan Message { return l.state }
 func (l *chanLink) Top() <-chan struct{}  { return l.top }
+
+// hook is a channel link's input hook (Notify). A channel link's posts are
+// the sends of another scheduler's turn, so wake runs the hook on a fresh
+// goroutine, which ends with the turn it runs (on a down barrier, at
+// once); with no hook registered it starts nothing.
+type hook struct{ f atomic.Pointer[func()] }
+
+func (h *hook) Notify(f func()) { h.f.Store(&f) }
+
+func (h *hook) wake() {
+	if f := h.f.Load(); f != nil {
+		go (*f)()
+	}
+}
 
 // offer is a non-blocking send: it reports false when ch is full.
 func offer[M any](ch chan M, m M) bool {

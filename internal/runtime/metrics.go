@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the barrier's observability surface: the live versions of
-// the paper's Section 6 measurements, recorded on the scheduler goroutines
+// the paper's Section 6 measurements, recorded inside scheduler turns
 // without allocating and exported through an obsv.Registry.
 //
 // The budget is set by the one-scheduler tree — 0 allocs/op at ~58µs

@@ -1,10 +1,10 @@
 // Package runtime is a working fault-tolerant barrier for Go programs: a
 // message-passing implementation of program MB (Section 5 of the paper)
 // and its tree refinement. The protocol processes are guarded-command
-// state machines stepped by scheduler goroutines (sched.go): co-located
-// members share one scheduler, which copies their announcements as
-// registers; over a Transport each ring member or host gets a scheduler
-// with one link.
+// state machines stepped by schedulers (sched.go), whose turns run on
+// whichever goroutine posted their input: co-located members share one
+// scheduler, which copies their announcements as registers; over a
+// Transport each ring member or host gets a scheduler with one link.
 // It is the library a systems programmer would embed — the paper's
 // "third alternative" to MPI's abort-or-error-code fault handling.
 //
@@ -277,7 +277,7 @@ type Barrier struct {
 	stopOnce  sync.Once
 	stopped   chan struct{}
 	closeOnce sync.Once
-	wg        sync.WaitGroup
+	wg        sync.WaitGroup // the resend sweeper
 
 	sinkMu sync.Mutex
 	sink   core.EventSink
@@ -325,9 +325,9 @@ type Barrier struct {
 // ring and tree topologies: the work gate (has the participant arrived at
 // the barrier?), the outstanding-Await bookkeeping, and the wake channel.
 // Only the holder of the hosting scheduler's baton touches the mutable
-// fields — the scheduler goroutine or a participant running a turn (see
-// sched.go). The participant posts its arrival in arrival, parks on wake,
-// and keeps its own tickets/entered.
+// fields — whichever goroutine runs the scheduler's turn (see sched.go).
+// The participant posts its arrival in arrival, parks on wake, and keeps
+// its own tickets/entered.
 //
 // wake is the one channel a parked Leave waits on beside its caller's
 // ctx.Done(). It has two kinds of sender. A turn of the hosting scheduler,
@@ -371,11 +371,9 @@ type gate struct {
 	// was already false — a quiet edge that may be masking a lost message.
 	sentSinceTick atomic.Bool
 
-	// s is the hosting scheduler; ctrl is its control channel, shared by
-	// every member it hosts, which other goroutines send on through
-	// s.control.
-	s    *sched
-	ctrl chan ctrlMsg
+	// s is the hosting scheduler, whose control channel other goroutines
+	// post faults and resend pokes to through s.control.
+	s *sched
 	// arrival is the ticket of the participant's posted arrival: stored by
 	// enterGate before it sets the member's bit in s.arrivals, read by the
 	// turn that takes it (takeArrival).
@@ -397,7 +395,6 @@ func newGate(s *sched, id, lane int) *gate {
 		lane:       lane,
 		lastDonePh: -1,
 		s:          s,
-		ctrl:       s.ctrl,
 		wake:       make(chan awaitResult, 1),
 	}
 }
@@ -443,8 +440,8 @@ type node struct {
 	// neither receives, steps nor announces — until ctrlRestart revives it.
 	crashed bool
 
-	// rng is owned by the hosting scheduler (seeded before it starts; the
-	// goroutine-start happens-before edge publishes it).
+	// rng is owned by the hosting scheduler (seeded before New primes it;
+	// the baton publishes it to later turns).
 	rng prng.PRNG
 }
 
@@ -601,8 +598,7 @@ func New(cfg Config) (*Barrier, error) {
 	}
 	for _, ln := range b.lanes {
 		for _, s := range ln.scheds {
-			b.wg.Add(1)
-			go s.run()
+			s.prime()
 		}
 	}
 	b.wg.Add(1)
@@ -616,8 +612,10 @@ func New(cfg Config) (*Barrier, error) {
 // alone — the recent send stands in for the retransmission — so hot
 // schedulers take no timer wakeup at all. A quiet member is poked with
 // ctrlTick: it forgets its last announcement and retransmits, masking a
-// potentially lost message. Quietness is judged per member, so a message
-// lost right after a sweep is retransmitted by the sweep after the next:
+// potentially lost message — in a turn the sweeper runs itself, unless
+// another goroutine holds the scheduler's baton (sched.control).
+// Quietness is judged per member, so a message lost right after a sweep is
+// retransmitted by the sweep after the next:
 // the masking delay on an edge that crosses a Transport is at most two
 // periods (of at least the host's idle-timer granularity, see
 // Config.Resend). Between members of one scheduler the sweep is only the
@@ -639,9 +637,9 @@ func (b *Barrier) sweepResends(resend time.Duration) {
 				if g == nil || g.sentSinceTick.CompareAndSwap(true, false) {
 					continue // hosted elsewhere, or hot
 				}
-				// A full control buffer drops the poke: the scheduler is
-				// busy draining work and will announce on its own, and the
-				// next sweep retries.
+				// A full control buffer drops the poke: the scheduler's
+				// holder is busy draining work and will announce on its
+				// own, and the next sweep retries.
 				g.s.control(ctrlMsg{id: g.id, kind: ctrlTick})
 			}
 		}
@@ -667,7 +665,7 @@ func (b *Barrier) startRing(cfg Config, members []int, ln *lane) error {
 			ln.links = append(ln.links, link)
 			s := newSched(b, cfg, ln, 1)
 			s.link, s.extFrom, s.extTop = link, link.State(), link.Top()
-			s.hook(link)
+			link.Notify(s.external)
 			s.in = &s.addRing(cfg, ln, j).node
 		}
 	}
@@ -906,11 +904,10 @@ func (b *Barrier) Await(ctx context.Context, id int) (int, error) {
 // already ended: those are looked at first, without blocking.
 //
 // Enter never blocks. It posts the arrival to the member's own scheduler
-// and, if that scheduler's baton is free and its goroutine has no input to
-// apply first, runs the scheduler's turn itself: it may step other
-// members, send their frames and deliver their results — the last Enter of
-// a pass completes it and delivers every participant's result, its own
-// included, before it returns.
+// and, if that scheduler's baton is free, runs the scheduler's turn
+// itself: it may step other members, send their frames and deliver their
+// results — the last Enter of a pass completes it and delivers every
+// participant's result, its own included, before it returns.
 //
 // With Depth > 1, Enter tops the pipeline window up to Depth
 // outstanding waves: wave k+1's instance launches before wave k
@@ -1240,15 +1237,16 @@ func (b *Barrier) inject(id int, m ctrlMsg) {
 
 // Halt puts the barrier into fail-safe mode (Table 1, uncorrectable +
 // detectable): no barrier completion will ever be reported again;
-// outstanding and future Awaits return ErrHalted. The schedulers and the
-// resend sweeper quiesce — waves stop circulating and retransmitting — so
-// a halted barrier consumes no CPU while it waits to be Stopped.
+// outstanding and future Awaits return ErrHalted. The resend sweeper exits
+// and every later scheduler turn does nothing (sched.turn) — waves stop
+// circulating and retransmitting — so a halted barrier consumes no CPU
+// while it waits to be Stopped.
 //
-// No parked Leave or idle scheduler watches the halted channel: Halt
-// closes it and then pokes each of them (wakeAll), and the one woken looks
-// (down) and returns. A pass already delivered to a participant's wake
-// buffer is not displaced: its Leave still returns the phase, and the
-// Await after it ErrHalted.
+// No parked Leave watches the halted channel: Halt closes it and then
+// pokes each of them (wakeAll), and the one woken looks (down) and
+// returns. A pass already delivered to a participant's wake buffer is not
+// displaced: its Leave still returns the phase, and the Await after it
+// ErrHalted.
 func (b *Barrier) Halt() {
 	b.haltOnce.Do(func() {
 		close(b.halted)
@@ -1257,20 +1255,17 @@ func (b *Barrier) Halt() {
 }
 
 // wakeAll is the delivery half of Halt and Stop, called once the halted or
-// stopped channel is closed: a poke into every local gate's wake buffer and
-// an offer on every scheduler's nudge, all non-blocking. A full buffer means
-// its reader has a wake-up coming anyway, and every wake-up leads through
-// down() before the reader parks again — so a waiter either sees the closed
-// channel on its own or is woken to see it, and none watches it while parked.
+// stopped channel is closed: a poke into every local gate's wake buffer,
+// non-blocking. A full buffer means its reader has a wake-up coming
+// anyway, and every wake-up leads through down() before the reader parks
+// again — so a waiter either sees the closed channel on its own or is
+// woken to see it, and none watches it while parked.
 func (b *Barrier) wakeAll() {
 	for _, ln := range b.lanes {
 		for _, g := range ln.gates {
 			if g != nil {
 				offer(g.wake, awaitResult{ticket: pokeTicket})
 			}
-		}
-		for _, s := range ln.scheds {
-			offer(s.nudge, struct{}{})
 		}
 	}
 }
@@ -1285,12 +1280,13 @@ func (b *Barrier) Halted() bool {
 	}
 }
 
-// Stop shuts the barrier down: the schedulers exit, then the transport
-// links they used (dialer and connection goroutines included) are
-// closed. Outstanding Awaits and Awaits racing Stop return ErrStopped
-// (ErrHalted on a barrier that was halted first). Like Halt, Stop closes
-// its channel and pokes the waiters and schedulers (wakeAll); only the
-// resend sweeper watches the channel itself.
+// Stop shuts the barrier down: the resend sweeper exits and every later
+// scheduler turn does nothing, then the transport links the schedulers
+// used (dialer and connection goroutines included) are closed.
+// Outstanding Awaits and Awaits racing Stop return ErrStopped (ErrHalted
+// on a barrier that was halted first). Like Halt, Stop closes its channel
+// and pokes the waiters (wakeAll); only the resend sweeper watches the
+// channel itself.
 //
 // Stop is idempotent and safe to call concurrently — with itself, with
 // Halt, and with outstanding Awaits. Every call blocks until the shutdown

@@ -1,12 +1,13 @@
 // The runtime's one executor. Every protocol member — ring proc or tree
-// proc — runs on a sched: one goroutine that owns the state of the
-// members it hosts and steps them off a dirty-flag work queue. The
-// paper's programs are guarded-command processes, correct under any fair
-// interleaving of their actions; the scheduler picks one (a deterministic
-// queue at step granularity, compare the guarded engine's
-// maximal-parallel scheduler), and the protocol code — step, announce
-// with its loss and corruption draws, the checksum and window checks at
-// the receiver — is the same wherever a member is placed.
+// proc — runs on a sched: a state machine that owns the state of the
+// members it hosts and steps them off a dirty-flag work queue. The paper's
+// programs are guarded-command processes, correct under any fair
+// interleaving of their actions, so it does not matter which goroutine
+// steps a member, only that someone does; the scheduler picks one of the
+// legal schedules (a deterministic queue at step granularity, compare the
+// guarded engine's maximal-parallel scheduler), and the protocol code —
+// step, announce with its loss and corruption draws, the checksum and
+// window checks at the receiver — is the same wherever a member is placed.
 //
 // Placement is the only policy; Topology, Transport and Members decide it:
 //
@@ -27,64 +28,52 @@
 // the topology: the upstream neighbour's register — the ring predecessor's
 // or the tree parent's (node.lastSent) — reaches the member's one copy of
 // it through one receive (node.onState), whether it was copied (a hop),
-// pulled (pullRound) or received (extFrom). Every input a member sees
-// comes through one of two doors, each a place where other goroutines
-// post. The control channel the hosted members share carries resend pokes
-// and every fault kind, a spurious frame included (the paper's faults are
-// environment actions on a process's variables, and "unexpected message
-// reception" is one on the receiver's copy). Posted work is everything
-// else: the arrivals, one word per gate (gate.arrival) and one bit per
-// hosted member (arrivals), and the link's input — upstream state frames,
-// the ring's ⊤ markers, a host's convergecast frames — in the link's
-// receive channels. A scheduler owns no timer: the barrier's one sweeper
-// paces every retransmission.
+// pulled (pullRound) or received (extFrom).
 //
-// Who runs a turn — take the posted arrivals, receive the link's input,
-// drain the queue, pull at quiescence — is whoever holds the baton, and
-// only the holder receives from the channels. A goroutine that posts work
-// tries to take the baton (one CAS) and, if it gets it, runs the turn
-// itself (assist). An arriving participant does: the last arriver carries
-// the whole wave and delivers every result, its own included, so neither
-// its arrival nor its Leave wakes another goroutine. A link that tells its
-// scheduler when it has posted (notifier; the mux's links) has its reader
-// do the same (external): a wire frame is answered on the goroutine that
-// read it, and that scheduler's goroutine no longer waits on the link.
-// The scheduler goroutine releases the baton when it runs out of work and
-// parks on its inputs; woken by one while another goroutine holds the
-// baton, it sets want — posters then start no turn — and parks on the
-// nudge, which the holder offers on release. It never spins: a spinning
-// scheduler waiting on a descheduled participant would hold the control
-// channel's faults back for milliseconds and apply them in one batch. Every
-// release is followed by a look for posted work, and the atomics are
-// sequentially consistent, so of a poster whose CAS failed and the holder
-// that released, one sees the other's write: no posted work is left behind.
+// Every input a member sees is posted work, in one of three places other
+// goroutines write: the arrivals, one word per gate (gate.arrival) and one
+// bit per hosted member (arrivals); the control channel the hosted members
+// share, which carries resend pokes and every fault kind, a spurious frame
+// included (the paper's faults are environment actions on a process's
+// variables, and "unexpected message reception" is one on the receiver's
+// copy); and the link's receive channels — upstream state frames, the
+// ring's ⊤ markers, a host's convergecast frames. A control message or
+// link input also sets input. A scheduler owns no goroutine and no timer:
+// the barrier's one sweeper paces every retransmission, poking a quiet
+// member through the control channel like any fault injector.
 //
-// Faults keep their place among the passes. A control message counts as
-// queued from just before its send until it is applied (control); while
-// one is, posters start no turn and the scheduler goroutine takes no
-// arrival (first), so no pass completes on an arrival posted after the
-// fault was injected — the order the control channel kept when arrivals
-// queued in it behind the faults.
+// Whoever posts work runs the turn — apply the control messages, take the
+// posted arrivals, receive the link's input, drain the queue, pull at
+// quiescence — if it gets the baton (one CAS; assist), and only the
+// holder receives from the channels. An arriving participant does: the
+// last arriver carries the whole wave and delivers every result, its own
+// included, so neither its arrival nor its Leave wakes another goroutine.
+// So does a fault injector or the sweeper (control), and the goroutine
+// that posted link input, which calls the hook the scheduler registered
+// with its link (Notify, external): a wire frame is answered on the mux
+// reader that read it, a channel link's frame on a fresh goroutine. New
+// runs each scheduler's first turn (prime). A poster that finds the baton
+// taken leaves its work to the holder: every release is followed by a
+// look for posted work, and the atomics are sequentially consistent, so
+// of a poster whose CAS failed and the holder that released, one sees the
+// other's write. Nobody waits for the baton, and nothing spins.
 //
-// The nudge is how a scheduler learns of Halt and Stop and of a baton
-// handed back to it. It does not wait on Halt's and Stop's channels: it
-// looks at them (Barrier.down) each time round its loop, and Halt and Stop
-// offer the nudge after closing theirs, which ends an idle park or a wait
-// for the baton. The nudge has capacity 1 and carries no payload — its
-// senders are Barrier.wakeAll and a baton holder's release (sched.release),
-// both non-blocking, and a full buffer already guarantees the wake-up they
-// wanted. The participants' side of the same arrangement is the gate's wake
-// channel, where a turn is the sender of results and wakeAll of pokes (see
-// gate).
+// Faults keep their place among the passes (controls). A turn applies
+// control messages one at a time and drains after each, so spaced faults
+// are never applied in one batch; and it applies every message posted
+// before the arrivals it took ahead of the drain that steps them, so no
+// pass completes on an arrival posted after an injection returned and
+// before its fault was applied. (Applying an arrival and a control
+// message commute; a drain between them does not.)
 //
 // What a scheduler can do without a timer is notice, when it runs out of
 // work, that a frame between two members it hosts never arrived: both ends
 // of a direct-copy edge are its own state, so it keeps a ledger of those
-// edges (owed) and, if the ledger does not balance at the idle transition,
-// has every member re-read its co-hosted neighbours' output registers
-// (pullRound) before it parks. Loss on a direct-copy edge is thereby masked
-// at the next quiescence; loss on the external attachment still waits for
-// the sweeper (DESIGN.md §12).
+// edges (owed) and, if the ledger does not balance when a turn's queue
+// runs dry, has every member re-read its co-hosted neighbours' output
+// registers (pullRound) before the turn ends. Loss on a direct-copy edge
+// is thereby masked at the next quiescence; loss on the external
+// attachment still waits for the sweeper (DESIGN.md §12).
 package runtime
 
 import (
@@ -111,7 +100,7 @@ type member interface {
 // sched is the scheduler: a work queue of members with unprocessed input
 // or unapplied enabled actions. All proc and gate state, and the queue,
 // belong to the holder of the baton; the channels and the atomics
-// (arrivals, linkIn, baton, want, queued) are shared.
+// (arrivals, input, baton) are shared.
 type sched struct {
 	b       *Barrier
 	members []member // indexed by member id; nil for members hosted elsewhere
@@ -119,25 +108,21 @@ type sched struct {
 	// owed is the ledger of the direct-copy edges: frames announced to a
 	// co-hosted neighbour (counted before the loss draw) minus frames its
 	// receive function took with a good checksum, plus one for every fault
-	// that cost a hosted member its copies. Nonzero at the idle transition
+	// that cost a hosted member its copies. Nonzero when the queue runs dry
 	// means some copy may trail its neighbour's register: see pullRound.
 	owed int
 
 	lossRate, corruptRate float64 // Config's, drawn against in lost
 
-	ctrl  chan ctrlMsg
-	nudge chan struct{} // "look again": Halt, Stop, or the baton is free
+	ctrl chan ctrlMsg
 
 	// arrivals has one bit per hosted member whose gate holds a posted
-	// arrival not yet taken (bit id%64 of word id/64), and linkIn says a
-	// notifier link posted input since the holder last looked. baton is
-	// held by whoever runs a turn; want says the scheduler goroutine has an
-	// input in hand and waits for the baton, so no poster starts a turn.
+	// arrival not yet taken (bit id%64 of word id/64), and input says a
+	// control message or link input was posted since the holder last
+	// looked. baton is held by whoever runs a turn.
 	arrivals []atomic.Uint64
-	linkIn   atomic.Bool
+	input    atomic.Bool
 	baton    atomic.Bool
-	want     atomic.Bool
-	queued   atomic.Int32 // control messages sent and not yet applied: see control
 
 	dirty []bool
 	queue []int
@@ -151,15 +136,13 @@ type sched struct {
 	// neighbour's state frames — the ring predecessor's announcements or
 	// the parent host's down frames; extTop, the ring successor's ⊤
 	// markers; extUp, the child hosts' convergecast frames. A channel the
-	// attachment lacks is nil, never ready. notified says the link posts
-	// its input (hook): the scheduler goroutine's park leaves it alone.
-	link     Link
-	tlink    TreeLink
-	in       *node
-	extFrom  <-chan Message
-	extTop   <-chan struct{}
-	extUp    <-chan UpMessage
-	notified bool
+	// attachment lacks is nil, never ready.
+	link    Link
+	tlink   TreeLink
+	in      *node
+	extFrom <-chan Message
+	extTop  <-chan struct{}
+	extUp   <-chan UpMessage
 
 	// Host-tree addressing (with tlink): tlink's node space is the host
 	// indices, host is this scheduler's; hy.HostOf addresses down sends to
@@ -169,7 +152,7 @@ type sched struct {
 }
 
 // newSched adds an empty scheduler for a roster of hosted members to the
-// lane; addRing/addTree populate it and New starts it.
+// lane; addRing/addTree populate it and New primes it.
 func newSched(b *Barrier, cfg Config, ln *lane, hosted int) *sched {
 	// The control channel: one resend poke per hosted member plus headroom
 	// for fault-injection bursts (inject drops on overflow). Arrivals do
@@ -185,13 +168,12 @@ func newSched(b *Barrier, cfg Config, ln *lane, hosted int) *sched {
 		lossRate:    cfg.LossRate,
 		corruptRate: cfg.CorruptRate,
 		ctrl:        make(chan ctrlMsg, ctrlCap),
-		nudge:       make(chan struct{}, 1),
 		arrivals:    make([]atomic.Uint64, (b.n+63)/64),
 		dirty:       make([]bool, b.n),
 		queue:       make([]int, 0, b.n),
 		hops:        make([]hop, 0, hosted+1), // one per co-hosted neighbour, and a ⊤ marker
 	}
-	s.baton.Store(true) // run starts with it: it primes the members
+	s.baton.Store(true) // prime releases it, after the first turn
 	ln.scheds = append(ln.scheds, s)
 	return s
 }
@@ -265,7 +247,7 @@ func (b *Barrier) startHosts(cfg Config, hy *topo.Hybrid, members []int, tt Tree
 		ln.links = append(ln.links, tl)
 		s := newSched(b, cfg, ln, len(roster))
 		s.tlink, s.extFrom, s.extUp = tl, tl.Down(), tl.Up()
-		s.hook(tl)
+		tl.Notify(s.external)
 		s.host, s.hy = h, hy
 		for _, id := range roster {
 			s.addTree(cfg, ln, id, hy.Tree)
@@ -518,7 +500,6 @@ func (s *sched) pullRound() bool {
 
 // onCtrl dispatches a control message to its target member.
 func (s *sched) onCtrl(c ctrlMsg) {
-	defer s.queued.Add(-1)
 	if c.id < 0 || c.id >= len(s.members) || s.members[c.id] == nil {
 		return
 	}
@@ -532,26 +513,11 @@ func (s *sched) onCtrl(c ctrlMsg) {
 	s.mark(c.id)
 }
 
-// notifier is a link that says when it has posted input to its receive
-// channels: its reader calls the function registered with Notify after
-// each post (see Link). The mux's links are notifiers; a link that is not
-// is received by the scheduler goroutine's park as well as by turns.
-type notifier interface{ Notify(func()) }
-
-// hook attaches the scheduler to its link's input: if the link is a
-// notifier, every post runs external.
-func (s *sched) hook(l any) {
-	if n, ok := l.(notifier); ok {
-		n.Notify(s.external)
-		s.notified = true
-	}
-}
-
-// external is the link's side of assist, run by the goroutine that posted
-// the input: mark it posted, then take the baton and run the turn that
-// receives it — respecting first(), as an arriving participant does.
+// external is the hook the scheduler registers with its link (Notify),
+// run by the goroutine that posted link input, and control's tail: mark
+// the input posted, then take the baton and run the turn that receives it.
 func (s *sched) external() {
-	s.linkIn.Store(true)
+	s.input.Store(true)
 	s.assist()
 }
 
@@ -583,52 +549,59 @@ func (s *sched) onExtUp(m UpMessage) {
 	s.mark(s.in.id)
 }
 
-// poll consumes already-queued input with non-blocking single-channel
-// polls and reports whether there was any. Polling an empty channel is a
-// lock-free check, where the blocking select in run locks every live
-// case's channel on entry and exit — with a wave hot that difference
-// dominates the cost of a hop.
-func (s *sched) poll() bool {
-	progressed := false
-	select {
-	case c := <-s.ctrl:
-		s.onCtrl(c)
-		progressed = true
-	default:
-	}
-	return s.pollLink() || progressed
-}
-
-// pollLink is poll's link half, and a turn's look at the link. It clears
-// linkIn before it looks, so input posted after the look is posted again.
-func (s *sched) pollLink() bool {
+// pollLink receives what the link's channels hold, with non-blocking
+// single-channel polls: polling an empty channel is a lock-free check,
+// where a select over several locks every one. A turn polls them whether
+// or not input was posted, so frames the link kept from before the hook
+// was registered are received by the next turn, not the next sweep.
+func (s *sched) pollLink() {
 	if s.in == nil {
-		return false
+		return
 	}
-	s.linkIn.Swap(false) // a read of the poster's mark, so its frame is seen
-	progressed := false
 	select {
 	case m := <-s.extFrom:
 		s.onExtFrom(m)
-		progressed = true
 	default:
 	}
 	select {
 	case <-s.extTop:
 		s.onExtTop()
-		progressed = true
 	default:
 	}
-	for drained := false; !drained; {
+	for {
 		select {
 		case m := <-s.extUp:
 			s.onExtUp(m)
-			progressed = true
 		default:
-			drained = true
+			return
 		}
 	}
-	return progressed
+}
+
+// controls applies the control messages waiting in the channel if input
+// was posted since the holder last looked, clearing input first, so input
+// posted after the look is posted again. drained applies them one at a
+// time with a drain after each; a turn does that before it takes the
+// arrivals. Called again after the take, undrained, it applies what was
+// posted since the first look ahead of the drain that steps the arrivals:
+// an arrival posted after an injection returned must not be stepped before
+// the fault is applied.
+func (s *sched) controls(drained bool) {
+	if !s.input.Load() {
+		return
+	}
+	s.input.Swap(false) // a read of the poster's mark, so its message is seen
+	for {
+		select {
+		case c := <-s.ctrl:
+			s.onCtrl(c)
+			if drained {
+				s.drain()
+			}
+		default:
+			return
+		}
+	}
 }
 
 // post marks member id's arrival as posted; its ticket is already in the
@@ -644,10 +617,10 @@ func (s *sched) post(id int) {
 	}
 }
 
-// posted reports whether an arrival or notified link input waits to be
-// taken.
+// posted reports whether an arrival, a control message or link input waits
+// to be taken.
 func (s *sched) posted() bool {
-	if s.linkIn.Load() {
+	if s.input.Load() {
 		return true
 	}
 	for i := range s.arrivals {
@@ -674,31 +647,32 @@ func (s *sched) takeArrivals() {
 }
 
 // assist is a poster's share of its scheduler's work, called after it
-// posted an arrival or link input: while posted work waits and the
-// scheduler goroutine has no input to apply first, take the baton and run
-// a turn. A failed CAS leaves the posted work to the holder, whose release
-// is followed by the same look. On a barrier that is down the posted work
-// stays where it is.
+// posted: while posted work waits, take the baton and run a turn. A failed
+// CAS leaves the posted work to the holder, whose release is followed by
+// the same look. On a barrier that is down the posted work stays where it
+// is.
 func (s *sched) assist() {
-	for s.posted() && !s.first() && s.baton.CompareAndSwap(false, true) {
+	for s.posted() && s.baton.CompareAndSwap(false, true) {
 		ran := s.turn()
-		s.release()
+		s.baton.Store(false)
 		if !ran {
 			return
 		}
 	}
 }
 
-// turn is one scheduler turn on a poster's goroutine: take the posted
-// arrivals, receive the link's input, drain, and at quiescence settle an
-// unbalanced ledger. On a barrier that is down it does nothing, so it
-// delivers nothing, and reports false.
+// turn is one scheduler turn, run by the baton's holder: apply the control
+// messages, take the posted arrivals, receive the link's input, drain, and
+// at quiescence settle an unbalanced ledger. On a barrier that is down it
+// does nothing, so it delivers nothing, and reports false.
 func (s *sched) turn() bool {
 	if s.b.down() != nil {
 		return false
 	}
 	for {
+		s.controls(true)
 		s.takeArrivals()
+		s.controls(false)
 		s.pollLink()
 		s.drain()
 		if s.owed == 0 || !s.pullRound() {
@@ -707,125 +681,29 @@ func (s *sched) turn() bool {
 	}
 }
 
-// first reports whether the scheduler goroutine has input to apply before
-// the next turn: a control message sent and not yet applied (queued), or
-// any input in hand that waits for the baton (want). A poster then starts
-// no turn and leaves its work to that goroutine, which takes
-// arrivals only once no control message is pending. So no pass completes
-// on arrivals posted after a fault was injected and before it was applied,
-// however long the scheduler goroutine waits for a CPU: a fault meets the
-// pass it raced with, as it did when arrivals queued behind it in the
-// control channel. (Applying an arrival and a control message commute; a
-// drain between them is what would not.)
-func (s *sched) first() bool { return s.want.Load() || s.queued.Load() > 0 }
-
 // control offers c to the control channel without blocking and reports
-// whether it was queued. From just before the send until the scheduler
-// goroutine has applied it, c counts in queued.
+// whether it was queued. A queued message is posted input: the caller — a
+// fault injector or the resend sweeper — then runs the turn that applies
+// it, unless another goroutine holds the baton (external).
 func (s *sched) control(c ctrlMsg) bool {
-	s.queued.Add(1)
-	if offer(s.ctrl, c) {
-		return true
+	if !offer(s.ctrl, c) {
+		return false
 	}
-	s.queued.Add(-1)
-	return false
-}
-
-// release frees the baton and, if the scheduler goroutine waits for it,
-// offers it the nudge.
-func (s *sched) release() {
-	s.baton.Store(false)
-	if s.want.Load() {
-		offer(s.nudge, struct{}{})
-	}
-}
-
-// acquire takes the baton for the scheduler goroutine, which has an input
-// in hand. Held by another goroutine's turn, it sets want and parks on the
-// nudge until the holder releases it; it gives up, reporting false, once
-// the barrier is down. Storing want before the second CAS closes the race
-// with a release that looked for want just before it was set.
-func (s *sched) acquire() bool {
-	if s.baton.CompareAndSwap(false, true) {
-		return true
-	}
-	s.want.Store(true)
-	defer s.want.Store(false)
-	for !s.baton.CompareAndSwap(false, true) {
-		if s.b.down() != nil {
-			return false
-		}
-		<-s.nudge
-	}
+	s.external()
 	return true
 }
 
-// run is the scheduler goroutine: started by New, it exits on Stop and —
-// fail-safe — on Halt: no completion may ever be reported again, so
-// circulating waves or retransmitting state is pure waste, and
-// Await/Enter/Leave keep returning ErrHalted via b.halted. Both are looked
-// for once per turn of the loop, busy or about to park; the park itself
-// waits only on this scheduler's own inputs, and wakeAll's nudge ends it.
-// The loop runs holding the baton (newSched hands it over) and returns
-// holding it, so no poster turns a down barrier's scheduler again —
-// unless the barrier went down while it waited for the baton, in which
-// case the turns left see the barrier down (turn).
-func (s *sched) run() {
-	defer s.b.wg.Done()
+// prime runs the scheduler's first turn on New's goroutine, holding the
+// baton newSched handed over: every hosted member steps, and what the link
+// received before the hook was registered is taken. Then it releases the
+// baton and, like every release, looks for work posted meanwhile.
+func (s *sched) prime() {
 	for id, m := range s.members {
 		if m != nil {
-			s.mark(id) // prime the collective
+			s.mark(id)
 		}
 	}
-	for {
-		if s.b.down() != nil {
-			return
-		}
-		if s.queued.Load() == 0 {
-			s.takeArrivals() // else they wait for the control input (see first)
-		}
-		s.drain()
-		if s.poll() {
-			continue // busy: stay out of the blocking select
-		}
-		// Idle: every hosted member is quiescent. An unbalanced ledger is
-		// settled first (one compare when it balances); then park until
-		// something arrives. A quiet member is poked by the barrier's
-		// sweeper (ctrlTick); hot schedulers never take a timer wakeup.
-		if s.owed != 0 && s.pullRound() {
-			continue
-		}
-		// Release the baton, then look for work posted while it was held:
-		// its posters may have found it taken and left it here. Work held
-		// back by control input waits for it in the park, which leaves a
-		// notifier link to its posts.
-		s.baton.Store(false)
-		if s.posted() && s.queued.Load() == 0 && s.baton.CompareAndSwap(false, true) {
-			continue
-		}
-		from, top, up := s.extFrom, s.extTop, s.extUp
-		if s.notified {
-			from, top, up = nil, nil, nil
-		}
-		select {
-		case c := <-s.ctrl:
-			if s.acquire() {
-				s.onCtrl(c)
-			}
-		case <-s.nudge:
-			s.acquire()
-		case m := <-from:
-			if s.acquire() {
-				s.onExtFrom(m)
-			}
-		case <-top:
-			if s.acquire() {
-				s.onExtTop()
-			}
-		case m := <-up:
-			if s.acquire() {
-				s.onExtUp(m)
-			}
-		}
-	}
+	s.turn()
+	s.baton.Store(false)
+	s.assist()
 }

@@ -69,6 +69,9 @@ type TreeLink interface {
 	// Up is the channel of announcements received from the children
 	// (shared across children; receivers demultiplex by Child).
 	Up() <-chan UpMessage
+	// Notify registers the scheduler's input hook, which the link calls
+	// after each post to Down or Up (see the Link contract).
+	Notify(func())
 	// Close tears down any goroutines and connections serving this link.
 	// It must not close the Down/Up channels.
 	Close() error
@@ -142,21 +145,21 @@ type chanTreeLink struct {
 	id   int
 	down chan Message   // announcements from the parent
 	up   chan UpMessage // announcements from the children
+	hook
 }
 
 func (l *chanTreeLink) SendDown(child int, m Message) {
 	if child < 0 || child >= len(l.t.links) || l.t.parent[child] != l.id {
 		return
 	}
-	dst := l.t.links[child].down
+	dst := l.t.links[child]
 	// Latest-state-wins mailbox: drain a stale message, then send.
 	select {
-	case <-dst:
+	case <-dst.down:
 	default:
 	}
-	select {
-	case dst <- m:
-	default:
+	if offer(dst.down, m) {
+		dst.wake()
 	}
 }
 
@@ -165,23 +168,21 @@ func (l *chanTreeLink) SendUp(m UpMessage) {
 	if p < 0 {
 		return
 	}
-	dst := l.t.links[p].up
-	select {
-	case dst <- m:
-		return
-	default:
+	dst := l.t.links[p]
+	if !offer(dst.up, m) {
+		// Full: displace the oldest entry — a stale announcement some
+		// sibling has already superseded — and retry; if that race is lost
+		// too, the message is dropped as loss and the retransmission masks
+		// it.
+		select {
+		case <-dst.up:
+		default:
+		}
+		if !offer(dst.up, m) {
+			return
+		}
 	}
-	// Full: displace the oldest entry — a stale announcement some sibling
-	// has already superseded — and retry; if that race is lost too, the
-	// message is dropped as loss and the retransmission masks it.
-	select {
-	case <-dst:
-	default:
-	}
-	select {
-	case dst <- m:
-	default:
-	}
+	dst.wake()
 }
 
 func (l *chanTreeLink) Down() <-chan Message { return l.down }

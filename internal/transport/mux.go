@@ -1161,7 +1161,7 @@ func (l *muxRingLink) SendTop() {
 	}
 }
 
-// Notify registers the scheduler's input hook (the runtime's notifier):
+// Notify registers the scheduler's input hook (see runtime.Link):
 // deliver calls it after each post to the group's mailboxes.
 func (l *muxRingLink) Notify(f func()) { l.g.notify.Store(&f) }
 
