@@ -139,6 +139,15 @@ func benchRuntimePasses(b *testing.B, n int, disturb func(*Barrier, int)) {
 }
 
 func benchRuntimePassesCfg(b *testing.B, cfg Config, disturb func(*Barrier, int)) {
+	benchRuntimePassesCtx(b, cfg, disturb, false)
+}
+
+// benchRuntimePassesCtx runs the closed loop of benchRuntimePassesCfg.
+// Every Await shares one cancellable ctx, as a closed-loop caller does,
+// unless fresh: then each Await gets a new child of it, canceled when the
+// Await returns, and the contexts' own allocations are reported as
+// caller-allocs/op (cmd/benchgate holds allocs/op to that).
+func benchRuntimePassesCtx(b *testing.B, cfg Config, disturb func(*Barrier, int), fresh bool) {
 	n := cfg.Participants
 	bar, err := New(cfg)
 	if err != nil {
@@ -162,6 +171,25 @@ func benchRuntimePassesCfg(b *testing.B, cfg Config, disturb func(*Barrier, int)
 		return true
 	}
 
+	await := func(id int) error {
+		_, err := bar.Await(ctx, id)
+		return err
+	}
+	var perCtx float64
+	if fresh {
+		perCtx = testing.AllocsPerRun(100, func() {
+			c, cancel := context.WithCancel(ctx)
+			_ = c.Done() // Await looks at Done, which makes the channel
+			cancel()
+		})
+		await = func(id int) error {
+			c, cancel := context.WithCancel(ctx)
+			_, err := bar.Await(c, id)
+			cancel()
+			return err
+		}
+	}
+
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	for id := 0; id < n; id++ {
@@ -173,7 +201,7 @@ func benchRuntimePassesCfg(b *testing.B, cfg Config, disturb func(*Barrier, int)
 				if id == 0 && disturb != nil {
 					disturb(bar, int(passes[0].Load()))
 				}
-				_, err := bar.Await(ctx, id)
+				err := await(id)
 				switch {
 				case err == nil:
 					passes[id].Add(1)
@@ -190,6 +218,9 @@ func benchRuntimePassesCfg(b *testing.B, cfg Config, disturb func(*Barrier, int)
 		}()
 	}
 	wg.Wait()
+	if fresh {
+		b.ReportMetric(perCtx*float64(n), "caller-allocs/op")
+	}
 }
 
 func BenchmarkTable1ToleranceCost(b *testing.B) {
@@ -230,6 +261,20 @@ func BenchmarkAwaitChannel(b *testing.B) {
 			benchRuntimePassesCfg(b, Config{Participants: n, Seed: 1}, nil)
 		})
 	}
+}
+
+// BenchmarkAwaitChannelFreshCtx is AwaitChannel/n=32 for callers that pass
+// a fresh cancellable ctx on every Await. Each park is then the ctx's
+// first sighting, so Leave waits in the select over its wake and the ctx
+// and registers nothing (the reused-ctx benches park on wake alone once
+// their ctx is watched). Compare with AwaitChannel/n=32 from the same run;
+// its allocations are the callers' contexts (caller-allocs/op), none the
+// barrier's.
+func BenchmarkAwaitChannelFreshCtx(b *testing.B) {
+	b.Run("n=32", func(b *testing.B) {
+		b.ReportAllocs()
+		benchRuntimePassesCtx(b, Config{Participants: 32, Seed: 1}, nil, true)
+	})
 }
 
 func BenchmarkAwaitTree(b *testing.B) {

@@ -253,9 +253,27 @@ type lane struct {
 // and pcur are owned by the participant goroutine; rmirror mirrors rcur
 // for the fault-injection paths, which run on other goroutines and need
 // the participant's current (primary) lane.
+//
+// seen and watched identify contexts by their Done channel, which is
+// comparable whatever the context's type and is what the park waits for:
+// seen is the channel of the last context a Leave parked with, watched
+// the one whose cancellation the registration in unwatch pokes every lane
+// for (Barrier.watch). Both are owned by the participant goroutine;
+// unwatch is atomic because Stop takes it too.
 type window struct {
-	rcur, pcur uint64
-	rmirror    atomic.Uint64
+	rcur, pcur    uint64
+	rmirror       atomic.Uint64
+	seen, watched <-chan struct{}
+	unwatch       atomic.Pointer[func() bool]
+}
+
+// release stops the window's ctx registration, if it holds one. The
+// participant and Stop may both call it; the Swap lets only one of them
+// stop it.
+func (w *window) release() {
+	if stop := w.unwatch.Swap(nil); stop != nil {
+		(*stop)()
+	}
 }
 
 // Barrier is a fault-tolerant barrier over a ring or tree of protocol
@@ -329,17 +347,19 @@ type Barrier struct {
 // The participant posts its arrival in arrival, parks on wake, and keeps
 // its own tickets/entered.
 //
-// wake is the one channel a parked Leave waits on beside its caller's
-// ctx.Done(). It has two kinds of sender. A turn of the hosting scheduler,
-// on whichever goroutine runs it, delivers results (gate.deliver): a phase
-// or an error for the ticket of the outstanding arrival. Halt and Stop send
-// a poke
-// (Barrier.wakeAll): a non-blocking offer of an awaitResult carrying
-// pokeTicket, which matches no arrival and says only "the barrier went
-// down, look again". A poke lands only in an empty buffer, so it never
-// displaces a result; deliver may drop a poke to make room for a result,
-// which is safe because every wake-up — result, stale result or poke —
-// sends Leave back through Barrier.down before it parks again.
+// wake is the one channel a parked Leave waits on; only a ctx it sees for
+// the first time is waited for beside it. It has two kinds of sender. A
+// turn of the hosting scheduler, on whichever goroutine runs it, delivers
+// results (gate.deliver): a phase or an error for the ticket of the
+// outstanding arrival. Everything else sends a poke: Halt and Stop
+// (Barrier.wakeAll), and the AfterFunc registration of a watched ctx when
+// it ends (Barrier.watch). A poke is a non-blocking offer of an
+// awaitResult carrying pokeTicket, which matches no arrival and says only
+// "the barrier went down or the ctx ended, look again". A poke lands only
+// in an empty buffer, so it never displaces a result; deliver may drop a
+// poke to make room for a result, which is safe because every wake-up —
+// result, stale result or poke — sends Leave back through Barrier.down and
+// its ctx before it parks again.
 type gate struct {
 	b    *Barrier
 	id   int
@@ -466,9 +486,10 @@ type awaitResult struct {
 	ticket uint64
 }
 
-// pokeTicket marks an awaitResult that carries no result: Halt's and Stop's
-// wake-up call to a parked Leave. Tickets count up from 1, so it matches no
-// arrival and Leave handles it like any other stale wake.
+// pokeTicket marks an awaitResult that carries no result: Halt's, Stop's
+// or an ended ctx's wake-up call to a parked Leave. Tickets count up from
+// 1, so it matches no arrival and Leave handles it like any other stale
+// wake.
 const pokeTicket = ^uint64(0)
 
 // New creates and starts a Barrier.
@@ -1028,10 +1049,16 @@ func canceled(ctx context.Context) error {
 // Enter is then a no-op) collects it. A pass is never lost or delivered
 // twice around a cancellation.
 //
-// Leave parks on the member's own wake channel and ctx.Done(). It does
-// not wait on Halt or Stop: they poke the wake channel after the fact, and
-// Leave looks for them before it parks and after every wake-up that was
-// not its result. A result already in the buffer wins over all three.
+// Leave parks on the member's own wake channel alone, and nobody's
+// shutdown or cancellation is waited for in the park: each is delivered
+// to it as a poke. Halt and Stop poke the wake channel after the fact; a
+// ctx this participant has parked with before is watched by one
+// context.AfterFunc registration (Barrier.watch), which pokes it when the
+// ctx ends. Leave looks at all three before it parks and after every
+// wake-up that was not its result, and a result already in the buffer
+// wins over all three. Only a ctx seen for the first time is waited for
+// directly, in a select over wake and ctx.Done(), so a caller that passes
+// a fresh ctx on every call registers nothing.
 //
 // With Depth > 1, Leave reaps the oldest outstanding wave. On success
 // the window slides (the next Enter launches a new wave at its far
@@ -1058,22 +1085,19 @@ func (b *Barrier) Leave(ctx context.Context, id int) (int, error) {
 			if err := b.down(); err != nil {
 				return 0, err
 			}
-			select {
-			case r = <-g.wake:
-			case <-done:
-				// Last-chance poll: if the result raced the cancellation
-				// into the wake buffer, deliver it — otherwise the caller
-				// would see ctx.Err() for a pass that was already counted,
-				// and a later Leave would see it again.
-				select {
-				case r := <-g.wake:
-					if r.ticket == ticket {
-						return b.reap(w, g, r)
-					}
-					// Stale wake or poke; drop it and report the cancellation.
-				default:
+			if done == w.watched || b.watch(ctx, w, id, done) {
+				// The ctx cannot end (nil done), or its end is delivered as a
+				// poke: look at it here, since the registration pokes once.
+				if canceled(ctx) != nil {
+					return b.lastChance(ctx, w, g, ticket)
 				}
-				return 0, ctx.Err()
+				r = <-g.wake
+			} else {
+				select {
+				case r = <-g.wake:
+				case <-done:
+					return b.lastChance(ctx, w, g, ticket)
+				}
 			}
 		}
 		if r.ticket == ticket {
@@ -1081,6 +1105,63 @@ func (b *Barrier) Leave(ctx context.Context, id int) (int, error) {
 		}
 		// A stale wake from a superseded Await/Leave, or a poke: look again.
 	}
+}
+
+// lastChance ends a Leave whose ctx has ended with one more look at the
+// wake buffer: if the result raced the cancellation into it, the result is
+// delivered — otherwise the caller would see ctx.Err() for a pass that was
+// already counted, and a later Leave would see it again.
+func (b *Barrier) lastChance(ctx context.Context, w *window, g *gate, ticket uint64) (int, error) {
+	select {
+	case r := <-g.wake:
+		if r.ticket == ticket {
+			return b.reap(w, g, r)
+		}
+		// Stale wake or poke; drop it and report the cancellation.
+	default:
+	}
+	return 0, ctx.Err()
+}
+
+// watch decides how Leave parks with a ctx whose Done channel, done, is
+// not the watched one: true if the park is a plain receive on wake — done
+// is nil, so the ctx cannot end, or it is watched from now on — and false
+// if this is the ctx's first sighting, so the park is the select over
+// wake and done. A ctx seen before gets one context.AfterFunc
+// registration that pokes the participant's gate on every lane — it parks
+// on whichever lane heads its window — with the same offer Halt and Stop
+// use, so a poke never displaces a result. The registration of a ctx the
+// participant has moved on from is released here, and Stop releases the
+// live one. Registering only on a second sighting keeps it off a
+// barrier's first pass and off callers that pass a fresh ctx on every
+// call. It is kept out of line so that Leave's frame does not grow.
+//
+//go:noinline
+func (b *Barrier) watch(ctx context.Context, w *window, id int, done <-chan struct{}) bool {
+	if w.watched != nil {
+		w.watched = nil
+		w.release()
+	}
+	if done == nil {
+		return true
+	}
+	if done != w.seen {
+		w.seen = done
+		return false
+	}
+	stop := context.AfterFunc(ctx, func() {
+		for _, ln := range b.lanes {
+			offer(ln.gates[id].wake, awaitResult{ticket: pokeTicket})
+		}
+	})
+	w.watched = done
+	w.unwatch.Store(&stop)
+	// Stop closes stopped before it takes the registrations: either it
+	// took this one, or this look sees the barrier down.
+	if b.down() != nil {
+		w.release()
+	}
+	return true
 }
 
 // reap consumes the head wave's result and slides the window. An error
@@ -1293,10 +1374,18 @@ func (b *Barrier) Halted() bool {
 // is complete; a second Stop returns once the first finishes, without
 // re-closing anything. An explicitly supplied Config.Transport is left
 // for its creator.
+//
+// Stop also releases every participant's ctx registration (Barrier.watch),
+// so a stopped barrier is not kept reachable by a long-lived ctx. It takes
+// each registration after closing stopped, and a participant that stores
+// one looks at down() after it, so one of the two releases it.
 func (b *Barrier) Stop() {
 	b.stopOnce.Do(func() {
 		close(b.stopped)
 		b.wakeAll()
+		for id := range b.windows {
+			b.windows[id].release()
+		}
 	})
 	b.wg.Wait()
 	b.closeOnce.Do(b.closeLinks)
@@ -1421,9 +1510,10 @@ func (g *gate) failPending(err error) {
 
 // deliver puts r in the wake buffer, displacing what an earlier wake-up
 // left there: a stale result (the participant abandoned its Await on a
-// context cancellation) or a poke. It never blocks the scheduler. Halt and
-// Stop send on wake too, so the slot freed by the drain may be taken again
-// before the retry — by one of their two pokes, which bounds the loop.
+// context cancellation) or a poke. It never blocks the scheduler. Halt,
+// Stop and ctx registrations send on wake too, so the slot freed by the
+// drain may be taken again before the retry — by a poke, and each sender
+// pokes once, which bounds the loop.
 func (g *gate) deliver(r awaitResult) {
 	for !offer(g.wake, r) {
 		select {
