@@ -134,10 +134,12 @@ type (
 func NewChanTransport(n int) Transport { return runtime.NewChanTransport(n) }
 
 // NewChanTreeTransport returns the in-process channel transport for the
-// tree described by the parent vector (parent[root] == -1): the tree twin
-// of NewChanTransport, one scheduler per member. A nil Config.Transport is
-// not this either: it runs the whole tree on one scheduler. The tree must
-// match the shape the barrier derives from Config.TreeArity.
+// tree described by the parent vector (parent[root] == -1): the transport
+// of NewChanTransport in tree shape, one scheduler per member, whose links
+// serve only a tree as NewChanTransport's serve only a ring. A nil
+// Config.Transport is not this either: it runs the whole tree on one
+// scheduler. The tree must match the shape the barrier derives from
+// Config.TreeArity.
 func NewChanTreeTransport(parent []int) Transport { return runtime.NewChanTreeTransport(parent) }
 
 // TCPConfig parameterizes a TCP transport; TCPTransport implements

@@ -10,8 +10,8 @@ import (
 // allocation whose length comes from a variable is dominated by a
 // bounds check on that variable in the same function.
 //
-// Bug class: the PR 3 oversize-allocation — ReadFrame decoded a length
-// word off the wire and passed it straight to make([]byte, n), so a
+// Bug class: the wire codec's oversize allocation — its frame decoder read
+// a length word off the wire and passed it straight to make([]byte, n), so a
 // corrupt or hostile peer holding one TCP connection could make the
 // process allocate gigabytes. The fix compares n against MaxPayload
 // before allocating; this analyzer makes that ordering mandatory for

@@ -117,8 +117,9 @@ func runRuntime(s Schedule) Verdict {
 	// The tree target swaps the ring refinement for the double-tree one;
 	// everything else — pacing, fault rates, verdict — is unchanged, which
 	// is the conformance statement: the topology must not be observable.
-	// The hybrid target additionally fuses members pairwise onto per-host
-	// schedulers (all hosts in-process, like the tree target's links).
+	// The hybrid target additionally groups members pairwise into hosts,
+	// which shapes its member tree. Both pass no Transport, so every
+	// member runs on one scheduler per lane.
 	topology := runtime.TopologyRing
 	var hosts [][]int
 	switch s.Target {

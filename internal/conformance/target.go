@@ -28,9 +28,10 @@ const TargetTCP = "tcp"
 
 // TargetTree names the runtime barrier in its tree topology: the same live
 // protocol engine, but running the double-tree refinement (broadcast wave
-// down, acknowledgment convergecast up) over in-process tree links instead
-// of the ring. A schedule is portable between the ring and tree topologies
-// and must produce the same verdict on both.
+// down, acknowledgment convergecast up) instead of the ring. Like the
+// runtime target it passes no Transport, so every member runs on one
+// scheduler per lane. A schedule is portable between the ring and tree
+// topologies and must produce the same verdict on both.
 const TargetTree = "tree"
 
 // TargetMux names the runtime barrier over the multiplexed loopback TCP

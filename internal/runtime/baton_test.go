@@ -8,14 +8,16 @@ package runtime
 // drained before the next; (c) an arrival posted after an injection
 // returned is not stepped before the fault is applied; (d) the link's
 // channels are polled on every turn; (e) a turn on a down barrier delivers
-// nothing. All rows run a two-member ring with the resend sweeper
+// nothing; (f) Stop returns only once the turn in flight has ended. All rows run a two-member ring with the resend sweeper
 // effectively off, so nothing but the rule under test can move posted
 // work: on one scheduler, or — the link rows — one scheduler per member
 // over hookLinks, whose input only the test posts.
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"path/filepath"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -109,15 +111,13 @@ func (r *batonRig) turnHeld(t *testing.T, ctx context.Context) (proceed chan str
 }
 
 // hookLink is a ring link that tells its scheduler of input, the way the
-// mux's links do: whoever posts a frame to its mailbox calls the hook
+// mux's groups do: whoever posts a frame to its Inbox calls the hook
 // afterwards, on its own goroutine and never from inside a Send. Nothing
 // posts but the row: the link's sends only record the sender's register,
 // which the row may then deliver as the reader of a wire would.
 type hookLink struct {
-	state chan Message
-	top   chan struct{}
-	hook  atomic.Pointer[func()]
-	sent  atomic.Pointer[Message] // the last state frame this member sent
+	Inbox
+	sent atomic.Pointer[Message] // the last state frame this member sent
 }
 
 type hookTransport []*hookLink
@@ -125,7 +125,8 @@ type hookTransport []*hookLink
 func newHookTransport(n int) hookTransport {
 	t := make(hookTransport, n)
 	for i := range t {
-		t[i] = &hookLink{state: make(chan Message, 1), top: make(chan struct{}, 1)}
+		t[i] = new(hookLink)
+		t[i].InitRing()
 	}
 	return t
 }
@@ -133,12 +134,9 @@ func newHookTransport(n int) hookTransport {
 func (t hookTransport) Open(id int) (Link, error) { return t[id], nil }
 func (t hookTransport) Close() error              { return nil }
 
-func (l *hookLink) SendState(m Message)   { l.sent.Store(&m) }
-func (l *hookLink) SendTop()              {}
-func (l *hookLink) State() <-chan Message { return l.state }
-func (l *hookLink) Top() <-chan struct{}  { return l.top }
-func (l *hookLink) Close() error          { l.hook.Store(nil); return nil }
-func (l *hookLink) Notify(f func())       { l.hook.Store(&f) }
+func (l *hookLink) SendState(m Message) { l.sent.Store(&m) }
+func (l *hookLink) SendTop()            {}
+func (l *hookLink) Close() error        { l.Notify(nil); return nil }
 
 // deliver posts m to the link's mailbox and calls the hook, on a goroutine
 // of its own — the reader of a wire — and returns once the hook has.
@@ -146,9 +144,9 @@ func (l *hookLink) deliver(m Message) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		l.state <- m
-		if h := l.hook.Load(); h != nil {
-			(*h)()
+		l.PostState(m)
+		if h := l.Hook(); h != nil {
+			h()
 		}
 	}()
 	<-done
@@ -241,11 +239,11 @@ func TestBaton(t *testing.T) {
 			defer acancel()
 			proceed, _ := r.turnHeld(t, actx)
 			tr[0].deliver(m)
-			if len(tr[0].state) != 1 {
+			if len(tr[0].from) != 1 {
 				t.Fatal("the frame was received while member 0's turn held the baton")
 			}
 			close(proceed)
-			waitFor(t, "the holder to receive the frame", func() bool { return len(tr[0].state) == 0 && !r.s.posted() })
+			waitFor(t, "the holder to receive the frame", func() bool { return len(tr[0].from) == 0 && !r.s.posted() })
 		},
 	}, {
 		// (a) The same for a control message: the Reset of member 1 finds
@@ -319,7 +317,7 @@ func TestBaton(t *testing.T) {
 			hook := func(e core.Event) {
 				if e.Kind == core.EvReset && e.Proc == 0 {
 					select {
-					case bufferedAtReset <- len(tr[0].state):
+					case bufferedAtReset <- len(tr[0].from):
 					default:
 					}
 				}
@@ -328,7 +326,7 @@ func TestBaton(t *testing.T) {
 			r.hold(t)
 			r.b.Reset(0)
 			tr[0].deliver(m)
-			if len(tr[0].state) != 1 {
+			if len(tr[0].from) != 1 {
 				t.Fatal("the frame was received while the test held the baton")
 			}
 			r.release()
@@ -340,7 +338,7 @@ func TestBaton(t *testing.T) {
 			case <-ctx.Done():
 				t.Fatal("the Reset was never applied")
 			}
-			waitFor(t, "the holder to receive the frame", func() bool { return len(tr[0].state) == 0 && !r.s.posted() })
+			waitFor(t, "the holder to receive the frame", func() bool { return len(tr[0].from) == 0 && !r.s.posted() })
 		},
 	}, {
 		// (d) A frame waits in member 0's mailbox from before New, so no
@@ -353,10 +351,10 @@ func TestBaton(t *testing.T) {
 		before: func(tr hookTransport) {
 			m := Message{SN: 1, CP: core.Execute}
 			m.Sum = m.Checksum()
-			tr[0].state <- m
+			tr[0].from <- m
 		},
 		run: func(t *testing.T, ctx context.Context, r *batonRig, tr hookTransport) {
-			if len(tr[0].state) != 0 {
+			if len(tr[0].from) != 0 {
 				t.Error("the frame posted before Notify is still in the mailbox after New")
 			}
 		},
@@ -385,6 +383,36 @@ func TestBaton(t *testing.T) {
 				t.Error("the turn took the arrival on a halted barrier")
 			}
 		},
+	}, {
+		// (f) Member 0's turn holds the baton inside its pass when Stop is
+		// called. Stop closes its channel at once but returns only after
+		// the turn has ended, so no counter moves once it has returned.
+		name: "Stop returns only after the turn in flight",
+		run: func(t *testing.T, ctx context.Context, r *batonRig, _ hookTransport) {
+			actx, acancel := context.WithCancel(ctx)
+			defer acancel()
+			proceed, _ := r.turnHeld(t, actx)
+			stopped := make(chan struct{})
+			go func() {
+				r.b.Stop()
+				close(stopped)
+			}()
+			waitFor(t, "Stop to close its channel", func() bool { return r.b.down() != nil })
+			select {
+			case <-stopped:
+				t.Fatal("Stop returned while a turn held the baton")
+			case <-time.After(20 * time.Millisecond):
+			}
+			close(proceed)
+			select {
+			case <-stopped:
+			case <-ctx.Done():
+				t.Fatal("Stop did not return after the turn ended")
+			}
+			if r.s.baton.Load() {
+				t.Error("Stop kept the baton")
+			}
+		},
 	}}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -411,10 +439,12 @@ func TestBaton(t *testing.T) {
 }
 
 // A scheduler is no goroutine: a barrier on one scheduler and one with a
-// scheduler per member over channel links each add exactly the resend
-// sweeper to the process, and Stop takes it away again. (A channel link
-// starts a goroutine per hooked post, which exits with its turn; the
-// ring here goes quiet once primed.)
+// scheduler per member over channel links each run exactly one goroutine
+// in this package's code, the resend sweeper, and Stop takes it away
+// again. (A channel link starts a goroutine per hooked post, which exits
+// with its turn; the ring here goes quiet once primed.) The goroutines are
+// told by their frames, not counted against a base: a goroutine an earlier
+// test left exiting would shift a base.
 func TestOneGoroutinePerBarrier(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -424,11 +454,30 @@ func TestOneGoroutinePerBarrier(t *testing.T) {
 		{"chan transport", func() Transport { return NewChanTransport(2) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := goruntime.NumGoroutine()
 			r := newBatonRig(t, tc.tr())
-			waitFor(t, "the barrier to run exactly one goroutine", func() bool { return goruntime.NumGoroutine() == base+1 })
+			// Until the sweeper first runs, its goroutine shows only New's
+			// wrapper of the go statement, not sweepResends.
+			waitFor(t, "the barrier to run exactly one goroutine, the sweeper", func() bool {
+				return packageGoroutines() == 1 && goroutinesIn("(*Barrier).sweepResends") == 1
+			})
 			r.b.Stop()
-			waitFor(t, "Stop to return the goroutine count to base", func() bool { return goruntime.NumGoroutine() <= base })
+			waitFor(t, "Stop to end the barrier's goroutines", func() bool { return packageGoroutines() == 0 })
 		})
 	}
+}
+
+// packageGoroutines counts the goroutines with a frame in this package's
+// non-test code.
+func packageGoroutines() int {
+	_, self, _, _ := goruntime.Caller(0)
+	dir := []byte(filepath.Dir(self) + string(filepath.Separator))
+	return goroutinesWhere(func(_, stack []byte) bool {
+		for _, line := range bytes.Split(stack, []byte("\n")) {
+			file, _, _ := bytes.Cut(bytes.TrimSpace(line), []byte(":"))
+			if bytes.HasPrefix(file, dir) && !bytes.HasSuffix(file, []byte("_test.go")) {
+				return true
+			}
+		}
+		return false
+	})
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // waitQuiesced waits, on a barrier that is down, for the resend sweeper to
-// exit and for every scheduler turn in flight to end (it takes and
-// releases each baton). Every later turn sees the barrier down and touches
+// exit and for every scheduler turn in flight to end (Barrier.quiesce,
+// as Stop does). Every later turn sees the barrier down and touches
 // nothing, so white-box tests may touch proc state and channels without
 // racing one.
 func waitQuiesced(t *testing.T, b *Barrier) {
@@ -21,14 +21,7 @@ func waitQuiesced(t *testing.T, b *Barrier) {
 	done := make(chan struct{})
 	go func() {
 		b.wg.Wait()
-		for _, ln := range b.lanes {
-			for _, s := range ln.scheds {
-				for !s.baton.CompareAndSwap(false, true) {
-					time.Sleep(50 * time.Microsecond)
-				}
-				s.baton.Store(false)
-			}
-		}
+		b.quiesce()
 		close(done)
 	}()
 	select {
@@ -86,12 +79,12 @@ func TestSpuriousEntersThroughControl(t *testing.T) {
 			waitQuiesced(t, b)
 
 			ln := b.lanes[0]
-			var mailbox chan Message // a receive mailbox of the victim scheduler's channel link
+			var mailbox chan Message // the upstream mailbox of the victim scheduler's channel link
 			switch s := ln.gates[victim].s; {
 			case s.link != nil:
-				mailbox = s.link.(*chanLink).state
+				mailbox = s.link.(*chanLink).from
 			case s.tlink != nil:
-				mailbox = s.tlink.(*chanTreeLink).down
+				mailbox = s.tlink.(*chanLink).from
 			}
 			if (pl.cfg.LaneTransports != nil) != (mailbox != nil) {
 				t.Fatalf("channel link found = %v on placement %s", mailbox != nil, pl.name)

@@ -1361,9 +1361,12 @@ func (b *Barrier) Halted() bool {
 	}
 }
 
-// Stop shuts the barrier down: the resend sweeper exits and every later
-// scheduler turn does nothing, then the transport links the schedulers
-// used (dialer and connection goroutines included) are closed.
+// Stop shuts the barrier down: the resend sweeper exits, the scheduler
+// turns in flight end (quiesce) and every later turn does nothing, then
+// the transport links the schedulers used (dialer and connection
+// goroutines included) are closed. Once Stop returns no counter moves.
+// Stop waits for each scheduler's baton, so an EventSink, which runs
+// inside a turn, must not call it.
 // Outstanding Awaits and Awaits racing Stop return ErrStopped (ErrHalted
 // on a barrier that was halted first). Like Halt, Stop closes its channel
 // and pokes the waiters (wakeAll); only the resend sweeper watches the
@@ -1388,7 +1391,24 @@ func (b *Barrier) Stop() {
 		}
 	})
 	b.wg.Wait()
-	b.closeOnce.Do(b.closeLinks)
+	b.closeOnce.Do(func() {
+		b.quiesce()
+		b.closeLinks()
+	})
+}
+
+// quiesce waits out the turns in flight on a down barrier: it takes and
+// releases every scheduler's baton once. A turn that starts later sees the
+// barrier down and does nothing (sched.turn).
+func (b *Barrier) quiesce() {
+	for _, ln := range b.lanes {
+		for _, s := range ln.scheds {
+			for !s.baton.CompareAndSwap(false, true) {
+				time.Sleep(50 * time.Microsecond)
+			}
+			s.baton.Store(false)
+		}
+	}
 }
 
 func (b *Barrier) closeLinks() {

@@ -56,7 +56,9 @@
 // taken leaves its work to the holder: every release is followed by a
 // look for posted work, and the atomics are sequentially consistent, so
 // of a poster whose CAS failed and the holder that released, one sees the
-// other's write. Nobody waits for the baton, and nothing spins.
+// other's write. No poster waits for the baton, and nothing spins; the
+// one waiter is Stop, which takes and releases each baton once on the
+// down barrier to wait out the turn in flight (Barrier.quiesce).
 //
 // Faults keep their place among the passes (controls). A turn applies
 // control messages one at a time and drains after each, so spaced faults

@@ -3,9 +3,13 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obsv"
 )
 
 // Stop is idempotent: a second (and hundredth) Stop returns without
@@ -126,5 +130,65 @@ func TestStopHaltInterleaved(t *testing.T) {
 	defer cancel()
 	if _, err := b.Await(ctx, 0); !errors.Is(err, ErrStopped) && !errors.Is(err, ErrHalted) {
 		t.Errorf("Await after Stop+Halt returned %v, want ErrStopped or ErrHalted", err)
+	}
+}
+
+// Stop leaves no turn running. On the placements whose turns also run on a
+// channel link's hook goroutines, Stop lands amid lossy traffic with a
+// fast sweeper; the counters read right after it must be the ones a scrape
+// reports and the ones read a few milliseconds later.
+func TestStopLeavesNoTurnRunning(t *testing.T) {
+	const n, trials = 4, 10
+	for _, name := range []string{"ring-chan", "tree-chan"} {
+		t.Run(name, func(t *testing.T) {
+			for trial := 0; trial < trials; trial++ {
+				var cfg Config
+				for _, pl := range placements(t, n, 1, int64(90+trial)) {
+					if pl.name == name {
+						cfg = pl.cfg
+					}
+				}
+				reg := obsv.NewRegistry()
+				cfg.Metrics, cfg.LossRate, cfg.Resend = reg, 0.05, 20*time.Microsecond
+				b, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				var wg sync.WaitGroup
+				for id := 0; id < n; id++ {
+					wg.Add(1)
+					go func(id int) {
+						defer wg.Done()
+						for {
+							if _, err := b.Await(ctx, id); err != nil && !errors.Is(err, ErrReset) {
+								return
+							}
+						}
+					}(id)
+				}
+				waitFor(t, "a few passes", func() bool { return b.Stats().Passes >= 8*n })
+				b.Stop()
+				st := b.Stats()
+				var sb strings.Builder
+				if err := reg.WriteText(&sb); err != nil {
+					t.Fatal(err)
+				}
+				for metric, v := range map[string]int64{
+					"barrier_passes_total": st.Passes, "barrier_sends_total": st.Sends, "barrier_drops_total": st.Drops,
+				} {
+					if want := fmt.Sprintf("%s %d\n", metric, v); !strings.Contains(sb.String(), want) {
+						t.Errorf("trial %d: scrape after Stop does not carry %q", trial, strings.TrimSpace(want))
+					}
+				}
+				time.Sleep(5 * time.Millisecond)
+				if again := b.Stats(); again != st {
+					t.Errorf("trial %d: Stats moved after Stop:\n%+v\n%+v", trial, st, again)
+				}
+				cancel()
+				wg.Wait()
+				b.UnregisterMetrics()
+			}
+		})
 	}
 }

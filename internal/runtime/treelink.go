@@ -12,9 +12,6 @@
 package runtime
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/tokenring"
 )
@@ -87,105 +84,3 @@ type TreeTransport interface {
 	// Close tears the whole transport down (see Transport.Close).
 	Close() error
 }
-
-// treeOnly makes a TreeTransport satisfy the ring Transport interface for
-// Config.Transport while rejecting ring use.
-type treeOnly struct{}
-
-func (treeOnly) Open(id int) (Link, error) {
-	return nil, errors.New("ftbarrier: tree transport requires Config.Topology == TopologyTree")
-}
-
-// --- in-process channel tree transport ---
-
-// chanTreeTransport wires every tree edge as a pair of latest-state-wins
-// mailboxes between the members' schedulers.
-type chanTreeTransport struct {
-	treeOnly
-	parent []int
-	links  []*chanTreeLink
-}
-
-// NewChanTreeTransport returns the in-process channel transport for an
-// all-local tree described by the parent vector (parent[0] == -1): the
-// tree twin of NewChanTransport.
-func NewChanTreeTransport(parent []int) Transport {
-	t := &chanTreeTransport{parent: append([]int(nil), parent...)}
-	kids := make([]int, len(parent))
-	for id := 1; id < len(parent); id++ {
-		kids[parent[id]]++
-	}
-	t.links = make([]*chanTreeLink, len(parent))
-	for id := range t.links {
-		t.links[id] = &chanTreeLink{
-			t:    t,
-			id:   id,
-			down: make(chan Message, 1),
-			// The up mailbox is shared by all children; two slots per
-			// child absorb a full round of state+ack announcements, and
-			// anything beyond that is dropped as loss (masked by the
-			// per-edge retransmission).
-			up: make(chan UpMessage, 2*kids[id]+2),
-		}
-	}
-	return t
-}
-
-func (t *chanTreeTransport) OpenTree(id int) (TreeLink, error) {
-	if id < 0 || id >= len(t.links) {
-		return nil, fmt.Errorf("ftbarrier: member %d out of range [0,%d)", id, len(t.links))
-	}
-	return t.links[id], nil
-}
-
-func (t *chanTreeTransport) Close() error { return nil }
-
-type chanTreeLink struct {
-	t    *chanTreeTransport
-	id   int
-	down chan Message   // announcements from the parent
-	up   chan UpMessage // announcements from the children
-	hook
-}
-
-func (l *chanTreeLink) SendDown(child int, m Message) {
-	if child < 0 || child >= len(l.t.links) || l.t.parent[child] != l.id {
-		return
-	}
-	dst := l.t.links[child]
-	// Latest-state-wins mailbox: drain a stale message, then send.
-	select {
-	case <-dst.down:
-	default:
-	}
-	if offer(dst.down, m) {
-		dst.wake()
-	}
-}
-
-func (l *chanTreeLink) SendUp(m UpMessage) {
-	p := l.t.parent[l.id]
-	if p < 0 {
-		return
-	}
-	dst := l.t.links[p]
-	if !offer(dst.up, m) {
-		// Full: displace the oldest entry — a stale announcement some
-		// sibling has already superseded — and retry; if that race is lost
-		// too, the message is dropped as loss and the retransmission masks
-		// it.
-		select {
-		case <-dst.up:
-		default:
-		}
-		if !offer(dst.up, m) {
-			return
-		}
-	}
-	dst.wake()
-}
-
-func (l *chanTreeLink) Down() <-chan Message { return l.down }
-func (l *chanTreeLink) Up() <-chan UpMessage { return l.up }
-
-func (l *chanTreeLink) Close() error { return nil }

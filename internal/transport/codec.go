@@ -117,51 +117,11 @@ func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
 	return binary.BigEndian.AppendUint32(dst, crc)
 }
 
-// ReadFrame reads one frame from br and returns its type and payload (a
-// fresh slice). Any violation — bad magic, oversized length, truncated
-// frame, CRC mismatch — is a codec error wrapping ErrCodec; the caller
-// must drop the connection, mapping the failure onto message loss.
-func ReadFrame(br *bufio.Reader) (typ byte, payload []byte, err error) {
-	// Peek instead of reading into a local array: the peeked slice is
-	// bufio's own buffer, so the header costs no allocation (a local array
-	// would escape through the io.Reader interface call).
-	hdr, err := br.Peek(headerLen)
-	if err != nil {
-		if err == io.EOF && len(hdr) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, err // connection-level error (EOF, reset, timeout)
-	}
-	if hdr[0] != magicByte {
-		return 0, nil, fmt.Errorf("%w: bad magic 0x%02x", ErrCodec, hdr[0])
-	}
-	typ = hdr[1]
-	n := int(hdr[2])<<8 | int(hdr[3])
-	if n > MaxPayload {
-		return 0, nil, errOversizedPayload
-	}
-	crc := crc32.ChecksumIEEE(hdr)
-	br.Discard(headerLen)
-	body := make([]byte, n+trailerLen)
-	if _, err := io.ReadFull(br, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, fmt.Errorf("%w: truncated frame: %v", ErrCodec, err)
-	}
-	crc = crc32.Update(crc, crc32.IEEETable, body[:n])
-	if got := binary.BigEndian.Uint32(body[n:]); got != crc {
-		return 0, nil, fmt.Errorf("%w: checksum mismatch (got %08x, want %08x)", ErrCodec, got, crc)
-	}
-	return typ, body[:n:n], nil
-}
-
-// FrameReader is the hot-path frame reader: it owns its buffered reader
-// and a single inline payload buffer that every frame is decoded into, so
-// a connection's read loop allocates nothing per frame (ReadFrame's fresh
-// payload slice is the convenience path; a per-reader buffer beats a
-// sync.Pool here — no contention, no interface boxing, and the payload is
-// consumed before the next read anyway).
+// FrameReader is the frame decoder: it owns its buffered reader and a
+// single inline payload buffer that every frame is decoded into, so a
+// connection's read loop allocates nothing per frame (a per-reader buffer
+// beats a sync.Pool here — no contention, no interface boxing, and the
+// payload is consumed before the next read anyway).
 type FrameReader struct {
 	br  *bufio.Reader
 	buf [MaxPayload + trailerLen]byte
@@ -173,10 +133,15 @@ func NewFrameReader(r io.Reader, size int) *FrameReader {
 	return &FrameReader{br: bufio.NewReaderSize(r, size)}
 }
 
-// Read reads one frame. The returned payload aliases the reader's internal
-// buffer and is valid only until the next Read; the error contract is
-// ReadFrame's.
+// Read reads one frame and returns its type and payload. The payload
+// aliases the reader's internal buffer and is valid only until the next
+// Read. Any violation — bad magic, oversized length, truncated frame, CRC
+// mismatch — is a codec error wrapping ErrCodec; the caller must drop the
+// connection, mapping the failure onto message loss.
 func (fr *FrameReader) Read() (typ byte, payload []byte, err error) {
+	// Peek instead of reading into a local array: the peeked slice is
+	// bufio's own buffer, so the header costs no allocation (a local array
+	// would escape through the io.Reader interface call).
 	hdr, err := fr.br.Peek(headerLen)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -15,9 +14,11 @@ import (
 	"repro/internal/topo"
 )
 
+// readOne decodes the first frame of b with a reader of its own, so the
+// payload stays valid.
 func readOne(t *testing.T, b []byte) (byte, []byte, error) {
 	t.Helper()
-	return ReadFrame(bufio.NewReader(bytes.NewReader(b)))
+	return NewFrameReader(bytes.NewReader(b), 256).Read()
 }
 
 func TestStateRoundTrip(t *testing.T) {
@@ -42,7 +43,7 @@ func TestStateRoundTrip(t *testing.T) {
 		frame := AppendState(nil, group, m)
 		typ, payload, err := readOne(t, frame)
 		if err != nil {
-			t.Fatalf("ReadFrame(%+v): %v", m, err)
+			t.Fatalf("Read(%+v): %v", m, err)
 		}
 		if typ != FrameState {
 			t.Fatalf("frame type = %d, want FrameState", typ)
@@ -77,7 +78,7 @@ func TestUpRoundTrip(t *testing.T) {
 		frame := AppendUp(nil, group, m)
 		typ, payload, err := readOne(t, frame)
 		if err != nil {
-			t.Fatalf("ReadFrame(%+v): %v", m, err)
+			t.Fatalf("Read(%+v): %v", m, err)
 		}
 		if typ != FrameUp {
 			t.Fatalf("frame type = %d, want FrameUp", typ)
@@ -124,11 +125,11 @@ func oversizeFrame() []byte {
 func TestOversizeRejectionDoesNotAllocate(t *testing.T) {
 	frame := oversizeFrame()
 	src := bytes.NewReader(frame)
-	br := bufio.NewReader(src)
+	fr := NewFrameReader(src, 4096)
 	if n := testing.AllocsPerRun(200, func() {
 		src.Reset(frame)
-		br.Reset(src)
-		_, _, err := ReadFrame(br)
+		fr.br.Reset(src)
+		_, _, err := fr.Read()
 		if err != errOversizedPayload {
 			t.Fatalf("err = %v, want errOversizedPayload", err)
 		}
@@ -263,10 +264,10 @@ func TestFrameStream(t *testing.T) {
 	buf = AppendHello(buf, 3, 0xfeed)
 	buf = AppendState(buf, 1, m)
 	buf = AppendTop(buf, 2)
-	br := bufio.NewReader(bytes.NewReader(buf))
+	fr := NewFrameReader(bytes.NewReader(buf), 4096)
 	wantTypes := []byte{FrameHello, FrameState, FrameTop}
 	for i, want := range wantTypes {
-		typ, _, err := ReadFrame(br)
+		typ, _, err := fr.Read()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -274,7 +275,7 @@ func TestFrameStream(t *testing.T) {
 			t.Fatalf("frame %d: type %d, want %d", i, typ, want)
 		}
 	}
-	if _, _, err := ReadFrame(br); err != io.EOF {
+	if _, _, err := fr.Read(); err != io.EOF {
 		t.Errorf("after last frame: err = %v, want io.EOF", err)
 	}
 }
@@ -371,10 +372,10 @@ func TestAppendFramePanicsOnOversizedPayload(t *testing.T) {
 }
 
 // FuzzTransport feeds arbitrary bytes to the frame reader. Invariants: the
-// reader never panics, never allocates beyond MaxPayload, and accepts a
-// frame only if re-encoding the decoded content reproduces the exact input
-// bytes it consumed — so truncated frames, bad checksums and oversized
-// lengths can never be accepted.
+// reader never panics, never allocates beyond MaxPayload, accepts a frame
+// only if re-encoding the decoded content reproduces the exact input bytes
+// it consumed — so truncated frames, bad checksums and oversized lengths
+// can never be accepted — and decodes the same whatever its buffer size.
 func FuzzTransport(f *testing.F) {
 	m := runtime.Message{SN: 4, CP: core.Execute, PH: 1}
 	m.Sum = m.Checksum()
@@ -413,20 +414,21 @@ func FuzzTransport(f *testing.F) {
 	f.Add(AppendFrame(nil, FrameTop, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
-		fr := NewFrameReader(bytes.NewReader(data), 256)
+		fr := NewFrameReader(bytes.NewReader(data), 4096)
+		// The smallest bufio buffer (16 bytes) holds less than a state
+		// frame, so its reads cross buffer refills.
+		small := NewFrameReader(bytes.NewReader(data), 16)
 		consumed := 0
 		for {
-			typ, payload, err := ReadFrame(br)
-			// The zero-alloc FrameReader must agree with ReadFrame exactly:
-			// same frames accepted, same payload bytes, rejection at the
-			// same point in the stream.
-			ftyp, fpayload, ferr := fr.Read()
-			if (err == nil) != (ferr == nil) {
-				t.Fatalf("readers disagree: ReadFrame err %v, FrameReader err %v", err, ferr)
+			typ, payload, err := fr.Read()
+			// Both readers must agree exactly: same frames accepted, same
+			// payload bytes, rejection at the same point in the stream.
+			styp, spayload, serr := small.Read()
+			if (err == nil) != (serr == nil) {
+				t.Fatalf("readers disagree: 4096-byte buffer err %v, 16-byte buffer err %v", err, serr)
 			}
-			if err == nil && (ftyp != typ || !bytes.Equal(fpayload, payload)) {
-				t.Fatalf("readers disagree: ReadFrame (%d, %x), FrameReader (%d, %x)", typ, payload, ftyp, fpayload)
+			if err == nil && (styp != typ || !bytes.Equal(spayload, payload)) {
+				t.Fatalf("readers disagree: 4096-byte buffer (%d, %x), 16-byte buffer (%d, %x)", typ, payload, styp, spayload)
 			}
 			if err != nil {
 				return // rejection is always a safe outcome

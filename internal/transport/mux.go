@@ -189,31 +189,30 @@ type Mux struct {
 	stats *tcpStats
 }
 
-// muxGroup is one group's demux endpoint: exactly one of ring/tree is
-// non-nil, matching the declared topology.
+// muxGroup is one group's demux endpoint and this process's link in it:
+// a runtime.Link for a ring group, a runtime.TreeLink for a tree or
+// hybrid group.
 type muxGroup struct {
+	// Inbox holds the group's inbound mailboxes — the upstream neighbour's
+	// state frame (the ring predecessor's announcement or the tree parent's
+	// broadcast), the ring successor's ⊤ marker, the children's convergecast
+	// frames — and the open link's input hook. The mailboxes are the
+	// group's, not an Open's: a frame that arrives while no link is open
+	// waits in them for the next Open. open is set while one is.
+	runtime.Inbox
 	spec GroupSpec
-	ring *muxRingLink
-	tree *muxTreeLink
+	open atomic.Bool
 	// owner is set on the one group of a TCP/TCPTree member's mux, where
-	// the group's link owns the mux (see detach); nil on a shared mux.
+	// the group's link owns the mux (see Close); nil on a shared mux.
 	owner *Mux
 
-	// The inbound mailboxes: from holds the upstream neighbour's newest
-	// state frame (the ring predecessor's announcement or the tree parent's
-	// broadcast), top the ring successor's ⊤ marker, up the children's
-	// convergecast frames (nil where the topology has no such edge). They
-	// are the group's, not a link's: a frame that arrives while no link is
-	// open waits in them for the next Open. open is set while one is.
-	from chan runtime.Message
-	top  chan struct{}
-	up   chan runtime.UpMessage
-	open atomic.Bool
-	// slots are the group's outgoing slots, cleared when its link closes.
-	slots []*muxSlot
-	// notify is the open link's input hook (Notify), called after every
-	// post to a mailbox; nil while no link is open or it registered none.
-	notify atomic.Pointer[func()]
+	// The outgoing slots: a ring group's state slot to its successor and ⊤
+	// slot to its predecessor, a tree group's state slot to each child and
+	// up slot to its parent (nil at the root). slots lists them all, to be
+	// cleared when the link closes.
+	stateSlot, topSlot, upSlot *muxSlot
+	downSlots                  map[int]*muxSlot // by child id
+	slots                      []*muxSlot
 
 	sent, recv atomic.Int64 // per-group frame counters
 	// dropped counts frames that arrived for this group while none of its
@@ -310,7 +309,7 @@ func newMux(cfg MuxConfig, w muxWiring) (*Mux, error) {
 		if spec.Name != "" && !validGroupName(spec.Name) {
 			return nil, fmt.Errorf("transport: invalid group name %q", spec.Name)
 		}
-		g := &muxGroup{spec: spec, from: make(chan runtime.Message, 1)}
+		g := &muxGroup{spec: spec}
 		if w.linkOwned {
 			g.owner = m
 		}
@@ -320,8 +319,8 @@ func newMux(cfg MuxConfig, w muxWiring) (*Mux, error) {
 		switch spec.Topology {
 		case GroupRing:
 			pred, succ := (self-1+n)%n, (self+1)%n
-			g.top = make(chan struct{}, 1)
-			g.ring = &muxRingLink{g: g, stateSlot: slot(succ, g, FrameState), topSlot: slot(pred, g, FrameTop)}
+			g.InitRing()
+			g.stateSlot, g.topSlot = slot(succ, g, FrameState), slot(pred, g, FrameTop)
 			m.routes[routeKey{spec.ID, FrameState, pred}] = g
 			m.routes[routeKey{spec.ID, FrameTop, succ}] = g
 		case GroupTree, GroupHybrid:
@@ -344,20 +343,16 @@ func newMux(cfg MuxConfig, w muxWiring) (*Mux, error) {
 				shape = s
 			}
 			kids := shape.Children[self]
-			// Two slots per child absorb a full round of state+ack frames.
-			g.up = make(chan runtime.UpMessage, 2*len(kids)+2)
-			tl := &muxTreeLink{g: g, kidIdx: make(map[int]int, len(kids))}
+			g.InitTree(len(kids))
 			if parent := shape.Parent[self]; parent >= 0 {
-				tl.upSlot = slot(parent, g, FrameUp)
+				g.upSlot = slot(parent, g, FrameUp)
 				m.routes[routeKey{spec.ID, FrameState, parent}] = g
 			}
-			tl.downSlots = make([]*muxSlot, len(kids))
-			for i, kid := range kids {
-				tl.kidIdx[kid] = i
-				tl.downSlots[i] = slot(kid, g, FrameState)
+			g.downSlots = make(map[int]*muxSlot, len(kids))
+			for _, kid := range kids {
+				g.downSlots[kid] = slot(kid, g, FrameState)
 				m.routes[routeKey{spec.ID, FrameUp, kid}] = g
 			}
-			g.tree = tl
 		default:
 			return nil, fmt.Errorf("transport: group %d: unknown topology %q", spec.ID, spec.Topology)
 		}
@@ -538,7 +533,7 @@ func (m *Mux) openRing(id uint32) (runtime.Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	return g.ring, nil
+	return g, nil
 }
 
 func (m *Mux) openTree(id uint32) (runtime.TreeLink, error) {
@@ -546,7 +541,7 @@ func (m *Mux) openTree(id uint32) (runtime.TreeLink, error) {
 	if err != nil {
 		return nil, err
 	}
-	return g.tree, nil
+	return g, nil
 }
 
 // attach opens group id for a tree link if tree, else for a ring link.
@@ -555,10 +550,8 @@ func (m *Mux) attach(id uint32, tree bool) (*muxGroup, error) {
 	switch {
 	case g == nil:
 		return nil, fmt.Errorf("transport: unknown group %d", id)
-	case tree && g.tree == nil:
-		return nil, fmt.Errorf("transport: group %d is not a tree group", id)
-	case !tree && g.ring == nil:
-		return nil, fmt.Errorf("transport: group %d is not a ring group", id)
+	case tree == (g.spec.Topology == GroupRing):
+		return nil, fmt.Errorf("transport: group %d is a %s group", id, g.spec.Topology)
 	case !g.open.CompareAndSwap(false, true):
 		return nil, fmt.Errorf("transport: group %d already open", id)
 	}
@@ -1045,7 +1038,7 @@ func (m *Mux) serveConn(p *muxPeer, c net.Conn, fr *FrameReader) {
 // deliver is the one inbound path: it routes a frame of type typ for group
 // id from peer p — a state frame (a ring predecessor's announcement or a
 // tree parent's broadcast) carrying msg, a ⊤ marker, or a child's
-// convergecast frame up — counts it, and posts it to the group's mailbox.
+// convergecast frame up — counts it, and posts it to the group's Inbox.
 // Delivery does not wait for an open link: the newest frame is the
 // neighbour's current register, which is what the next Open should read. A
 // peer may connect before this process opens the group, and a frame that
@@ -1064,14 +1057,14 @@ func (m *Mux) deliver(p *muxPeer, typ byte, id uint32, msg runtime.Message, up r
 	}
 	switch typ {
 	case FrameState:
-		post(g.from, msg)
+		g.PostState(msg)
 	case FrameTop:
-		post(g.top, struct{}{})
+		g.PostTop()
 	case FrameUp:
-		post(g.up, up)
+		g.PostUp(up)
 	}
-	if f := g.notify.Load(); f != nil {
-		(*f)() // the scheduler's turn, on this reader
+	if f := g.Hook(); f != nil {
+		f() // the scheduler's turn, on this reader
 	}
 	return nil
 }
@@ -1084,26 +1077,6 @@ func (m *Mux) endBatch() {
 		if p != nil && p.dirty.Load() && p.dirty.Swap(false) {
 			p.flush()
 		}
-	}
-}
-
-// post puts v in mailbox ch without blocking: if ch is full it displaces
-// the oldest entry — a frame its sender has since superseded — and retries;
-// losing that race is loss, which the retransmission masks. On a one-slot
-// mailbox that is latest-wins.
-func post[M any](ch chan M, v M) {
-	select {
-	case ch <- v:
-		return
-	default:
-	}
-	select {
-	case <-ch:
-	default:
-	}
-	select {
-	case ch <- v:
-	default:
 	}
 }
 
@@ -1121,16 +1094,43 @@ func (m *Mux) connFailed(p *muxPeer, what string, err error) {
 	m.cfg.Logf("transport: mux %d: peer %d: %s: %v", m.cfg.Self, p.id, what, err)
 }
 
-// --- per-group links ---
+// --- the group's link ---
 
-// detach ends a group link's Close: the group stops sending and its slots
-// are cleared. On a shared mux the link only detached; on a TCP/TCPTree
-// member's mux the link owns the mux, so the member's listener,
-// connections and goroutines go with it — to its neighbors, the process
-// died.
-func (g *muxGroup) detach() error {
+// A send posts to its slot while the link is open. SendDown to a node that
+// is not a child, and SendUp at the root, drop the frame.
+func (g *muxGroup) SendState(m runtime.Message) {
+	if g.open.Load() {
+		g.stateSlot.postState(m)
+	}
+}
+
+func (g *muxGroup) SendTop() {
+	if g.open.Load() {
+		g.topSlot.postTop()
+	}
+}
+
+func (g *muxGroup) SendDown(child int, m runtime.Message) {
+	if s := g.downSlots[child]; s != nil && g.open.Load() {
+		s.postState(m)
+	}
+}
+
+func (g *muxGroup) SendUp(m runtime.UpMessage) {
+	if g.upSlot != nil && g.open.Load() {
+		g.upSlot.postUp(m)
+	}
+}
+
+// Close detaches the link from the shared connections without touching
+// them: the group stops sending, its slots are cleared and its hook
+// removed, and the next Open (via the Ring/Tree view) reattaches it — the
+// rejoin path. On a TCP/TCPTree member's mux the link owns the mux, so the
+// member's listener, connections and goroutines go with it — to its
+// neighbors, the process died.
+func (g *muxGroup) Close() error {
 	g.open.Store(false)
-	g.notify.Store(nil)
+	g.Notify(nil)
 	for _, s := range g.slots {
 		s.clear()
 	}
@@ -1139,66 +1139,6 @@ func (g *muxGroup) detach() error {
 	}
 	return nil
 }
-
-// muxRingLink is one group's ring attachment for this process. Closing it
-// detaches the group from the shared connections without touching them;
-// reopening (via the Ring view) reattaches — the teardown/rejoin path.
-type muxRingLink struct {
-	g         *muxGroup
-	stateSlot *muxSlot // to the ring successor
-	topSlot   *muxSlot // to the ring predecessor
-}
-
-func (l *muxRingLink) SendState(m runtime.Message) {
-	if l.g.open.Load() {
-		l.stateSlot.postState(m)
-	}
-}
-
-func (l *muxRingLink) SendTop() {
-	if l.g.open.Load() {
-		l.topSlot.postTop()
-	}
-}
-
-// Notify registers the scheduler's input hook (see runtime.Link):
-// deliver calls it after each post to the group's mailboxes.
-func (l *muxRingLink) Notify(f func()) { l.g.notify.Store(&f) }
-
-func (l *muxRingLink) State() <-chan runtime.Message { return l.g.from }
-func (l *muxRingLink) Top() <-chan struct{}          { return l.g.top }
-func (l *muxRingLink) Close() error                  { return l.g.detach() }
-
-// muxTreeLink is one group's tree attachment for this process (see
-// muxRingLink for the lifecycle contract).
-type muxTreeLink struct {
-	g         *muxGroup
-	kidIdx    map[int]int // child id → index into downSlots
-	upSlot    *muxSlot    // nil at the root
-	downSlots []*muxSlot
-}
-
-func (l *muxTreeLink) SendDown(child int, m runtime.Message) {
-	if !l.g.open.Load() {
-		return
-	}
-	if i, ok := l.kidIdx[child]; ok {
-		l.downSlots[i].postState(m)
-	}
-}
-
-func (l *muxTreeLink) SendUp(m runtime.UpMessage) {
-	if l.upSlot != nil && l.g.open.Load() {
-		l.upSlot.postUp(m)
-	}
-}
-
-// Notify: see muxRingLink.Notify.
-func (l *muxTreeLink) Notify(f func()) { l.g.notify.Store(&f) }
-
-func (l *muxTreeLink) Down() <-chan runtime.Message { return l.g.from }
-func (l *muxTreeLink) Up() <-chan runtime.UpMessage { return l.g.up }
-func (l *muxTreeLink) Close() error                 { return l.g.detach() }
 
 // --- loopback set: every process in one test binary ---
 

@@ -684,7 +684,7 @@ func TestMuxFlushNeverBlocks(t *testing.T) {
 		seq++
 		m.reading.Add(1)
 		for _, g := range m.order {
-			g.ring.stateSlot.postState(runtime.Message{PH: seq})
+			g.stateSlot.postState(runtime.Message{PH: seq})
 		}
 		m.endBatch()
 	}
