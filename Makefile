@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet barriervet fuzz-smoke barrierd-e2e barrierbench-smoke bench bench-ab tier1-soak
+.PHONY: build test race vet barriervet fuzz-smoke barrierd-e2e barrierbench-smoke bench bench-ab tier1-soak loc
 
 build:
 	$(GO) build ./...
@@ -69,3 +69,9 @@ PAIRS ?= 10
 SECONDS ?= 20
 bench-ab:
 	bash scripts/bench-ab.sh "$(REF)" "$(WORKLOAD)" $(PAIRS) $(SECONDS)
+
+# Non-test Go lines per package over the tracked files, and the
+# internal/runtime + internal/transport total the simplicity items of
+# ROADMAP.md count in (scripts/loc.sh). Informational: no gate.
+loc:
+	bash scripts/loc.sh

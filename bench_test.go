@@ -469,7 +469,7 @@ func BenchmarkAwaitPipelined(b *testing.B) {
 			defer set.Close()
 			lanes := make([]Transport, depth)
 			for li := range lanes {
-				lanes[li] = set.Ring(uint32(li))
+				lanes[li] = set.Group(uint32(li))
 			}
 			benchRuntimePassesCfg(b, Config{
 				Participants: n, Seed: 1, Depth: depth, LaneTransports: lanes,

@@ -111,16 +111,18 @@ func NewMetricsRegistry() *MetricsRegistry { return obsv.NewRegistry() }
 
 // --- Layer 1, distributed: pluggable transports ---
 
-// Transport supplies the barrier's ring links (Config.Transport); Link is
-// one member's attachment to its neighbors, and Message is the MB wire
-// triple (sn, cp, ph) with its end-to-end checksum. With no Transport there
-// are no links: every member runs on one scheduler, which copies frames
+// Transport supplies the barrier's links (Config.Transport), in the shape
+// of its topology: one per ring member, or one per host of a tree. Link is
+// one such attachment to the neighbors, and Message is the MB wire triple
+// (sn, cp, ph) with its end-to-end checksum. With no Transport there are
+// no links: every member runs on one scheduler, which copies frames
 // between them itself. NewTCPTransport carries the same protocol across OS
 // processes and machines.
 type (
-	// Transport supplies one Link per ring member.
+	// Transport supplies one Link per ring member or tree host.
 	Transport = runtime.Transport
-	// Link carries state announcements forward and ⊤ markers backward.
+	// Link carries a ring's state announcements forward and ⊤ markers
+	// backward, or a tree's state down and convergecast reports up.
 	Link = runtime.Link
 	// Message is the protocol's wire triple plus checksum.
 	Message = runtime.Message
@@ -143,17 +145,23 @@ func NewChanTransport(n int) Transport { return runtime.NewChanTransport(n) }
 func NewChanTreeTransport(parent []int) Transport { return runtime.NewChanTreeTransport(parent) }
 
 // TCPConfig parameterizes a TCP transport; TCPTransport implements
-// Transport for a ring over it. Underneath is the one multiplexed TCP
-// transport (internal/transport): every pair of neighboring members
-// shares one connection, dialed by the lower-indexed member, with
-// automatic reconnect (capped exponential backoff with jitter). Every
-// socket failure is mapped onto a fault class the protocol already masks
-// — see internal/transport for the policy.
+// Transport over it, for a ring (NewTCPTransport, NewLoopbackRing) or for
+// a tree given by its parent vector (NewTCPTreeTransport,
+// NewLoopbackTree, NewLoopbackTreeParent). Underneath is the one
+// multiplexed TCP transport (internal/transport): every pair of
+// neighboring members shares one connection, dialed by the lower-indexed
+// member, with automatic reconnect (capped exponential backoff with
+// jitter). Every socket failure is mapped onto a fault class the protocol
+// already masks — see internal/transport for the policy.
 type (
 	// TCPConfig configures a TCP ring or tree transport.
 	TCPConfig = transport.TCPConfig
-	// TCPTransport is the TCP implementation of Transport for a ring.
+	// TCPTransport is the TCP implementation of Transport, for a ring or
+	// a tree.
 	TCPTransport = transport.TCP
+	// TCPTreeTransport is TCPTransport, the type the tree constructors
+	// return. It stays as a name the benchmark harness uses.
+	TCPTreeTransport = transport.TCP
 )
 
 // NewTCPTransport creates a TCP transport for the ring described by
@@ -166,16 +174,13 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) { return transport.Ne
 // transport for an all-local ring — the test and benchmark configuration.
 func NewLoopbackRing(n int) (*TCPTransport, error) { return transport.NewLoopbackRing(n) }
 
-// TCPTreeTransport is the TCP implementation of the tree topology's
-// transport, over the same connections as TCPTransport: one per tree
-// edge, dialed by its lower-indexed end (the parent, in a heap-ordered
-// tree), carrying convergecast reports up and state broadcasts down.
-type TCPTreeTransport = transport.TCPTree
-
 // NewTCPTreeTransport creates a TCP transport for the tree described by
-// the parent vector over the members listed in cfg.Peers. Pair it with
-// Config.Topology == TopologyTree; the parent vector must match the shape
-// the barrier derives from Config.TreeArity (topo.NewKAryTree).
+// the parent vector over the members listed in cfg.Peers: one connection
+// per tree edge, dialed by its lower-indexed end (the parent, in a
+// heap-ordered tree), carrying convergecast reports up and state
+// broadcasts down. Pair it with Config.Topology == TopologyTree; the
+// parent vector must match the shape the barrier derives from
+// Config.TreeArity (topo.NewKAryTree).
 func NewTCPTreeTransport(cfg TCPConfig, parent []int) (*TCPTreeTransport, error) {
 	return transport.NewTCPTree(cfg, parent)
 }

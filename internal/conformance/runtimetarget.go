@@ -106,7 +106,7 @@ func runRuntime(s Schedule) Verdict {
 			return v
 		}
 		defer set.Close()
-		tr = set.Ring(0)
+		tr = set.Group(0)
 		stopBG, err := startBackgroundGroups(set, specs[1:], s, reg)
 		if err != nil {
 			v.Reason = "background groups: " + err.Error()
@@ -359,16 +359,14 @@ func startBackgroundGroups(set *transport.MuxSet, specs []transport.GroupSpec, s
 	}
 	for _, spec := range specs {
 		topology := runtime.TopologyRing
-		var tr runtime.Transport = set.Ring(spec.ID)
 		if spec.Topology == transport.GroupTree {
 			topology = runtime.TopologyTree
-			tr = set.Tree(spec.ID)
 		}
 		b, err := runtime.New(runtime.Config{
 			Participants: s.NProcs,
 			NPhases:      s.NPhases,
 			Topology:     topology,
-			Transport:    tr,
+			Transport:    set.Group(spec.ID),
 			Resend:       runtimeResend,
 			CorruptRate:  0.01,
 			Seed:         s.Seed + int64(spec.ID)<<20,

@@ -350,18 +350,15 @@ func (g *Group) start(rejoin bool) error {
 
 func (g *Group) startLocked(rejoin bool) error {
 	topology := runtime.TopologyRing
-	laneView := g.mux.Ring
 	participants := len(g.opts.Peers)
 	members := []int{g.opts.Self}
 	switch g.cfg.Topology {
 	case transport.GroupTree:
 		topology = runtime.TopologyTree
-		laneView = g.mux.Tree
 	case transport.GroupHybrid:
 		// This process fuses a whole host's members; the mux carries the
 		// host tree, so the lane views' node space is process indices.
 		topology = runtime.TopologyHybrid
-		laneView = g.mux.Tree
 		participants = 0
 		for _, roster := range g.cfg.Hosts {
 			participants += len(roster)
@@ -390,11 +387,11 @@ func (g *Group) startLocked(rejoin bool) error {
 		// per-peer writes.
 		lanes := make([]runtime.Transport, g.cfg.Depth)
 		for li := range lanes {
-			lanes[li] = laneView(g.id + uint32(li))
+			lanes[li] = g.mux.Group(g.id + uint32(li))
 		}
 		cfg.LaneTransports = lanes
 	} else {
-		cfg.Transport = laneView(g.id)
+		cfg.Transport = g.mux.Group(g.id)
 	}
 	b, err := runtime.New(cfg)
 	if err != nil {

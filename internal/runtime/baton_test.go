@@ -134,9 +134,11 @@ func newHookTransport(n int) hookTransport {
 func (t hookTransport) Open(id int) (Link, error) { return t[id], nil }
 func (t hookTransport) Close() error              { return nil }
 
-func (l *hookLink) SendState(m Message) { l.sent.Store(&m) }
-func (l *hookLink) SendTop()            {}
-func (l *hookLink) Close() error        { l.Notify(nil); return nil }
+func (l *hookLink) SendState(m Message)   { l.sent.Store(&m) }
+func (l *hookLink) SendTop()              {}
+func (l *hookLink) SendDown(int, Message) {}
+func (l *hookLink) SendUp(UpMessage)      {}
+func (l *hookLink) Close() error          { l.Notify(nil); return nil }
 
 // deliver posts m to the link's mailbox and calls the hook, on a goroutine
 // of its own — the reader of a wire — and returns once the hook has.

@@ -80,11 +80,8 @@ func TestSpuriousEntersThroughControl(t *testing.T) {
 
 			ln := b.lanes[0]
 			var mailbox chan Message // the upstream mailbox of the victim scheduler's channel link
-			switch s := ln.gates[victim].s; {
-			case s.link != nil:
+			if s := ln.gates[victim].s; s.link != nil {
 				mailbox = s.link.(*chanLink).from
-			case s.tlink != nil:
-				mailbox = s.tlink.(*chanLink).from
 			}
 			if (pl.cfg.LaneTransports != nil) != (mailbox != nil) {
 				t.Fatalf("channel link found = %v on placement %s", mailbox != nil, pl.name)

@@ -1,17 +1,21 @@
-// Ring-link abstraction: a ring member talks to its neighbors through a
-// Link, and a Transport supplies one Link per ring member, each driven by
-// its own scheduler. NewChanTransport realizes links in-process as
-// latest-state-wins buffered channels — exactly the semantics the protocol
-// was originally built on — while internal/transport realizes the same
-// contract over TCP sockets, so a barrier can span OS processes and
-// machines without any change to the protocol itself. (A link carries
-// only the edges that leave a scheduler: between members one scheduler
-// hosts — every member, without a Transport — the scheduler copies the
-// frame itself; see sched.go.) A link's State channel is one member's
-// upstream edge, the same edge a tree link's Down channel is: the
-// scheduler reads either into the one upstream receive (sched.extFrom,
-// node.onState). Every link's receive side is an Inbox, whatever carries
-// its frames: the channel links here and the mux's groups embed one.
+// The link abstraction: a scheduler talks to the members it does not
+// host through one Link, and a Transport supplies one Link per ring
+// member or per host of a tree, each driven by its own scheduler. A ring
+// link carries a member's state announcements forward (to the successor)
+// and its ⊤ markers backward (to the predecessor); a tree link carries
+// state announcements down to the children and convergecast frames up to
+// the parent. Both are the same edge-addressed register (Herman's safe
+// register), so there is one interface and one Transport: a link has the
+// edges of its transport's shape and drops a send on an edge it does not
+// have. NewChanTransport and NewChanTreeTransport realize links
+// in-process, each send a post to the receiving link's Inbox, while
+// internal/transport realizes the same contract over TCP sockets, so a
+// barrier can span OS processes and machines without any change to the
+// protocol itself. (A link carries only the edges that leave a scheduler:
+// between members one scheduler hosts — every member, without a Transport
+// — the scheduler copies the frame itself; see sched.go.) A ring link's
+// State channel and a tree link's are one member's upstream edge, read
+// into the one upstream receive (sched.extFrom, node.onState).
 //
 // The contract every Transport must honor is deliberately weak, because
 // the protocol already masks the weakness (the paper's Section 5):
@@ -19,7 +23,9 @@
 //   - Delivery is best-effort. A Link may drop, reorder into
 //     latest-state-wins, or duplicate messages; the periodic
 //     retransmission of current state makes all of that equivalent to
-//     delay.
+//     delay. A send on an edge the link does not have — SendState or
+//     SendTop on a tree link, SendDown or SendUp on a ring link, SendDown
+//     to a node that is not a child, SendUp at the root — is dropped.
 //   - Sends never block. A scheduler must not be wedged by a slow
 //     or dead peer; undeliverable state is simply superseded by the next
 //     retransmission.
@@ -42,7 +48,6 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -77,41 +82,58 @@ func (m Message) Checksum() uint32 {
 	return h
 }
 
-// Link is one ring member's attachment to its two neighbors: state
-// announcements flow forward (to the successor), and the ⊤ whole-ring
-// restart marker flows backward (to the predecessor). A link only sends
-// and receives — a register the neighbour writes and the member reads
+// Link is one scheduler's attachment to its neighbours over a
+// transport: a ring member's, or a tree host's. A link only sends and
+// receives — a register the neighbour writes and the member reads
 // (Herman's safe-register model). Nothing else writes into it: a fault,
 // spurious reception included, reaches the member through its
-// scheduler's control channel.
+// scheduler's control channel. Every send is best-effort and
+// non-blocking (see the contract above). A ring link has a ⊤ mailbox and
+// no up mailbox, a tree link the other way round: runtime.New rejects a
+// link whose shape is not its topology's.
 type Link interface {
-	// SendState announces the member's current (sn, cp, ph) to its
-	// successor. Best-effort and non-blocking: the latest state wins, and
-	// any failure to deliver is equivalent to message loss.
+	// SendState announces the member's current (sn, cp, ph) to its ring
+	// successor: the latest state wins.
 	SendState(Message)
-	// SendTop propagates the ⊤ marker to the predecessor (the T3/T4
-	// restart wave for a fully corrupted ring). Best-effort, non-blocking.
+	// SendTop propagates the ⊤ marker to the ring predecessor (the T3/T4
+	// restart wave for a fully corrupted ring).
 	SendTop()
-	// State is the channel of announcements received from the predecessor.
-	// The channel is never closed; it simply falls silent when the
+	// SendDown announces the node's current (sn, cp, ph) to tree child
+	// child (a node id of the transport).
+	SendDown(child int, m Message)
+	// SendUp announces the node's state and subtree acknowledgment to its
+	// tree parent.
+	SendUp(UpMessage)
+	// State is the channel of state frames from upstream: the ring
+	// predecessor's announcements or the tree parent's. Down is the same
+	// channel under the name the benchmark harness's tree probe calls.
+	// The channels are never closed; they simply fall silent when the
 	// transport is down.
 	State() <-chan Message
-	// Top is the channel of ⊤ markers received from the successor.
+	Down() <-chan Message
+	// Top is the channel of ⊤ markers from the ring successor (nil on a
+	// tree link).
 	Top() <-chan struct{}
+	// Up is the channel of the tree children's convergecast frames,
+	// shared by the children and demultiplexed by Child (nil on a ring
+	// link).
+	Up() <-chan UpMessage
 	// Notify registers the scheduler's input hook, which the link calls
-	// after each post to State or Top (see the contract above).
+	// after each post to its mailboxes (see the contract above).
 	Notify(func())
 	// Close tears down any goroutines and connections serving this link.
-	// It must not close the State/Top channels (a scheduler may still be
-	// selecting on them).
+	// It must not close the receive channels (a scheduler may still be
+	// polling them).
 	Close() error
 }
 
-// Transport supplies the ring links for a barrier. A transport is built
-// for a fixed member count; Open is called once per member hosted by this
-// process (typically one per OS process in a distributed deployment).
+// Transport supplies the links for a barrier. A transport is built for a
+// fixed shape — a ring of members, or a tree over host indices (a flat
+// tree's hosts are its members) — and Open is called once per ring
+// member or host this process runs (typically one per OS process in a
+// distributed deployment).
 type Transport interface {
-	// Open returns member id's link.
+	// Open returns node id's link.
 	Open(id int) (Link, error)
 	// Close tears the whole transport down. The Barrier closes the links
 	// it opened on Stop; the transport itself is closed by whoever created
@@ -123,10 +145,10 @@ type Transport interface {
 
 // Inbox is a link's receive side, the same for every transport: the
 // mailboxes a scheduler reads — the upstream neighbour's state frames
-// (State on a ring link, Down on a tree link), the ring successor's ⊤
-// markers (Top), the tree children's convergecast frames (Up) — and the
-// scheduler's input hook (Notify). A post never blocks (post); the link
-// posts what it receives, then calls the Hook as the contract above says.
+// (State), the ring successor's ⊤ markers (Top), the tree children's
+// convergecast frames (Up) — and the scheduler's input hook (Notify). A
+// post never blocks (post); the link posts what it receives, then calls
+// the Hook as the contract above says.
 // The zero Inbox has no mailboxes: InitRing or InitTree makes them.
 type Inbox struct {
 	from chan Message
@@ -165,7 +187,8 @@ func (in *Inbox) Hook() func() {
 	return nil
 }
 
-// The receive channels the Link and TreeLink interfaces ask for.
+// The receive channels the Link interface asks for. Down is State: it
+// stays because the benchmark harness's tree probe calls it.
 func (in *Inbox) State() <-chan Message { return in.from }
 func (in *Inbox) Down() <-chan Message  { return in.from }
 func (in *Inbox) Top() <-chan struct{}  { return in.top }
@@ -200,8 +223,7 @@ func offer[M any](ch chan M, m M) bool {
 
 // chanTransport wires every link's sends straight into the receiving
 // link's Inbox, between the members' schedulers: a ring (parent nil) or
-// the tree given by its parent vector. Open serves only a ring and
-// OpenTree only a tree.
+// the tree given by its parent vector.
 type chanTransport struct {
 	parent []int
 	links  []*chanLink
@@ -240,36 +262,17 @@ func newChanTransport(n int, parent []int) *chanTransport {
 }
 
 func (t *chanTransport) Open(id int) (Link, error) {
-	if err := t.check(id, false); err != nil {
-		return nil, err
+	if id < 0 || id >= len(t.links) {
+		return nil, fmt.Errorf("ftbarrier: member %d out of range [0,%d)", id, len(t.links))
 	}
 	return t.links[id], nil
-}
-
-func (t *chanTransport) OpenTree(id int) (TreeLink, error) {
-	if err := t.check(id, true); err != nil {
-		return nil, err
-	}
-	return t.links[id], nil
-}
-
-// check rejects a member out of range and a link of the other shape.
-func (t *chanTransport) check(id int, tree bool) error {
-	switch {
-	case tree && t.parent == nil:
-		return errors.New("ftbarrier: ring transport requires Config.Topology == TopologyRing")
-	case !tree && t.parent != nil:
-		return errors.New("ftbarrier: tree transport requires Config.Topology == TopologyTree")
-	case id < 0 || id >= len(t.links):
-		return fmt.Errorf("ftbarrier: member %d out of range [0,%d)", id, len(t.links))
-	}
-	return nil
 }
 
 func (t *chanTransport) Close() error { return nil }
 
 // chanLink is one member's link, a ring link or a tree link as its
-// transport's shape says; a send posts to the receiving link's Inbox.
+// transport's shape says. A send posts to the receiving link's Inbox; a
+// send on an edge the shape lacks is dropped.
 type chanLink struct {
 	Inbox
 	t  *chanTransport
@@ -277,20 +280,24 @@ type chanLink struct {
 }
 
 func (l *chanLink) SendState(m Message) {
-	dst := l.t.links[(l.id+1)%len(l.t.links)]
-	dst.PostState(m)
-	dst.wake()
+	if l.t.parent == nil {
+		dst := l.t.links[(l.id+1)%len(l.t.links)]
+		dst.PostState(m)
+		dst.wake()
+	}
 }
 
 func (l *chanLink) SendTop() {
-	n := len(l.t.links)
-	dst := l.t.links[(l.id-1+n)%n]
-	dst.PostTop()
-	dst.wake()
+	if l.t.parent == nil {
+		n := len(l.t.links)
+		dst := l.t.links[(l.id-1+n)%n]
+		dst.PostTop()
+		dst.wake()
+	}
 }
 
 func (l *chanLink) SendDown(child int, m Message) {
-	if child >= 0 && child < len(l.t.links) && l.t.parent[child] == l.id {
+	if l.t.parent != nil && child >= 0 && child < len(l.t.links) && l.t.parent[child] == l.id {
 		dst := l.t.links[child]
 		dst.PostState(m)
 		dst.wake()
@@ -298,8 +305,8 @@ func (l *chanLink) SendDown(child int, m Message) {
 }
 
 func (l *chanLink) SendUp(m UpMessage) {
-	if p := l.t.parent[l.id]; p >= 0 {
-		dst := l.t.links[p]
+	if l.t.parent != nil && l.t.parent[l.id] >= 0 {
+		dst := l.t.links[l.t.parent[l.id]]
 		dst.PostUp(m)
 		dst.wake()
 	}

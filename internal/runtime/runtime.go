@@ -76,10 +76,10 @@ const (
 	// presents as one node in a cross-host tree, so network hops cost
 	// O(log #hosts) and local siblings exchange no network traffic at
 	// all. With a nil Transport every host is local and the whole
-	// member tree runs on one scheduler; with a TreeTransport over the
-	// host indices, each OS process runs one or more whole hosts, each
-	// host's members on one scheduler, and only host-root edges cross
-	// the network.
+	// member tree runs on one scheduler; with a tree-shaped Transport
+	// over the host indices, each OS process runs one or more whole
+	// hosts, each host's members on one scheduler, and only host-root
+	// edges cross the network.
 	TopologyHybrid
 )
 
@@ -129,9 +129,10 @@ type Config struct {
 	// transport (internal/transport) lets the barrier span OS processes,
 	// each running one or more ring members or whole hosts; the Barrier
 	// closes the links it opens on Stop, but an explicitly supplied
-	// Transport is closed by its creator. A tree or hybrid needs a
-	// TreeTransport over the host indices (NewChanTreeTransport,
-	// transport.NewTCPTree).
+	// Transport is closed by its creator. Its shape must be the
+	// topology's: a ring transport for a ring, and for a tree or hybrid a
+	// tree transport over the host indices (NewChanTreeTransport,
+	// transport.NewTCPTree); New rejects a link of the other shape.
 	Transport Transport
 	// Members lists the members hosted by this process (nil: all of
 	// them): any ring members, or of a tree or hybrid any union of whole
@@ -222,9 +223,6 @@ type ctrlMsg struct {
 	seed int64
 }
 
-// closer is the teardown half shared by ring and tree links/transports.
-type closer interface{ Close() error }
-
 // lane is one full protocol instance of the barrier. A Depth=1 barrier
 // has exactly one; wave pipelining runs Depth independent lanes and wave
 // k executes on lane k%Depth, so up to Depth instances are in flight —
@@ -243,7 +241,7 @@ type lane struct {
 	// member id (nil for members hosted elsewhere).
 	gates []*gate
 	// links are the links this lane's members speak over, closed on Stop.
-	links []closer
+	links []Link
 	// scheds are the schedulers hosting this lane's local members.
 	scheds []*sched
 }
@@ -679,14 +677,10 @@ func (b *Barrier) startRing(cfg Config, members []int, ln *lane) error {
 		}
 	} else {
 		for _, j := range members {
-			link, err := cfg.Transport.Open(j)
+			s, err := b.attach(cfg, ln, j, false, 1)
 			if err != nil {
-				return fmt.Errorf("ftbarrier: open link for member %d: %w", j, err)
+				return err
 			}
-			ln.links = append(ln.links, link)
-			s := newSched(b, cfg, ln, 1)
-			s.link, s.extFrom, s.extTop = link, link.State(), link.Top()
-			link.Notify(s.external)
 			s.in = &s.addRing(cfg, ln, j).node
 		}
 	}

@@ -15,9 +15,13 @@
 //   - A ring over a Transport: one scheduler per hosted member, attached
 //     to the link the transport opens for it (the distributed deployment,
 //     and every member of an in-process NewChanTransport or NewLoopbackRing).
-//   - A tree or hybrid over a TreeTransport: one scheduler per hosted host,
-//     running its roster on the host's link in the cross-host tree; a tree
-//     is the hybrid whose hosts have one member each.
+//   - A tree or hybrid over a Transport of tree shape: one scheduler per
+//     hosted host, running its roster on the host's link in the cross-host
+//     tree; a tree is the hybrid whose hosts have one member each.
+//
+// Either way a scheduler over a Transport gets its link from attach, the
+// one place that opens a link, records it for Stop, registers the
+// scheduler's hook and rejects a link whose shape is not the topology's.
 //
 // A scheduler owns its members' edges. One between two members it hosts
 // is a register it copies (sendState, sendTop, sendUp, then copyHops):
@@ -132,23 +136,23 @@ type sched struct {
 	hops  []hop // an announcement's co-hosted frames, awaiting delivery
 
 	// The external attachment, at most one: link is the ring link of a
-	// one-member ring scheduler, tlink a host's link in the cross-host
-	// tree, and in the one member with edges on it (the ring member, or
-	// the host root). Its receive channels: extFrom, the upstream
-	// neighbour's state frames — the ring predecessor's announcements or
-	// the parent host's down frames; extTop, the ring successor's ⊤
-	// markers; extUp, the child hosts' convergecast frames. A channel the
-	// attachment lacks is nil, never ready.
+	// one-member ring scheduler or a host's link in the cross-host tree
+	// (hy says which), and in the one member with edges on it (the ring
+	// member, or the host root). Its receive channels: extFrom, the
+	// upstream neighbour's state frames — the ring predecessor's
+	// announcements or the parent host's down frames; extTop, the ring
+	// successor's ⊤ markers; extUp, the child hosts' convergecast frames.
+	// A channel the attachment lacks is nil, never ready.
 	link    Link
-	tlink   TreeLink
 	in      *node
 	extFrom <-chan Message
 	extTop  <-chan struct{}
 	extUp   <-chan UpMessage
 
-	// Host-tree addressing (with tlink): tlink's node space is the host
-	// indices, host is this scheduler's; hy.HostOf addresses down sends to
-	// remote child hosts, hy.HostRoot attributes received up summaries.
+	// Host-tree addressing (a tree link; nil hy on a ring): the link's
+	// node space is the host indices, host is this scheduler's; hy.HostOf
+	// addresses down sends to remote child hosts, hy.HostRoot attributes
+	// received up summaries.
 	host int
 	hy   *topo.Hybrid
 }
@@ -180,6 +184,29 @@ func newSched(b *Barrier, cfg Config, ln *lane, hosted int) *sched {
 	return s
 }
 
+// attach opens node id's link on cfg.Transport — ring member id's, or
+// tree host id's — for a new scheduler of hosted members, records it for
+// Stop and registers the scheduler's input hook. A link whose shape is not
+// the topology's is rejected: a ring link has a ⊤ mailbox, a tree link an
+// up mailbox. New closes it with every other link it recorded.
+func (b *Barrier) attach(cfg Config, ln *lane, id int, tree bool, hosted int) (*sched, error) {
+	l, err := cfg.Transport.Open(id)
+	if err != nil {
+		return nil, fmt.Errorf("ftbarrier: open link for node %d: %w", id, err)
+	}
+	ln.links = append(ln.links, l)
+	switch {
+	case tree && l.Up() == nil:
+		return nil, errors.New("ftbarrier: a tree or hybrid topology requires a tree transport over the host indices (NewChanTreeTransport, transport.NewTCPTree)")
+	case !tree && l.Top() == nil:
+		return nil, errors.New("ftbarrier: a ring topology requires a ring transport (NewChanTransport, transport.NewTCP)")
+	}
+	s := newSched(b, cfg, ln, hosted)
+	s.link, s.extFrom, s.extTop, s.extUp = l, l.State(), l.Top(), l.Up()
+	l.Notify(s.external)
+	return s, nil
+}
+
 // startFusedTree wires the all-local tree: one scheduler hosts every
 // member.
 func (b *Barrier) startFusedTree(cfg Config, tree *topo.Tree, ln *lane) {
@@ -199,9 +226,8 @@ func treeArity(cfg Config) int {
 
 // startHybrid wires the two-level hybrid topology. With no transport every
 // host is local and the member-level tree (stars under host roots, host
-// roots in the cross-host tree) runs on one scheduler; with a
-// TreeTransport over the host indices, startHosts runs this process's
-// hosts.
+// roots in the cross-host tree) runs on one scheduler; with a transport
+// over the host indices, startHosts runs this process's hosts.
 func (b *Barrier) startHybrid(cfg Config, members []int, ln *lane) error {
 	hy, err := topo.NewHybridTree(cfg.Hosts, treeArity(cfg))
 	if err != nil {
@@ -214,11 +240,7 @@ func (b *Barrier) startHybrid(cfg Config, members []int, ln *lane) error {
 		b.startFusedTree(cfg, hy.Tree, ln)
 		return nil
 	}
-	tt, ok := cfg.Transport.(TreeTransport)
-	if !ok {
-		return errors.New("ftbarrier: Topology == TopologyHybrid requires a tree transport over the host indices (transport.NewTCPTree)")
-	}
-	return b.startHosts(cfg, hy, members, tt, ln)
+	return b.startHosts(cfg, hy, members, ln)
 }
 
 // startHosts wires this process's hosts into the cross-host tree: Members
@@ -229,7 +251,7 @@ func (b *Barrier) startHybrid(cfg Config, members []int, ln *lane) error {
 // copy, and the host root's convergecast acknowledgment — already the
 // aggregate of its entire local subtree — is the only thing that crosses
 // the network upward.
-func (b *Barrier) startHosts(cfg Config, hy *topo.Hybrid, members []int, tt TreeTransport, ln *lane) error {
+func (b *Barrier) startHosts(cfg Config, hy *topo.Hybrid, members []int, ln *lane) error {
 	hosted := make([]int, len(hy.Hosts)) // how many of each host's members are in Members
 	for _, j := range members {
 		hosted[hy.HostOf[j]]++
@@ -242,14 +264,10 @@ func (b *Barrier) startHosts(cfg Config, hy *topo.Hybrid, members []int, tt Tree
 			// New closes the links opened so far.
 			return fmt.Errorf("ftbarrier: Members must be a union of whole hosts: host %d's roster is %v, Members %v", h, roster, members)
 		}
-		tl, err := tt.OpenTree(h)
+		s, err := b.attach(cfg, ln, h, true, len(roster))
 		if err != nil {
-			return fmt.Errorf("ftbarrier: open host-tree link for host %d: %w", h, err)
+			return err
 		}
-		ln.links = append(ln.links, tl)
-		s := newSched(b, cfg, ln, len(roster))
-		s.tlink, s.extFrom, s.extUp = tl, tl.Down(), tl.Up()
-		tl.Notify(s.external)
 		s.host, s.hy = h, hy
 		for _, id := range roster {
 			s.addTree(cfg, ln, id, hy.Tree)
@@ -317,10 +335,10 @@ func (s *sched) sendState(n *node, to int, m Message) bool {
 	case peer != nil:
 		h := s.hop()
 		h.to, h.m = peer, m
-	case s.link != nil:
+	case s.hy == nil:
 		s.link.SendState(m)
 	default:
-		s.tlink.SendDown(s.hy.HostOf[to], m)
+		s.link.SendDown(s.hy.HostOf[to], m)
 	}
 	return true
 }
@@ -362,7 +380,7 @@ func (s *sched) sendUp(tp *treeProc) {
 func (s *sched) sendUpLink(tp *treeProc) {
 	u := tp.lastUp
 	if !s.lost(&tp.rng, &u.Sum, false) {
-		s.tlink.SendUp(remapUpChild(u, s.host))
+		s.link.SendUp(remapUpChild(u, s.host))
 	}
 }
 

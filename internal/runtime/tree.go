@@ -21,7 +21,6 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -49,10 +48,6 @@ func (b *Barrier) startTree(cfg Config, members []int, ln *lane) error {
 		b.startFusedTree(cfg, tree, ln)
 		return nil
 	}
-	tt, ok := cfg.Transport.(TreeTransport)
-	if !ok {
-		return errors.New("ftbarrier: Topology == TopologyTree requires a tree transport (NewChanTreeTransport, transport.NewTCPTree)")
-	}
 	hosts := make([][]int, b.n)
 	for id := range hosts {
 		hosts[id] = []int{id}
@@ -61,7 +56,7 @@ func (b *Barrier) startTree(cfg Config, members []int, ln *lane) error {
 	if err != nil {
 		return fmt.Errorf("ftbarrier: %w", err)
 	}
-	return b.startHosts(cfg, hy, members, tt, ln)
+	return b.startHosts(cfg, hy, members, ln)
 }
 
 // addTree creates tree member id on this scheduler.

@@ -20,11 +20,6 @@ func TestTreeValidation(t *testing.T) {
 	if _, err := New(Config{Participants: 4, Topology: TopologyTree, Transport: NewChanTransport(4)}); err == nil {
 		t.Error("a ring transport should be rejected for TopologyTree")
 	}
-	if tr := NewChanTreeTransport([]int{-1, 0}); tr != nil {
-		if _, err := tr.Open(0); err == nil {
-			t.Error("ring Open on a tree transport should be rejected")
-		}
-	}
 	if _, err := New(Config{Participants: 2, Topology: TopologyRing, Transport: NewChanTreeTransport([]int{-1, 0})}); err == nil {
 		t.Error("a tree transport should be rejected for TopologyRing")
 	}

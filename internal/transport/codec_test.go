@@ -247,7 +247,7 @@ func TestConfigDigest(t *testing.T) {
 	if muxDigest(tree, nil) != muxDigest(arity, nil) {
 		t.Error("TreeArity 0 and 2 hash differently")
 	}
-	// A TCPTree's explicit shape is part of the configuration.
+	// The parent vector of a tree TCP is part of the configuration.
 	heap, _ := topo.NewTree([]int{-1, 0, 0})
 	chain, _ := topo.NewTree([]int{-1, 0, 1})
 	if muxDigest(tree, heap) == muxDigest(tree, chain) {

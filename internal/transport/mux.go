@@ -120,7 +120,7 @@ func (g GroupSpec) normalized() GroupSpec {
 
 // muxDigest fingerprints a mux configuration: peer list plus the full
 // group set (ids, names, topologies, tree shapes), and the explicit tree
-// of a TCPTree (nil otherwise).
+// of a TCP built from a parent vector (nil otherwise).
 func muxDigest(cfg MuxConfig, shape *topo.Tree) uint64 {
 	parts := make([]string, 0, len(cfg.Peers)+4*len(cfg.Groups)+2)
 	parts = append(parts, "mux", strconv.Itoa(len(cfg.Peers)))
@@ -162,7 +162,7 @@ func validGroupName(s string) bool {
 }
 
 // Mux is one process's multiplexed attachment to every group. Create it
-// with NewMux, obtain per-group transports with Ring/Tree, and Close it
+// with NewMux, obtain per-group transports with Group, and Close it
 // after the barriers are stopped (barriers close only the links they
 // open; the shared connections belong to the mux).
 type Mux struct {
@@ -189,9 +189,9 @@ type Mux struct {
 	stats *tcpStats
 }
 
-// muxGroup is one group's demux endpoint and this process's link in it:
-// a runtime.Link for a ring group, a runtime.TreeLink for a tree or
-// hybrid group.
+// muxGroup is one group's demux endpoint and this process's
+// runtime.Link in it, of the group's topology: a ring link for a ring
+// group, a tree link for a tree or hybrid group.
 type muxGroup struct {
 	// Inbox holds the group's inbound mailboxes — the upstream neighbour's
 	// state frame (the ring predecessor's announcement or the tree parent's
@@ -202,7 +202,7 @@ type muxGroup struct {
 	runtime.Inbox
 	spec GroupSpec
 	open atomic.Bool
-	// owner is set on the one group of a TCP/TCPTree member's mux, where
+	// owner is set on the one group of a TCP member's mux, where
 	// the group's link owns the mux (see Close); nil on a shared mux.
 	owner *Mux
 
@@ -234,7 +234,7 @@ type routeKey struct {
 
 // NewMux validates the configuration, binds this process's listener (when
 // any peer dials it) and starts the dialers for the peers it is
-// responsible for. Per-group transports are obtained with Ring/Tree.
+// responsible for. Per-group transports are obtained with Group.
 func NewMux(cfg MuxConfig) (*Mux, error) {
 	m, err := newMux(cfg, muxWiring{})
 	if err != nil {
@@ -252,9 +252,9 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 type muxWiring struct {
 	ln    net.Listener // pre-bound listener (loopback), else bound by start
 	stats *tcpStats    // counters shared with sibling member muxes, else the mux's own
-	shape *topo.Tree   // explicit shape of the tree groups (TCPTree), else the k-ary heap
+	shape *topo.Tree   // explicit shape of the tree groups (a TCP tree), else the k-ary heap
 	// linkOwned makes each group's link own the mux: closing the link closes
-	// the mux (TCP/TCPTree members, which declare exactly one group).
+	// the mux (TCP members, which declare exactly one group).
 	linkOwned bool
 }
 
@@ -416,7 +416,7 @@ func (m *Mux) start() error {
 }
 
 // Close tears down the listener, every connection and every goroutine.
-// Group links opened through Ring/Tree views become inert (their channels
+// Group links opened through Group views become inert (their channels
 // fall silent); close the barriers first.
 func (m *Mux) Close() error {
 	m.closeOnce.Do(func() {
@@ -509,49 +509,25 @@ func (m *Mux) closedNow() bool {
 	}
 }
 
-// Ring returns the runtime.Transport view of one ring group. Open accepts
-// only this process's index and at most one open link at a time; closing
-// the link (Barrier.Stop does) detaches the group so it can be reopened —
-// the rejoin path. The view's Close is a no-op: connections are shared,
-// the mux owns them.
-func (m *Mux) Ring(id uint32) runtime.Transport { return &TCP{m.view(id)} }
-
-// Tree returns the runtime.TreeTransport view of one tree or hybrid
-// group (see Ring for the lifecycle contract). For hybrid groups the
-// view's node space is host (= process) indices: OpenTree(Self) yields
-// the edge set a TopologyHybrid barrier plugs in as its Transport.
-func (m *Mux) Tree(id uint32) runtime.Transport { return &TCPTree{m.view(id)} }
-
-func (m *Mux) view(id uint32) *memberMuxes {
+// Group returns the runtime.Transport view of one group, of whatever
+// topology: its links have the group's shape. Open accepts only this
+// process's index — for a hybrid group a host (= process) index, the
+// node space of the host tree a TopologyHybrid barrier plugs in — and at
+// most one open link at a time; closing the link (Barrier.Stop does)
+// detaches the group so it can be reopened — the rejoin path. The view's
+// Close is a no-op: connections are shared, the mux owns them.
+func (m *Mux) Group(id uint32) runtime.Transport {
 	hosted := make([]*Mux, len(m.cfg.Peers))
 	hosted[m.cfg.Self] = m
-	return borrowedMuxes(id, m.digest, hosted)
+	return borrowedTCP(id, m.digest, hosted)
 }
 
-func (m *Mux) openRing(id uint32) (runtime.Link, error) {
-	g, err := m.attach(id, false)
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-func (m *Mux) openTree(id uint32) (runtime.TreeLink, error) {
-	g, err := m.attach(id, true)
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// attach opens group id for a tree link if tree, else for a ring link.
-func (m *Mux) attach(id uint32, tree bool) (*muxGroup, error) {
+// open attaches this process's link to group id: the group itself.
+func (m *Mux) open(id uint32) (runtime.Link, error) {
 	g := m.groups[id]
 	switch {
 	case g == nil:
 		return nil, fmt.Errorf("transport: unknown group %d", id)
-	case tree == (g.spec.Topology == GroupRing):
-		return nil, fmt.Errorf("transport: group %d is a %s group", id, g.spec.Topology)
 	case !g.open.CompareAndSwap(false, true):
 		return nil, fmt.Errorf("transport: group %d already open", id)
 	}
@@ -1096,16 +1072,18 @@ func (m *Mux) connFailed(p *muxPeer, what string, err error) {
 
 // --- the group's link ---
 
-// A send posts to its slot while the link is open. SendDown to a node that
-// is not a child, and SendUp at the root, drop the frame.
+// A send posts to its slot while the link is open. A send on an edge the
+// group's topology lacks — SendState or SendTop on a tree group, SendDown
+// or SendUp on a ring group, SendDown to a node that is not a child,
+// SendUp at the root — has no slot and drops the frame.
 func (g *muxGroup) SendState(m runtime.Message) {
-	if g.open.Load() {
+	if g.stateSlot != nil && g.open.Load() {
 		g.stateSlot.postState(m)
 	}
 }
 
 func (g *muxGroup) SendTop() {
-	if g.open.Load() {
+	if g.topSlot != nil && g.open.Load() {
 		g.topSlot.postTop()
 	}
 }
@@ -1124,8 +1102,8 @@ func (g *muxGroup) SendUp(m runtime.UpMessage) {
 
 // Close detaches the link from the shared connections without touching
 // them: the group stops sending, its slots are cleared and its hook
-// removed, and the next Open (via the Ring/Tree view) reattaches it — the
-// rejoin path. On a TCP/TCPTree member's mux the link owns the mux, so the
+// removed, and the next Open (via the Group view) reattaches it — the
+// rejoin path. On a TCP member's mux the link owns the mux, so the
 // member's listener, connections and goroutines go with it — to its
 // neighbors, the process died.
 func (g *muxGroup) Close() error {
@@ -1144,8 +1122,8 @@ func (g *muxGroup) Close() error {
 
 // MuxSet is an all-local collection of muxes, one per process, sharing a
 // loopback peer list — the test and conformance configuration. Its
-// Ring/Tree views accept any process index and route Open to that
-// process's mux.
+// Group views accept any process index and route Open to that process's
+// mux.
 type MuxSet struct {
 	Muxes []*Mux
 }
@@ -1227,14 +1205,11 @@ func (s *MuxSet) Close() error {
 	return nil
 }
 
-// Ring returns a runtime.Transport for one ring group whose Open accepts
-// any process index, routing to that process's mux.
-func (s *MuxSet) Ring(id uint32) runtime.Transport {
-	return &TCP{borrowedMuxes(id, s.Muxes[0].digest, s.Muxes)}
+// Group returns a runtime.Transport for one group whose Open accepts any
+// process index, routing to that process's mux.
+func (s *MuxSet) Group(id uint32) runtime.Transport {
+	return borrowedTCP(id, s.Muxes[0].digest, s.Muxes)
 }
 
-// Tree returns a runtime transport for one tree or hybrid group
-// (implements runtime.TreeTransport), routing like Ring.
-func (s *MuxSet) Tree(id uint32) runtime.Transport {
-	return &TCPTree{borrowedMuxes(id, s.Muxes[0].digest, s.Muxes)}
-}
+// Ring is Group, kept for the benchmark harness's mux probe.
+func (s *MuxSet) Ring(id uint32) runtime.Transport { return s.Group(id) }

@@ -83,16 +83,14 @@ func TestMuxMultiGroupBarriers(t *testing.T) {
 	for i, spec := range specs {
 		i, spec := i, spec
 		topology := runtime.TopologyRing
-		var tr runtime.Transport = set.Ring(spec.ID)
 		if spec.Topology == GroupTree {
 			topology = runtime.TopologyTree
-			tr = set.Tree(spec.ID)
 		}
 		b, err := runtime.New(runtime.Config{
 			Participants: n,
 			NPhases:      nPhases,
 			Topology:     topology,
-			Transport:    tr,
+			Transport:    set.Group(spec.ID),
 			Resend:       200 * time.Microsecond,
 			CorruptRate:  0.01,
 			Seed:         int64(100 + i),
@@ -157,7 +155,7 @@ func TestMuxGroupTeardownIsolation(t *testing.T) {
 		b, err := runtime.New(runtime.Config{
 			Participants: n,
 			NPhases:      nPhases,
-			Transport:    set.Muxes[self].Ring(group),
+			Transport:    set.Muxes[self].Group(group),
 			Members:      []int{self},
 			Rejoin:       rejoin,
 			Resend:       200 * time.Microsecond,
@@ -292,27 +290,21 @@ func TestMuxValidation(t *testing.T) {
 	}
 	defer set.Close()
 	m := set.Muxes[0]
-	if _, err := m.Ring(1).Open(0); err == nil {
-		t.Error("ring view opened a tree group")
-	}
-	if _, err := m.openTree(0); err == nil {
-		t.Error("tree view opened a ring group")
-	}
-	if _, err := m.Ring(0).Open(1); err == nil {
+	if _, err := m.Group(0).Open(1); err == nil {
 		t.Error("opened a member this process does not host")
 	}
-	if _, err := m.Ring(7).Open(0); err == nil {
+	if _, err := m.Group(7).Open(0); err == nil {
 		t.Error("opened an undeclared group")
 	}
-	l, err := m.Ring(0).Open(0)
+	l, err := m.Group(0).Open(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Ring(0).Open(0); err == nil {
+	if _, err := m.Group(0).Open(0); err == nil {
 		t.Error("double open succeeded")
 	}
 	l.Close()
-	if _, err := m.Ring(0).Open(0); err != nil {
+	if _, err := m.Group(0).Open(0); err != nil {
 		t.Errorf("reopen after close failed: %v", err)
 	}
 
@@ -333,7 +325,7 @@ func TestMuxValidation(t *testing.T) {
 		if err := pm.start(); err != nil {
 			t.Fatal(err)
 		}
-		if links[j], err = pm.Ring(0).Open(j); err != nil {
+		if links[j], err = pm.Group(0).Open(j); err != nil {
 			t.Fatal(err)
 		}
 		defer func() {
@@ -375,7 +367,7 @@ func TestMuxPartitionInjection(t *testing.T) {
 	b, err := runtime.New(runtime.Config{
 		Participants: n,
 		NPhases:      nPhases,
-		Transport:    set.Ring(0),
+		Transport:    set.Group(0),
 		Resend:       200 * time.Microsecond,
 		Seed:         31,
 	})
@@ -488,7 +480,7 @@ func TestMuxHybridGroupBarrier(t *testing.T) {
 			Topology:     runtime.TopologyHybrid,
 			Hosts:        hosts,
 			Members:      hosts[h],
-			Transport:    set.Muxes[h].Tree(0),
+			Transport:    set.Muxes[h].Group(0),
 			Resend:       200 * time.Microsecond,
 			Seed:         int64(300 + h),
 		})
@@ -568,22 +560,15 @@ func TestMuxFrameBeforeOpenIsKept(t *testing.T) {
 	m.Sum = m.Checksum()
 	u := runtime.UpMessage{Child: 1, SN: 3, CP: 1, PH: 1, AckSN: 2, AckCP: 2, AckPH: 1}
 	u.Sum = u.Checksum()
-	ring := func(t *testing.T, set *MuxSet, j int) runtime.Link {
-		l, err := set.Muxes[j].Ring(0).Open(j)
+	open := func(t *testing.T, set *MuxSet, j int) runtime.Link {
+		l, err := set.Muxes[j].Group(0).Open(j)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
 		return l
 	}
-	tree := func(t *testing.T, set *MuxSet, j int) runtime.TreeLink {
-		l, err := set.Muxes[j].Tree(0).(runtime.TreeTransport).OpenTree(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		return l
-	}
+
 	// Two processes: each is the other's ring neighbour both ways, and in
 	// the tree process 0 is the root, process 1 its child.
 	for _, row := range []struct {
@@ -594,17 +579,17 @@ func TestMuxFrameBeforeOpenIsKept(t *testing.T) {
 		receive  func(t *testing.T, set *MuxSet) // opens the receiver's link and checks what it yields at once
 	}{
 		{"ring state", GroupRing, 1,
-			func(t *testing.T, set *MuxSet) { ring(t, set, 0).SendState(m) },
-			func(t *testing.T, set *MuxSet) { yieldsAtOnce(t, ring(t, set, 1).State(), m) }},
+			func(t *testing.T, set *MuxSet) { open(t, set, 0).SendState(m) },
+			func(t *testing.T, set *MuxSet) { yieldsAtOnce(t, open(t, set, 1).State(), m) }},
 		{"ring top", GroupRing, 1,
-			func(t *testing.T, set *MuxSet) { ring(t, set, 0).SendTop() },
-			func(t *testing.T, set *MuxSet) { yieldsAtOnce(t, ring(t, set, 1).Top(), struct{}{}) }},
+			func(t *testing.T, set *MuxSet) { open(t, set, 0).SendTop() },
+			func(t *testing.T, set *MuxSet) { yieldsAtOnce(t, open(t, set, 1).Top(), struct{}{}) }},
 		{"tree down", GroupTree, 1,
-			func(t *testing.T, set *MuxSet) { tree(t, set, 0).SendDown(1, m) },
-			func(t *testing.T, set *MuxSet) { yieldsAtOnce(t, tree(t, set, 1).Down(), m) }},
+			func(t *testing.T, set *MuxSet) { open(t, set, 0).SendDown(1, m) },
+			func(t *testing.T, set *MuxSet) { yieldsAtOnce(t, open(t, set, 1).State(), m) }},
 		{"tree up", GroupTree, 0,
-			func(t *testing.T, set *MuxSet) { tree(t, set, 1).SendUp(u) },
-			func(t *testing.T, set *MuxSet) { yieldsAtOnce(t, tree(t, set, 0).Up(), u) }},
+			func(t *testing.T, set *MuxSet) { open(t, set, 1).SendUp(u) },
+			func(t *testing.T, set *MuxSet) { yieldsAtOnce(t, open(t, set, 0).Up(), u) }},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			set, err := NewLoopbackMuxes(2, []GroupSpec{{ID: 0, Name: "alpha", Topology: row.topology}})

@@ -7,11 +7,11 @@
 // higher accepts — opened by a hello frame carrying the wire version, the
 // dialer's index and a digest of the whole configuration.
 //
-// The single-group transports in this file — TCP for a ring, TCPTree for a
-// tree given by its parent vector — are thin constructors over that
-// machinery: each opened member gets its own one-group Mux, and the link
-// it returns owns that mux, so closing the link frees the member's
-// listener and connections exactly as a process death would.
+// The single-group transport in this file — TCP, for a ring or for a tree
+// given by its parent vector — is a thin constructor over that machinery:
+// each opened member gets its own one-group Mux, and the link it returns
+// owns that mux, so closing the link frees the member's listener and
+// connections exactly as a process death would.
 //
 // Fault mapping: the transport adds no recovery logic of its own. Every
 // socket failure is translated into a fault class the barrier protocol
@@ -118,7 +118,7 @@ type TCPStats struct {
 }
 
 // tcpStats holds a transport's counters: a Mux's own, or one instance
-// shared by every member mux of a TCP/TCPTree.
+// shared by every member mux of a TCP.
 type tcpStats struct {
 	dials, failedDials, accepts, handshakeRejects atomic.Int64
 	digestRejects, acceptOverflows                atomic.Int64
@@ -294,20 +294,21 @@ func keepAlive(c net.Conn) {
 
 // --- single-group transports: one Mux per member ---
 
-// memberMuxes is the state behind TCP and TCPTree: member j's mux and the
-// group the transport speaks for. Built by NewTCP/NewTCPTree (and the
-// loopback constructors) it creates a member's one-group mux at Open, and
-// the link Open returns owns that mux. Built by the Ring/Tree views of a
-// Mux or MuxSet it borrows running muxes that declare many groups: Open
-// only attaches to the group, Close is a no-op, and the counters live on
-// the muxes (Mux.Stats), not here.
-type memberMuxes struct {
+// TCP implements runtime.Transport for one group over cfg.Peers: a ring
+// (NewTCP, NewLoopbackRing) or the tree given by a parent vector
+// (NewTCPTree, NewLoopbackTree, NewLoopbackTreeParent); the links Open
+// returns have that shape. Built by those constructors it creates a
+// member's one-group mux at Open, and the link Open returns owns that mux.
+// Built by the Group view of a Mux or MuxSet it borrows running muxes
+// that declare many groups: Open only attaches to the group, Close is a
+// no-op, and the counters live on the muxes (Mux.Stats), not here.
+type TCP struct {
 	group    uint32
 	digest   uint64
 	borrowed bool
 
 	cfg   MuxConfig  // per-member template; Open fills in Self
-	shape *topo.Tree // TCPTree's tree; nil for a ring
+	shape *topo.Tree // the tree given by a parent vector; nil for a ring
 	stats *tcpStats  // shared by every member mux, so Stats is their sum
 
 	mu        sync.Mutex
@@ -316,40 +317,40 @@ type memberMuxes struct {
 	closed    bool
 }
 
-func newMemberMuxes(cfg TCPConfig, topology string, shape *topo.Tree) (*memberMuxes, error) {
+func newTCP(cfg TCPConfig, topology string, shape *topo.Tree) (*TCP, error) {
 	if len(cfg.Peers) < 2 {
 		return nil, errors.New("transport: need at least 2 peers")
 	}
-	s := &memberMuxes{
+	t := &TCP{
 		cfg:       MuxConfig{Groups: []GroupSpec{{ID: 0, Topology: topology}}, TCPConfig: cfg},
 		shape:     shape,
 		stats:     new(tcpStats),
 		muxes:     make([]*Mux, len(cfg.Peers)),
 		listeners: make([]net.Listener, len(cfg.Peers)),
 	}
-	s.digest = muxDigest(s.cfg, shape)
+	t.digest = muxDigest(t.cfg, shape)
 	// The series are registered here, once, rather than by the member
 	// muxes: several local members would collide on the names.
-	s.cfg.Registry = nil
+	t.cfg.Registry = nil
 	if cfg.Registry != nil {
-		if err := s.stats.register(cfg.Registry); err != nil {
+		if err := t.stats.register(cfg.Registry); err != nil {
 			return nil, err
 		}
 	}
-	return s, nil
+	return t, nil
 }
 
-// borrowedMuxes is the view of group id over muxes owned by someone else;
+// borrowedTCP is the view of group id over muxes owned by someone else;
 // hosted[j] is nil where member j lives in another process.
-func borrowedMuxes(id uint32, digest uint64, hosted []*Mux) *memberMuxes {
-	return &memberMuxes{group: id, digest: digest, borrowed: true, muxes: hosted, stats: new(tcpStats)}
+func borrowedTCP(id uint32, digest uint64, hosted []*Mux) *TCP {
+	return &TCP{group: id, digest: digest, borrowed: true, muxes: hosted, stats: new(tcpStats)}
 }
 
-// loopbackMembers binds n ephemeral loopback listeners for an all-local
+// loopbackTCP binds n ephemeral loopback listeners for an all-local
 // deployment — the test, benchmark and conformance configuration. The
 // backoff defaults are lowered (2ms base, 100ms cap) so in-process
 // reconnect tests converge quickly; opts may override any field but Peers.
-func loopbackMembers(n int, topology string, shape *topo.Tree, opts []Option) (*memberMuxes, error) {
+func loopbackTCP(n int, topology string, shape *topo.Tree, opts []Option) (*TCP, error) {
 	if n < 2 {
 		return nil, errors.New("transport: need at least 2 members")
 	}
@@ -362,146 +363,32 @@ func loopbackMembers(n int, topology string, shape *topo.Tree, opts []Option) (*
 		opt(&cfg)
 	}
 	cfg.Peers = peers
-	s, err := newMemberMuxes(cfg, topology, shape)
+	t, err := newTCP(cfg, topology, shape)
 	if err != nil {
 		for _, l := range listeners {
 			l.Close()
 		}
 		return nil, err
 	}
-	s.listeners = listeners
-	return s, nil
+	t.listeners = listeners
+	return t, nil
 }
-
-// member returns member id's mux, building and starting it first unless
-// the muxes are borrowed.
-func (s *memberMuxes) member(id int) (*Mux, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errors.New("transport: closed")
-	}
-	if id < 0 || id >= len(s.muxes) {
-		return nil, fmt.Errorf("transport: member %d out of range [0,%d)", id, len(s.muxes))
-	}
-	if s.borrowed {
-		if s.muxes[id] == nil {
-			return nil, fmt.Errorf("transport: member %d is not hosted by this process", id)
-		}
-		return s.muxes[id], nil
-	}
-	if s.muxes[id] != nil {
-		return nil, fmt.Errorf("transport: member %d already open", id)
-	}
-	cfg := s.cfg
-	cfg.Self = id
-	m, err := newMux(cfg, muxWiring{ln: s.listeners[id], stats: s.stats, shape: s.shape, linkOwned: true})
-	if err != nil {
-		return nil, err
-	}
-	s.listeners[id] = nil // owned by the mux now
-	if err := m.start(); err != nil {
-		m.Close()
-		return nil, err
-	}
-	s.muxes[id] = m
-	return m, nil
-}
-
-// Close tears down every member's mux and listener.
-func (s *memberMuxes) Close() error {
-	if s.borrowed {
-		return nil
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true // member adds no mux and takes no listener from here on
-	s.mu.Unlock()
-	for _, m := range s.muxes {
-		if m != nil {
-			m.Close()
-		}
-	}
-	for _, ln := range s.listeners {
-		if ln != nil {
-			ln.Close() // pre-bound listeners of never-opened members
-		}
-	}
-	s.stats.unregister()
-	return nil
-}
-
-// Stats returns a snapshot of the transport's counters, summed over the
-// members opened here.
-func (s *memberMuxes) Stats() TCPStats { return s.stats.snapshot() }
-
-// Digest returns the configuration digest every member sends (and
-// expects) in hello frames.
-func (s *memberMuxes) Digest() uint64 { return s.digest }
-
-// BreakLinks force-closes every connection of member id, simulating a
-// network blip. The dialing ends redial with backoff; in-flight frames are
-// lost and masked by retransmission. Test hook.
-func (s *memberMuxes) BreakLinks(id int) {
-	s.mu.Lock()
-	var m *Mux
-	if id >= 0 && id < len(s.muxes) {
-		m = s.muxes[id]
-	}
-	s.mu.Unlock()
-	if m != nil {
-		m.BreakConns()
-	}
-}
-
-// TCP implements runtime.Transport for a ring over cfg.Peers.
-type TCP struct{ *memberMuxes }
 
 // NewTCP creates a TCP transport for the given ring. Nothing is bound or
 // dialed until Open.
-func NewTCP(cfg TCPConfig) (*TCP, error) {
-	s, err := newMemberMuxes(cfg, GroupRing, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &TCP{s}, nil
-}
+func NewTCP(cfg TCPConfig) (*TCP, error) { return newTCP(cfg, GroupRing, nil) }
 
 // NewLoopbackRing returns a TCP transport for an all-local ring of n
 // members on pre-bound ephemeral loopback listeners.
 func NewLoopbackRing(n int, opts ...Option) (*TCP, error) {
-	s, err := loopbackMembers(n, GroupRing, nil, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &TCP{s}, nil
+	return loopbackTCP(n, GroupRing, nil, opts)
 }
 
-// Open starts member id's mux — binding its listener when a lower-indexed
-// ring neighbor dials it, dialing the higher-indexed ones — and returns
-// the ring link. Closing the link closes that mux.
-func (t *TCP) Open(id int) (runtime.Link, error) {
-	m, err := t.member(id)
-	if err != nil {
-		return nil, err
-	}
-	return m.openRing(t.group)
-}
-
-// TCPTree implements runtime.TreeTransport for a tree over cfg.Peers. It
-// also satisfies the ring runtime.Transport interface so it can be placed
-// in Config.Transport, but its Open always fails: a tree transport serves
-// only TopologyTree and TopologyHybrid.
-type TCPTree struct{ *memberMuxes }
-
-// NewTCPTree creates a TCP tree transport for the tree described by the
-// parent vector (parent[i] is member i's parent; the root, member 0, has
-// -1). cfg.Peers[i] is member i's listen address. Nothing is bound or
-// dialed until OpenTree.
-func NewTCPTree(cfg TCPConfig, parent []int) (*TCPTree, error) {
+// NewTCPTree creates a TCP transport for the tree described by the parent
+// vector (parent[i] is member i's parent; the root, member 0, has -1).
+// cfg.Peers[i] is member i's listen address. Nothing is bound or dialed
+// until Open.
+func NewTCPTree(cfg TCPConfig, parent []int) (*TCP, error) {
 	if len(cfg.Peers) != len(parent) {
 		return nil, fmt.Errorf("transport: %d peers for a %d-member tree", len(cfg.Peers), len(parent))
 	}
@@ -509,22 +396,18 @@ func NewTCPTree(cfg TCPConfig, parent []int) (*TCPTree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	s, err := newMemberMuxes(cfg, GroupTree, shape)
-	if err != nil {
-		return nil, err
-	}
-	return &TCPTree{s}, nil
+	return newTCP(cfg, GroupTree, shape)
 }
 
-// NewLoopbackTree returns a TCP tree transport for an all-local
-// binary-heap tree of n members — the shape a TopologyTree barrier builds
-// by default (topo.NewKAryTree(n, 2)) — on pre-bound loopback listeners.
-func NewLoopbackTree(n int, opts ...Option) (*TCPTree, error) {
+// NewLoopbackTree returns a TCP transport for an all-local binary-heap
+// tree of n members — the shape a TopologyTree barrier builds by default
+// (topo.NewKAryTree(n, 2)) — on pre-bound loopback listeners.
+func NewLoopbackTree(n int, opts ...Option) (*TCP, error) {
 	shape, err := topo.NewKAryTree(n, 2)
 	if err != nil {
 		return nil, err
 	}
-	return newLoopbackTree(shape, opts)
+	return loopbackTCP(shape.Size(), GroupTree, shape, opts)
 }
 
 // NewLoopbackTreeParent is NewLoopbackTree for an arbitrary tree shape:
@@ -532,34 +415,110 @@ func NewLoopbackTree(n int, opts ...Option) (*TCPTree, error) {
 // topology uses it to run a cross-HOST tree on loopback — the transport's
 // node space there is host indices (topo.Hybrid.HostTree.Parent), not
 // member ids.
-func NewLoopbackTreeParent(parent []int, opts ...Option) (*TCPTree, error) {
+func NewLoopbackTreeParent(parent []int, opts ...Option) (*TCP, error) {
 	shape, err := topo.NewTree(parent)
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	return newLoopbackTree(shape, opts)
+	return loopbackTCP(shape.Size(), GroupTree, shape, opts)
 }
 
-func newLoopbackTree(shape *topo.Tree, opts []Option) (*TCPTree, error) {
-	s, err := loopbackMembers(shape.Size(), GroupTree, shape, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &TCPTree{s}, nil
-}
-
-// Open rejects ring use.
-func (t *TCPTree) Open(id int) (runtime.Link, error) {
-	return nil, errors.New("transport: tree transport requires Config.Topology == TopologyTree")
-}
-
-// OpenTree starts member id's mux — binding its listener when a
-// lower-indexed tree neighbor dials it, dialing the higher-indexed ones —
-// and returns the tree link. Closing the link closes that mux.
-func (t *TCPTree) OpenTree(id int) (runtime.TreeLink, error) {
+// Open starts member id's mux — binding its listener when a lower-indexed
+// neighbor dials it, dialing the higher-indexed ones — and returns its
+// link. Closing the link closes that mux. On a Group view Open attaches
+// the link to the group of the running mux.
+func (t *TCP) Open(id int) (runtime.Link, error) {
 	m, err := t.member(id)
 	if err != nil {
 		return nil, err
 	}
-	return m.openTree(t.group)
+	return m.open(t.group)
+}
+
+// Open, under the name the benchmark harness's tree probes call; it goes
+// when the harness calls Open.
+func (t *TCP) OpenTree(id int) (runtime.Link, error) { return t.Open(id) }
+
+// member returns member id's mux, building and starting it first unless
+// the muxes are borrowed.
+func (t *TCP) member(id int) (*Mux, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return nil, errors.New("transport: closed")
+	}
+	if id < 0 || id >= len(t.muxes) {
+		return nil, fmt.Errorf("transport: member %d out of range [0,%d)", id, len(t.muxes))
+	}
+	if t.borrowed {
+		if t.muxes[id] == nil {
+			return nil, fmt.Errorf("transport: member %d is not hosted by this process", id)
+		}
+		return t.muxes[id], nil
+	}
+	if t.muxes[id] != nil {
+		return nil, fmt.Errorf("transport: member %d already open", id)
+	}
+	cfg := t.cfg
+	cfg.Self = id
+	m, err := newMux(cfg, muxWiring{ln: t.listeners[id], stats: t.stats, shape: t.shape, linkOwned: true})
+	if err != nil {
+		return nil, err
+	}
+	t.listeners[id] = nil // owned by the mux now
+	if err := m.start(); err != nil {
+		m.Close()
+		return nil, err
+	}
+	t.muxes[id] = m
+	return m, nil
+}
+
+// Close tears down every member's mux and listener.
+func (t *TCP) Close() error {
+	if t.borrowed {
+		return nil
+	}
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return nil
+	}
+	t.closed = true // member adds no mux and takes no listener from here on
+	t.mu.Unlock()
+	for _, m := range t.muxes {
+		if m != nil {
+			m.Close()
+		}
+	}
+	for _, ln := range t.listeners {
+		if ln != nil {
+			ln.Close() // pre-bound listeners of never-opened members
+		}
+	}
+	t.stats.unregister()
+	return nil
+}
+
+// Stats returns a snapshot of the transport's counters, summed over the
+// members opened here.
+func (t *TCP) Stats() TCPStats { return t.stats.snapshot() }
+
+// Digest returns the configuration digest every member sends (and
+// expects) in hello frames.
+func (t *TCP) Digest() uint64 { return t.digest }
+
+// BreakLinks force-closes every connection of member id, simulating a
+// network blip. The dialing ends redial with backoff; in-flight frames are
+// lost and masked by retransmission. Test hook.
+func (t *TCP) BreakLinks(id int) {
+	t.mu.Lock()
+	var m *Mux
+	if id >= 0 && id < len(t.muxes) {
+		m = t.muxes[id]
+	}
+	t.mu.Unlock()
+	if m != nil {
+		m.BreakConns()
+	}
 }

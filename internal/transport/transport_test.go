@@ -23,8 +23,8 @@ import (
 // tree, and a parent vector that is not a heap — through the public
 // constructors only.
 
-// single is what the suite needs of a single-group transport; *TCP and
-// *TCPTree both provide it.
+// single is what the suite needs of a single-group transport: *TCP, of
+// every shape.
 type single interface {
 	runtime.Transport
 	Stats() TCPStats
@@ -114,8 +114,7 @@ type flow struct {
 // deployment is a transport with some of its members opened.
 type deployment struct {
 	tr    single
-	ring  []runtime.Link
-	tree  []runtime.TreeLink
+	links []runtime.Link
 	flows []flow
 }
 
@@ -157,15 +156,10 @@ func (sh shape) open(t *testing.T, tr single, members ...int) *deployment {
 			members = append(members, j)
 		}
 	}
-	d := &deployment{tr: tr, ring: make([]runtime.Link, sh.n), tree: make([]runtime.TreeLink, sh.n)}
+	d := &deployment{tr: tr, links: make([]runtime.Link, sh.n)}
 	for _, j := range members {
 		var err error
-		if sh.parent == nil {
-			d.ring[j], err = tr.Open(j)
-		} else {
-			d.tree[j], err = tr.(runtime.TreeTransport).OpenTree(j)
-		}
-		if err != nil {
+		if d.links[j], err = tr.Open(j); err != nil {
 			t.Fatalf("open member %d: %v", j, err)
 		}
 	}
@@ -179,18 +173,18 @@ func (sh shape) open(t *testing.T, tr single, members ...int) *deployment {
 		}
 	}
 	if sh.parent == nil {
-		for j, l := range d.ring {
+		for j, l := range d.links {
 			if l == nil {
 				continue
 			}
 			l, succ, pred := l, (j+1)%sh.n, (j-1+sh.n)%sh.n
 			var in <-chan runtime.Message
 			var top <-chan struct{}
-			if d.ring[succ] != nil {
-				in = d.ring[succ].State()
+			if d.links[succ] != nil {
+				in = d.links[succ].State()
 			}
-			if d.ring[pred] != nil {
-				top = d.ring[pred].Top()
+			if d.links[pred] != nil {
+				top = d.links[pred].Top()
 			}
 			last := 0
 			d.flows = append(d.flows, flow{
@@ -209,10 +203,10 @@ func (sh shape) open(t *testing.T, tr single, members ...int) *deployment {
 	}
 	for c := 1; c < sh.n; c++ {
 		c, p := c, sh.parent[c]
-		if l := d.tree[p]; l != nil {
+		if l := d.links[p]; l != nil {
 			var in <-chan runtime.Message
-			if d.tree[c] != nil {
-				in = d.tree[c].Down()
+			if d.links[c] != nil {
+				in = d.links[c].State()
 			}
 			d.flows = append(d.flows, flow{
 				name: fmt.Sprintf("down %d→%d", p, c), from: p, to: c, payload: true,
@@ -220,10 +214,10 @@ func (sh shape) open(t *testing.T, tr single, members ...int) *deployment {
 				recv: func(wait time.Duration) (int, bool) { return take(in, wait, state(c)) },
 			})
 		}
-		if l := d.tree[c]; l != nil {
+		if l := d.links[c]; l != nil {
 			var in <-chan runtime.UpMessage
-			if d.tree[p] != nil {
-				in = d.tree[p].Up()
+			if d.links[p] != nil {
+				in = d.links[p].Up()
 			}
 			d.flows = append(d.flows, flow{
 				name: fmt.Sprintf("up %d→%d", c, p), from: c, to: p, payload: true,
@@ -256,11 +250,8 @@ func (d *deployment) flowBetween(t *testing.T, from, to int) flow {
 
 // closeLink closes member j's link.
 func (d *deployment) closeLink(j int) {
-	if d.ring[j] != nil {
-		d.ring[j].Close()
-	}
-	if d.tree[j] != nil {
-		d.tree[j].Close()
+	if d.links[j] != nil {
+		d.links[j].Close()
 	}
 }
 
@@ -313,15 +304,7 @@ func intrude(t *testing.T, addr string, frames ...[]byte) {
 }
 
 // peers returns the deployment's address list.
-func peersOf(tr single) []string {
-	switch tr := tr.(type) {
-	case *TCP:
-		return tr.cfg.Peers
-	case *TCPTree:
-		return tr.cfg.Peers
-	}
-	return nil
-}
+func peersOf(tr single) []string { return tr.(*TCP).cfg.Peers }
 
 // deadPeers reserves n loopback addresses nobody listens on.
 func deadPeers(t *testing.T, n int) []string {
@@ -524,7 +507,7 @@ func TestChildIDCrossCheck(t *testing.T) {
 		waitStat(t, tr, "cross-check violation not accounted as a decode error",
 			func(s TCPStats) bool { return s.DecodeErrors > 0 })
 		select {
-		case m := <-d.tree[0].Up():
+		case m := <-d.links[0].Up():
 			t.Errorf("forged up-message delivered: %+v", m)
 		default:
 		}
@@ -596,12 +579,8 @@ func TestCloseSemantics(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("Close did not return promptly")
 		}
-		if sh.parent == nil {
-			if _, err := tr.Open(0); err == nil {
-				t.Error("Open succeeded on a closed transport")
-			}
-		} else if _, err := tr.(runtime.TreeTransport).OpenTree(0); err == nil {
-			t.Error("OpenTree succeeded on a closed transport")
+		if _, err := tr.Open(0); err == nil {
+			t.Error("Open succeeded on a closed transport")
 		}
 	})
 
@@ -628,22 +607,9 @@ func TestOpenValidation(t *testing.T) {
 	forEachShape(t, func(t *testing.T, sh shape) {
 		tr := sh.loopback(t)
 		sh.open(t, tr)
-		open := func(id int) error {
-			if sh.parent == nil {
-				_, err := tr.Open(id)
-				return err
-			}
-			_, err := tr.(runtime.TreeTransport).OpenTree(id)
-			return err
-		}
 		for _, id := range []int{0, -1, sh.n} {
-			if open(id) == nil {
+			if _, err := tr.Open(id); err == nil {
 				t.Errorf("second or out-of-range open of member %d succeeded", id)
-			}
-		}
-		if sh.parent != nil {
-			if _, err := tr.Open(0); err == nil {
-				t.Error("ring Open succeeded on a tree transport")
 			}
 		}
 	})
