@@ -363,6 +363,41 @@ func BenchmarkAwaitHybrid(b *testing.B) {
 	}
 }
 
+// BenchmarkNew is the setup cost of a 32-member barrier, New then Stop: a
+// ring and a tree on one scheduler (the repo benchmark's inproc
+// workloads) and the pair-host hybrid over an in-process host-tree
+// transport, one scheduler per host on its link (the transport is built
+// per iteration, so its cost is in the figure).
+func BenchmarkNew(b *testing.B) {
+	const n = 32
+	hy, err := topo.NewHybridTree(benchPairHosts(n), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"ring", func() Config { return Config{Participants: n, Seed: 1} }},
+		{"tree", func() Config { return Config{Participants: n, Seed: 1, Topology: TopologyTree} }},
+		{"hybrid", func() Config {
+			return Config{Participants: n, Seed: 1, Topology: TopologyHybrid, Hosts: hy.Hosts,
+				Transport: NewChanTreeTransport(hy.HostTree.Parent)}
+		}},
+	} {
+		b.Run(fmt.Sprintf("%s/n=%d", row.name, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bar, err := New(row.cfg())
+				if err != nil {
+					b.Fatal(err)
+				}
+				bar.Stop()
+			}
+		})
+	}
+}
+
 // benchHybridCluster is benchRuntimePassesCfg for the distributed hybrid
 // shape: one Barrier per host sharing the host-tree transport, every
 // member of every host looping Await until all have b.N passes.

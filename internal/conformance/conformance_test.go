@@ -98,20 +98,24 @@ func TestEngineTargetsStabilize(t *testing.T) {
 	}
 }
 
-// The live goroutine barrier passes both tolerance checks, including under
-// message loss, corruption, resets, scrambles and spurious messages.
-func TestRuntimeTarget(t *testing.T) {
+// The live barrier passes both tolerance checks on the ring and on the
+// tree, including under message loss, corruption, resets, scrambles and
+// spurious messages. One body, one row per topology target.
+func TestRuntimeTarget(t *testing.T) { runtimeTolerates(t, TargetRuntime, 4) }
+func TestTreeTarget(t *testing.T)    { runtimeTolerates(t, TargetTree, 5) }
+
+func runtimeTolerates(t *testing.T, target string, nProcs int) {
 	if testing.Short() {
 		t.Skip("wall-clock paced")
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		// Resets plus message loss and detected corruption: masking.
-		s := Generate(GenConfig{Target: TargetRuntime, NProcs: 4, NPhases: 3, Ops: 60,
+		s := Generate(GenConfig{Target: target, NProcs: nProcs, NPhases: 3, Ops: 60,
 			FaultRate: 0.15, Loss: 0.05, Corrupt: 0.05}, seed)
 		if v := Run(s); !v.OK {
 			t.Errorf("masking seed=%d: %v\n  replay: %s", seed, v, s.String())
 		}
-		s = Generate(GenConfig{Target: TargetRuntime, NProcs: 4, NPhases: 3, Ops: 60,
+		s = Generate(GenConfig{Target: target, NProcs: nProcs, NPhases: 3, Ops: 60,
 			FaultRate: 0.15, Scrambles: true, Spurious: true, Loss: 0.05, Corrupt: 0.05}, seed)
 		if v := Run(s); !v.OK {
 			t.Errorf("stabilizing seed=%d: %v\n  replay: %s", seed, v, s.String())
@@ -189,26 +193,6 @@ func TestTargetsMatchChannelTarget(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// The tree topology passes both tolerance checks, like the ring.
-func TestTreeTarget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock paced")
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		// Resets plus message loss and detected corruption: masking.
-		s := Generate(GenConfig{Target: TargetTree, NProcs: 5, NPhases: 3, Ops: 60,
-			FaultRate: 0.15, Loss: 0.05, Corrupt: 0.05}, seed)
-		if v := Run(s); !v.OK {
-			t.Errorf("masking seed=%d: %v\n  replay: %s", seed, v, s.String())
-		}
-		s = Generate(GenConfig{Target: TargetTree, NProcs: 5, NPhases: 3, Ops: 60,
-			FaultRate: 0.15, Scrambles: true, Spurious: true, Loss: 0.05, Corrupt: 0.05}, seed)
-		if v := Run(s); !v.OK {
-			t.Errorf("stabilizing seed=%d: %v\n  replay: %s", seed, v, s.String())
-		}
 	}
 }
 

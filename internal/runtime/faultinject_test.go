@@ -18,6 +18,14 @@ import (
 // racing one.
 func waitQuiesced(t *testing.T, b *Barrier) {
 	t.Helper()
+	if !quiesced(b, 5*time.Second) {
+		t.Fatal("the barrier did not quiesce")
+	}
+}
+
+// quiesced is waitQuiesced's wait, given up after d: it reports whether
+// the sweeper exited and the turns in flight ended in time.
+func quiesced(b *Barrier, d time.Duration) bool {
 	done := make(chan struct{})
 	go func() {
 		b.wg.Wait()
@@ -26,8 +34,9 @@ func waitQuiesced(t *testing.T, b *Barrier) {
 	}()
 	select {
 	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the barrier did not quiesce")
+		return true
+	case <-time.After(d):
+		return false
 	}
 }
 

@@ -4,7 +4,8 @@
 // state machines stepped by schedulers (sched.go), whose turns run on
 // whichever goroutine posted their input: co-located members share one
 // scheduler, which copies their announcements as registers; over a
-// Transport each ring member or host gets a scheduler with one link.
+// Transport each roster (a ring or tree member, a hybrid host) gets a
+// scheduler with one link.
 // It is the library a systems programmer would embed — the paper's
 // "third alternative" to MPI's abort-or-error-code fault handling.
 //
@@ -87,23 +88,23 @@ const (
 type Config struct {
 	// Participants is the number of synchronizing goroutines (≥ 2).
 	Participants int
-	// Topology selects the protocol's communication structure: the MB
-	// ring (default), the Figure 2(d) double tree, or the hybrid. All
-	// provide the same guarantees (masking for detectable faults,
-	// stabilization for undetectable ones, fail-safe Halt); the tree
-	// trades O(N) for O(log N) sequential hops per pass. Over a
-	// Transport a tree is the hybrid with one member per host, and each
-	// OS process runs one or more whole hosts.
+	// Topology selects the member program — the MB ring's (default) or
+	// the Figure 2(d) double tree's, which the hybrid runs too — and the
+	// rosters, the members that share a scheduler over a Transport: one
+	// member each for a ring and a tree (a tree is the hybrid with one
+	// member per host), Hosts for a hybrid. All give the same guarantees
+	// (masking for detectable faults, stabilization for undetectable ones,
+	// fail-safe Halt); the tree trades O(N) for O(log N) hops per pass.
 	Topology Topology
-	// TreeArity is the branching factor of the TopologyTree tree
-	// (default 2; heap-shaped, node i's parent is (i-1)/TreeArity).
-	// For TopologyHybrid it is the branching factor of the cross-host
-	// tree. Ignored for TopologyRing.
+	// TreeArity is the branching factor (default 2, at least 2) of the
+	// heap-shaped tree over the rosters — node i's parent is
+	// (i-1)/TreeArity: for TopologyTree the member tree, for
+	// TopologyHybrid the cross-host tree. Ignored for TopologyRing.
 	TreeArity int
-	// Hosts groups the participants by host for TopologyHybrid: Hosts[h]
-	// lists the member ids co-located on host h. Every participant must
-	// appear in exactly one host. Required for (and only used by)
-	// TopologyHybrid.
+	// Hosts are the rosters of TopologyHybrid: Hosts[h] lists the member
+	// ids co-located on host h, which share one scheduler. Every
+	// participant must appear in exactly one host. Required for (and only
+	// used by) TopologyHybrid.
 	Hosts [][]int
 	// Depth is the wave-pipelining window: up to Depth barrier instances
 	// may be outstanding per participant (default 1 — no pipelining).
@@ -127,7 +128,7 @@ type Config struct {
 	// Transport supplies the links (nil: every member is local and its
 	// scheduler copies frames between them, no links at all). A network
 	// transport (internal/transport) lets the barrier span OS processes,
-	// each running one or more ring members or whole hosts; the Barrier
+	// each running one or more rosters (Members); the Barrier
 	// closes the links it opens on Stop, but an explicitly supplied
 	// Transport is closed by its creator. Its shape must be the
 	// topology's: a ring transport for a ring, and for a tree or hybrid a
@@ -135,10 +136,9 @@ type Config struct {
 	// transport.NewTCPTree); New rejects a link of the other shape.
 	Transport Transport
 	// Members lists the members hosted by this process (nil: all of
-	// them): any ring members, or of a tree or hybrid any union of whole
-	// hosts (a tree's hosts are its members). Await and the
-	// fault-injection methods accept only local member ids. Members
-	// requires an explicit Transport.
+	// them): any union of whole rosters — so any ring or tree members, or
+	// whole hybrid hosts. Await and the fault-injection methods accept
+	// only local member ids. Members requires an explicit Transport.
 	Members []int
 	// Rejoin starts the local members in the detectably-reset state (sn ⊥,
 	// cp error) instead of the phase-0 start state — the Section 7 restart
@@ -231,12 +231,6 @@ type ctrlMsg struct {
 type lane struct {
 	// idx is the lane's index: wave k executes on lane k%Depth.
 	idx int
-	// procs is indexed by member id; entries for members hosted by other
-	// processes (distributed deployments) — or running the tree protocol —
-	// are nil.
-	procs []*proc
-	// tprocs is the tree-topology counterpart of procs.
-	tprocs []*treeProc
 	// gates is the topology-independent participant interface, indexed by
 	// member id (nil for members hosted elsewhere).
 	gates []*gate
@@ -530,28 +524,22 @@ func New(cfg Config) (*Barrier, error) {
 	if cfg.Members != nil && cfg.Transport == nil && cfg.LaneTransports == nil {
 		return nil, errors.New("ftbarrier: Members requires an explicit Transport")
 	}
-	if cfg.Topology == TopologyHybrid && cfg.Hosts == nil {
-		return nil, errors.New("ftbarrier: Topology == TopologyHybrid requires Hosts (the host grouping)")
+	rosters, hy, err := rostersOf(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Topology != TopologyHybrid && cfg.Hosts != nil {
-		return nil, errors.New("ftbarrier: Hosts is only meaningful with Topology == TopologyHybrid")
+	local := make([]bool, cfg.Participants) // the members this process hosts
+	for j := range local {
+		local[j] = cfg.Members == nil
 	}
-	members := cfg.Members
-	if members == nil {
-		members = make([]int, cfg.Participants)
-		for j := range members {
-			members[j] = j
-		}
-	}
-	seen := make(map[int]bool, len(members))
-	for _, j := range members {
+	for _, j := range cfg.Members {
 		if j < 0 || j >= cfg.Participants {
 			return nil, fmt.Errorf("ftbarrier: member %d out of range [0,%d)", j, cfg.Participants)
 		}
-		if seen[j] {
+		if local[j] {
 			return nil, fmt.Errorf("ftbarrier: duplicate member %d", j)
 		}
-		seen[j] = true
+		local[j] = true
 	}
 
 	b := &Barrier{
@@ -577,14 +565,8 @@ func New(cfg Config) (*Barrier, error) {
 	b.windows = make([]window, b.n)
 	b.lanes = make([]*lane, b.depth)
 	for li := range b.lanes {
-		b.lanes[li] = &lane{
-			idx:    li,
-			procs:  make([]*proc, b.n),
-			tprocs: make([]*treeProc, b.n),
-			gates:  make([]*gate, b.n),
-		}
+		b.lanes[li] = &lane{idx: li, gates: make([]*gate, b.n)}
 	}
-	var err error
 	for li, ln := range b.lanes {
 		laneCfg := cfg
 		if li > 0 {
@@ -597,15 +579,7 @@ func New(cfg Config) (*Barrier, error) {
 		if cfg.LaneTransports != nil {
 			laneCfg.Transport = cfg.LaneTransports[li]
 		}
-		switch cfg.Topology {
-		case TopologyTree:
-			err = b.startTree(laneCfg, members, ln)
-		case TopologyHybrid:
-			err = b.startHybrid(laneCfg, members, ln)
-		default:
-			err = b.startRing(laneCfg, members, ln)
-		}
-		if err != nil {
+		if err = b.place(laneCfg, ln, rosters, hy, local); err != nil {
 			break
 		}
 	}
@@ -665,47 +639,19 @@ func (b *Barrier) sweepResends(resend time.Duration) {
 	}
 }
 
-// startRing wires the MB ring: with no transport one scheduler hosts the
-// whole ring, otherwise each hosted member gets a scheduler attached to
-// the link the transport opens for it.
-func (b *Barrier) startRing(cfg Config, members []int, ln *lane) error {
-	if cfg.Transport == nil {
-		// Every member is local (Members requires an explicit Transport).
-		s := newSched(b, cfg, ln, b.n)
-		for id := 0; id < b.n; id++ {
-			s.addRing(cfg, ln, id)
-		}
-	} else {
-		for _, j := range members {
-			s, err := b.attach(cfg, ln, j, false, 1)
-			if err != nil {
-				return err
-			}
-			s.in = &s.addRing(cfg, ln, j).node
-		}
-	}
-	if !cfg.Rejoin {
-		// Every local process starts out executing phase 0: record the
-		// implicit begins so the event trace forms complete instances.
-		for _, j := range members {
-			b.emit(core.Event{Kind: core.EvBegin, Proc: j, Phase: 0})
-		}
-	}
-	return nil
-}
-
-// addRing creates ring member id on this scheduler.
-func (s *sched) addRing(cfg Config, ln *lane, id int) *proc {
+// newProc creates ring member g.id, executing phase 0 — or, with Rejoin,
+// in the Section 7 restart state.
+func newProc(g *gate, cfg Config) *proc {
 	pred := ahead
-	if id == 0 {
+	if g.id == 0 {
 		pred = behind // the leader's predecessor is the last process
 	}
 	p := &proc{
 		node: node{
-			gate:   newGate(s, id, ln.idx),
+			gate:   g,
 			triple: triple{cp: core.Execute}, // everyone starts executing phase 0
 			from:   cell{triple: triple{cp: core.Execute}, role: pred, ring: true},
-			rng:    prng.New(cfg.Seed + int64(id)*7919),
+			rng:    prng.New(cfg.Seed + int64(g.id)*7919),
 		},
 		succ: cell{role: marker},
 	}
@@ -715,8 +661,6 @@ func (s *sched) addRing(cfg Config, ln *lane, id int) *proc {
 		// detectable reset, so the ring masks the (re)join.
 		p.lose()
 	}
-	s.members[id] = p
-	ln.procs[id], ln.gates[id] = p, p.gate
 	return p
 }
 
@@ -1250,14 +1194,15 @@ func (b *Barrier) Byz(id int, seed int64) {
 // state frames and the predecessor for ⊤ markers, or — on a tree — a
 // random child for down frames and the parent for convergecast frames.
 func (b *Barrier) byzRoute(ln *lane, id int, rng *prng.PRNG) (victim int, kind ctrlKind) {
-	if tp := ln.tprocs[id]; tp != nil {
+	g := ln.gates[id]
+	if g == nil {
+		return -1, ctrlByzState
+	}
+	if tp, ok := g.s.members[id].(*treeProc); ok {
 		if len(tp.kids) > 0 && (tp.parentID < 0 || rng.Intn(2) == 0) {
 			return tp.kids[rng.Intn(len(tp.kids))], ctrlByzDown
 		}
 		return tp.parentID, ctrlByzUp
-	}
-	if ln.procs[id] == nil {
-		return -1, ctrlByzState
 	}
 	if rng.Intn(3) == 2 {
 		return (id - 1 + b.n) % b.n, ctrlByzTop

@@ -9,19 +9,17 @@
 // step, announce with its loss and corruption draws, the checksum and
 // window checks at the receiver — is the same wherever a member is placed.
 //
-// Placement is the only policy; Topology, Transport and Members decide it:
+// Placement is the only policy, and the topology is a roster, not a code
+// path. New works out the rosters once (rostersOf): one member each for a
+// ring and a tree — a tree is the hybrid whose hosts have one member — and
+// Config.Hosts for a hybrid. Then place puts each lane's members:
 //
 //   - No Transport: one scheduler per lane hosts every member.
-//   - A ring over a Transport: one scheduler per hosted member, attached
-//     to the link the transport opens for it (the distributed deployment,
-//     and every member of an in-process NewChanTransport or NewLoopbackRing).
-//   - A tree or hybrid over a Transport of tree shape: one scheduler per
-//     hosted host, running its roster on the host's link in the cross-host
-//     tree; a tree is the hybrid whose hosts have one member each.
+//   - A Transport: one scheduler per roster Members covers (a union of
+//     whole rosters), on the roster's link, which attach opens, records
+//     for Stop, checks for the topology's shape and hooks to the scheduler.
 //
-// Either way a scheduler over a Transport gets its link from attach, the
-// one place that opens a link, records it for Stop, registers the
-// scheduler's hook and rejects a link whose shape is not the topology's.
+// The member kind, a ring proc or a tree proc (add), is the only fork.
 //
 // A scheduler owns its members' edges. One between two members it hosts
 // is a register it copies (sendState, sendTop, sendUp, then copyHops):
@@ -89,6 +87,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/prng"
 	"repro/internal/topo"
 )
@@ -150,7 +149,7 @@ type sched struct {
 	extUp   <-chan UpMessage
 
 	// Host-tree addressing (a tree link; nil hy on a ring): the link's
-	// node space is the host indices, host is this scheduler's; hy.HostOf
+	// node space is the roster indices, host is this scheduler's; hy.HostOf
 	// addresses down sends to remote child hosts, hy.HostRoot attributes
 	// received up summaries.
 	host int
@@ -158,7 +157,7 @@ type sched struct {
 }
 
 // newSched adds an empty scheduler for a roster of hosted members to the
-// lane; addRing/addTree populate it and New primes it.
+// lane; add populates it and New primes it.
 func newSched(b *Barrier, cfg Config, ln *lane, hosted int) *sched {
 	// The control channel: one resend poke per hosted member plus headroom
 	// for fault-injection bursts (inject drops on overflow). Arrivals do
@@ -184,8 +183,8 @@ func newSched(b *Barrier, cfg Config, ln *lane, hosted int) *sched {
 	return s
 }
 
-// attach opens node id's link on cfg.Transport — ring member id's, or
-// tree host id's — for a new scheduler of hosted members, records it for
+// attach opens link id on cfg.Transport — roster id's: ring member id's,
+// or tree host id's — for a new scheduler of hosted members, records it for
 // Stop and registers the scheduler's input hook. A link whose shape is not
 // the topology's is rejected: a ring link has a ⊤ mailbox, a tree link an
 // up mailbox. New closes it with every other link it recorded.
@@ -207,74 +206,101 @@ func (b *Barrier) attach(cfg Config, ln *lane, id int, tree bool, hosted int) (*
 	return s, nil
 }
 
-// startFusedTree wires the all-local tree: one scheduler hosts every
-// member.
-func (b *Barrier) startFusedTree(cfg Config, tree *topo.Tree, ln *lane) {
-	s := newSched(b, cfg, ln, b.n)
-	for id := 0; id < b.n; id++ {
-		s.addTree(cfg, ln, id, tree)
+// rostersOf works out a barrier's rosters — the groups of members that
+// share a scheduler over a Transport, roster h speaking on link h — and,
+// for a tree or hybrid, the member tree they run (hy, nil on a ring). A
+// ring's and a tree's rosters have one member each, and a tree is the
+// hybrid of those one-member hosts; a hybrid's are Config.Hosts. It is
+// the one place the topology decides anything but the metric label.
+func rostersOf(cfg Config) (rosters [][]int, hy *topo.Hybrid, err error) {
+	if cfg.Hosts != nil && cfg.Topology != TopologyHybrid {
+		return nil, nil, errors.New("ftbarrier: Hosts is only meaningful with Topology == TopologyHybrid")
 	}
-}
-
-// treeArity is Config.TreeArity with its default.
-func treeArity(cfg Config) int {
-	if cfg.TreeArity == 0 {
-		return 2
+	arity := cfg.TreeArity
+	if arity == 0 {
+		arity = 2
 	}
-	return cfg.TreeArity
-}
-
-// startHybrid wires the two-level hybrid topology. With no transport every
-// host is local and the member-level tree (stars under host roots, host
-// roots in the cross-host tree) runs on one scheduler; with a transport
-// over the host indices, startHosts runs this process's hosts.
-func (b *Barrier) startHybrid(cfg Config, members []int, ln *lane) error {
-	hy, err := topo.NewHybridTree(cfg.Hosts, treeArity(cfg))
+	switch cfg.Topology {
+	case TopologyTree:
+		hy, err = topo.NewKAryHybrid(cfg.Participants, arity)
+	case TopologyHybrid:
+		if cfg.Hosts == nil {
+			return nil, nil, errors.New("ftbarrier: Topology == TopologyHybrid requires Hosts (the host grouping)")
+		}
+		hy, err = topo.NewHybridTree(cfg.Hosts, arity)
+		if err == nil && len(hy.HostOf) != cfg.Participants {
+			return nil, nil, fmt.Errorf("ftbarrier: Hosts cover %d members, Participants = %d", len(hy.HostOf), cfg.Participants)
+		}
+	default:
+		return topo.Singletons(cfg.Participants), nil, nil
+	}
 	if err != nil {
-		return fmt.Errorf("ftbarrier: %w", err)
+		return nil, nil, fmt.Errorf("ftbarrier: %w", err)
 	}
-	if len(hy.HostOf) != b.n {
-		return fmt.Errorf("ftbarrier: Hosts cover %d members, Participants = %d", len(hy.HostOf), b.n)
-	}
+	return hy.Hosts, hy, nil
+}
+
+// place puts lane ln's members on schedulers. With no Transport one
+// scheduler hosts every member. Over a Transport each roster this process
+// hosts gets a scheduler of its own on the roster's link (local must cover
+// a union of whole rosters), and the roster's first member, its host root,
+// holds the link's edges: a parent host's down frames refresh its parent
+// copy, and its convergecast acknowledgment — the aggregate of the
+// roster's whole subtree — is the one frame that goes up. The member kind
+// (add) is all the topology changes here.
+func (b *Barrier) place(cfg Config, ln *lane, rosters [][]int, hy *topo.Hybrid, local []bool) error {
 	if cfg.Transport == nil {
-		b.startFusedTree(cfg, hy.Tree, ln)
+		// Every member is local (Members requires an explicit Transport).
+		s := newSched(b, cfg, ln, b.n)
+		for id := 0; id < b.n; id++ {
+			s.add(cfg, ln, id, hy)
+		}
 		return nil
 	}
-	return b.startHosts(cfg, hy, members, ln)
-}
-
-// startHosts wires this process's hosts into the cross-host tree: Members
-// must be a union of whole entries of Hosts, and the transport's node
-// space is the host indices. Each host gets one scheduler, which presents
-// the host's whole subtree as one node on the external host-tree edges:
-// down messages from the parent host refresh the local host root's parent
-// copy, and the host root's convergecast acknowledgment — already the
-// aggregate of its entire local subtree — is the only thing that crosses
-// the network upward.
-func (b *Barrier) startHosts(cfg Config, hy *topo.Hybrid, members []int, ln *lane) error {
-	hosted := make([]int, len(hy.Hosts)) // how many of each host's members are in Members
-	for _, j := range members {
-		hosted[hy.HostOf[j]]++
-	}
-	for h, roster := range hy.Hosts {
-		if hosted[h] == 0 {
+	for h, roster := range rosters {
+		hosted := 0
+		for _, id := range roster {
+			if local[id] {
+				hosted++
+			}
+		}
+		if hosted == 0 {
 			continue
 		}
-		if hosted[h] != len(roster) {
+		if hosted != len(roster) {
 			// New closes the links opened so far.
-			return fmt.Errorf("ftbarrier: Members must be a union of whole hosts: host %d's roster is %v, Members %v", h, roster, members)
+			return fmt.Errorf("ftbarrier: Members must be a union of whole hosts: host %d's roster is %v, Members %v", h, roster, cfg.Members)
 		}
-		s, err := b.attach(cfg, ln, h, true, len(roster))
+		s, err := b.attach(cfg, ln, h, hy != nil, len(roster))
 		if err != nil {
 			return err
 		}
 		s.host, s.hy = h, hy
 		for _, id := range roster {
-			s.addTree(cfg, ln, id, hy.Tree)
+			s.add(cfg, ln, id, hy)
 		}
-		s.in = &ln.tprocs[hy.HostRoot[h]].node
+		s.in = s.peer(roster[0])
 	}
 	return nil
+}
+
+// add creates member id on this scheduler: a tree proc at its place in
+// hy's member tree, or with no member tree a ring proc. A tree proc starts
+// in DT's start state (wave 0 acknowledged, everyone ready), and the first
+// wave emits its begin of phase 0; a ring proc starts mid-phase, executing
+// phase 0, so its begin is recorded here and the event trace forms
+// complete instances.
+func (s *sched) add(cfg Config, ln *lane, id int, hy *topo.Hybrid) {
+	g := newGate(s, id, ln.idx)
+	ln.gates[id] = g
+	if hy != nil {
+		s.members[id] = newTreeProc(g, hy.Tree.Parent[id], hy.Tree.Children[id], cfg)
+		return
+	}
+	s.members[id] = newProc(g, cfg)
+	if !cfg.Rejoin {
+		s.b.emit(core.Event{Kind: core.EvBegin, Proc: id, Phase: 0})
+	}
 }
 
 // remapUpChild rewrites an up summary's Child for the member↔host-index

@@ -18,53 +18,17 @@
 // acknowledged), and the fault branches (the root and bottom-up
 // resynchronizations, the ⊤ restart wave) mark recovery waves repeat so
 // the interrupted phase is re-executed, exactly as in DT.
+//
+// This file is the member program only; placement is the ring's (sched.go).
+// The tree is the hybrid whose hosts have one member each, so its member
+// tree is topo.NewKAryTree(n, TreeArity) wherever its members run.
 package runtime
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/prng"
 	"repro/internal/tokenring"
-	"repro/internal/topo"
 )
-
-// startTree wires the double-tree topology: with no transport one
-// scheduler hosts the whole k-ary tree; over a transport the tree is the
-// hybrid whose hosts each have one member (its member tree and host tree
-// are both the k-ary heap), and startHosts gives each hosted member a
-// scheduler attached to its link.
-func (b *Barrier) startTree(cfg Config, members []int, ln *lane) error {
-	// Unlike the ring procs (which start mid-phase, in execute), tree procs
-	// start in DT's start state — wave 0 fully acknowledged, everyone ready
-	// in phase 0 — so the begins of phase 0 are emitted by the protocol
-	// itself when the first wave rolls; no implicit events are needed here.
-	if cfg.Transport == nil {
-		// Every member is local (Members requires an explicit Transport).
-		tree, err := topo.NewKAryTree(b.n, treeArity(cfg))
-		if err != nil {
-			return fmt.Errorf("ftbarrier: %w", err)
-		}
-		b.startFusedTree(cfg, tree, ln)
-		return nil
-	}
-	hosts := make([][]int, b.n)
-	for id := range hosts {
-		hosts[id] = []int{id}
-	}
-	hy, err := topo.NewHybridTree(hosts, treeArity(cfg))
-	if err != nil {
-		return fmt.Errorf("ftbarrier: %w", err)
-	}
-	return b.startHosts(cfg, hy, members, ln)
-}
-
-// addTree creates tree member id on this scheduler.
-func (s *sched) addTree(cfg Config, ln *lane, id int, tree *topo.Tree) {
-	tp := newTreeProc(newGate(s, id, ln.idx), tree.Parent[id], tree.Children[id], cfg)
-	s.members[id] = tp
-	ln.tprocs[id], ln.gates[id] = tp, tp.gate
-}
 
 // kidCopy is what a tree node holds of one child: a cell for each half of
 // its convergecast frames — the live state, read by the resynchronization

@@ -38,7 +38,7 @@ func haltedRing(t *testing.T, n, nPhases int, seed int64) *Barrier {
 // not — may confirm it.
 func TestForgedWrongPhaseFrameRejected(t *testing.T) {
 	b := haltedRing(t, 3, 3, 41)
-	p := b.lanes[0].procs[1]
+	p := memberOf(b.lanes[0], 1).(*proc)
 	if !p.settled() {
 		t.Fatalf("fault-free ring proc not settled: sn=%v cp=%v cpL=%v", p.sn, p.cp, p.from.cp)
 	}
@@ -87,7 +87,7 @@ func TestForgedWrongPhaseFrameRejected(t *testing.T) {
 // sighting is rejected and counted; the bit-identical second is adopted.
 func TestForgedFrameSecondSightingAdopted(t *testing.T) {
 	b := haltedRing(t, 3, 3, 43)
-	p := b.lanes[0].procs[2]
+	p := memberOf(b.lanes[0], 2).(*proc)
 	lo, hi := p.from.seqWindow(&p.node)
 	forged := Message{SN: hi, CP: p.from.cp, PH: (p.from.ph + 2) % b.nPhases}
 	if forged.SN == p.from.sn {
@@ -113,7 +113,7 @@ func TestForgedFrameSecondSightingAdopted(t *testing.T) {
 // reason="seqwindow".
 func TestStaleSequenceEchoRejected(t *testing.T) {
 	b := haltedRing(t, 3, 3, 44)
-	p := b.lanes[0].procs[1]
+	p := memberOf(b.lanes[0], 1).(*proc)
 	if b.l < 4 {
 		t.Skipf("ring modulus %d too small to leave the follower window", b.l)
 	}
@@ -136,7 +136,7 @@ func TestStaleSequenceEchoRejected(t *testing.T) {
 // ⊤ only means something to a process already inside the restart wave.
 func TestForgedTopRejected(t *testing.T) {
 	b := haltedRing(t, 3, 3, 45)
-	p := b.lanes[0].procs[1]
+	p := memberOf(b.lanes[0], 1).(*proc)
 	if !p.sn.Ordinary() {
 		t.Fatalf("fault-free proc has non-ordinary sn %v", p.sn)
 	}
@@ -165,10 +165,10 @@ func TestTreeForgedFramesRejected(t *testing.T) {
 	b.Halt()
 	waitQuiesced(t, b)
 
-	tprocs := b.lanes[0].tprocs
 	var root, child *treeProc
-	for _, tp := range tprocs {
-		if tp == nil {
+	for id := range b.lanes[0].gates {
+		tp, ok := memberOf(b.lanes[0], id).(*treeProc)
+		if !ok {
 			continue
 		}
 		if tp.parentID < 0 {
@@ -302,7 +302,7 @@ func TestCrashRestartLive(t *testing.T) {
 // land on a process that has no state left to lose.
 func TestCrashedMemberIgnoresStateFaults(t *testing.T) {
 	b := haltedRing(t, 3, 3, 48)
-	p := b.lanes[0].procs[1]
+	p := memberOf(b.lanes[0], 1).(*proc)
 	p.crashed = true
 	sn, cp, ph := p.sn, p.cp, p.ph
 	p.onCtrl(ctrlMsg{kind: ctrlReset})
@@ -428,7 +428,7 @@ func TestByzRejectedExactlyLive(t *testing.T) {
 			adversary := func(k int) int { return k % n }
 			var base Stats // the counters the forgeries are measured from
 			if row.rootFault != nil {
-				if tp := b.lanes[0].tprocs[row.adversary]; tp.parentID != 0 || len(tp.kids) != 0 {
+				if tp := memberOf(b.lanes[0], row.adversary).(*treeProc); tp.parentID != 0 || len(tp.kids) != 0 {
 					t.Fatalf("member %d is not a leaf child of the root", row.adversary)
 				}
 				row.rootFault(b)

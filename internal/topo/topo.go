@@ -69,7 +69,7 @@ func NewKAryTree(n, k int) (*Tree, error) {
 	for i := 1; i < n; i++ {
 		parent[i] = (i - 1) / k
 	}
-	return NewTree(parent)
+	return newTree(parent)
 }
 
 // NewBinaryTree builds a complete-as-possible binary tree with n processes.
@@ -81,6 +81,13 @@ func NewBinaryTree(n int) (*Tree, error) { return NewKAryTree(n, 2) }
 // every other entry must point to an earlier node (so the vector describes
 // a tree rooted at 0 with no cycles).
 func NewTree(parent []int) (*Tree, error) {
+	return newTree(append([]int(nil), parent...))
+}
+
+// newTree is NewTree on a parent vector it may keep. Every child list is
+// carved from one backing array (a leaf's stays nil), capped so that an
+// append to one cannot overwrite the next.
+func newTree(parent []int) (*Tree, error) {
 	n := len(parent)
 	if n == 0 {
 		return nil, errors.New("topo: empty parent vector")
@@ -89,21 +96,32 @@ func NewTree(parent []int) (*Tree, error) {
 		return nil, errors.New("topo: parent[0] must be -1 (process 0 is the root)")
 	}
 	t := &Tree{
-		Parent:   append([]int(nil), parent...),
+		Parent:   parent,
 		Children: make([][]int, n),
 		Depth:    make([]int, n),
 		order:    make([]int, 0, n),
 	}
+	kids := make([]int, n) // kids[p] counts p's children
 	for i := 1; i < n; i++ {
 		p := parent[i]
 		if p < 0 || p >= i {
 			return nil, fmt.Errorf("topo: parent[%d] = %d must reference an earlier node", i, p)
 		}
-		t.Children[p] = append(t.Children[p], i)
+		kids[p]++
 		t.Depth[i] = t.Depth[p] + 1
 		if t.Depth[i] > t.Height {
 			t.Height = t.Depth[i]
 		}
+	}
+	all := make([]int, n-1)
+	for v, at := 0, 0; v < n; v++ {
+		if c := kids[v]; c > 0 {
+			t.Children[v] = all[at : at : at+c]
+			at += c
+		}
+	}
+	for i := 1; i < n; i++ {
+		t.Children[parent[i]] = append(t.Children[parent[i]], i)
 	}
 	// BFS order (children are already in increasing order).
 	t.order = append(t.order, 0)
@@ -133,6 +151,38 @@ func (t *Tree) Leaves() []int {
 // BFSOrder returns the nodes in breadth-first order from the root. The
 // returned slice is shared; callers must not modify it.
 func (t *Tree) BFSOrder() []int { return t.order }
+
+// Singletons returns n one-member hosts, {0}, {1}, …, {n-1}, carved from
+// one backing array: the rosters of a topology whose every member is a
+// host of its own.
+func Singletons(n int) [][]int {
+	hosts, _ := singletons(n)
+	return hosts
+}
+
+// singletons is Singletons and its backing array, the identity map 0..n-1.
+func singletons(n int) (hosts [][]int, ids []int) {
+	ids = make([]int, n)
+	hosts = make([][]int, n)
+	for i := range ids {
+		ids[i] = i
+		hosts[i] = ids[i : i+1 : i+1]
+	}
+	return hosts, ids
+}
+
+// NewKAryHybrid is NewHybridTree(Singletons(n), k) built straight from
+// NewKAryTree: the hybrid whose hosts have one member each, so its member
+// tree and its host tree are both the k-ary heap and a member is its own
+// host and host root. n must be ≥ 1 and k ≥ 2.
+func NewKAryHybrid(n, k int) (*Hybrid, error) {
+	t, err := NewKAryTree(n, k)
+	if err != nil {
+		return nil, err
+	}
+	hosts, ids := singletons(n)
+	return &Hybrid{Tree: t, Hosts: hosts, HostOf: ids, HostRoot: ids, HostTree: t}, nil
+}
 
 // Hybrid is the two-level hierarchical topology: members co-located on
 // one host form a star under that host's root member (zero network hops

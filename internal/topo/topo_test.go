@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -352,5 +353,39 @@ func TestNewHybridTreeValidation(t *testing.T) {
 	}
 	if _, err := NewHybridTree([][]int{{0}, {1}}, 1); err == nil {
 		t.Error("arity 1 should be rejected")
+	}
+}
+
+// A tree is the hybrid whose hosts have one member each: over one-member
+// hosts NewHybridTree's member tree and host tree are both the k-ary heap,
+// and NewKAryHybrid, which builds that hybrid from NewKAryTree, is
+// NewHybridTree over Singletons. The runtime places a tree as that hybrid.
+func TestOneMemberHostsAreTheKAryTree(t *testing.T) {
+	for n := 2; n <= 40; n++ {
+		for k := 2; k <= 5; k++ {
+			heap, err := NewKAryTree(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hosts := make([][]int, n)
+			for i := range hosts {
+				hosts[i] = []int{i}
+			}
+			hy, err := NewHybridTree(hosts, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(hy.Tree, heap) || !reflect.DeepEqual(hy.HostTree, heap) {
+				t.Errorf("n=%d k=%d: one-member hosts give member tree %v and host tree %v, want the heap %v",
+					n, k, hy.Tree.Parent, hy.HostTree.Parent, heap.Parent)
+			}
+			flat, err := NewKAryHybrid(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(flat, hy) || !reflect.DeepEqual(Singletons(n), hosts) {
+				t.Errorf("n=%d k=%d: NewKAryHybrid = %+v, want %+v", n, k, flat, hy)
+			}
+		}
 	}
 }
