@@ -368,7 +368,47 @@ func BenchmarkAwaitHybrid(b *testing.B) {
 // workloads) and the pair-host hybrid over an in-process host-tree
 // transport, one scheduler per host on its link (the transport is built
 // per iteration, so its cost is in the figure).
+//
+// The groups16x4 rows are the tenant-group shape instead: one op builds
+// 16 labelled 4-member barriers, then stops them, once on one fresh
+// registry ("registry", unregistering each) and once without one
+// ("bare"). The difference of the two rows' allocs/op is what metric
+// registration costs 16 barriers; cmd/benchgate holds it to at most 4
+// allocations per barrier.
 func BenchmarkNew(b *testing.B) {
+	b.Run("groups16x4/registry", func(b *testing.B) { benchNewGroups(b, true) })
+	b.Run("groups16x4/bare", func(b *testing.B) { benchNewGroups(b, false) })
+	benchNewShapes(b)
+}
+
+// benchNewGroups is one BenchmarkNew groups16x4 row.
+func benchNewGroups(b *testing.B, withRegistry bool) {
+	labels := make([]string, 16)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("group=%q", fmt.Sprintf("g%02d", i))
+	}
+	bars := make([]*Barrier, len(labels))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var reg *MetricsRegistry
+		if withRegistry {
+			reg = NewMetricsRegistry()
+		}
+		for g, label := range labels {
+			bar, err := New(Config{Participants: 4, Seed: int64(g), Metrics: reg, MetricLabel: label})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bars[g] = bar
+		}
+		for _, bar := range bars {
+			bar.Stop()
+			bar.UnregisterMetrics()
+		}
+	}
+}
+
+func benchNewShapes(b *testing.B) {
 	const n = 32
 	hy, err := topo.NewHybridTree(benchPairHosts(n), 2)
 	if err != nil {

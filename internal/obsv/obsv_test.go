@@ -35,10 +35,11 @@ func TestCounterGaugeExposition(t *testing.T) {
 
 func TestLabeledFamiliesShareHeader(t *testing.T) {
 	r := NewRegistry()
-	r.MustRegister(
-		NewCounterFunc(`transport_frames_total{dir="sent"}`, "Frames by direction.", func() int64 { return 7 }),
-		NewCounterFunc(`transport_frames_total{dir="recv"}`, "Frames by direction.", func() int64 { return 5 }),
-	)
+	sent := NewCounter(`transport_frames_total{dir="sent"}`, "Frames by direction.")
+	recv := NewCounter(`transport_frames_total{dir="recv"}`, "Frames by direction.")
+	sent.Add(7)
+	recv.Add(5)
+	r.MustRegister(sent, recv)
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)

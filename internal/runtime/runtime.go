@@ -177,9 +177,10 @@ type Config struct {
 	// (passes, re-executed instances per pass, per-phase latency,
 	// recovery time after a fault — the live Section 6 quantities).
 	// The internal recording runs either way and is allocation-free;
-	// the registry only adds scrape-time visibility. Two barriers must
-	// not share one registry (their series names would collide),
-	// unless MetricLabel disambiguates them.
+	// the registry only adds scrape-time visibility, at the cost of one
+	// registry entry. Two barriers must not share one registry (New
+	// fails on the second: its entry's key is taken), unless
+	// MetricLabel disambiguates them.
 	Metrics *obsv.Registry
 	// MetricLabel, if non-empty, is a literal label pair (`group="g00"`)
 	// merged into every metric series name this barrier exports. It lets
@@ -326,9 +327,17 @@ type Barrier struct {
 	mRecovery  *obsv.Histogram // fault-injection to next-pass latency (Fig 7)
 
 	// Registry bookkeeping so a bounded-lifetime barrier (a tenant group
-	// that may be torn down and recreated) can remove its series again.
+	// that may be torn down and recreated) can remove its series again:
+	// the registry holding its one entry, the entry's label, and the
+	// topology its barrier_topology series names.
 	metricsReg  *obsv.Registry
-	metricNames []string
+	metricLabel string
+	topology    Topology
+
+	// quiescing is set once a quiesce waits for the batons; from then on
+	// every baton release leaves a token on idle (sched.release).
+	quiescing atomic.Bool
+	idle      chan struct{}
 }
 
 // gate is the participant-facing half of a protocol process, shared by the
@@ -552,9 +561,10 @@ func New(cfg Config) (*Barrier, error) {
 		depth:   cfg.Depth,
 		halted:  make(chan struct{}),
 		stopped: make(chan struct{}),
+		idle:    make(chan struct{}, 1),
 		sink:    cfg.EventSink,
 	}
-	b.newHistograms(cfg.MetricLabel)
+	b.newHistograms()
 	if cfg.Metrics != nil {
 		// Register before the schedulers start, so a name
 		// collision (two barriers on one registry) fails cleanly.
@@ -1338,14 +1348,20 @@ func (b *Barrier) Stop() {
 
 // quiesce waits out the turns in flight on a down barrier: it takes and
 // releases every scheduler's baton once. A turn that starts later sees the
-// barrier down and does nothing (sched.turn).
+// barrier down and does nothing (sched.turn). A baton it finds held is
+// waited for on idle: quiescing is set before the first CAS and read after
+// every release, so of a failed CAS and the holder's release one sees the
+// other, and the release leaves a token — or finds one already there.
+// quiesce releases through sched.release too, so a second quiesce waiting
+// on the same baton is handed on.
 func (b *Barrier) quiesce() {
+	b.quiescing.Store(true)
 	for _, ln := range b.lanes {
 		for _, s := range ln.scheds {
 			for !s.baton.CompareAndSwap(false, true) {
-				time.Sleep(50 * time.Microsecond)
+				<-b.idle
 			}
-			s.baton.Store(false)
+			s.release()
 		}
 	}
 }

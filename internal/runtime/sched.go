@@ -60,7 +60,8 @@
 // of a poster whose CAS failed and the holder that released, one sees the
 // other's write. No poster waits for the baton, and nothing spins; the
 // one waiter is Stop, which takes and releases each baton once on the
-// down barrier to wait out the turn in flight (Barrier.quiesce).
+// down barrier to wait out the turn in flight (Barrier.quiesce), parked
+// until a release tells it the baton is free (release).
 //
 // Faults keep their place among the passes (controls). A turn applies
 // control messages one at a time and drains after each, so spaced faults
@@ -700,10 +701,19 @@ func (s *sched) takeArrivals() {
 func (s *sched) assist() {
 	for s.posted() && s.baton.CompareAndSwap(false, true) {
 		ran := s.turn()
-		s.baton.Store(false)
+		s.release()
 		if !ran {
 			return
 		}
+	}
+}
+
+// release hands the baton back. Once a quiesce is waiting (Stop's), it
+// also leaves a token on idle: this baton may be the one it waits for.
+func (s *sched) release() {
+	s.baton.Store(false)
+	if s.b.quiescing.Load() {
+		offer(s.b.idle, struct{}{})
 	}
 }
 
@@ -750,6 +760,6 @@ func (s *sched) prime() {
 		}
 	}
 	s.turn()
-	s.baton.Store(false)
+	s.release()
 	s.assist()
 }

@@ -360,26 +360,8 @@ func newMux(cfg MuxConfig, w muxWiring) (*Mux, error) {
 		m.order = append(m.order, g)
 	}
 	if cfg.Registry != nil {
-		if err := m.stats.register(cfg.Registry); err != nil {
+		if err := m.stats.register(cfg.Registry, (*muxSet)(m)); err != nil {
 			return nil, err
-		}
-		for _, g := range m.order {
-			if g.spec.Name == "" {
-				continue
-			}
-			g := g
-			err := m.stats.registerAll(cfg.Registry,
-				obsv.NewCounterFunc(`transport_group_frames_total{group="`+g.spec.Name+`",dir="sent"}`,
-					"Frames by group and direction.", g.sent.Load),
-				obsv.NewCounterFunc(`transport_group_frames_total{group="`+g.spec.Name+`",dir="recv"}`,
-					"Frames by group and direction.", g.recv.Load),
-				obsv.NewCounterFunc(`transport_group_frames_dropped_total{group="`+g.spec.Name+`"}`,
-					"Frames that arrived for this group while none of its links was open; the newest is kept for the next Open.", g.dropped.Load))
-			if err != nil {
-				// registerAll already rolled back every series the mux had
-				// registered so far.
-				return nil, err
-			}
 		}
 	}
 	m.dialCtx, m.dialCancel = context.WithCancel(context.Background())
@@ -442,6 +424,26 @@ func (m *Mux) Close() error {
 
 // Stats returns a snapshot of the mux's counters.
 func (m *Mux) Stats() TCPStats { return m.stats.snapshot() }
+
+// muxSet is the mux as its registry entry: the transport's series, then
+// a (sent, recv, dropped) frame counter triple per named group.
+type muxSet Mux
+
+func (s *muxSet) Collect(emit func(obsv.Series)) {
+	s.stats.Collect(emit)
+	for _, g := range s.order {
+		if g.spec.Name == "" {
+			continue
+		}
+		emit(obsv.Series{Name: `transport_group_frames_total{group="` + g.spec.Name + `",dir="sent"}`,
+			Help: "Frames by group and direction.", Kind: obsv.KindCounter, Value: g.sent.Load()})
+		emit(obsv.Series{Name: `transport_group_frames_total{group="` + g.spec.Name + `",dir="recv"}`,
+			Help: "Frames by group and direction.", Kind: obsv.KindCounter, Value: g.recv.Load()})
+		emit(obsv.Series{Name: `transport_group_frames_dropped_total{group="` + g.spec.Name + `"}`,
+			Help: "Frames that arrived for this group while none of its links was open; the newest is kept for the next Open.",
+			Kind: obsv.KindCounter, Value: g.dropped.Load()})
+	}
+}
 
 // Digest returns the configuration digest this mux sends (and expects) in
 // hello frames.
