@@ -72,10 +72,11 @@ func (r *batonRig) hold(t *testing.T) {
 	waitFor(t, "the baton to be free", func() bool { return r.s.baton.CompareAndSwap(false, true) })
 }
 
-// release frees the baton the test holds and looks for posted work, as
-// every holder's release does (assist's loop).
+// release frees the baton the test holds the way a turn's holder does:
+// sched.release, which also hands a waiting quiesce its token, then a look
+// for posted work (assist's loop).
 func (r *batonRig) release() {
-	r.s.baton.Store(false)
+	r.s.release()
 	r.s.assist()
 }
 
