@@ -31,7 +31,6 @@ import (
 	"repro/internal/analytical"
 	"repro/internal/cb"
 	"repro/internal/core"
-	"repro/internal/dtree"
 	"repro/internal/faults"
 	"repro/internal/mb"
 	"repro/internal/obsv"
@@ -157,11 +156,8 @@ type (
 	// TCPConfig configures a TCP ring or tree transport.
 	TCPConfig = transport.TCPConfig
 	// TCPTransport is the TCP implementation of Transport, for a ring or
-	// a tree.
+	// a tree; the ring and tree constructors all return it.
 	TCPTransport = transport.TCP
-	// TCPTreeTransport is TCPTransport, the type the tree constructors
-	// return. It stays as a name the benchmark harness uses.
-	TCPTreeTransport = transport.TCP
 )
 
 // NewTCPTransport creates a TCP transport for the ring described by
@@ -180,22 +176,22 @@ func NewLoopbackRing(n int) (*TCPTransport, error) { return transport.NewLoopbac
 // heap-ordered tree), carrying convergecast reports up and state
 // broadcasts down. Pair it with Config.Topology == TopologyTree; the
 // parent vector must match the shape the barrier derives from
-// Config.TreeArity (topo.NewKAryTree).
-func NewTCPTreeTransport(cfg TCPConfig, parent []int) (*TCPTreeTransport, error) {
+// Config.TreeArity (topo.NewKAryTree). Its links serve only a tree.
+func NewTCPTreeTransport(cfg TCPConfig, parent []int) (*TCPTransport, error) {
 	return transport.NewTCPTree(cfg, parent)
 }
 
 // NewLoopbackTree binds n ephemeral loopback listeners and returns a TCP
 // transport for an all-local binary-heap tree — the test and benchmark
-// configuration for TopologyTree.
-func NewLoopbackTree(n int) (*TCPTreeTransport, error) { return transport.NewLoopbackTree(n) }
+// configuration for TopologyTree (with the default Config.TreeArity, 2).
+func NewLoopbackTree(n int) (*TCPTransport, error) { return transport.NewLoopbackTree(n) }
 
 // NewLoopbackTreeParent is NewLoopbackTree for an arbitrary tree shape
 // given by the parent vector. With Config.Topology == TopologyHybrid the
 // tree nodes are HOST indices (topo: the hybrid host tree), one OS
 // process per host; each process passes the same transport and its own
 // host's member roster in Config.Members.
-func NewLoopbackTreeParent(parent []int) (*TCPTreeTransport, error) {
+func NewLoopbackTreeParent(parent []int) (*TCPTransport, error) {
 	return transport.NewLoopbackTreeParent(parent)
 }
 
@@ -235,18 +231,6 @@ func NewTreeBarrier(nProcs, arity, nPhases int, rng *rand.Rand, sink EventSink) 
 		return nil, err
 	}
 	return rbtree.New(tr.Parent, nPhases, nProcs+1, rng, sink)
-}
-
-// NewDoubleTreeBarrier builds the Figure 2(d) double-tree program over the
-// k-ary tree with nProcs processes: dissemination down the tree, detection
-// by convergecast back up it — the construction that embeds in arbitrary
-// connected graphs.
-func NewDoubleTreeBarrier(nProcs, arity, nPhases int, rng *rand.Rand, sink EventSink) (*dtree.Program, error) {
-	tr, err := topo.NewKAryTree(nProcs, arity)
-	if err != nil {
-		return nil, err
-	}
-	return dtree.New(tr.Parent, nPhases, nProcs+1, rng, sink)
 }
 
 // NewMB builds the message-passing program MB of Section 5 with sequence

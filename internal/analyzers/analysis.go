@@ -117,25 +117,6 @@ func (p *Pass) CalleeFunc(call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// IsPkgCall reports whether call statically invokes a package-level
-// function of the package with the given import path whose name is one
-// of names.
-func (p *Pass) IsPkgCall(call *ast.CallExpr, pkgPath string, names ...string) bool {
-	fn := p.CalleeFunc(call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {
-		return false
-	}
-	if fn.Type().(*types.Signature).Recv() != nil {
-		return false
-	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return true
-		}
-	}
-	return false
-}
-
 // ReceiverNamed returns the named type of a method's receiver (through
 // one pointer), or nil for functions and methods on unnamed receivers.
 func ReceiverNamed(fn *types.Func) *types.Named {

@@ -5,15 +5,14 @@ import (
 	"go/types"
 )
 
-// MetricPair flags packages that register metric series on an obsv-style
-// Registry (Register, MustRegister, or RegisterSet — one entry for many
-// series), declare a Stop/Close/Shutdown lifecycle, and never unregister
-// (Unregister, UnregisterSet): every registered series in a stoppable
-// component must have an unregistration path, or the registry accumulates
-// dead series (and collides on names when the component restarts). A call
-// to another package's UnregisterMetrics wrapper counts too; a wrapper
-// declared in the package is not taken on its name but counts through the
-// Registry calls in its body.
+// MetricPair flags packages that register a series set on an obsv-style
+// Registry (RegisterSet), declare a Stop/Close/Shutdown lifecycle, and
+// never unregister one (UnregisterSet): every registered set in a
+// stoppable component must have an unregistration path, or the registry
+// accumulates dead series (and collides on keys when the component
+// restarts). A call to another package's UnregisterMetrics wrapper counts
+// too; a wrapper declared in the package is not taken on its name but
+// counts through the Registry calls in its body.
 //
 // Bug class: the PR 5 metrics leak — transports registered a dozen
 // transport_* series at construction and removed none of them on Close,
@@ -28,11 +27,7 @@ var MetricPair = &Analyzer{
 }
 
 func runMetricPair(p *Pass) error {
-	type site struct {
-		pos  ast.Node
-		name string
-	}
-	var registers []site
+	var registers []*ast.CallExpr
 	unregisters := false
 	lifecycle := false
 
@@ -59,15 +54,9 @@ func runMetricPair(p *Pass) error {
 					return true
 				}
 				switch {
-				case isRegistryMethod(fn, "Register", "MustRegister", "RegisterSet"):
-					// Calls from within the registry implementation
-					// itself (e.g. MustRegister calling Register) are
-					// plumbing, not leak sites.
-					if owner := ReceiverNamed(fn); owner != nil && sameNamed(owner, enclosingReceiver(p, fd)) {
-						return true
-					}
-					registers = append(registers, site{pos: call, name: fn.Name()})
-				case isRegistryMethod(fn, "Unregister", "UnregisterSet"),
+				case isRegistryMethod(fn, "RegisterSet"):
+					registers = append(registers, call)
+				case isRegistryMethod(fn, "UnregisterSet"),
 					fn.Pkg() != p.Pkg && fn.Name() == "UnregisterMetrics":
 					unregisters = true
 				}
@@ -79,8 +68,8 @@ func runMetricPair(p *Pass) error {
 	if !lifecycle || unregisters {
 		return nil
 	}
-	for _, s := range registers {
-		p.Reportf(s.pos.Pos(), "%s with no Unregister anywhere in a package that has Stop/Close lifecycle methods; metric series will leak past shutdown", s.name)
+	for _, call := range registers {
+		p.Reportf(call.Pos(), "RegisterSet with no Unregister anywhere in a package that has Stop/Close lifecycle methods; metric series will leak past shutdown")
 	}
 	return nil
 }
@@ -93,35 +82,10 @@ func isLifecycleName(name string) bool {
 	return false
 }
 
-// isRegistryMethod reports whether fn is a method with one of the given
-// names on a type named "Registry" (any package — obsv here, but the
-// shape generalizes to prometheus-style registries).
-func isRegistryMethod(fn *types.Func, names ...string) bool {
+// isRegistryMethod reports whether fn is the method name on a type named
+// "Registry" (any package — obsv here, but the shape generalizes to
+// prometheus-style registries).
+func isRegistryMethod(fn *types.Func, name string) bool {
 	named := ReceiverNamed(fn)
-	if named == nil || named.Obj().Name() != "Registry" {
-		return false
-	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return true
-		}
-	}
-	return false
-}
-
-// enclosingReceiver returns the named receiver type of the method
-// declaration fd, or nil.
-func enclosingReceiver(p *Pass, fd *ast.FuncDecl) *types.Named {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return nil
-	}
-	t := p.TypesInfo.Types[fd.Recv.List[0].Type].Type
-	if t == nil {
-		return nil
-	}
-	return namedOf(t)
-}
-
-func sameNamed(a, b *types.Named) bool {
-	return a != nil && b != nil && a.Obj() == b.Obj()
+	return named != nil && named.Obj().Name() == "Registry" && fn.Name() == name
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/mb"
 	"repro/internal/rb"
 	"repro/internal/rbtree"
+	"repro/internal/topo"
 )
 
 // TargetRuntime names the goroutine runtime-barrier target, which runs
@@ -169,17 +170,6 @@ func NewTarget(name string, nProcs, nPhases int, rng *rand.Rand) (Target, error)
 	return b(nProcs, nPhases, rng)
 }
 
-// binaryTreeParents returns the heap-shaped parent vector used for the
-// tree targets: parent[0] = -1, parent[j] = (j-1)/2.
-func binaryTreeParents(n int) []int {
-	parent := make([]int, n)
-	parent[0] = -1
-	for j := 1; j < n; j++ {
-		parent[j] = (j - 1) / 2
-	}
-	return parent
-}
-
 func init() {
 	Register("cb", func(n, nPhases int, rng *rand.Rand) (Target, error) {
 		p, err := cb.New(n, nPhases, rng, nil)
@@ -196,14 +186,22 @@ func init() {
 		return newEngineTarget(p), nil
 	})
 	Register("tb", func(n, nPhases int, rng *rand.Rand) (Target, error) {
-		p, err := rbtree.New(binaryTreeParents(n), nPhases, n+1, rng, nil)
+		tr, err := topo.NewKAryTree(n, 2) // the tree targets run on the binary heap
+		if err != nil {
+			return nil, err
+		}
+		p, err := rbtree.New(tr.Parent, nPhases, n+1, rng, nil)
 		if err != nil {
 			return nil, err
 		}
 		return newEngineTarget(p), nil
 	})
 	Register("dt", func(n, nPhases int, rng *rand.Rand) (Target, error) {
-		p, err := dtree.New(binaryTreeParents(n), nPhases, n+1, rng, nil)
+		tr, err := topo.NewKAryTree(n, 2)
+		if err != nil {
+			return nil, err
+		}
+		p, err := dtree.New(tr.Parent, nPhases, n+1, rng, nil)
 		if err != nil {
 			return nil, err
 		}

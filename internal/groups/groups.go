@@ -33,11 +33,9 @@ type Config struct {
 	// (including the ".l<k>" lane names a Depth > 1 group expands into).
 	Name string
 	// Topology is transport.GroupRing (default), transport.GroupTree or
-	// transport.GroupHybrid.
+	// transport.GroupHybrid; trees, and a hybrid group's host tree, are
+	// binary.
 	Topology string
-	// TreeArity is the heap arity for tree groups and for a hybrid
-	// group's host tree (default 2).
-	TreeArity int
 	// Hosts is the hybrid member grouping: Hosts[j] lists the barrier
 	// members process j fuses locally (runtime Config.Hosts). Required
 	// for hybrid groups — with exactly one roster per process — and
@@ -147,11 +145,10 @@ func Specs(cfgs []Config) ([]transport.GroupSpec, error) {
 			}
 			seen[name] = true
 			specs = append(specs, transport.GroupSpec{
-				ID:        uint32(len(specs)),
-				Name:      name,
-				Topology:  topo,
-				TreeArity: c.TreeArity,
-				Hosts:     c.Hosts,
+				ID:       uint32(len(specs)),
+				Name:     name,
+				Topology: topo,
+				Hosts:    c.Hosts,
 			})
 		}
 	}
@@ -365,10 +362,10 @@ func (g *Group) startLocked(rejoin bool) error {
 		}
 		members = g.cfg.Hosts[g.opts.Self]
 	}
+	// The runtime's default arity, 2, is the shape of the mux's trees.
 	cfg := runtime.Config{
 		Participants: participants,
 		Topology:     topology,
-		TreeArity:    g.cfg.TreeArity,
 		Hosts:        g.cfg.Hosts,
 		Depth:        g.cfg.Depth,
 		Members:      members,

@@ -24,7 +24,7 @@ func TestSpecsValidation(t *testing.T) {
 	if _, err := Specs([]Config{{Name: "a", Topology: "star"}}); err == nil {
 		t.Error("unknown topology succeeded")
 	}
-	specs, err := Specs([]Config{{Name: "a"}, {Name: "b", Topology: transport.GroupTree, TreeArity: 4}})
+	specs, err := Specs([]Config{{Name: "a"}, {Name: "b", Topology: transport.GroupTree}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,12 +17,10 @@ func TestHistogramOverflowBucketRendering(t *testing.T) {
 		h.Observe(v)
 	}
 	r := NewRegistry()
-	r.MustRegister(h)
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
+	if err := r.RegisterSet("h", "", histSet(h)); err != nil {
 		t.Fatal(err)
 	}
-	got := sb.String()
+	got := scrape(t, r)
 	for _, want := range []string{
 		`h_seconds_bucket{le="1"} 0`,
 		`h_seconds_bucket{le="2"} 1`, // the exact hit: le means ≤
@@ -44,7 +42,9 @@ func TestHistogramOverflowBucketRendering(t *testing.T) {
 func TestHistogramObserveDuringScrape(t *testing.T) {
 	h := NewHistogram("h_seconds", "", []float64{1, 2, 4})
 	r := NewRegistry()
-	r.MustRegister(h)
+	if err := r.RegisterSet("h", "", histSet(h)); err != nil {
+		t.Fatal(err)
+	}
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -81,47 +81,53 @@ func TestHistogramObserveDuringScrape(t *testing.T) {
 	wg.Wait()
 }
 
-// A labelled histogram's series unregister exactly once, and only the
-// named label set goes — the regression the tenant-group lifecycle
-// depends on (StopGroup must free the name for the rejoin's successor
-// without touching sibling groups' series).
+// A labelled set unregisters exactly once, and only the named label
+// goes — the regression the tenant-group lifecycle depends on (StopGroup
+// must free the key for the rejoin's successor without touching sibling
+// groups' series). The successor is scraped in its predecessor's place,
+// from zero.
 func TestLabeledHistogramUnregisterOnce(t *testing.T) {
 	r := NewRegistry()
-	nameA := WithLabel("barrier_phase_seconds", `group="a"`)
-	nameB := WithLabel("barrier_phase_seconds", `group="b"`)
-	ha := NewHistogram(nameA, "", []float64{1})
-	hb := NewHistogram(nameB, "", []float64{1})
-	r.MustRegister(ha, hb)
+	labelled := func(label string) (*Histogram, *testSet) {
+		h := NewHistogram("barrier_phase_seconds", "", []float64{1})
+		return h, &testSet{series: []Series{{Name: WithLabel(h.Name(), label), Kind: KindHistogram, Histogram: h}}}
+	}
+	ha, setA := labelled(`group="a"`)
+	hb, setB := labelled(`group="b"`)
+	for _, c := range []struct {
+		label string
+		s     *testSet
+	}{{`group="a"`, setA}, {`group="b"`, setB}} {
+		if err := r.RegisterSet("barrier", c.label, c.s); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ha.Observe(0.5)
 	hb.Observe(0.5)
 
-	if !r.Unregister(nameA) {
-		t.Fatal("first Unregister returned false")
+	if !r.UnregisterSet("barrier", `group="a"`) {
+		t.Fatal("first UnregisterSet returned false")
 	}
-	if r.Unregister(nameA) {
-		t.Error("second Unregister of the same series returned true")
+	if r.UnregisterSet("barrier", `group="a"`) {
+		t.Error("second UnregisterSet of the same key returned true")
 	}
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if got := sb.String(); strings.Contains(got, `group="a"`) {
+	if got := scrape(t, r); strings.Contains(got, `group="a"`) {
 		t.Errorf("unregistered series still rendered:\n%s", got)
 	} else if !strings.Contains(got, `barrier_phase_seconds_bucket{group="b",le="1"} 1`) {
 		t.Errorf("sibling label set disappeared with the unregistered one:\n%s", got)
 	}
 
-	// The name is free again: a successor (a rejoined group) registers a
-	// fresh histogram under it, starting from zero.
-	succ := NewHistogram(nameA, "", []float64{1})
-	if err := r.Register(succ); err != nil {
-		t.Fatalf("re-registering a freed name: %v", err)
+	// The key is free again: a successor (a rejoined group) registers a
+	// fresh histogram under it, starting from zero, ahead of its sibling.
+	_, succ := labelled(`group="a"`)
+	if err := r.RegisterSet("barrier", `group="a"`, succ); err != nil {
+		t.Fatalf("re-registering a freed key: %v", err)
 	}
-	sb.Reset()
-	if err := r.WriteText(&sb); err != nil {
-		t.Fatal(err)
+	got := scrape(t, r)
+	if !strings.Contains(got, `barrier_phase_seconds_count{group="a"} 0`) {
+		t.Errorf("successor series not rendered from zero:\n%s", got)
 	}
-	if !strings.Contains(sb.String(), `barrier_phase_seconds_count{group="a"} 0`) {
-		t.Errorf("successor series not rendered from zero:\n%s", sb.String())
+	if a, b := strings.Index(got, `group="a"`), strings.Index(got, `group="b"`); a > b {
+		t.Errorf("successor not scraped in its predecessor's place:\n%s", got)
 	}
 }

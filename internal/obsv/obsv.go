@@ -1,42 +1,41 @@
 // Package obsv is a zero-dependency metrics layer for the runtime
-// barrier: pre-registered counters, gauges, and fixed-bucket histograms
-// with an allocation-free hot path, rendered in the Prometheus text
-// exposition format.
+// barrier: a registry of component series sets and a fixed-bucket
+// histogram with an allocation-free hot path, rendered in the Prometheus
+// text exposition format.
 //
 // The design constraint comes from the runtime's member scheduler, which
 // completes a 32-member barrier pass in ~58µs with 0 allocs/op: every
-// Add/Set/Observe must be a handful of atomic operations on memory that
-// was allocated when the metric was made. Nothing on the protocol
-// goroutines allocates.
+// recording must be a handful of atomic operations on memory that was
+// allocated when the component was made. A component counts in its own
+// atomics and Histogram.Observe touches only the histogram's buckets;
+// nothing on the protocol goroutines allocates.
 //
 // Registration is the second budget: a process hosting 16 tenant groups
-// builds 16 barriers at setup, each with 23 series. A component with many
-// series therefore registers them as one Set: RegisterSet is one insert
-// under a (name, label) key, and UnregisterSet one removal. Neither
-// allocates per series — at most the registry's own slice and map grow —
-// and no series name exists until a scrape asks for it. A single Metric
-// (Counter, Gauge, Histogram) is a Set of one series, made and named by
-// its creator and registered under its full name.
+// builds 16 barriers at setup, each with 23 series. The unit of
+// registration is therefore a Set, all the series of one component:
+// RegisterSet is one insert under a (name, label) key, and UnregisterSet
+// one removal. Neither allocates per series — at most the registry's own
+// slice and map grow — and no series name exists until a scrape asks for
+// it.
 //
-// Scrape (WriteText, Names) is where the exposition allocates: it reads
-// every entry's series in registration order — a set's Collect builds
-// their names then — groups them into families and renders the text. The
+// Scrape (WriteText) is where the exposition allocates: it reads every
+// entry's series in registration order — a set's Collect builds their
+// names then — groups them into families and renders the text. The
 // registry mutex is held only to copy the entry list; the sets and the
 // rendering run outside it, off the protocol goroutines.
 //
-// Metric names may carry a literal label set in braces, e.g.
+// Series names may carry a literal label set in braces, e.g.
 //
-//	obsv.NewCounter(`transport_frames_total{dir="sent"}`, "...")
+//	transport_frames_total{dir="sent"}
 //
-// The registry treats the whole string as the identity; histograms merge
-// their le="..." bucket label into an existing brace group when present.
+// The family is the name without it; histograms merge their le="..."
+// bucket label into an existing brace group when present.
 package obsv
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,15 +51,6 @@ type Set interface {
 	// value as it goes. The order is the set's place in the exposition:
 	// the series join their families in it, as if registered one by one.
 	Collect(emit func(Series))
-}
-
-// A Metric is a Set of one series, registered under its full name.
-type Metric interface {
-	Set
-	// Name returns the full metric name, including any label set.
-	Name() string
-	// Help returns the one-line HELP string ("" for none).
-	Help() string
 }
 
 // Kind is a series' Prometheus TYPE.
@@ -113,8 +103,7 @@ type Registry struct {
 	vacant  int              // entries left vacant by an unregistration
 }
 
-// entryKey is an entry's identity: a set's name and label, or a metric's
-// full name and "".
+// entryKey is an entry's identity: a set's name and label.
 type entryKey struct{ name, label string }
 
 // entry is one registration. Unregistering it leaves it vacant (set nil)
@@ -128,21 +117,6 @@ type entry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{byKey: make(map[entryKey]int)}
-}
-
-// Register adds m. Registering two metrics with the same full name
-// (including labels) is an error; re-registering the identical Metric
-// value is a no-op, so several subsystems can idempotently install
-// shared series.
-func (r *Registry) Register(m Metric) error { return r.RegisterSet(m.Name(), "", m) }
-
-// MustRegister is Register, panicking on error. Use at wiring time.
-func (r *Registry) MustRegister(ms ...Metric) {
-	for _, m := range ms {
-		if err := r.Register(m); err != nil {
-			panic(err)
-		}
-	}
 }
 
 // RegisterSet adds s as one entry under the key (name, label): name says
@@ -173,14 +147,6 @@ func (r *Registry) RegisterSet(name, label string, s Set) error {
 		return nil
 	}
 	return fmt.Errorf("obsv: duplicate metric %q", WithLabel(name, label))
-}
-
-// Unregister removes the metric registered under the given full name
-// (including any label set) and reports whether one was removed.
-// Subsystems with a bounded lifetime — a torn-down barrier group, say —
-// use this so a successor can re-register the same series names.
-func (r *Registry) Unregister(name string) bool {
-	return r.UnregisterSet(name, "")
 }
 
 // UnregisterSet removes the set registered under (name, label) and
@@ -310,58 +276,6 @@ func WithLabel(name, label string) string {
 	return name + "{" + label + "}"
 }
 
-// ---- Counter ----
-
-// Counter is a monotonically increasing int64. Add is one atomic add.
-type Counter struct {
-	name, help string
-	v          atomic.Int64
-}
-
-// NewCounter returns an unregistered counter.
-func NewCounter(name, help string) *Counter { return &Counter{name: name, help: help} }
-
-// Add increments the counter. d must be ≥ 0.
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-func (c *Counter) Name() string { return c.name }
-func (c *Counter) Help() string { return c.help }
-func (c *Counter) Collect(emit func(Series)) {
-	emit(Series{Name: c.name, Help: c.help, Kind: KindCounter, Value: c.v.Load()})
-}
-
-// ---- Gauge ----
-
-// Gauge is a settable int64.
-type Gauge struct {
-	name, help string
-	v          atomic.Int64
-}
-
-// NewGauge returns an unregistered gauge.
-func NewGauge(name, help string) *Gauge { return &Gauge{name: name, help: help} }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add increments (or, with d < 0, decrements) the gauge.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (g *Gauge) Name() string { return g.name }
-func (g *Gauge) Help() string { return g.help }
-func (g *Gauge) Collect(emit func(Series)) {
-	emit(Series{Name: g.name, Help: g.help, Kind: KindGauge, Value: g.v.Load()})
-}
-
 // ---- Histogram ----
 
 // Histogram is a fixed-bucket histogram. Observe is a linear scan over
@@ -376,8 +290,9 @@ type Histogram struct {
 	sumBits    atomic.Uint64 // float64 bits, CAS-accumulated
 }
 
-// NewHistogram returns an unregistered histogram with the given ascending
-// upper bounds. Panics if bounds are empty or not strictly ascending.
+// NewHistogram returns a histogram with the given ascending upper
+// bounds; the Set of the component that records it emits it as one of
+// its series. Panics if bounds are empty or not strictly ascending.
 func NewHistogram(name, help string, bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		panic("obsv: histogram needs at least one bucket bound")
@@ -425,11 +340,12 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
+// Name returns the name h was made with; the Set that emits h may add a
+// label to it.
 func (h *Histogram) Name() string { return h.name }
+
+// Help returns h's one-line HELP string.
 func (h *Histogram) Help() string { return h.help }
-func (h *Histogram) Collect(emit func(Series)) {
-	emit(Series{Name: h.name, Help: h.help, Kind: KindHistogram, Histogram: h})
-}
 
 // write renders h's bucket, sum and count lines under name, which may
 // differ from h's own: a Set names its histograms at scrape.
@@ -497,26 +413,5 @@ func LinearBuckets(start, width float64, n int) []float64 {
 	for i := range out {
 		out[i] = start + float64(i)*width
 	}
-	return out
-}
-
-// Names returns the registered full series names in registration order,
-// every set's series included. Test/debug helper.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	series := r.collect()
-	out := make([]string, len(series))
-	for i := range series {
-		out[i] = series[i].Name
-	}
-	return out
-}
-
-// Sorted is Names, sorted. Convenience for stable test output.
-func (r *Registry) Sorted() []string {
-	out := r.Names()
-	sort.Strings(out)
 	return out
 }

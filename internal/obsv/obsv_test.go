@@ -6,20 +6,40 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeExposition(t *testing.T) {
-	r := NewRegistry()
-	c := NewCounter("barrier_passes_total", "Completed barrier passes.")
-	g := NewGauge("barrier_participants", "Configured participant count.")
-	r.MustRegister(c, g)
-	c.Add(3)
-	c.Inc()
-	g.Set(32)
+// testSet is a test-local Set: it emits its series as they stand, so a
+// test sets a counter or gauge by writing its Value.
+type testSet struct{ series []Series }
 
+func (s *testSet) Collect(emit func(Series)) {
+	for _, x := range s.series {
+		emit(x)
+	}
+}
+
+// histSet is a Set of the one histogram h, under h's own name.
+func histSet(h *Histogram) *testSet {
+	return &testSet{series: []Series{{Name: h.Name(), Help: h.Help(), Kind: KindHistogram, Histogram: h}}}
+}
+
+func scrape(t *testing.T, r *Registry) string {
+	t.Helper()
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
-	got := sb.String()
+	return sb.String()
+}
+
+func TestCounterGaugeExposition(t *testing.T) {
+	r := NewRegistry()
+	s := &testSet{series: []Series{
+		{Name: "barrier_passes_total", Help: "Completed barrier passes.", Kind: KindCounter, Value: 4},
+		{Name: "barrier_participants", Help: "Configured participant count.", Kind: KindGauge, Value: 32},
+	}}
+	if err := r.RegisterSet("barrier", "", s); err != nil {
+		t.Fatal(err)
+	}
+	got := scrape(t, r)
 	for _, want := range []string{
 		"# HELP barrier_passes_total Completed barrier passes.\n",
 		"# TYPE barrier_passes_total counter\n",
@@ -33,20 +53,24 @@ func TestCounterGaugeExposition(t *testing.T) {
 	}
 }
 
+// Series of one family from two sets share one HELP/TYPE header, and the
+// family's first series supplies it.
 func TestLabeledFamiliesShareHeader(t *testing.T) {
 	r := NewRegistry()
-	sent := NewCounter(`transport_frames_total{dir="sent"}`, "Frames by direction.")
-	recv := NewCounter(`transport_frames_total{dir="recv"}`, "Frames by direction.")
-	sent.Add(7)
-	recv.Add(5)
-	r.MustRegister(sent, recv)
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		label string
+		v     int64
+	}{{`dir="sent"`, 7}, {`dir="recv"`, 5}} {
+		s := &testSet{series: []Series{{Name: WithLabel("transport_frames_total", c.label),
+			Help: "Frames by direction.", Kind: KindCounter, Value: c.v}}}
+		if err := r.RegisterSet("transport", c.label, s); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got := sb.String()
-	if strings.Count(got, "# TYPE transport_frames_total counter") != 1 {
-		t.Errorf("want exactly one TYPE header for the family:\n%s", got)
+	got := scrape(t, r)
+	if strings.Count(got, "# TYPE transport_frames_total counter") != 1 ||
+		strings.Count(got, "# HELP transport_frames_total Frames by direction.") != 1 {
+		t.Errorf("want exactly one HELP and one TYPE header for the family:\n%s", got)
 	}
 	if !strings.Contains(got, `transport_frames_total{dir="sent"} 7`) ||
 		!strings.Contains(got, `transport_frames_total{dir="recv"} 5`) {
@@ -61,12 +85,10 @@ func TestHistogramExposition(t *testing.T) {
 		h.Observe(v)
 	}
 	r := NewRegistry()
-	r.MustRegister(h)
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
+	if err := r.RegisterSet("h", "", histSet(h)); err != nil {
 		t.Fatal(err)
 	}
-	got := sb.String()
+	got := scrape(t, r)
 	for _, want := range []string{
 		"# TYPE barrier_instances_per_pass histogram\n",
 		`barrier_instances_per_pass_bucket{le="1"} 3`,
@@ -90,12 +112,10 @@ func TestHistogramLabelMerge(t *testing.T) {
 	h := NewHistogram(`barrier_phase_seconds{topology="tree"}`, "", []float64{0.001, 0.01})
 	h.Observe(0.0005)
 	r := NewRegistry()
-	r.MustRegister(h)
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
+	if err := r.RegisterSet("h", "", histSet(h)); err != nil {
 		t.Fatal(err)
 	}
-	got := sb.String()
+	got := scrape(t, r)
 	for _, want := range []string{
 		`barrier_phase_seconds_bucket{topology="tree",le="0.001"} 1`,
 		`barrier_phase_seconds_bucket{topology="tree",le="+Inf"} 1`,
@@ -108,24 +128,34 @@ func TestHistogramLabelMerge(t *testing.T) {
 	}
 }
 
+// A taken key is an error; re-registering the identical set is a no-op.
 func TestDuplicateRegistration(t *testing.T) {
 	r := NewRegistry()
-	c := NewCounter("x_total", "")
-	if err := r.Register(c); err != nil {
+	s := &testSet{series: []Series{{Name: "x_total", Kind: KindCounter}}}
+	if err := r.RegisterSet("x", "a", s); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register(c); err != nil {
-		t.Errorf("re-registering the same metric value: %v, want nil", err)
+	if err := r.RegisterSet("x", "a", s); err != nil {
+		t.Errorf("re-registering the same set: %v, want nil", err)
 	}
-	if err := r.Register(NewCounter("x_total", "")); err == nil {
-		t.Error("registering a different metric under a taken name: want error")
+	if err := r.RegisterSet("x", "a", &testSet{}); err == nil {
+		t.Error("registering a different set under a taken key: want error")
+	}
+	if err := r.RegisterSet("x", "b", &testSet{}); err != nil {
+		t.Errorf("registering under a free label: %v", err)
+	}
+	if got := scrape(t, r); strings.Count(got, "x_total 0\n") != 1 {
+		t.Errorf("the identical set was scraped twice, or not at all:\n%s", got)
 	}
 }
 
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
-	if err := r.Register(NewCounter("x_total", "")); err != nil {
-		t.Errorf("nil registry Register: %v", err)
+	if err := r.RegisterSet("x", "", &testSet{}); err != nil {
+		t.Errorf("nil registry RegisterSet: %v", err)
+	}
+	if r.UnregisterSet("x", "") {
+		t.Error("nil registry UnregisterSet reported a removal")
 	}
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil || sb.Len() != 0 {
@@ -136,15 +166,10 @@ func TestNilRegistryIsInert(t *testing.T) {
 // The whole point of the package: recording is allocation-free, so it
 // can sit on the fused scheduler's 0 allocs/op barrier hot path.
 func TestHotPathAllocs(t *testing.T) {
-	c := NewCounter("c_total", "")
-	g := NewGauge("g", "")
 	h := NewHistogram("h_seconds", "", ExpBuckets(1e-6, 4, 10))
 	if n := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(2)
-		g.Set(9)
-		g.Add(-1)
 		h.Observe(3.2e-4)
+		h.ObserveN(1, 8)
 	}); n != 0 {
 		t.Errorf("hot-path ops allocate %v allocs/op, want 0", n)
 	}

@@ -236,16 +236,11 @@ func TestConfigDigest(t *testing.T) {
 	if muxDigest(ring(0), nil) == muxDigest(tree, nil) {
 		t.Error("ring and tree digests collide")
 	}
-	// Identical deployments spelled differently must agree: the defaults
-	// (ring, arity 2) are filled in before hashing.
+	// Identical deployments spelled differently must agree: the default
+	// ring topology is filled in before hashing.
 	implicit := MuxConfig{TCPConfig: TCPConfig{Peers: peers}, Groups: []GroupSpec{{ID: 0}}}
 	if muxDigest(implicit, nil) != muxDigest(ring(0), nil) {
 		t.Error(`Topology "" and "ring" hash differently`)
-	}
-	arity := tree
-	arity.Groups = []GroupSpec{{ID: 0, Topology: GroupTree, TreeArity: 2}}
-	if muxDigest(tree, nil) != muxDigest(arity, nil) {
-		t.Error("TreeArity 0 and 2 hash differently")
 	}
 	// The parent vector of a tree TCP is part of the configuration.
 	heap, _ := topo.NewTree([]int{-1, 0, 0})

@@ -73,12 +73,10 @@ type GroupSpec struct {
 	// Name labels the group's metric series ({group="..."}) and
 	// strengthens the config digest. Letters, digits, '_', '.', '-'.
 	Name string
-	// Topology is GroupRing (default), GroupTree or GroupHybrid.
+	// Topology is GroupRing (default), GroupTree or GroupHybrid. A tree
+	// group's tree and a hybrid group's host tree are binary heaps, the
+	// shape a TopologyTree barrier builds by default.
 	Topology string
-	// TreeArity is the heap arity for GroupTree and for GroupHybrid's
-	// host tree (default 2), matching the shape a TopologyTree barrier
-	// builds for the same member count.
-	TreeArity int
 	// Hosts is GroupHybrid's member grouping: Hosts[j] lists the barrier
 	// members fused on process j, exactly as in the runtime's
 	// Config.Hosts. Required for hybrid (one roster per process),
@@ -105,15 +103,12 @@ type MuxConfig struct {
 // MuxOption mutates a MuxConfig (used by NewLoopbackMuxes).
 type MuxOption func(*MuxConfig)
 
-// normalized fills in the defaults a spec may leave out (ring topology,
-// arity 2), so that two processes spelling the same deployment differently
-// build the same routes and hash to the same digest.
+// normalized fills in the default a spec may leave out (ring topology),
+// so that two processes spelling the same deployment differently build
+// the same routes and hash to the same digest.
 func (g GroupSpec) normalized() GroupSpec {
 	if g.Topology == "" {
 		g.Topology = GroupRing
-	}
-	if g.TreeArity == 0 {
-		g.TreeArity = 2
 	}
 	return g
 }
@@ -122,7 +117,7 @@ func (g GroupSpec) normalized() GroupSpec {
 // group set (ids, names, topologies, tree shapes), and the explicit tree
 // of a TCP built from a parent vector (nil otherwise).
 func muxDigest(cfg MuxConfig, shape *topo.Tree) uint64 {
-	parts := make([]string, 0, len(cfg.Peers)+4*len(cfg.Groups)+2)
+	parts := make([]string, 0, len(cfg.Peers)+3*len(cfg.Groups)+2)
 	parts = append(parts, "mux", strconv.Itoa(len(cfg.Peers)))
 	parts = append(parts, cfg.Peers...)
 	for _, g := range cfg.Groups {
@@ -130,8 +125,7 @@ func muxDigest(cfg MuxConfig, shape *topo.Tree) uint64 {
 		parts = append(parts,
 			strconv.FormatUint(uint64(g.ID), 10),
 			g.Name,
-			g.Topology,
-			strconv.Itoa(g.TreeArity))
+			g.Topology)
 		for _, roster := range g.Hosts {
 			parts = append(parts, "h"+strconv.Itoa(len(roster)))
 			for _, member := range roster {
@@ -327,7 +321,7 @@ func newMux(cfg MuxConfig, w muxWiring) (*Mux, error) {
 			shape := w.shape
 			if spec.Topology == GroupHybrid {
 				// One process per host; the mux carries the host tree.
-				hy, err := topo.NewHybridTree(spec.Hosts, spec.TreeArity)
+				hy, err := topo.NewHybridTree(spec.Hosts, 2)
 				if err != nil {
 					return nil, fmt.Errorf("transport: group %d: %w", spec.ID, err)
 				}
@@ -336,7 +330,7 @@ func newMux(cfg MuxConfig, w muxWiring) (*Mux, error) {
 				}
 				shape = hy.HostTree
 			} else if shape == nil {
-				s, err := topo.NewKAryTree(n, spec.TreeArity)
+				s, err := topo.NewKAryTree(n, 2)
 				if err != nil {
 					return nil, fmt.Errorf("transport: group %d: %w", spec.ID, err)
 				}
@@ -521,8 +515,29 @@ func (m *Mux) closedNow() bool {
 func (m *Mux) Group(id uint32) runtime.Transport {
 	hosted := make([]*Mux, len(m.cfg.Peers))
 	hosted[m.cfg.Self] = m
-	return borrowedTCP(id, m.digest, hosted)
+	return &groupView{id: id, muxes: hosted}
 }
+
+// groupView is the runtime.Transport of one group over running muxes that
+// someone else owns: muxes[j] is process j's mux, nil where process j
+// lives elsewhere. Open attaches to the group on the hosting mux; Close is
+// a no-op, and the counters live on the muxes (Mux.Stats).
+type groupView struct {
+	id    uint32
+	muxes []*Mux
+}
+
+func (v *groupView) Open(id int) (runtime.Link, error) {
+	if id < 0 || id >= len(v.muxes) {
+		return nil, fmt.Errorf("transport: member %d out of range [0,%d)", id, len(v.muxes))
+	}
+	if v.muxes[id] == nil {
+		return nil, fmt.Errorf("transport: member %d is not hosted by this process", id)
+	}
+	return v.muxes[id].open(v.id)
+}
+
+func (v *groupView) Close() error { return nil }
 
 // open attaches this process's link to group id: the group itself.
 func (m *Mux) open(id uint32) (runtime.Link, error) {
@@ -1210,7 +1225,7 @@ func (s *MuxSet) Close() error {
 // Group returns a runtime.Transport for one group whose Open accepts any
 // process index, routing to that process's mux.
 func (s *MuxSet) Group(id uint32) runtime.Transport {
-	return borrowedTCP(id, s.Muxes[0].digest, s.Muxes)
+	return &groupView{id: id, muxes: s.Muxes}
 }
 
 // Ring is Group, kept for the benchmark harness's mux probe.

@@ -287,15 +287,11 @@ func keepAlive(c net.Conn) {
 // TCP implements runtime.Transport for one group over cfg.Peers: a ring
 // (NewTCP, NewLoopbackRing) or the tree given by a parent vector
 // (NewTCPTree, NewLoopbackTree, NewLoopbackTreeParent); the links Open
-// returns have that shape. Built by those constructors it creates a
-// member's one-group mux at Open, and the link Open returns owns that mux.
-// Built by the Group view of a Mux or MuxSet it borrows running muxes
-// that declare many groups: Open only attaches to the group, Close is a
-// no-op, and the counters live on the muxes (Mux.Stats), not here.
+// returns have that shape. Open creates a member's one-group mux, and the
+// link Open returns owns that mux. (The view of one group of running
+// muxes that declare many is a Mux's or MuxSet's Group.)
 type TCP struct {
-	group    uint32
-	digest   uint64
-	borrowed bool
+	digest uint64
 
 	cfg   MuxConfig  // per-member template; Open fills in Self
 	shape *topo.Tree // the tree given by a parent vector; nil for a ring
@@ -328,12 +324,6 @@ func newTCP(cfg TCPConfig, topology string, shape *topo.Tree) (*TCP, error) {
 		}
 	}
 	return t, nil
-}
-
-// borrowedTCP is the view of group id over muxes owned by someone else;
-// hosted[j] is nil where member j lives in another process.
-func borrowedTCP(id uint32, digest uint64, hosted []*Mux) *TCP {
-	return &TCP{group: id, digest: digest, borrowed: true, muxes: hosted, stats: new(tcpStats)}
 }
 
 // loopbackTCP binds n ephemeral loopback listeners for an all-local
@@ -415,22 +405,20 @@ func NewLoopbackTreeParent(parent []int, opts ...Option) (*TCP, error) {
 
 // Open starts member id's mux — binding its listener when a lower-indexed
 // neighbor dials it, dialing the higher-indexed ones — and returns its
-// link. Closing the link closes that mux. On a Group view Open attaches
-// the link to the group of the running mux.
+// link. Closing the link closes that mux.
 func (t *TCP) Open(id int) (runtime.Link, error) {
 	m, err := t.member(id)
 	if err != nil {
 		return nil, err
 	}
-	return m.open(t.group)
+	return m.open(0) // the one group, GroupSpec{ID: 0}
 }
 
 // Open, under the name the benchmark harness's tree probes call; it goes
 // when the harness calls Open.
 func (t *TCP) OpenTree(id int) (runtime.Link, error) { return t.Open(id) }
 
-// member returns member id's mux, building and starting it first unless
-// the muxes are borrowed.
+// member builds and starts member id's mux.
 func (t *TCP) member(id int) (*Mux, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -439,12 +427,6 @@ func (t *TCP) member(id int) (*Mux, error) {
 	}
 	if id < 0 || id >= len(t.muxes) {
 		return nil, fmt.Errorf("transport: member %d out of range [0,%d)", id, len(t.muxes))
-	}
-	if t.borrowed {
-		if t.muxes[id] == nil {
-			return nil, fmt.Errorf("transport: member %d is not hosted by this process", id)
-		}
-		return t.muxes[id], nil
 	}
 	if t.muxes[id] != nil {
 		return nil, fmt.Errorf("transport: member %d already open", id)
@@ -466,9 +448,6 @@ func (t *TCP) member(id int) (*Mux, error) {
 
 // Close tears down every member's mux and listener.
 func (t *TCP) Close() error {
-	if t.borrowed {
-		return nil
-	}
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()

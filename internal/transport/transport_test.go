@@ -668,18 +668,24 @@ func TestSharedStatsAndRegistry(t *testing.T) {
 	if s := tr.Stats(); s.Dials != 4 || s.Accepts != 4 || s.ConnectedOut != 4 {
 		t.Errorf("dials %d, accepts %d, connected %d: want 4 each, summed over the members", s.Dials, s.Accepts, s.ConnectedOut)
 	}
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]int{}
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if strings.HasPrefix(line, "transport_") {
-			seen[line[:strings.LastIndexByte(line, ' ')]]++
+	// scrape returns the transport_* series the registry renders, with
+	// how often each is rendered.
+	scrape := func() (map[string]int, string) {
+		var sb strings.Builder
+		if err := reg.WriteText(&sb); err != nil {
+			t.Fatal(err)
 		}
+		seen := map[string]int{}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if strings.HasPrefix(line, "transport_") {
+				seen[line[:strings.LastIndexByte(line, ' ')]]++
+			}
+		}
+		return seen, sb.String()
 	}
+	seen, text := scrape()
 	if len(seen) != 13 {
-		t.Errorf("%d transport series, want the 13 standard ones:\n%s", len(seen), sb.String())
+		t.Errorf("%d transport series, want the 13 standard ones:\n%s", len(seen), text)
 	}
 	for name, count := range seen {
 		if count != 1 {
@@ -687,10 +693,8 @@ func TestSharedStatsAndRegistry(t *testing.T) {
 		}
 	}
 	tr.Close()
-	for _, name := range reg.Names() {
-		if strings.HasPrefix(name, "transport_") {
-			t.Errorf("series %s outlived the transport", name)
-		}
+	if seen, text := scrape(); len(seen) != 0 || strings.Contains(text, "transport_") {
+		t.Errorf("transport series outlived the transport:\n%s", text)
 	}
 }
 
