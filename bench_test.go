@@ -542,12 +542,8 @@ func BenchmarkAwaitPipelined(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer set.Close()
-			lanes := make([]Transport, depth)
-			for li := range lanes {
-				lanes[li] = set.Group(uint32(li))
-			}
 			benchRuntimePassesCfg(b, Config{
-				Participants: n, Seed: 1, Depth: depth, LaneTransports: lanes,
+				Participants: n, Seed: 1, Depth: depth, Transport: set.Group(0),
 			}, nil)
 		})
 	}

@@ -595,6 +595,27 @@ func TestLoopbackOneGroupHaltHealthz(t *testing.T) {
 	shutdownClean(t, members)
 }
 
+// Roster skew is rejected at the handshake, and the rejecting process
+// says so on stderr even under -quiet: process 0 runs the one-group ring,
+// process 1 (the one that accepts) the tree, so their digests differ.
+func TestLoopbackDigestMismatchLogged(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildBarrierd(t, dir)
+	peers := reservePeers(t, 2)
+
+	members := []*member{
+		start(t, bin, peers, 0, survivorQuota, dir, false, "-quiet"),
+		start(t, bin, peers, 1, survivorQuota, dir, false, "-quiet", "-topology", "tree"),
+	}
+	stopOnCleanup(t, members)
+	waitFor(t, `member 1 logging "config digest mismatch"`, 5*time.Second, func() bool {
+		return logged(members[1], "config digest mismatch")
+	}, func() string {
+		data, _ := os.ReadFile(members[1].logPath)
+		return tailLines(string(data), 5)
+	})
+}
+
 func tailLines(s string, n int) string {
 	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
 	if len(lines) > n {

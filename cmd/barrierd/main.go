@@ -77,6 +77,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -102,7 +103,6 @@ var (
 	passesFlag   = flag.Int("passes", 100, "print DONE after this many successful passes (0: unlimited)")
 	nPhasesFlag  = flag.Int("nphases", 4, "phase-counter modulus (the default for -groups lines that name none)")
 	resendFlag   = flag.Duration("resend", 0, "state retransmission period (0: the library default; see groups.Config.Resend on what a value below ~1ms buys)")
-	lossFlag     = flag.Float64("loss", 0, "per-message send-loss probability (fault injection)")
 	corruptFlag  = flag.Float64("corrupt", 0, "per-message corruption probability (fault injection)")
 	seedFlag     = flag.Int64("seed", 1, "random seed for fault injection draws")
 	rejoinFlag   = flag.Bool("rejoin", false, "start in the reset protocol state (restarting into a live deployment)")
@@ -167,11 +167,15 @@ func run() error {
 	if *metricsFlag != "" {
 		reg = obsv.NewRegistry()
 	}
+	// Connection diagnostics (a handshake rejected for a digest mismatch,
+	// a dropped connection) go to stderr, -quiet or not: -quiet silences
+	// only the per-pass lines.
 	r, err := groups.New(groups.Options{
 		Self:    id,
 		Peers:   peers,
 		Rejoin:  *rejoinFlag,
 		Metrics: reg,
+		Logf:    log.New(os.Stderr, "barrierd: ", log.LstdFlags).Printf,
 	}, cfgs)
 	if err != nil {
 		return err
@@ -323,7 +327,6 @@ func parseRoster(source, text string) (cfgs []groups.Config, haltAfter []int, er
 			Topology:    transport.GroupRing,
 			NPhases:     *nPhasesFlag,
 			Resend:      *resendFlag,
-			LossRate:    *lossFlag,
 			CorruptRate: *corruptFlag,
 			Seed:        *seedFlag + int64(len(cfgs))<<8,
 		}

@@ -6,7 +6,8 @@
 //
 //  1. A practical runtime barrier for Go programs (New/Barrier.Await): the
 //     paper's message-passing program MB and its tree refinement, run by
-//     one scheduler per lane in-process or one per link over a transport.
+//     one scheduler per lane in-process or one per link over a transport,
+//     which carries every lane of the wave-pipelining window.
 //     Detectable faults — message loss, duplication, detected
 //     corruption, process reset — are masked (every barrier executes
 //     correctly); undetectable faults — state corruption — are stabilized;

@@ -52,12 +52,11 @@ type Profile struct {
 	// the wasted-work axis DepthSweep measures.
 	Depth int
 
-	// Chaos enables the fault schedule; Schedule overrides the generated
-	// one with an explicit conformance schedule text (target "bench").
-	Chaos       bool
-	Schedule    string
-	ChaosPacing time.Duration // per-step pacing (default 100ms)
-	ChaosOps    int           // schedule length (default Duration/ChaosPacing)
+	// Chaos enables the fault schedule, one step per chaosPacing;
+	// Schedule overrides the generated one (Duration/chaosPacing steps)
+	// with an explicit conformance schedule text (target "bench").
+	Chaos    bool
+	Schedule string
 
 	// SLO judges the final snapshot; zero-valued fields take the
 	// DefaultSLO bounds for the profile shape.
@@ -130,12 +129,6 @@ func (p *Profile) normalize() error {
 	if p.Depth < 1 {
 		return fmt.Errorf("bench: need depth ≥ 1, got %d", p.Depth)
 	}
-	if p.ChaosPacing <= 0 {
-		p.ChaosPacing = 100 * time.Millisecond
-	}
-	if p.ChaosOps <= 0 {
-		p.ChaosOps = int(p.Duration / p.ChaosPacing)
-	}
 	if p.SLO == (SLO{}) {
 		p.SLO = p.DefaultSLO()
 	}
@@ -197,7 +190,7 @@ func Run(ctx context.Context, p Profile) (*Report, error) {
 			}
 			schedule = s
 		} else {
-			schedule = GenerateChaos(p.Procs, p.Groups, p.ChaosOps, p.Seed)
+			schedule = GenerateChaos(p.Procs, p.Groups, int(p.Duration/chaosPacing), p.Seed)
 		}
 	}
 
@@ -230,7 +223,7 @@ func Run(ctx context.Context, p Profile) (*Report, error) {
 	go func() {
 		defer close(chaosDone)
 		if p.Chaos {
-			chaos = runChaos(loadCtx, c, schedule, p.Groups, p.ChaosPacing, p.Logf)
+			chaos = runChaos(loadCtx, c, schedule, p.Groups, chaosPacing, p.Logf)
 		}
 	}()
 	<-loadCtx.Done()
@@ -277,6 +270,10 @@ type clientPool struct {
 	errMu sync.Mutex
 	err   error
 }
+
+// chaosPacing is the wall-clock length of one chaos step: a generated
+// schedule has one step per chaosPacing of the load window.
+const chaosPacing = 100 * time.Millisecond
 
 // awaitTimeout bounds one client attempt, so a client stalled by a kill
 // or partition window returns to its arrival schedule instead of

@@ -43,9 +43,11 @@ type Config struct {
 	Hosts [][]int
 	// Depth is the wave-pipelining window (default 1). A Depth > 1 group
 	// claims Depth consecutive wire group ids — lanes, named
-	// "<Name>.l1".."<Name>.l<Depth-1>" after the first — so frames of all
-	// in-flight barrier instances batch onto the same shared connections,
-	// and the group's Await overlaps up to Depth instances.
+	// "<Name>.l1".."<Name>.l<Depth-1>" after the first — which its
+	// barrier opens through the one view of its first id (the runtime's
+	// lane-major node ids), so frames of all in-flight barrier instances
+	// batch onto the same shared connections, and the group's Await
+	// overlaps up to Depth instances.
 	Depth int
 	// NPhases is the group's phase-counter modulus (default 8).
 	NPhases int
@@ -55,9 +57,8 @@ type Config struct {
 	// ~1 ms buys nothing in an idle process and costs sweeps in a busy
 	// one. (Loss inside a hybrid host's roster never waits for it.)
 	Resend time.Duration
-	// LossRate / CorruptRate inject detectable communication faults into
-	// this group only (tests, demos, soak runs).
-	LossRate    float64
+	// CorruptRate injects detectable communication faults into this
+	// group only (tests, demos, soak runs).
 	CorruptRate float64
 	// Seed drives the group's internal randomness.
 	Seed int64
@@ -354,7 +355,7 @@ func (g *Group) startLocked(rejoin bool) error {
 		topology = runtime.TopologyTree
 	case transport.GroupHybrid:
 		// This process fuses a whole host's members; the mux carries the
-		// host tree, so the lane views' node space is process indices.
+		// host tree, so the view's node space is process indices in every lane.
 		topology = runtime.TopologyHybrid
 		participants = 0
 		for _, roster := range g.cfg.Hosts {
@@ -372,23 +373,13 @@ func (g *Group) startLocked(rejoin bool) error {
 		Rejoin:       rejoin,
 		NPhases:      g.cfg.NPhases,
 		Resend:       g.cfg.Resend,
-		LossRate:     g.cfg.LossRate,
 		CorruptRate:  g.cfg.CorruptRate,
 		Seed:         g.cfg.Seed,
 		Metrics:      g.opts.Metrics,
 		MetricLabel:  `group="` + g.cfg.Name + `"`,
-	}
-	if g.cfg.Depth > 1 {
-		// One mux group per in-flight wave: lane li's frames are tagged
-		// with wire id g.id+li, and all lanes batch into the same
-		// per-peer writes.
-		lanes := make([]runtime.Transport, g.cfg.Depth)
-		for li := range lanes {
-			lanes[li] = g.mux.Group(g.id + uint32(li))
-		}
-		cfg.LaneTransports = lanes
-	} else {
-		cfg.Transport = g.mux.Group(g.id)
+		// Lane li's frames go out as wire group g.id+li, and all lanes
+		// batch into the same per-peer writes.
+		Transport: g.mux.Group(g.id),
 	}
 	b, err := runtime.New(cfg)
 	if err != nil {

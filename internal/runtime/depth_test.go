@@ -18,24 +18,6 @@ import (
 	"repro/internal/obsv"
 )
 
-func TestDepthValidation(t *testing.T) {
-	if _, err := New(Config{Participants: 2, Depth: -1}); err == nil {
-		t.Error("negative Depth should be rejected")
-	}
-	tr := NewChanTransport(2)
-	if _, err := New(Config{Participants: 2, Depth: 2, Transport: tr}); err == nil {
-		t.Error("Depth > 1 over a single Transport should be rejected")
-	}
-	if _, err := New(Config{Participants: 2, Depth: 2,
-		LaneTransports: []Transport{tr}}); err == nil {
-		t.Error("len(LaneTransports) != Depth should be rejected")
-	}
-	if _, err := New(Config{Participants: 2, Depth: 1, Transport: tr,
-		LaneTransports: []Transport{tr}}); err == nil {
-		t.Error("Transport and LaneTransports together should be rejected")
-	}
-}
-
 // Fault-free pipelined rounds: every worker sees the synthesized phase
 // counter advance by exactly one per pass, in every placement.
 func TestPipelinedFaultFree(t *testing.T) {

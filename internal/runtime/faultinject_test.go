@@ -92,7 +92,7 @@ func TestSpuriousEntersThroughControl(t *testing.T) {
 			if s := ln.gates[victim].s; s.link != nil {
 				mailbox = s.link.(*chanLink).from
 			}
-			if (pl.cfg.LaneTransports != nil) != (mailbox != nil) {
+			if (pl.cfg.Transport != nil) != (mailbox != nil) {
 				t.Fatalf("channel link found = %v on placement %s", mailbox != nil, pl.name)
 			}
 			genuine := Message{SN: 2, CP: core.Execute, PH: 1}

@@ -103,6 +103,53 @@ func TestHybridHostUnion(t *testing.T) {
 	}
 }
 
+// The deployment shape at Depth 2: one Barrier per host, all built at
+// once over one host-tree transport. Each opens its host's node in every
+// lane (lane-major ids), whichever Barrier makes a lane's links first,
+// and every member passes every barrier.
+func TestHybridHostsShareLanes(t *testing.T) {
+	hosts := [][]int{{0, 1}, {2, 3}, {4, 5}}
+	const n, rounds = 6, 40
+	hy, err := topo.NewHybridTree(hosts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewChanTreeTransport(hy.HostTree.Parent)
+	bs := make([]*Barrier, len(hosts))
+	errs := make([]error, len(hosts))
+	var wg sync.WaitGroup
+	for h, ms := range hosts {
+		h, ms := h, ms
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bs[h], errs[h] = New(Config{Participants: n, Topology: TopologyHybrid, Hosts: hosts,
+				Depth: 2, Transport: tr, Members: ms, Seed: 5})
+		}()
+	}
+	wg.Wait()
+	for _, b := range bs {
+		if b != nil {
+			defer b.Stop()
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runHybridWorkers(t, bs, hosts, n, rounds)
+	var total int64
+	for _, b := range bs {
+		total += b.Stats().Passes
+	}
+	// The window's tail (waves entered by the final Awaits, never reaped)
+	// may add one more pass per member.
+	if total < int64(n*rounds) || total > int64(n*(rounds+1)) {
+		t.Errorf("total passes = %d, want in [%d, %d]", total, n*rounds, n*(rounds+1))
+	}
+}
+
 // All hosts local (no transport): the hybrid member tree runs fully
 // fused and behaves like any barrier.
 func TestHybridFusedFaultFree(t *testing.T) {

@@ -49,6 +49,7 @@ package runtime
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -128,10 +129,14 @@ type Link interface {
 }
 
 // Transport supplies the links for a barrier. A transport is built for a
-// fixed shape — a ring of members, or a tree over host indices (a flat
-// tree's hosts are its members) — and Open is called once per ring
+// fixed shape of N nodes — a ring of members, or a tree over host indices
+// (a flat tree's hosts are its members) — and Open is called once per ring
 // member or host this process runs (typically one per OS process in a
-// distributed deployment).
+// distributed deployment) in each lane of the barrier's window
+// (Config.Depth). Node ids are lane-major: lane li's node h is id
+// li·N + h, so a Depth 1 barrier opens the shape's own ids. Every lane is
+// a separate instance of the protocol over the same edges; a transport
+// that carries one lane rejects the ids beyond it.
 type Transport interface {
 	// Open returns node id's link.
 	Open(id int) (Link, error)
@@ -223,10 +228,14 @@ func offer[M any](ch chan M, m M) bool {
 
 // chanTransport wires every link's sends straight into the receiving
 // link's Inbox, between the members' schedulers: a ring (parent nil) or
-// the tree given by its parent vector.
+// the tree given by its parent vector, of n nodes per lane. A lane's
+// links are made on its first Open.
 type chanTransport struct {
+	n      int
 	parent []int
-	links  []*chanLink
+
+	mu    sync.Mutex
+	lanes map[int][]*chanLink
 }
 
 // NewChanTransport returns the in-process channel transport for an
@@ -244,69 +253,76 @@ func NewChanTreeTransport(parent []int) Transport {
 }
 
 func newChanTransport(n int, parent []int) *chanTransport {
-	t := &chanTransport{parent: parent, links: make([]*chanLink, n)}
-	kids := make([]int, n)
-	for id := 1; id < len(parent); id++ {
-		kids[parent[id]]++
-	}
-	for id := range t.links {
-		l := &chanLink{t: t, id: id}
-		if parent == nil {
-			l.InitRing()
-		} else {
-			l.InitTree(kids[id])
-		}
-		t.links[id] = l
-	}
-	return t
+	return &chanTransport{n: n, parent: parent, lanes: make(map[int][]*chanLink)}
 }
 
 func (t *chanTransport) Open(id int) (Link, error) {
-	if id < 0 || id >= len(t.links) {
-		return nil, fmt.Errorf("ftbarrier: member %d out of range [0,%d)", id, len(t.links))
+	if id < 0 || t.n <= 0 {
+		return nil, fmt.Errorf("ftbarrier: node %d out of range for %d nodes per lane", id, t.n)
 	}
-	return t.links[id], nil
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	lane := t.lanes[id/t.n]
+	if lane == nil {
+		lane = make([]*chanLink, t.n)
+		kids := make([]int, t.n)
+		for h := 1; h < len(t.parent); h++ {
+			kids[t.parent[h]]++
+		}
+		for h := range lane {
+			l := &chanLink{lane: lane, parent: t.parent, id: h}
+			if t.parent == nil {
+				l.InitRing()
+			} else {
+				l.InitTree(kids[h])
+			}
+			lane[h] = l
+		}
+		t.lanes[id/t.n] = lane
+	}
+	return lane[id%t.n], nil
 }
 
 func (t *chanTransport) Close() error { return nil }
 
-// chanLink is one member's link, a ring link or a tree link as its
-// transport's shape says. A send posts to the receiving link's Inbox; a
-// send on an edge the shape lacks is dropped.
+// chanLink is one node's link in one lane, a ring link or a tree link as
+// its transport's shape says. A send posts to the receiving link's Inbox
+// in the same lane; a send on an edge the shape lacks is dropped.
 type chanLink struct {
 	Inbox
-	t  *chanTransport
-	id int
+	lane   []*chanLink
+	parent []int
+	id     int
 }
 
 func (l *chanLink) SendState(m Message) {
-	if l.t.parent == nil {
-		dst := l.t.links[(l.id+1)%len(l.t.links)]
+	if l.parent == nil {
+		dst := l.lane[(l.id+1)%len(l.lane)]
 		dst.PostState(m)
 		dst.wake()
 	}
 }
 
 func (l *chanLink) SendTop() {
-	if l.t.parent == nil {
-		n := len(l.t.links)
-		dst := l.t.links[(l.id-1+n)%n]
+	if l.parent == nil {
+		n := len(l.lane)
+		dst := l.lane[(l.id-1+n)%n]
 		dst.PostTop()
 		dst.wake()
 	}
 }
 
 func (l *chanLink) SendDown(child int, m Message) {
-	if l.t.parent != nil && child >= 0 && child < len(l.t.links) && l.t.parent[child] == l.id {
-		dst := l.t.links[child]
+	if l.parent != nil && child >= 0 && child < len(l.lane) && l.parent[child] == l.id {
+		dst := l.lane[child]
 		dst.PostState(m)
 		dst.wake()
 	}
 }
 
 func (l *chanLink) SendUp(m UpMessage) {
-	if l.t.parent != nil && l.t.parent[l.id] >= 0 {
-		dst := l.t.links[l.t.parent[l.id]]
+	if l.parent != nil && l.parent[l.id] >= 0 {
+		dst := l.lane[l.parent[l.id]]
 		dst.PostUp(m)
 		dst.wake()
 	}

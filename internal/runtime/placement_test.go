@@ -19,8 +19,8 @@ type placement struct {
 }
 
 // placements returns one Config per placement of n members (n even) under
-// a window of the given depth. The explicit transports go in as
-// LaneTransports, which is valid at every depth.
+// a window of the given depth. Each explicit placement has one channel
+// transport, which carries every lane (lane-major node ids).
 func placements(t *testing.T, n, depth int, seed int64) []placement {
 	t.Helper()
 	shape, err := topo.NewKAryTree(n, 2)
@@ -35,19 +35,13 @@ func placements(t *testing.T, n, depth int, seed int64) []placement {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ringLanes, treeLanes, hostLanes := make([]Transport, depth), make([]Transport, depth), make([]Transport, depth)
-	for i := range ringLanes {
-		ringLanes[i] = NewChanTransport(n)
-		treeLanes[i] = NewChanTreeTransport(shape.Parent)
-		hostLanes[i] = NewChanTreeTransport(hy.HostTree.Parent)
-	}
 	base := Config{Participants: n, Depth: depth, Seed: seed}
 	tree, hybrid, ringChan, treeChan, hybridChan := base, base, base, base, base
 	tree.Topology = TopologyTree
 	hybrid.Topology, hybrid.Hosts = TopologyHybrid, hosts
-	ringChan.LaneTransports = ringLanes
-	treeChan.Topology, treeChan.LaneTransports = TopologyTree, treeLanes
-	hybridChan.Topology, hybridChan.Hosts, hybridChan.LaneTransports = TopologyHybrid, hosts, hostLanes
+	ringChan.Transport = NewChanTransport(n)
+	treeChan.Topology, treeChan.Transport = TopologyTree, NewChanTreeTransport(shape.Parent)
+	hybridChan.Topology, hybridChan.Hosts, hybridChan.Transport = TopologyHybrid, hosts, NewChanTreeTransport(hy.HostTree.Parent)
 	return []placement{
 		{"ring", base}, {"tree", tree}, {"hybrid", hybrid},
 		{"ring-chan", ringChan}, {"tree-chan", treeChan}, {"hybrid-chan", hybridChan},

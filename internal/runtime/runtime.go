@@ -114,17 +114,12 @@ type Config struct {
 	// pipeline: Enter tops the window up to Depth outstanding arrivals,
 	// Leave reaps the oldest. With Depth > 1 the phase returned by
 	// Await/Leave is the wave index modulo NPhases (a synthesized
-	// counter — the per-lane protocol phases interleave). Depth > 1
-	// with an explicit Transport requires LaneTransports instead.
+	// counter — the per-lane protocol phases interleave). Every lane
+	// opens its links from the one Transport: lane li's roster h is the
+	// transport's node li·N + h (N nodes per lane), so a transport that
+	// carries one lane fails New at Depth > 1, and a mux group view
+	// carries lane li as the wire group li after its own.
 	Depth int
-	// LaneTransports supplies one Transport per pipeline lane when
-	// Depth > 1 spans processes (e.g. one mux group view per lane, so
-	// frames of all in-flight instances coalesce into single writes on
-	// the shared connections). len(LaneTransports) must equal Depth and
-	// Transport must be nil. Like Transport, the links each lane opens
-	// are closed on Stop but the transports themselves belong to the
-	// caller.
-	LaneTransports []Transport
 	// Transport supplies the links (nil: every member is local and its
 	// scheduler copies frames between them, no links at all). A network
 	// transport (internal/transport) lets the barrier span OS processes,
@@ -519,18 +514,7 @@ func New(cfg Config) (*Barrier, error) {
 	if cfg.Depth < 1 {
 		return nil, errors.New("ftbarrier: Depth must be >= 1")
 	}
-	if cfg.LaneTransports != nil {
-		if cfg.Transport != nil {
-			return nil, errors.New("ftbarrier: Transport and LaneTransports are mutually exclusive")
-		}
-		if len(cfg.LaneTransports) != cfg.Depth {
-			return nil, fmt.Errorf("ftbarrier: need one lane transport per pipeline lane: len(LaneTransports)=%d, Depth=%d",
-				len(cfg.LaneTransports), cfg.Depth)
-		}
-	} else if cfg.Transport != nil && cfg.Depth > 1 {
-		return nil, errors.New("ftbarrier: Depth > 1 over an explicit Transport requires LaneTransports (one per lane)")
-	}
-	if cfg.Members != nil && cfg.Transport == nil && cfg.LaneTransports == nil {
+	if cfg.Members != nil && cfg.Transport == nil {
 		return nil, errors.New("ftbarrier: Members requires an explicit Transport")
 	}
 	rosters, hy, err := rostersOf(cfg)
@@ -585,9 +569,6 @@ func New(cfg Config) (*Barrier, error) {
 			// bit-for-bit the pre-pipelining one (the conformance harness
 			// replays recorded schedules against that).
 			laneCfg.Seed = cfg.Seed + int64(li)*104729
-		}
-		if cfg.LaneTransports != nil {
-			laneCfg.Transport = cfg.LaneTransports[li]
 		}
 		if err = b.place(laneCfg, ln, rosters, hy, local); err != nil {
 			break

@@ -184,11 +184,12 @@ func newSched(b *Barrier, cfg Config, ln *lane, hosted int) *sched {
 	return s
 }
 
-// attach opens link id on cfg.Transport — roster id's: ring member id's,
-// or tree host id's — for a new scheduler of hosted members, records it for
-// Stop and registers the scheduler's input hook. A link whose shape is not
-// the topology's is rejected: a ring link has a ⊤ mailbox, a tree link an
-// up mailbox. New closes it with every other link it recorded.
+// attach opens node id on cfg.Transport — lane li's roster h is node
+// li·len(rosters) + h, a ring member or a tree host of that lane — for a
+// new scheduler of hosted members, records the link for Stop and
+// registers the scheduler's input hook. A link whose shape is not the
+// topology's is rejected: a ring link has a ⊤ mailbox, a tree link an up
+// mailbox. New closes it with every other link it recorded.
 func (b *Barrier) attach(cfg Config, ln *lane, id int, tree bool, hosted int) (*sched, error) {
 	l, err := cfg.Transport.Open(id)
 	if err != nil {
@@ -243,12 +244,12 @@ func rostersOf(cfg Config) (rosters [][]int, hy *topo.Hybrid, err error) {
 
 // place puts lane ln's members on schedulers. With no Transport one
 // scheduler hosts every member. Over a Transport each roster this process
-// hosts gets a scheduler of its own on the roster's link (local must cover
-// a union of whole rosters), and the roster's first member, its host root,
-// holds the link's edges: a parent host's down frames refresh its parent
-// copy, and its convergecast acknowledgment — the aggregate of the
-// roster's whole subtree — is the one frame that goes up. The member kind
-// (add) is all the topology changes here.
+// hosts gets a scheduler of its own on the roster's link in this lane
+// (local must cover a union of whole rosters), and the roster's first
+// member, its host root, holds the link's edges: a parent host's down
+// frames refresh its parent copy, and its convergecast acknowledgment —
+// the aggregate of the roster's whole subtree — is the one frame that goes
+// up. The member kind (add) is all the topology changes here.
 func (b *Barrier) place(cfg Config, ln *lane, rosters [][]int, hy *topo.Hybrid, local []bool) error {
 	if cfg.Transport == nil {
 		// Every member is local (Members requires an explicit Transport).
@@ -272,7 +273,7 @@ func (b *Barrier) place(cfg Config, ln *lane, rosters [][]int, hy *topo.Hybrid, 
 			// New closes the links opened so far.
 			return fmt.Errorf("ftbarrier: Members must be a union of whole hosts: host %d's roster is %v, Members %v", h, roster, cfg.Members)
 		}
-		s, err := b.attach(cfg, ln, h, hy != nil, len(roster))
+		s, err := b.attach(cfg, ln, ln.idx*len(rosters)+h, hy != nil, len(roster))
 		if err != nil {
 			return err
 		}

@@ -508,10 +508,11 @@ func (m *Mux) closedNow() bool {
 // Group returns the runtime.Transport view of one group, of whatever
 // topology: its links have the group's shape. Open accepts only this
 // process's index — for a hybrid group a host (= process) index, the
-// node space of the host tree a TopologyHybrid barrier plugs in — and at
-// most one open link at a time; closing the link (Barrier.Stop does)
-// detaches the group so it can be reopened — the rejoin path. The view's
-// Close is a no-op: connections are shared, the mux owns them.
+// node space of the host tree a TopologyHybrid barrier plugs in — in
+// every lane (groupView.Open), and at most one open link per wire group
+// at a time; closing the link (Barrier.Stop does) detaches the group so
+// it can be reopened — the rejoin path. The view's Close is a no-op:
+// connections are shared, the mux owns them.
 func (m *Mux) Group(id uint32) runtime.Transport {
 	hosted := make([]*Mux, len(m.cfg.Peers))
 	hosted[m.cfg.Self] = m
@@ -527,14 +528,19 @@ type groupView struct {
 	muxes []*Mux
 }
 
+// Open decodes the runtime's lane-major node id: lane li's process j is
+// id li·len(muxes) + j, attached to wire group v.id+li on process j's mux
+// — the consecutive ids a Depth > 1 group's specs declare. A lane beyond
+// the declared groups is an unknown group.
 func (v *groupView) Open(id int) (runtime.Link, error) {
-	if id < 0 || id >= len(v.muxes) {
-		return nil, fmt.Errorf("transport: member %d out of range [0,%d)", id, len(v.muxes))
+	if id < 0 {
+		return nil, fmt.Errorf("transport: member %d out of range", id)
 	}
-	if v.muxes[id] == nil {
-		return nil, fmt.Errorf("transport: member %d is not hosted by this process", id)
+	li, j := id/len(v.muxes), id%len(v.muxes)
+	if v.muxes[j] == nil {
+		return nil, fmt.Errorf("transport: member %d is not hosted by this process", j)
 	}
-	return v.muxes[id].open(v.id)
+	return v.muxes[j].open(v.id + uint32(li))
 }
 
 func (v *groupView) Close() error { return nil }
@@ -833,7 +839,7 @@ func (p *muxPeer) writeOut(c net.Conn) error {
 func (p *muxPeer) dialLoop() {
 	defer p.m.wg.Done()
 	rng := prng.New(int64(p.m.cfg.Self)*1315423911 + int64(p.id)*2654435761 + 41)
-	backoff := p.m.cfg.BaseBackoff
+	backoff := p.m.cfg.baseBackoff
 	for {
 		if p.m.closedNow() {
 			return
@@ -848,7 +854,7 @@ func (p *muxPeer) dialLoop() {
 			}
 			continue
 		}
-		d := net.Dialer{Timeout: p.m.cfg.DialTimeout}
+		d := net.Dialer{Timeout: dialTimeout}
 		c, err := d.DialContext(p.m.dialCtx, "tcp", p.addr)
 		if err != nil {
 			if p.m.closedNow() {
@@ -864,8 +870,8 @@ func (p *muxPeer) dialLoop() {
 			case <-time.After(sleep):
 			}
 			p.m.stats.backingOff.Add(-1)
-			if backoff *= 2; backoff > p.m.cfg.MaxBackoff {
-				backoff = p.m.cfg.MaxBackoff
+			if backoff *= 2; backoff > p.m.cfg.maxBackoff {
+				backoff = p.m.cfg.maxBackoff
 			}
 			continue
 		}
@@ -877,7 +883,7 @@ func (p *muxPeer) dialLoop() {
 		}
 		p.m.stats.dials.Add(1)
 		p.m.stats.connectedOut.Add(1)
-		backoff = p.m.cfg.BaseBackoff
+		backoff = p.m.cfg.baseBackoff
 		if !p.setConn(c) {
 			p.m.stats.connectedOut.Add(-1)
 			if p.m.closedNow() {
@@ -915,7 +921,7 @@ func (m *Mux) acceptLoop() {
 			}
 			continue
 		}
-		if !m.stats.admitPending(m.cfg.MaxPending) {
+		if !m.stats.admitPending(m.cfg.maxPending) {
 			c.Close()
 			continue
 		}
@@ -930,7 +936,7 @@ func (m *Mux) acceptLoop() {
 func (m *Mux) handleIn(c net.Conn) {
 	defer m.wg.Done()
 	fr := NewFrameReader(c, 4096)
-	from, err := readHello(fr, c, m.cfg.HandshakeTimeout, m.digest, m.stats)
+	from, err := readHello(fr, c, m.cfg.handshakeTimeout, m.digest, m.stats)
 	m.stats.releasePending()
 	var p *muxPeer
 	if err == nil {
@@ -1174,7 +1180,7 @@ func NewLoopbackMuxes(n int, groups []GroupSpec, opts ...MuxOption) (*MuxSet, er
 		cfg := MuxConfig{
 			Self:      j,
 			Groups:    groups,
-			TCPConfig: TCPConfig{Peers: peers, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
+			TCPConfig: TCPConfig{Peers: peers, baseBackoff: 2 * time.Millisecond, maxBackoff: 100 * time.Millisecond},
 		}
 		for _, opt := range opts {
 			opt(&cfg)
@@ -1223,7 +1229,7 @@ func (s *MuxSet) Close() error {
 }
 
 // Group returns a runtime.Transport for one group whose Open accepts any
-// process index, routing to that process's mux.
+// process index, in every lane, routing to that process's mux.
 func (s *MuxSet) Group(id uint32) runtime.Transport {
 	return &groupView{id: id, muxes: s.Muxes}
 }

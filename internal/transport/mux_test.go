@@ -316,7 +316,7 @@ func TestMuxValidation(t *testing.T) {
 	}
 	var links [2]runtime.Link
 	for j, topology := range []string{"", GroupRing} {
-		pm, err := newMux(MuxConfig{Self: j, TCPConfig: TCPConfig{Peers: peers, BaseBackoff: time.Millisecond},
+		pm, err := newMux(MuxConfig{Self: j, TCPConfig: TCPConfig{Peers: peers, baseBackoff: time.Millisecond},
 			Groups: []GroupSpec{{ID: 0, Name: "a", Topology: topology}}}, muxWiring{ln: listeners[j]})
 		if err != nil {
 			t.Fatal(err)

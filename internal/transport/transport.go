@@ -48,23 +48,6 @@ type TCPConfig struct {
 	// Peers[j] is member (for a Mux, process) j's listen address
 	// (host:port); the group has len(Peers) members.
 	Peers []string
-	// BaseBackoff and MaxBackoff bound the reconnect backoff (defaults
-	// 10ms and 1s). Each failed dial doubles the delay up to MaxBackoff,
-	// with up to 50% random jitter subtracted so that members restarting
-	// together do not reconnect in lockstep.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// DialTimeout bounds one dial attempt (default 2s).
-	DialTimeout time.Duration
-	// HandshakeTimeout bounds the wait for a dialer's hello frame
-	// (default 5s).
-	HandshakeTimeout time.Duration
-	// MaxPending bounds concurrent un-handshaken incoming connections
-	// (default 64). Each pre-handshake connection holds a goroutine and a
-	// frame buffer for up to HandshakeTimeout; beyond the bound new
-	// connections are closed immediately and counted as accept overflows,
-	// so a dial flood or reconnect storm cannot pile up unbounded state.
-	MaxPending int
 	// Logf, if non-nil, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
 	// Registry, if non-nil, receives the transport's metric series
@@ -72,24 +55,41 @@ type TCPConfig struct {
 	// are read at scrape time from the atomics the transport maintains
 	// anyway, so exporting costs the data path nothing.
 	Registry *obsv.Registry
+
+	// baseBackoff and maxBackoff bound the reconnect backoff (defaults
+	// 10ms and 1s; the loopback constructors lower them to 2ms and
+	// 100ms). Each failed dial doubles the delay up to maxBackoff, with
+	// up to 50% random jitter subtracted so that members restarting
+	// together do not reconnect in lockstep.
+	baseBackoff time.Duration
+	maxBackoff  time.Duration
+	// handshakeTimeout bounds the wait for a dialer's hello frame
+	// (default 5s).
+	handshakeTimeout time.Duration
+	// maxPending bounds concurrent un-handshaken incoming connections
+	// (default 64). Each pre-handshake connection holds a goroutine and a
+	// frame buffer for up to handshakeTimeout; beyond the bound new
+	// connections are closed immediately and counted as accept overflows,
+	// so a dial flood or reconnect storm cannot pile up unbounded state.
+	maxPending int
 }
+
+// dialTimeout bounds one dial attempt.
+const dialTimeout = 2 * time.Second
 
 // withDefaults fills in the documented defaults of the knobs left zero.
 func (c TCPConfig) withDefaults() TCPConfig {
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 10 * time.Millisecond
+	if c.baseBackoff <= 0 {
+		c.baseBackoff = 10 * time.Millisecond
 	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = time.Second
+	if c.maxBackoff <= 0 {
+		c.maxBackoff = time.Second
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
+	if c.handshakeTimeout <= 0 {
+		c.handshakeTimeout = 5 * time.Second
 	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 5 * time.Second
-	}
-	if c.MaxPending <= 0 {
-		c.MaxPending = 64
+	if c.maxPending <= 0 {
+		c.maxPending = 64
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -338,7 +338,7 @@ func loopbackTCP(n int, topology string, shape *topo.Tree, opts []Option) (*TCP,
 	if err != nil {
 		return nil, err
 	}
-	cfg := TCPConfig{BaseBackoff: 2 * time.Millisecond, MaxBackoff: 100 * time.Millisecond}
+	cfg := TCPConfig{baseBackoff: 2 * time.Millisecond, maxBackoff: 100 * time.Millisecond}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -405,7 +405,8 @@ func NewLoopbackTreeParent(parent []int, opts ...Option) (*TCP, error) {
 
 // Open starts member id's mux — binding its listener when a lower-indexed
 // neighbor dials it, dialing the higher-indexed ones — and returns its
-// link. Closing the link closes that mux.
+// link. Closing the link closes that mux. A TCP carries one lane: the
+// ids of a Depth > 1 barrier's later lanes are out of range.
 func (t *TCP) Open(id int) (runtime.Link, error) {
 	m, err := t.member(id)
 	if err != nil {

@@ -358,8 +358,8 @@ func TestSendNeverBlocks(t *testing.T) {
 	forEachShape(t, func(t *testing.T, sh shape) {
 		tr := sh.explicit(t, TCPConfig{
 			Peers:       deadPeers(t, sh.n), // nobody ever listens
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  10 * time.Millisecond,
+			baseBackoff: time.Millisecond,
+			maxBackoff:  10 * time.Millisecond,
 		})
 		d := sh.open(t, tr, 0) // member 0's dialers can never succeed
 		if len(d.flows) == 0 {
@@ -484,7 +484,7 @@ func TestChildIDCrossCheck(t *testing.T) {
 		defer child.Close()
 		peers := deadPeers(t, sh.n)
 		peers[1] = child.Addr().String()
-		tr := sh.explicit(t, TCPConfig{Peers: peers, BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond})
+		tr := sh.explicit(t, TCPConfig{Peers: peers, baseBackoff: time.Millisecond, maxBackoff: 10 * time.Millisecond})
 		d := sh.open(t, tr, 0)
 
 		c, err := child.Accept()
@@ -520,8 +520,8 @@ func TestChildIDCrossCheck(t *testing.T) {
 func TestMaxPendingBound(t *testing.T) {
 	forEachShape(t, func(t *testing.T, sh shape) {
 		tr := sh.loopback(t, func(c *TCPConfig) {
-			c.MaxPending = 2
-			c.HandshakeTimeout = 250 * time.Millisecond
+			c.maxPending = 2
+			c.handshakeTimeout = 250 * time.Millisecond
 		})
 		d := sh.open(t, tr)
 		// Flood acc's listener with connections that never send a hello.
