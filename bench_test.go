@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -139,15 +140,18 @@ func benchRuntimePasses(b *testing.B, n int, disturb func(*Barrier, int)) {
 }
 
 func benchRuntimePassesCfg(b *testing.B, cfg Config, disturb func(*Barrier, int)) {
-	benchRuntimePassesCtx(b, cfg, disturb, false)
+	benchRuntimePassesCtx(b, cfg, disturb, false, nil)
 }
 
 // benchRuntimePassesCtx runs the closed loop of benchRuntimePassesCfg.
 // Every Await shares one cancellable ctx, as a closed-loop caller does,
 // unless fresh: then each Await gets a new child of it, canceled when the
 // Await returns, and the contexts' own allocations are reported as
-// caller-allocs/op (cmd/benchgate holds allocs/op to that).
-func benchRuntimePassesCtx(b *testing.B, cfg Config, disturb func(*Barrier, int), fresh bool) {
+// caller-allocs/op (cmd/benchgate holds allocs/op to that). A non-nil
+// work is participant id's phase work, run before each of its Awaits.
+// The scheduler turns the loop ran are reported as turns/op
+// (Stats.Turns): one per pass on one scheduler, fault-free.
+func benchRuntimePassesCtx(b *testing.B, cfg Config, disturb func(*Barrier, int), fresh bool, work func(id int)) {
 	n := cfg.Participants
 	bar, err := New(cfg)
 	if err != nil {
@@ -190,6 +194,7 @@ func benchRuntimePassesCtx(b *testing.B, cfg Config, disturb func(*Barrier, int)
 		}
 	}
 
+	turns := bar.Stats().Turns
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	for id := 0; id < n; id++ {
@@ -200,6 +205,9 @@ func benchRuntimePassesCtx(b *testing.B, cfg Config, disturb func(*Barrier, int)
 			for {
 				if id == 0 && disturb != nil {
 					disturb(bar, int(passes[0].Load()))
+				}
+				if work != nil {
+					work(id)
 				}
 				err := await(id)
 				switch {
@@ -218,6 +226,7 @@ func benchRuntimePassesCtx(b *testing.B, cfg Config, disturb func(*Barrier, int)
 		}()
 	}
 	wg.Wait()
+	b.ReportMetric(float64(bar.Stats().Turns-turns)/float64(b.N), "turns/op")
 	if fresh {
 		b.ReportMetric(perCtx*float64(n), "caller-allocs/op")
 	}
@@ -273,8 +282,37 @@ func BenchmarkAwaitChannel(b *testing.B) {
 func BenchmarkAwaitChannelFreshCtx(b *testing.B) {
 	b.Run("n=32", func(b *testing.B) {
 		b.ReportAllocs()
-		benchRuntimePassesCtx(b, Config{Participants: 32, Seed: 1}, nil, true)
+		benchRuntimePassesCtx(b, Config{Participants: 32, Seed: 1}, nil, true, nil)
 	})
+}
+
+// BenchmarkAwaitSkewed is AwaitChannel/n=32 and AwaitTree/n=32 with phase
+// work between the passes: before each Await participant i busy-waits
+// 0.5·i µs, so the arrivals of a pass come one by one, as in an
+// application whose phases do real work, and not in one burst. It prices
+// the one-turn-per-pass rule where it could cost: the whole pass's turn
+// runs after the last arrival, where every earlier arrival used to carry
+// the wave as far as it could. The spins total 248 µs of CPU per pass, so
+// compare a row with itself across trees, not with AwaitChannel.
+func BenchmarkAwaitSkewed(b *testing.B) {
+	const n = 32
+	work := func(id int) { spin(time.Duration(id) * 500 * time.Nanosecond) }
+	for _, row := range []struct {
+		name string
+		topo Topology
+	}{{"ring", TopologyRing}, {"tree", TopologyTree}} {
+		b.Run(fmt.Sprintf("%s/n=%d", row.name, n), func(b *testing.B) {
+			b.ReportAllocs()
+			benchRuntimePassesCtx(b, Config{Participants: n, Seed: 1, Topology: row.topo}, nil, false, work)
+		})
+	}
+}
+
+// spin busy-waits for d on the calling goroutine: phase work that holds
+// its P, as computation does.
+func spin(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
+	}
 }
 
 func BenchmarkAwaitTree(b *testing.B) {

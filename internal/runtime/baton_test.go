@@ -1,17 +1,21 @@
 package runtime
 
-// The baton (sched.go): whoever posts work — a participant's arrival, a
-// control message, link input — runs the scheduler's turn if it gets the
-// baton, and otherwise leaves the work to the holder. Each row drives one
-// rule of that arrangement: (a) every release is followed by a look for
-// posted work; (b) control messages are applied one at a time, each
-// drained before the next; (c) an arrival posted after an injection
-// returned is not stepped before the fault is applied; (d) the link's
-// channels are polled on every turn; (e) a turn on a down barrier delivers
-// nothing; (f) Stop returns only once the turn in flight has ended. All rows run a two-member ring with the resend sweeper
+// The baton (sched.go): whoever posts work — the arrival that completes
+// its scheduler's roster, a control message, link input — runs the
+// scheduler's turn if it gets the baton, and otherwise leaves the work to
+// the holder. Each row drives one rule of that arrangement: (a) every
+// release is followed by a look for posted work; (b) control messages are
+// applied one at a time, each drained before the next; (c) an arrival
+// posted after an injection returned is not stepped before the fault is
+// applied; (d) the link's channels are polled on every turn; (e) a turn on
+// a down barrier delivers nothing; (f) Stop returns only once the turn in
+// flight has ended. All rows run a two-member ring with the resend sweeper
 // effectively off, so nothing but the rule under test can move posted
 // work: on one scheduler, or — the link rows — one scheduler per member
-// over hookLinks, whose input only the test posts.
+// over hookLinks, whose input only the test posts. On one scheduler an
+// arrival runs a turn only if it completes the two-member roster, so the
+// rows that need an arrival's turn have member 1 enter first.
+// TestArrivalTurns holds that rule itself.
 
 import (
 	"bytes"
@@ -80,12 +84,18 @@ func (r *batonRig) release() {
 	r.s.assist()
 }
 
-// turnHeld has member 0 await a pass whose turn — on the Await's own
-// goroutine — stops inside at member 0's completion, holding the baton,
-// until proceed is closed. The pass needs member 1, so a row that does not
-// enter it cancels the Await with ctx.
+// turnHeld has member 1 enter and member 0 await the pass, so that member
+// 0's arrival completes the roster and runs the pass's turn on the Await's
+// own goroutine; the turn stops inside at member 0's completion, holding
+// the baton, until proceed is closed. (Over a link each member is a roster
+// of its own: member 1's Enter runs its own turn, and member 0's pass then
+// needs link input only the row can post, so a row that posts none cancels
+// the Await with ctx.)
 func (r *batonRig) turnHeld(t *testing.T, ctx context.Context) (proceed chan struct{}, awaited chan error) {
 	t.Helper()
+	if err := r.b.Enter(ctx, 1); err != nil {
+		t.Fatalf("Enter(1): %v", err)
+	}
 	inTurn, proceed := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	hook := func(e core.Event) {
@@ -206,26 +216,32 @@ func TestBaton(t *testing.T) {
 		before func(tr hookTransport) // run before New, on the row's transport
 		run    func(t *testing.T, ctx context.Context, r *batonRig, tr hookTransport)
 	}{{
-		// (a) Member 1 posts while member 0's turn holds the baton, so its
-		// CAS fails and its Enter returns. Only the holder's look after
-		// releasing takes that arrival: no other goroutine runs the
-		// scheduler's turns, and without the look member 1's Leave would
-		// wait out the test's deadline.
+		// (a) Member 0 arrives, which is no work yet, and member 1's
+		// arrival completes the roster while the test holds the baton the
+		// way a turn does, so its CAS fails and its Enter returns. Only the
+		// holder's look after releasing takes the arrivals: no other
+		// goroutine runs the scheduler's turns, and without the look both
+		// Leaves would wait out the test's deadline.
 		name: "arrival posted under a held baton is taken by the holder's re-check",
 		run: func(t *testing.T, ctx context.Context, r *batonRig, _ hookTransport) {
-			proceed, awaited := r.turnHeld(t, ctx)
+			r.hold(t)
+			if err := r.b.Enter(ctx, 0); err != nil {
+				t.Fatalf("Enter(0): %v", err)
+			}
+			if r.s.posted() {
+				t.Fatal("member 0's arrival is work before the roster is complete")
+			}
 			if err := r.b.Enter(ctx, 1); err != nil {
 				t.Fatalf("Enter(1) under a held baton: %v", err)
 			}
 			if !r.s.posted() {
-				t.Fatal("member 1's arrival was taken while member 0's turn held the baton")
+				t.Fatal("the arrivals were taken while the test held the baton")
 			}
-			close(proceed)
-			if _, err := r.b.Leave(ctx, 1); err != nil {
-				t.Fatalf("Leave(1): %v — its arrival was left posted", err)
-			}
-			if err := <-awaited; err != nil {
-				t.Fatalf("Await(0): %v", err)
+			r.release()
+			for id := 0; id < 2; id++ {
+				if _, err := r.b.Leave(ctx, id); err != nil {
+					t.Fatalf("Leave(%d): %v — the arrivals were left posted", id, err)
+				}
 			}
 		},
 	}, {
@@ -285,13 +301,17 @@ func TestBaton(t *testing.T) {
 			}
 		},
 	}, {
-		// (c) A Reset is injected and returns, then member 0 arrives, both
+		// (c) Member 1 has arrived. A Reset of member 0 is injected and
+		// returns, then member 0's arrival completes the roster, both
 		// behind a held baton. The turn that takes them must apply the
-		// Reset before it steps the arrival: at the EvReset nothing has
+		// Reset before it steps the arrivals: at the EvReset nothing has
 		// been sent since the arrival, and the arrival meets the Reset's
-		// ErrReset rather than passing.
+		// ErrReset rather than completing the pass.
 		name: "an arrival posted after an injection returned is not stepped before the fault",
 		run: func(t *testing.T, ctx context.Context, r *batonRig, _ hookTransport) {
+			if err := r.b.Enter(ctx, 1); err != nil {
+				t.Fatalf("Enter(1): %v", err)
+			}
 			r.hold(t)
 			r.b.Reset(0)
 			if err := r.b.Enter(ctx, 0); err != nil {
@@ -362,10 +382,10 @@ func TestBaton(t *testing.T) {
 			}
 		},
 	}, {
-		// (e) Member 1 has arrived; member 0's arrival would complete the
-		// pass. It is posted the way enterGate posts it, but only after
-		// Halt, and the turn that takes the baton must see the barrier
-		// down.
+		// (e) Member 1 has arrived; member 0's arrival completes the roster
+		// and would complete the pass. It is posted the way enterGate posts
+		// it, but only after Halt, and the turn its arrival runs must see
+		// the barrier down.
 		name: "a turn on a down barrier delivers nothing",
 		run: func(t *testing.T, ctx context.Context, r *batonRig, _ hookTransport) {
 			if err := r.b.Enter(ctx, 1); err != nil {
@@ -375,8 +395,7 @@ func TestBaton(t *testing.T) {
 			waitQuiesced(t, r.b)
 			g := r.b.lanes[0].gates[0]
 			g.arrival.Store(1)
-			r.s.post(0)
-			r.s.assist()
+			r.s.arrive(0)
 			for id, g := range r.b.lanes[0].gates {
 				if rs := results(g); len(rs) != 0 {
 					t.Errorf("member %d was delivered %+v by a turn on a halted barrier", id, rs)
@@ -444,8 +463,9 @@ func TestBaton(t *testing.T) {
 // A scheduler is no goroutine: a barrier on one scheduler and one with a
 // scheduler per member over channel links each run exactly one goroutine
 // in this package's code, the resend sweeper, and Stop takes it away
-// again. (A channel link starts a goroutine per hooked post, which exits
-// with its turn; the ring here goes quiet once primed.) The goroutines are
+// again. (A channel link starts a goroutine to run its hook after a post
+// unless one is already pending, and it exits with its turn; the ring here
+// goes quiet once primed.) The goroutines are
 // told by their frames, not counted against a base: a goroutine an earlier
 // test left exiting would shift a base.
 func TestOneGoroutinePerBarrier(t *testing.T) {

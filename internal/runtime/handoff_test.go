@@ -544,7 +544,8 @@ func TestDeliverNeverBlocksOnConcurrentPoke(t *testing.T) {
 	go func() {
 		defer close(done)
 		for trial := 0; trial < 2000; trial++ {
-			g := &gate{wake: make(chan awaitResult, 1)}
+			// A scheduler of no roster: deliver counts no arrival on it.
+			g := &gate{s: &sched{}, wake: make(chan awaitResult, 1)}
 			g.wake <- awaitResult{ticket: 1} // abandoned by a canceled Leave
 			var pokers sync.WaitGroup
 			for i := 0; i < 2; i++ {

@@ -269,8 +269,11 @@ func (t *chanTransport) Open(id int) (Link, error) {
 		for h := 1; h < len(t.parent); h++ {
 			kids[t.parent[h]]++
 		}
+		links := make([]chanLink, t.n) // one allocation for the lane's links
 		for h := range lane {
-			l := &chanLink{lane: lane, parent: t.parent, id: h}
+			l := &links[h]
+			l.lane, l.parent, l.id = lane, t.parent, h
+			l.run = l.runHook // made once: a go statement with arguments allocates
 			if t.parent == nil {
 				l.InitRing()
 			} else {
@@ -293,6 +296,8 @@ type chanLink struct {
 	lane   []*chanLink
 	parent []int
 	id     int
+	waking atomic.Bool // a goroutine to run the hook is started and has not yet cleared it
+	run    func()      // runHook, the goroutine wake starts
 }
 
 func (l *chanLink) SendState(m Message) {
@@ -329,12 +334,22 @@ func (l *chanLink) SendUp(m UpMessage) {
 }
 
 // wake runs the hook after a post on a fresh goroutine: a channel link's
-// posts are the sends of another scheduler's turn. The goroutine ends with
-// the turn it runs (on a down barrier, at once); with no hook registered
-// wake starts nothing.
+// posts are the sends of another scheduler's turn. One goroutine serves
+// every post made before it clears waking, since the turn its hook runs
+// polls the link after the clear; a post after the clear starts the next.
+// The goroutine ends with the turn it runs (on a down barrier, at once);
+// with no hook registered wake starts nothing.
 func (l *chanLink) wake() {
+	if l.Hook() != nil && l.waking.CompareAndSwap(false, true) {
+		go l.run()
+	}
+}
+
+// runHook is the goroutine wake starts: clear waking, then run the hook.
+func (l *chanLink) runHook() {
+	l.waking.Store(false)
 	if f := l.Hook(); f != nil {
-		go f()
+		f()
 	}
 }
 

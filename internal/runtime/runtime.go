@@ -306,6 +306,7 @@ type Barrier struct {
 	statInjByz       atomic.Int64 // Byzantine forgeries accepted for delivery
 	statWasted       atomic.Int64 // re-executed (wasted) protocol instances
 	statPulls        atomic.Int64 // neighbour registers re-read at quiescence (sched.pullRound)
+	statTurns        atomic.Int64 // scheduler turns run on the up barrier (sched.turn)
 
 	// Frame rejections by the sequence-and-sender validation windows
 	// (see cell.go), exported as barrier_rejected_frames_total{reason}.
@@ -366,7 +367,7 @@ type gate struct {
 	onesSince  uint8  // fault-free passes not yet in the instances histogram (observePass; at most 8)
 	curTicket  uint64 // ticket of the outstanding Await
 	lastDonePh int    // phase of the last completion that consumed an arrival
-	pendingErr error  // delivered on the next Await (e.g. ErrReset)
+	pendingErr error  // delivered on the next Await (e.g. ErrReset); counted in s.errsHeld
 
 	// Live-measurement bookkeeping, owned by the scheduler like the
 	// fields above. beginsSince counts protocol instance
@@ -708,6 +709,12 @@ type Stats struct {
 	// fault-free run, and always zero when every member has a scheduler
 	// of its own (any Transport but a hybrid host's).
 	Pulls int64
+	// Turns counts the scheduler turns run on the up barrier, by whichever
+	// poster took the baton: New's priming turns, the turns of arrivals
+	// that complete their roster (every arrival's, on a one-member roster),
+	// and those of control messages and link input. On one scheduler a
+	// fault-free pass runs one.
+	Turns int64
 }
 
 // Stats returns a consistent snapshot of the barrier's counters.
@@ -745,6 +752,7 @@ func (b *Barrier) Stats() Stats {
 			RejectedSender:    b.statRejSender.Load(),
 			WastedInstances:   b.statWasted.Load(),
 			Pulls:             b.statPulls.Load(),
+			Turns:             b.statTurns.Load(),
 		}
 		if b.statPasses.Load() == s.Passes && b.statResets.Load() == s.Resets {
 			break
@@ -853,11 +861,15 @@ func (b *Barrier) Await(ctx context.Context, id int) (int, error) {
 // does an Enter on a halted or stopped barrier or with a ctx that has
 // already ended: those are looked at first, without blocking.
 //
-// Enter never blocks. It posts the arrival to the member's own scheduler
-// and, if that scheduler's baton is free, runs the scheduler's turn
-// itself: it may step other members, send their frames and deliver their
-// results — the last Enter of a pass completes it and delivers every
-// participant's result, its own included, before it returns.
+// Enter never blocks. It posts the arrival to the member's own scheduler,
+// and if the arrival completes that scheduler's roster — every member it
+// hosts has arrived — and the scheduler's baton is free, it runs the
+// scheduler's turn itself: it may step other members, send their frames
+// and deliver their results. So on one scheduler the last Enter of a pass
+// completes it and delivers every participant's result, its own included,
+// before it returns, and the Enters before it run no turn at all. (An
+// Enter also runs the turn while a member of its scheduler holds an
+// ErrReset, and always on a scheduler of one member.)
 //
 // With Depth > 1, Enter tops the pipeline window up to Depth
 // outstanding waves: wave k+1's instance launches before wave k
@@ -933,9 +945,9 @@ func (b *Barrier) down() error {
 // down or a ctx that has already ended is seen before the arrival is
 // posted, so such an Enter never registers one. Posting cannot fail or
 // block: the ticket goes into the gate's arrival word, the member's bit
-// into its scheduler's arrivals, and the caller then assists — it runs the
-// scheduler's turn if it gets the baton, and otherwise leaves the arrival
-// to the baton's holder.
+// into its scheduler's arrivals, and the caller then assists if the
+// arrival is due (sched.arrive) — it runs the scheduler's turn if it gets
+// the baton, and otherwise leaves the arrival to the baton's holder.
 func (b *Barrier) enterGate(ctx context.Context, g *gate) error {
 	if err := b.down(); err != nil {
 		return err
@@ -945,10 +957,9 @@ func (b *Barrier) enterGate(ctx context.Context, g *gate) error {
 	}
 	ticket := g.tickets + 1
 	g.arrival.Store(ticket)
-	g.s.post(g.id)
 	g.tickets = ticket
 	g.entered = true
-	g.s.assist()
+	g.s.arrive(g.id)
 	return nil
 }
 
@@ -1368,6 +1379,7 @@ func (g *gate) onArrive(ticket uint64) {
 	g.arrived = true
 	if err := g.pendingErr; err != nil {
 		g.pendingErr = nil
+		g.s.errsHeld.Add(-1)
 		if !g.atHead() {
 			// The participant reaped this lane's pass while the reset that
 			// stored the error was being applied, so this arrival is for a
@@ -1459,18 +1471,22 @@ func (g *gate) failPending(err error) {
 		g.appWaiting = false
 		g.arrived = false
 		g.deliver(awaitResult{err: err, ticket: g.curTicket})
-	} else {
+	} else if g.pendingErr == nil {
 		g.pendingErr = err
+		g.s.errsHeld.Add(1)
 	}
 }
 
-// deliver puts r in the wake buffer, displacing what an earlier wake-up
-// left there: a stale result (the participant abandoned its Await on a
-// context cancellation) or a poke. It never blocks the scheduler. Halt,
+// deliver answers the outstanding arrival — it takes it off its
+// scheduler's count of unanswered ones (sched.answered) — and puts r in
+// the wake buffer, displacing what an earlier wake-up left there: a stale
+// result (the participant abandoned its Await on a context cancellation)
+// or a poke. It never blocks the scheduler. Halt,
 // Stop and ctx registrations send on wake too, so the slot freed by the
 // drain may be taken again before the retry — by a poke, and each sender
 // pokes once, which bounds the loop.
 func (g *gate) deliver(r awaitResult) {
+	g.s.answered()
 	for !offer(g.wake, r) {
 		select {
 		case <-g.wake:
